@@ -206,34 +206,6 @@ def verify_laplace(mbar_samples, m_samples, alpha, u_grid, n_boot: int = 400,
                              rhs=rhs, rhs_ci=rhs_ci, overlap=overlap)
 
 
-def verify_laplace_joint(mbar_pairs, m_pairs, alpha, u_pairs, n_boot: int = 400,
-                         rng: np.random.Generator | None = None) -> LaplaceComparison:
-    """Two-box multivariate Laplace relation on disjoint boxes A1, A2:
-    E[e^(-u1 Mbar(A1) - u2 Mbar(A2))] vs the transformed chaos side."""
-    mbar = np.asarray(mbar_pairs, dtype=float)
-    m = np.asarray(m_pairs, dtype=float)
-    if mbar.ndim != 2 or mbar.shape[1] != 2 or m.ndim != 2 or m.shape[1] != 2:
-        raise AnalysisError("expected (replicas, 2) arrays of box masses")
-    if rng is None:
-        rng = np.random.default_rng(4)
-    u_pairs = np.atleast_2d(np.asarray(u_pairs, dtype=float))
-    c = gamma_fn(1.0 - alpha) / alpha
-
-    def side(samples, transform):
-        means, boot = [], np.empty((n_boot, len(u_pairs)))
-        for u1, u2 in u_pairs:
-            means.append(transform(samples, u1, u2).mean())
-        for b, idx in enumerate(_bootstrap_indices(rng, samples.shape[0], n_boot)):
-            boot[b] = [transform(samples[idx], u1, u2).mean() for u1, u2 in u_pairs]
-        return np.array(means), np.percentile(boot, [2.5, 97.5], axis=0).T
-
-    lhs, lhs_ci = side(mbar, lambda s, u1, u2: np.exp(-u1 * s[:, 0] - u2 * s[:, 1]))
-    rhs, rhs_ci = side(m, lambda s, u1, u2: np.exp(-c * (u1**alpha * s[:, 0] + u2**alpha * s[:, 1])))
-    overlap = (lhs_ci[:, 0] <= rhs_ci[:, 1]) & (rhs_ci[:, 0] <= lhs_ci[:, 1])
-    return LaplaceComparison(u_grid=u_pairs[:, 0], lhs=lhs, lhs_ci=lhs_ci,
-                             rhs=rhs, rhs_ci=rhs_ci, overlap=overlap)
-
-
 # ---------------------------------------------------------------------------
 # perfect scaling
 # ---------------------------------------------------------------------------
@@ -338,12 +310,15 @@ def _interval_masses(measure, intervals: np.ndarray) -> np.ndarray:
         return csum[np.clip(i1, 0, lat.resolution)] - csum[np.clip(i0, 0, lat.resolution)]
     if isinstance(measure, AtomicMeasure):
         x = measure.positions[:, 0] if measure.count else np.zeros(0)
-        edges = np.unique(np.concatenate([intervals[:, 0], intervals[:, 1]]))
-        out = np.empty(len(intervals))
-        for i, (a, b) in enumerate(intervals):
-            sel = (x >= a) & (x < b)
-            out[i] = measure.masses[sel].sum() if measure.count else 0.0
-        return out
+        order = np.argsort(x)
+        # [a, b) holds the sorted atoms lo..hi-1
+        lo = np.searchsorted(x[order], intervals[:, 0], side="left")
+        hi = np.searchsorted(x[order], intervals[:, 1], side="left")
+        # masses span many decades, so each interval is summed directly, not as a
+        # difference of prefix sums; the trailing zero keeps index hi = count valid
+        masses = np.append(measure.masses[order], 0.0)
+        sums = np.add.reduceat(masses, np.column_stack([lo, hi]).ravel())[::2]
+        return np.where(hi > lo, sums, 0.0)
     raise AnalysisError("unsupported measure type")
 
 
@@ -355,18 +330,21 @@ def covering_sums(measure, set_name: str, levels, s_grid) -> CoveringSumTable:
     """
     levels = np.asarray(levels, dtype=int)
     s_grid = np.asarray(s_grid, dtype=float)
-    sums = np.zeros((levels.size, s_grid.size))
-    for li, g in enumerate(levels):
+    ivals = []
+    for g in levels:
         if set_name == "cantor":
-            ivals = cantor_intervals(int(g))
+            ivals.append(cantor_intervals(int(g)))
         elif set_name == "interval":
             edges = np.linspace(0.0, 1.0, 2**int(g) + 1)
-            ivals = np.column_stack([edges[:-1], edges[1:]])
+            ivals.append(np.column_stack([edges[:-1], edges[1:]]))
         else:
             raise AnalysisError(f"unknown set spec {set_name!r}")
-        mu = _interval_masses(measure, ivals)
+    # all levels in one call, so an atomic measure's atoms are sorted once
+    mu_all = _interval_masses(measure, np.vstack(ivals))
+    sums = np.zeros((levels.size, s_grid.size))
+    for li, mu in enumerate(np.split(mu_all, np.cumsum([len(iv) for iv in ivals])[:-1])):
+        pos = mu[mu > 0]
         for si, s in enumerate(s_grid):
-            pos = mu[mu > 0]
             sums[li, si] = np.sum(pos**s) if s > 0 else pos.size
     return CoveringSumTable(set_name=set_name, levels=levels, s_grid=s_grid, sums=sums)
 
@@ -561,10 +539,9 @@ def lq_spectrum(measure, q_grid, depths, gamma2: float | None = None,
         for mu in per_depth:
             pos = mu[mu > 0]
             logs.append(np.log(np.sum(pos**q)) if q != 0 else np.log(pos.size))
-        slope, _, r2 = ols_slope(log_r, np.array(logs))
+        slope, intercept, _ = ols_slope(log_r, np.array(logs))
         tau[i] = slope
-        resid = np.array(logs) - (np.poly1d(np.polyfit(log_r, logs, 1))(log_r))
-        err[i] = float(np.std(resid))
+        err[i] = float(np.std(np.array(logs) - (intercept + slope * log_r)))
     conj = None
     if gamma2 is not None and alpha is not None:
         conj = lq_conjecture(q_grid, gamma2, alpha, d)

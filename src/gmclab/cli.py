@@ -49,12 +49,11 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _summary_text(result: PipelineResult, cfg: ExperimentConfig, elapsed: float) -> str:
+def _summary_text(result: PipelineResult, cfg: ExperimentConfig) -> str:
     lines = [
         f"gmclab {__version__}  experiment={result.name}  "
         f"seed={cfg.seed}  replicas={cfg.replicas}",
         f"status: {'PASS' if result.passed else 'FAIL'}",
-        f"wall clock: {elapsed:.2f} s",
         "",
     ]
     for key, value in result.summary.items():
@@ -77,7 +76,7 @@ def write_outputs(result: PipelineResult, cfg: ExperimentConfig,
         artifacts.append(path)
     summary_path = os.path.join(out_dir, "summary.txt")
     with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write(_summary_text(result, cfg, elapsed))
+        fh.write(_summary_text(result, cfg))
     artifacts.append(summary_path)
     manifest = {
         "tool": "gmclab",
@@ -87,7 +86,8 @@ def write_outputs(result: PipelineResult, cfg: ExperimentConfig,
         "config": config_to_dict(cfg),
         "seed_scheme": {
             "bit_generator": "Philox",
-            "spawn_key": "(purpose, replica, level)",
+            "spawn_key": "(purpose, replica, 0)",
+            "field": "one substream per replica, (field, replica, 0), for the whole field X^n",
             "purposes": ["field", "atoms", "subordinated", "bootstrap", "omega", "control"],
         },
         "wall_clock_seconds": elapsed,

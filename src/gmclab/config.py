@@ -59,7 +59,7 @@ class ExperimentConfig:
     scaling_radius: float = 0.25
     cantor_depth: int = 6
     s_grid: tuple[float, ...] = ()
-    hill_k: int = 0                    # 0: replicas // 20
+    hill_k: int = 0                    # 0: max(replicas // 20, 50)
     out_dir: str = "gmclab-out"
     dump_fields: bool = False
 

@@ -1,14 +1,16 @@
-"""Lattice Gaussian layer sampling and field accumulation.
+"""Lattice Gaussian field sampling.
 
-Layers Y^n with covariance q_n are drawn either by dense factorization (any
-family, small site counts) or by circulant embedding with FFTs (stationary
-families on regular grids).  Replicas own independent RNG substreams derived
-from a single master seed, so every draw is reproducible bit for bit.
+The field X^n = Y^1 + ... + Y^n is a sum of independent Gaussian layers, so it
+is one Gaussian with the summed covariance k_n = q_1 + ... + q_n.  It is drawn
+in one step, either by dense factorization (any family, small site counts) or
+by circulant embedding with FFTs (stationary families on regular grids).  Each
+replica draws from its own RNG substream (field, replica, 0), derived from a
+single master seed, so every draw is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -113,26 +115,25 @@ class FieldGrid:
     level: int
     values: np.ndarray
     variance0: float | np.ndarray
-    layers: list[np.ndarray] | None = None
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
             raise FieldError("field values must be finite")
 
 
-def _circulant_eigs(spec: KernelSpec, n: int, lattice: Lattice, m: int) -> np.ndarray:
-    h = lattice.spacing
-    if lattice.d == 1:
-        lags = np.minimum(np.arange(m), m - np.arange(m)) * h
-        return np.fft.fft(level_increment_radial(spec, n, lags)).real
-    lag = np.minimum(np.arange(m), m - np.arange(m)) * h
-    rx, ry = np.meshgrid(lag, lag, indexing="ij")
-    c = level_increment_radial(spec, n, np.hypot(rx, ry))
-    return np.fft.fft2(c).real
+def _circulant_eigs(spec: KernelSpec, levels: Sequence[int], lattice: Lattice, m: int) -> np.ndarray:
+    lag = np.minimum(np.arange(m), m - np.arange(m)) * lattice.spacing
+    if lattice.d == 2:
+        rx, ry = np.meshgrid(lag, lag, indexing="ij")
+        lag = np.hypot(rx, ry)
+    c = sum(level_increment_radial(spec, n, lag) for n in levels)
+    return (np.fft.fft(c) if lattice.d == 1 else np.fft.fft2(c)).real
 
 
-def prepare_circulant(spec: KernelSpec, n: int, lattice: Lattice) -> tuple[np.ndarray, int]:
-    """Sqrt-eigenvalue array of a nonnegative circulant embedding of q_n.
+def prepare_circulant(spec: KernelSpec, levels: Sequence[int],
+                      lattice: Lattice) -> tuple[np.ndarray, int]:
+    """Sqrt-eigenvalue array of a nonnegative circulant embedding of the
+    covariance summed over the given levels (k_n for levels 1..n).
 
     Tries embeddings of increasing size; small negative eigenvalue mass is
     clipped to zero, larger mass raises EmbeddingError.
@@ -142,7 +143,7 @@ def prepare_circulant(spec: KernelSpec, n: int, lattice: Lattice) -> tuple[np.nd
     m = 2 * lattice.resolution
     last_ratio = np.inf
     for _ in range(4):
-        lam = _circulant_eigs(spec, n, lattice, m)
+        lam = _circulant_eigs(spec, levels, lattice, m)
         neg = np.abs(lam[lam < 0]).sum()
         tot = np.abs(lam).sum()
         last_ratio = neg / tot if tot > 0 else 0.0
@@ -151,7 +152,7 @@ def prepare_circulant(spec: KernelSpec, n: int, lattice: Lattice) -> tuple[np.nd
         m *= 2
     raise EmbeddingError(
         f"negative eigenvalue mass {last_ratio:.3e} exceeds {CLIP_MASS_TOL} "
-        f"for family {spec.family}, level {n}"
+        f"for family {spec.family}, levels {min(levels)}..{max(levels)}"
     )
 
 
@@ -166,7 +167,8 @@ def _draw_circulant(sqrt_lam: np.ndarray, m: int, d: int, resolution: int,
     return e.real[:resolution, :resolution].reshape(-1)
 
 
-def _dense_factor(spec: KernelSpec, n: int, lattice: Lattice) -> np.ndarray:
+def _dense_factor(spec: KernelSpec, levels: Sequence[int], lattice: Lattice) -> np.ndarray:
+    """Factor F with F F^T the covariance summed over the given levels."""
     if lattice.n_sites > DENSE_SITE_LIMIT:
         raise FieldError(
             f"{lattice.n_sites} sites exceed the dense backend limit {DENSE_SITE_LIMIT}"
@@ -177,12 +179,11 @@ def _dense_factor(spec: KernelSpec, n: int, lattice: Lattice) -> np.ndarray:
         q = np.empty((len(pts), len(pts)))
         step = max(1, 2**18 // max(len(pts), 1))
         for i in range(0, len(pts), step):
-            q[i:i + step] = eval_level_increment(
-                spec, n, pts[i:i + step, None, :], pts[None, :, :]
-            )
+            q[i:i + step] = sum(eval_level_increment(spec, n, pts[i:i + step, None, :],
+                                                     pts[None, :, :]) for n in levels)
     else:
         r = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
-        q = level_increment_radial(spec, n, r)
+        q = sum(level_increment_radial(spec, n, r) for n in levels)
     scale = max(float(np.max(np.diag(q))), 1.0)
     q = q + DENSE_JITTER * scale * np.eye(len(q))
     w, v = np.linalg.eigh(q)
@@ -193,8 +194,9 @@ def _dense_factor(spec: KernelSpec, n: int, lattice: Lattice) -> np.ndarray:
 
 
 class LayerSampler:
-    """Reusable per-level sampler: factorizations are prepared once, then each
-    draw costs one batch of normals (plus an FFT for the circulant backend)."""
+    """Reusable field sampler over a level set: the covariance summed over the
+    levels is factorized once, then each draw costs one batch of normals (plus
+    an FFT for the circulant backend)."""
 
     def __init__(self, spec: KernelSpec, lattice: Lattice, levels: Sequence[int],
                  backend: str = "auto"):
@@ -204,37 +206,25 @@ class LayerSampler:
         if backend == "auto":
             backend = "circulant" if spec.stationary else "dense"
         self.backend = backend
-        self._prep = {}
-        for n in self.levels:
-            if backend == "circulant":
-                self._prep[n] = prepare_circulant(spec, n, lattice)
-            else:
-                self._prep[n] = _dense_factor(spec, n, lattice)
+        if backend == "circulant":
+            self._factor = prepare_circulant(spec, self.levels, lattice)
+        else:
+            self._factor = _dense_factor(spec, self.levels, lattice)
         self.variance0 = field_variance0(spec, self.levels, lattice)
 
-    def sample_layer(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def _draw(self, rng: np.random.Generator) -> np.ndarray:
         if self.backend == "circulant":
-            sqrt_lam, m = self._prep[n]
+            sqrt_lam, m = self._factor
             return _draw_circulant(sqrt_lam, m, self.lattice.d, self.lattice.resolution, rng)
-        factor = self._prep[n]
-        return factor @ rng.standard_normal(factor.shape[1])
+        return self._factor @ rng.standard_normal(self._factor.shape[1])
 
-    def sample_field(self, stream: RngStream, replica: int,
-                     store_layers: bool = False) -> FieldGrid:
-        """One replica of X^n = sum of layers, each layer on its own substream."""
-        layers = []
-        total = np.zeros(self.lattice.n_sites)
-        for n in self.levels:
-            y = self.sample_layer(n, stream.generator(replica, n, "field"))
-            total += y
-            if store_layers:
-                layers.append(y)
+    def sample_field(self, stream: RngStream, replica: int) -> FieldGrid:
+        """One replica of X^n, drawn at once on the substream (field, replica, 0)."""
         return FieldGrid(
             lattice=self.lattice,
             level=max(self.levels),
-            values=total,
+            values=self._draw(stream.generator(replica, 0, "field")),
             variance0=self.variance0,
-            layers=layers if store_layers else None,
         )
 
 
@@ -262,11 +252,11 @@ def field_variance0(spec: KernelSpec, levels: Sequence[int],
 def sample_layer(spec: KernelSpec, n: int, lattice: Lattice,
                  rng: np.random.Generator, backend: str = "auto") -> np.ndarray:
     """One draw of the level-n layer Y^n at the lattice sites."""
-    return LayerSampler(spec, lattice, [n], backend=backend).sample_layer(n, rng)
+    return LayerSampler(spec, lattice, [n], backend=backend)._draw(rng)
 
 
 def accumulate_field(spec: KernelSpec, lattice: Lattice, layers: Sequence[np.ndarray],
-                     levels: Sequence[int], store_layers: bool = False) -> FieldGrid:
+                     levels: Sequence[int]) -> FieldGrid:
     """Sitewise sum of layers sampled on one lattice."""
     levels = list(levels)
     if len(layers) != len(levels):
@@ -282,5 +272,4 @@ def accumulate_field(spec: KernelSpec, lattice: Lattice, layers: Sequence[np.nda
         level=max(levels) if levels else 0,
         values=total,
         variance0=var0,
-        layers=list(layers) if store_layers else None,
     )

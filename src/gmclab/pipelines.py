@@ -2,8 +2,10 @@
 
 Each pipeline builds the ensembles it needs, runs the matching statistical
 checks, and returns tables plus a pass/fail summary.  All randomness flows
-through RngStream substreams keyed by (purpose, replica, level), so a given
-(config, seed) pair reproduces byte-identical outputs.
+through RngStream substreams: one field substream (field, replica, 0) per
+replica, from which the whole field is drawn at once, and the atoms and
+subordinated substreams (atoms, replica, 0) and (subordinated, replica, 0).
+So a given (config, seed) pair reproduces byte-identical outputs.
 """
 
 from __future__ import annotations

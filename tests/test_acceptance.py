@@ -254,10 +254,10 @@ def test_criterion_09_structural_self_tests(tmp_path):
     notes = []
     # kernel positivity: circulant eigenvalues of every prepared level
     for n in (1, 3, 6):
-        sqrt_lam, _ = prepare_circulant(EXACT1D, n, Lattice(1, 128))
+        sqrt_lam, _ = prepare_circulant(EXACT1D, [n], Lattice(1, 128))
         ok &= bool(np.all(sqrt_lam >= 0))
     # Gram eigenvalue floor for the dense backend
-    factor = _dense_factor(EXACT2D, 2, Lattice(2, 8))
+    factor = _dense_factor(EXACT2D, [2], Lattice(2, 8))
     ok &= bool(np.all(np.isfinite(factor)))
     notes.append("kernel positivity")
     # covariance fidelity: 20 site pairs within 3 SE

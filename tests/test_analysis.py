@@ -18,6 +18,7 @@ from gmclab.analysis import (
     sample_omega,
     verify_laplace,
 )
+from gmclab.atomic import AtomicMeasure
 from gmclab.chaos import LatticeMeasure, xi
 from gmclab.field import Lattice
 
@@ -145,6 +146,34 @@ class TestCovering:
         table = covering_sums(uniform, "interval", levels, s_grid)
         est = dimension_estimate(list(levels), s_grid, table.sums)
         assert est.estimate == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("set_name", ["cantor", "interval"])
+    def test_atomic_sums_match_interval_loop(self, set_name):
+        def loop_masses(x, masses, intervals):
+            # reference: one boolean mask per half-open interval [a, b)
+            return np.array([masses[(x >= a) & (x < b)].sum() for a, b in intervals])
+
+        rng = np.random.default_rng(5)
+        edges = np.unique(cantor_intervals(4) if set_name == "cantor"
+                          else np.linspace(0.0, 1.0, 17))
+        # few atoms, so most fine intervals are empty; some sit exactly on edges
+        x = np.concatenate([rng.random(40), edges[1:-1:3]])
+        masses = 10.0 ** rng.uniform(-14, 0, x.size)
+        measure = AtomicMeasure(x[:, None], masses)
+        levels = range(1, 7)
+        s_grid = np.array([0.0, 0.3, 0.7, 1.0])
+        table = covering_sums(measure, set_name, levels, s_grid)
+        empty = 0
+        for li, g in enumerate(levels):
+            grid = np.linspace(0.0, 1.0, 2**g + 1)
+            ivals = (cantor_intervals(g) if set_name == "cantor"
+                     else np.column_stack([grid[:-1], grid[1:]]))
+            mu = loop_masses(x, masses, ivals)
+            empty += np.sum(mu == 0)
+            pos = mu[mu > 0]
+            ref = [pos.size if s == 0 else np.sum(pos**s) for s in s_grid]
+            np.testing.assert_allclose(table.sums[li], ref, rtol=1e-12)
+        assert empty > 0
 
     def test_misaligned_lattice_rejected(self):
         lat = Lattice(1, 1000)  # not a multiple of 3^g

@@ -11,9 +11,10 @@ from gmclab.field import (
     prepare_circulant,
     sample_layer,
 )
-from gmclab.kernels import KernelSpec
+from gmclab.kernels import KernelSpec, eval_partial_kernel
 
 EXACT1D = KernelSpec(family="exact1d", T=1.0, d=1)
+STAR1D = KernelSpec(family="star", T=1.0, d=1)
 EXACT2D = KernelSpec(family="exact2d", T=1.0, d=2)
 GFF = KernelSpec(family="gff-square", T=1.0, d=2)
 
@@ -64,7 +65,7 @@ class TestCirculant:
     def test_nonnegative_embedding(self, spec, res):
         lat = Lattice(spec.d, res)
         for n in (1, 2, 5):
-            sqrt_lam, m = prepare_circulant(spec, n, lat)
+            sqrt_lam, m = prepare_circulant(spec, [n], lat)
             assert np.all(sqrt_lam >= 0)
             assert m >= 2 * res
 
@@ -84,12 +85,32 @@ class TestCirculant:
 
 
 class TestLayerSampler:
-    def test_field_is_sum_of_layers(self):
-        lat = Lattice(1, 32)
-        sampler = LayerSampler(EXACT1D, lat, [1, 2, 3])
-        f = sampler.sample_field(RngStream(3), 0, store_layers=True)
-        np.testing.assert_allclose(f.values, np.sum(f.layers, axis=0), rtol=1e-12)
-        assert f.level == 3
+    @pytest.mark.parametrize("spec,res,level,lags", [
+        (EXACT1D, 64, 8, [(0,), (1,), (3,), (8,)]),
+        (EXACT2D, 16, 4, [(0, 0), (0, 1), (1, 1), (0, 3)]),
+        (STAR1D, 64, 3, [(0,), (1,), (4,), (12,)]),
+    ], ids=["exact1d", "exact2d", "star"])
+    def test_field_covariance_matches_kernel(self, spec, res, level, lags):
+        # one draw per field: Cov(X(x), X(x + lag)) = k_n(lag), within 4 SE
+        lat = Lattice(spec.d, res)
+        sampler = LayerSampler(spec, lat, range(1, level + 1))
+        stream = RngStream(31)
+        draws = np.array([sampler.sample_field(stream, r).values for r in range(4000)])
+        assert sampler.sample_field(stream, 0).level == level
+        pts = lat.centers()
+        for lag in lags:
+            j = int(np.ravel_multi_index(lag, (res,) * spec.d))
+            prod = draws[:, 0] * draws[:, j]
+            se = np.std(prod, ddof=1) / np.sqrt(len(prod))
+            theory = float(np.ravel(eval_partial_kernel(spec, level, pts[0], pts[j]))[0])
+            assert abs(prod.mean() - theory) < 4 * se, lag
+
+    @pytest.mark.parametrize("spec,res,level", [(EXACT1D, 1024, 64), (EXACT2D, 64, 16)],
+                             ids=["exact1d", "exact2d"])
+    def test_summed_embedding_accepted_at_twice_resolution(self, spec, res, level):
+        sqrt_lam, m = prepare_circulant(spec, range(1, level + 1), Lattice(spec.d, res))
+        assert m == 2 * res
+        assert np.all(sqrt_lam >= 0)
 
     def test_deterministic_across_instances(self):
         lat = Lattice(1, 32)
