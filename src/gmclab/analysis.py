@@ -7,6 +7,7 @@ solvers, and the (conjecture-flagged) L^q-spectrum proxy.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,15 +287,20 @@ class CoveringSumTable:
     sums: np.ndarray   # (n_levels, n_s)
 
 
+@functools.lru_cache
 def cantor_intervals(generation: int) -> np.ndarray:
-    """Closed construction intervals of the triadic Cantor set, (2^g, 2) array."""
+    """Closed construction intervals of the triadic Cantor set, (2^g, 2) array.
+
+    Memoized; the returned array is shared between callers and read-only."""
     intervals = np.array([[0.0, 1.0]])
     for _ in range(generation):
         third = (intervals[:, 1] - intervals[:, 0]) / 3.0
         left = np.column_stack([intervals[:, 0], intervals[:, 0] + third])
         right = np.column_stack([intervals[:, 1] - third, intervals[:, 1]])
         intervals = np.vstack([left, right])
-    return intervals[np.argsort(intervals[:, 0])]
+    intervals = intervals[np.argsort(intervals[:, 0])]
+    intervals.setflags(write=False)
+    return intervals
 
 
 def _interval_masses(measure, intervals: np.ndarray) -> np.ndarray:

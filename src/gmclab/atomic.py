@@ -151,7 +151,9 @@ def sample_stable_atoms(region: Region, alpha: float, z_min: float,
     count = int(rng.poisson(mean_count))
     low = np.atleast_1d(np.asarray(region.low, dtype=float))
     high = np.atleast_1d(np.asarray(region.high, dtype=float))
-    positions = rng.uniform(low, high, size=(count, len(low)))
+    # same values and stream state as rng.uniform(low, high, size), without
+    # its slow broadcasting path
+    positions = low + (high - low) * rng.random((count, len(low)))
     sizes = _pareto(rng, alpha, z_min, count)
     return StableAtoms(positions=positions, sizes=sizes, alpha=alpha,
                        z_min=z_min, region=region)

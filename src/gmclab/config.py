@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 
 from .atomic import auto_z_min
 from .chaos import xi_moment_range
-from .kernels import FAMILIES
+from .kernels import KernelError, KernelSpec
 
 
 class ConfigError(ValueError):
@@ -141,14 +141,10 @@ def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> lis
     diags = []
     if cfg.dimension not in (1, 2):
         diags.append(f"dimension must be 1 or 2, got {cfg.dimension}")
-    if cfg.kernel_family not in FAMILIES:
-        diags.append(f"unknown kernel family {cfg.kernel_family!r}")
-    else:
-        expected_d = {"exact1d": 1, "exact2d": 2, "gff-square": 2}.get(cfg.kernel_family)
-        if expected_d is not None and cfg.dimension != expected_d:
-            diags.append(f"kernel {cfg.kernel_family} requires dimension {expected_d}")
-    if cfg.kernel_T <= 0:
-        diags.append("kernel.T must be positive")
+    try:
+        KernelSpec(family=cfg.kernel_family, T=cfg.kernel_T, d=cfg.dimension)
+    except KernelError as exc:
+        diags.append(f"kernel: {exc}")
     if cfg.gamma2 < 0:
         diags.append("gamma2 must be nonnegative")
     if cfg.level < 1:

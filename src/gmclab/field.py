@@ -2,10 +2,12 @@
 
 The field X^n = Y^1 + ... + Y^n is a sum of independent Gaussian layers, so it
 is one Gaussian with the summed covariance k_n = q_1 + ... + q_n.  It is drawn
-in one step, either by dense factorization (any family, small site counts) or
-by circulant embedding with FFTs (stationary families on regular grids).  Each
-replica draws from its own RNG substream (field, replica, 0), derived from a
-single master seed, so every draw is reproducible bit for bit.
+in one step, with one path per kernel kind: circulant embedding with FFTs for
+the stationary families, and the folded Dirichlet sine spectrum with one
+type-III DST for gff-square.  Each replica draws from its own RNG substream
+(field, replica, 0), derived from a single master seed, so every draw is
+reproducible bit for bit.  The dense factorization `_dense_factor` is kept as
+the reference that tests compare the samplers against.
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.fft import dstn
 
 from .kernels import (
     KernelSpec,
     eval_level_increment,
+    gff_spectral_weights,
     level_increment_radial,
     partial_kernel_radial,
 )
@@ -193,30 +197,45 @@ def _dense_factor(spec: KernelSpec, levels: Sequence[int], lattice: Lattice) -> 
     return v * np.sqrt(np.maximum(w, 0.0))
 
 
+def _prepare_sine(levels: Sequence[int], lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """Draw weights of the gff-square field and its exact per-site variance.
+
+    The field is S (sqrt(W) * z) with S[i, j-1] = sin(j pi x_i) on both axes
+    and W the folded spectrum; dstn type 3 computes 2 S on every mode but the
+    last, so the weights carry a factor 1/2 there.
+    """
+    if lattice.d != 2 or lattice.low != 0.0 or lattice.high != 1.0:
+        raise FieldError("gff-square is sampled on the unit square")
+    n = lattice.resolution
+    w = gff_spectral_weights(levels, n)
+    half = np.where(np.arange(n) < n - 1, 0.5, 1.0)
+    sqrt_w = np.sqrt(w) * half[:, None] * half[None, :]
+    # diagonal of the sampled covariance, (S o S) W (S o S)^T
+    s2 = np.sin(np.pi * np.outer(lattice.axis_centers(), np.arange(1, n + 1))) ** 2
+    return sqrt_w, (s2 @ w @ s2.T).reshape(-1)
+
+
 class LayerSampler:
     """Reusable field sampler over a level set: the covariance summed over the
-    levels is factorized once, then each draw costs one batch of normals (plus
-    an FFT for the circulant backend)."""
+    levels is prepared once, then each draw costs one batch of normals and one
+    transform.  Stationary families use a circulant embedding and one FFT;
+    gff-square uses its folded sine spectrum and one DST."""
 
-    def __init__(self, spec: KernelSpec, lattice: Lattice, levels: Sequence[int],
-                 backend: str = "auto"):
+    def __init__(self, spec: KernelSpec, lattice: Lattice, levels: Sequence[int]):
         self.spec = spec
         self.lattice = lattice
         self.levels = list(levels)
-        if backend == "auto":
-            backend = "circulant" if spec.stationary else "dense"
-        self.backend = backend
-        if backend == "circulant":
+        if spec.stationary:
             self._factor = prepare_circulant(spec, self.levels, lattice)
+            self.variance0 = field_variance0(spec, self.levels, lattice)
         else:
-            self._factor = _dense_factor(spec, self.levels, lattice)
-        self.variance0 = field_variance0(spec, self.levels, lattice)
+            self._factor, self.variance0 = _prepare_sine(self.levels, lattice)
 
     def _draw(self, rng: np.random.Generator) -> np.ndarray:
-        if self.backend == "circulant":
+        if self.spec.stationary:
             sqrt_lam, m = self._factor
             return _draw_circulant(sqrt_lam, m, self.lattice.d, self.lattice.resolution, rng)
-        return self._factor @ rng.standard_normal(self._factor.shape[1])
+        return dstn(self._factor * rng.standard_normal(self._factor.shape), type=3).reshape(-1)
 
     def sample_field(self, stream: RngStream, replica: int) -> FieldGrid:
         """One replica of X^n, drawn at once on the substream (field, replica, 0)."""
@@ -250,9 +269,9 @@ def field_variance0(spec: KernelSpec, levels: Sequence[int],
 
 
 def sample_layer(spec: KernelSpec, n: int, lattice: Lattice,
-                 rng: np.random.Generator, backend: str = "auto") -> np.ndarray:
+                 rng: np.random.Generator) -> np.ndarray:
     """One draw of the level-n layer Y^n at the lattice sites."""
-    return LayerSampler(spec, lattice, [n], backend=backend)._draw(rng)
+    return LayerSampler(spec, lattice, [n])._draw(rng)
 
 
 def accumulate_field(spec: KernelSpec, lattice: Lattice, layers: Sequence[np.ndarray],

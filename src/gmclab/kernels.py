@@ -9,8 +9,9 @@ it is applied by the chaos layer.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -22,7 +23,8 @@ FAMILIES = ("exact1d", "exact2d", "star", "gff-square")
 # [_gff_slice_lo(n), _gff_slice_lo(n-1)) with a head slice [1, inf)
 _GFF_T0 = 1.0
 _GFF_RATIO = 4.0
-# switch between eigen-sine series (large t) and image/E1 closed form (small t)
+# switch between eigen-sine series (large t) and image/E1 closed form (small t);
+# also the truncation of the folded sine spectrum
 _GFF_EIGEN_TOL = 1e-12
 _GFF_IMAGE_K = 3
 
@@ -236,6 +238,63 @@ def _gff_partial(spec: KernelSpec, n: int, x, y) -> np.ndarray:
     if n >= 2:
         out = out + _gff_band(x, y, _gff_slice_lo(n), _GFF_T0)
     return out
+
+
+def _fold_sine_modes(w: np.ndarray, n: int) -> np.ndarray:
+    """Fold axis 0 of w, indexed by sine modes j' = 1..len(w), onto the modes
+    j = 1..n of n cell centres (i + 1/2)/n.  There mode j' equals +-mode j for
+    j' = +-j mod 2n and vanishes for j' = 0 mod 2n; the weights multiply
+    products of two mode values, so the signs drop out."""
+    period = 2 * n
+    pad = np.zeros((-(-len(w) // period) * period,) + w.shape[1:])
+    pad[:len(w)] = w
+    # res[p] sums the modes j' = p + 1 mod 2n
+    res = pad.reshape((-1, period) + w.shape[1:]).sum(axis=0)
+    out = res[:n].copy()
+    out[:n - 1] += res[n:period - 1][::-1]
+    return out
+
+
+def gff_spectral_weights(levels: Sequence[int], resolution: int) -> np.ndarray:
+    """Folded Dirichlet sine spectrum of the gff-square covariance summed over
+    the given levels, on the cell centres of a resolution^2 grid.
+
+    Returns W with sum over the levels of q_n(x, y) equal to
+    sum_{j,m} W[j-1, m-1] phi_jm(x) phi_jm(y) at cell centres, phi_jm(x) = sin(j pi x_1) sin(m pi x_2), j, m = 1..N.
+    Mode (j', m') carries 4 pi (e^{-lam a} - e^{-lam b}) / lam per level, with
+    lam = (j'^2 + m'^2) pi^2 / 2 and the level's time slice [a, b) (b = inf
+    for the head level).  Modes run up to the last j' with
+    e^{-lam(j', 1) a_min} / lam(j', 1) >= _GFF_EIGEN_TOL and are folded in
+    blocks of 2N rows, so memory stays O(N J).
+    """
+    for n in levels:
+        _check_level(n)
+    # net coefficient of e^{-lam t} per slice endpoint t: the shared endpoint
+    # of consecutive levels cancels, so levels 1..n leave one term
+    coef = Counter()
+    for n in levels:
+        coef[_gff_slice_lo(n)] += 1
+        if n > 1:
+            coef[_gff_slice_lo(n - 1)] -= 1
+    terms = [(t, c) for t, c in coef.items() if c]
+    a_min = _gff_slice_lo(max(levels))
+
+    def lam(j, m):
+        return (j * j + m * m) * np.pi**2 / 2.0
+
+    n_modes = 1
+    while np.exp(-lam(n_modes + 1, 1) * a_min) / lam(n_modes + 1, 1) >= _GFF_EIGEN_TOL:
+        n_modes += 1
+    lam_axis = lam(np.arange(1, n_modes + 1), 0)
+    # e^{-lam t} factorizes over the two axes
+    decay = [(c, np.exp(-lam_axis * t)) for t, c in terms]
+    period = 2 * resolution
+    rows = np.zeros((resolution, n_modes))
+    for start in range(0, n_modes, period):
+        block = slice(start, start + period)
+        num = sum(c * np.outer(e[block], e) for c, e in decay)
+        rows += _fold_sine_modes(num / (lam_axis[block, None] + lam_axis[None, :]), resolution)
+    return 4.0 * np.pi * _fold_sine_modes(rows.T, resolution).T
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,7 @@ class TestCovering:
     def test_cantor_interval_count_and_length(self):
         iv = cantor_intervals(4)
         assert iv.shape == (16, 2)
+        assert not iv.flags.writeable and cantor_intervals(4) is iv
         np.testing.assert_allclose(iv[:, 1] - iv[:, 0], 3.0**-4)
 
     def test_lebesgue_control_dimension(self):

@@ -73,6 +73,20 @@ class TestStableAtoms:
         assert atoms.sizes.min() >= 1e-4
         assert np.all((atoms.positions >= 0) & (atoms.positions <= 1))
 
+    @pytest.mark.parametrize("low,high", [(0.0, 1.0), ((0.0, 0.0), (1.0, 1.0)),
+                                          ((0.25, -1.0), (0.75, 2.0))],
+                             ids=["d1", "d2", "box"])
+    def test_positions_match_generator_uniform(self, low, high):
+        # positions are the values Generator.uniform draws, and the stream
+        # continues from the same state
+        region = Region(low=low, high=high)
+        atoms = sample_stable_atoms(region, 0.5, 1e-3, RngStream(3).generator(0, 0, "atoms"))
+        rng = RngStream(3).generator(0, 0, "atoms")
+        count = int(rng.poisson(expected_atom_count(region.volume, 0.5, 1e-3)))
+        lo, hi = np.atleast_1d(low), np.atleast_1d(high)
+        np.testing.assert_array_equal(atoms.positions, rng.uniform(lo, hi, size=(count, lo.size)))
+        np.testing.assert_array_equal(atoms.sizes, 1e-3 * rng.random(count) ** -2.0)
+
     def test_pareto_tail_exponent(self):
         rng = np.random.default_rng(11)
         atoms = sample_stable_atoms(Region.unit(1), 0.5, 1e-6, rng)

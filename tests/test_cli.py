@@ -113,6 +113,18 @@ class TestCliRuns:
         path.write_text("gamma2 = -1\n")
         assert main(["chaos", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("text,diag", [
+        ("kernel.family = bogus\n", "unknown kernel family 'bogus'"),
+        ("kernel.family = exact2d\n", "family exact2d requires d=2, got d=1"),
+        ("kernel.T = 0\n", "T must be positive"),
+    ], ids=["family", "dimension", "T"])
+    def test_invalid_kernel_is_diagnosed(self, tmp_path, capsys, text, diag):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert validate_config(parse_config_text(text)) == [f"kernel: {diag}"]
+        assert main(["chaos", "--config", str(path)]) == 2
+        assert f"config error: kernel: {diag}" in capsys.readouterr().err
+
     def test_chaos_run_and_artifacts(self, config_file, tmp_path, capsys):
         out = str(tmp_path / "out")
         code = main(["chaos", "--config", config_file, "--out", out])

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from gmclab.config import ExperimentConfig
 from gmclab.field import (
+    DENSE_SITE_LIMIT,
     FieldError,
     Lattice,
     LayerSampler,
@@ -11,7 +13,8 @@ from gmclab.field import (
     prepare_circulant,
     sample_layer,
 )
-from gmclab.kernels import KernelSpec, eval_partial_kernel
+from gmclab.kernels import KernelSpec, eval_level_increment, eval_partial_kernel
+from gmclab.pipelines import run_field
 
 EXACT1D = KernelSpec(family="exact1d", T=1.0, d=1)
 STAR1D = KernelSpec(family="star", T=1.0, d=1)
@@ -144,6 +147,60 @@ class TestLayerSampler:
         i = lat.cell_index(np.array([[0.5, 0.5]]))[0]
         se = theory[i] * np.sqrt(2.0 / len(draws))
         assert abs(emp[i] - theory[i]) < 4 * se
+
+
+class _UnitNormals:
+    """Stands in for a Generator: 'normals' that are the k-th unit vector, so a
+    draw returns the k-th column of the sampler's factor."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def standard_normal(self, shape):
+        e = np.zeros(shape)
+        e.flat[self.k] = 1.0
+        return e
+
+
+GFF_LEVEL_SETS = ([1], [1, 2], [2, 3], [1, 2, 3, 4])
+
+
+class TestGffSpectral:
+    @pytest.mark.parametrize("res", [8, 16])
+    def test_covariance_matches_image_sum_kernel(self, res):
+        # The covariance a draw realizes, against the kernel on every site pair.
+        # Both are invariant under the symmetries of the square, so the rows of
+        # the sites (a, b) with a <= b < res/2 cover every pair up to symmetry
+        # at about a seventh of the image sums of the full pair grid.
+        lat = Lattice(2, res)
+        pts = lat.centers()
+        a, b = np.divmod(np.arange(lat.n_sites), res)
+        rows = np.flatnonzero((a <= b) & (b < res // 2))
+        q = {n: eval_level_increment(GFF, n, pts[rows, None, :], pts[None, :, :])
+             for n in range(1, 5)}
+        grid = np.arange(lat.n_sites).reshape(res, res)
+        for levels in GFF_LEVEL_SETS:
+            sampler = LayerSampler(GFF, lat, levels)
+            factor = np.column_stack([sampler._draw(_UnitNormals(k)) for k in range(lat.n_sites)])
+            cov = factor @ factor.T
+            np.testing.assert_allclose(cov[rows], sum(q[n] for n in levels), rtol=0, atol=1e-10,
+                                       err_msg=str(levels))
+            for perm in (grid.T.ravel(), grid[::-1].ravel()):
+                np.testing.assert_allclose(cov[np.ix_(perm, perm)], cov, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(sampler.variance0, np.diag(cov), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("levels", GFF_LEVEL_SETS, ids=str)
+    def test_variance0_matches_kernel_diagonal(self, levels):
+        # at 8^2 the finer level sets fold modes above 8 onto the grid
+        lat = Lattice(2, 8)
+        np.testing.assert_allclose(LayerSampler(GFF, lat, levels).variance0,
+                                   field_variance0(GFF, levels, lat), rtol=0, atol=1e-10)
+
+    def test_run_field_above_dense_limit(self):
+        assert 72 * 72 > DENSE_SITE_LIMIT
+        res = run_field(ExperimentConfig(dimension=2, kernel_family="gff-square", gamma2=1.0,
+                                         level=4, resolution=72, replicas=2000, seed=72))
+        assert res.passed, res.summary
 
 
 class TestNormality:
