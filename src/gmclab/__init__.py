@@ -1,7 +1,7 @@
 """gmclab: Gaussian multiplicative chaos, atomic dual chaos, and KPZ duality."""
 
-from .kernels import KernelSpec, LevelRange, eval_partial_kernel, eval_level_increment, gff_square_level
-from .field import Lattice, FieldGrid, RngStream, LayerSampler, sample_layer, accumulate_field
+from .kernels import KernelSpec, eval_partial_kernel, eval_level_increment
+from .field import Lattice, FieldGrid, RngStream, LayerSampler
 from .chaos import LatticeMeasure, build_chaos, measure_box, xi
 from .atomic import (
     AtomicMeasure,

@@ -43,9 +43,20 @@ def ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(r2)
 
 
-def _bootstrap_indices(rng: np.random.Generator, n: int, n_boot: int):
-    for _ in range(n_boot):
-        yield rng.integers(0, n, size=n)
+def _bootstrap(rng: np.random.Generator, n_boot: int, stat, *sizes) -> np.ndarray:
+    """stat(*idx) on each of n_boot resamples, stacked along axis 0.
+
+    A resample draws one index array rng.integers(0, n, size=n) per sample
+    size n, in the order given; only the statistics are kept, never all the
+    indices at once.
+    """
+    return np.array([stat(*[rng.integers(0, n, size=n) for n in sizes])
+                     for _ in range(n_boot)])
+
+
+def _percentile_ci(boot: np.ndarray) -> np.ndarray:
+    """95% percentile interval over the resample axis: (..., 2) of (lo, hi)."""
+    return np.percentile(boot, [2.5, 97.5], axis=0).T
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +91,7 @@ def estimate_spectrum(lambda_grid, mass_samples: np.ndarray, q_grid,
         rng = np.random.default_rng(0)
     log_lam = np.log(lambda_grid)
 
-    def slopes_for(idx):
-        sub = samples[idx] if idx is not None else samples
+    def slopes_for(sub):
         out = np.empty(q_grid.size)
         r2s = np.empty(q_grid.size)
         for i, q in enumerate(q_grid):
@@ -91,10 +101,8 @@ def estimate_spectrum(lambda_grid, mass_samples: np.ndarray, q_grid,
             out[i], _, r2s[i] = ols_slope(log_lam, np.log(moments))
         return out, r2s
 
-    slopes, r2 = slopes_for(None)
-    boots = np.empty((n_boot, q_grid.size))
-    for b, idx in enumerate(_bootstrap_indices(rng, samples.shape[0], n_boot)):
-        boots[b], _ = slopes_for(idx)
+    slopes, r2 = slopes_for(samples)
+    boots = _bootstrap(rng, n_boot, lambda idx: slopes_for(samples[idx])[0], samples.shape[0])
     return SpectrumFit(
         q_grid=q_grid,
         slopes=slopes,
@@ -192,16 +200,14 @@ def verify_laplace(mbar_samples, m_samples, alpha, u_grid, n_boot: int = 400,
         rng = np.random.default_rng(1)
     u_grid = np.asarray(u_grid, dtype=float)
 
-    def side(values_fn, n):
-        means = np.array([values_fn(None, u).mean() for u in u_grid])
-        boot = np.empty((n_boot, u_grid.size))
-        for b, idx in enumerate(_bootstrap_indices(rng, n, n_boot)):
-            boot[b] = [values_fn(idx, u).mean() for u in u_grid]
-        ci = np.percentile(boot, [2.5, 97.5], axis=0).T
-        return means, ci
+    def side(samples, transform):
+        def means(sub):
+            return np.array([transform(sub, u).mean() for u in u_grid])
+        boot = _bootstrap(rng, n_boot, lambda idx: means(samples[idx]), samples.size)
+        return means(samples), _percentile_ci(boot)
 
-    lhs, lhs_ci = side(lambda idx, u: np.exp(-u * (mbar if idx is None else mbar[idx])), mbar.size)
-    rhs, rhs_ci = side(lambda idx, u: laplace_rhs_transform(m if idx is None else m[idx], alpha, u), m.size)
+    lhs, lhs_ci = side(mbar, lambda sub, u: np.exp(-u * sub))
+    rhs, rhs_ci = side(m, lambda sub, u: laplace_rhs_transform(sub, alpha, u))
     overlap = (lhs_ci[:, 0] <= rhs_ci[:, 1]) & (rhs_ci[:, 0] <= lhs_ci[:, 1])
     return LaplaceComparison(u_grid=u_grid, lhs=lhs, lhs_ci=lhs_ci,
                              rhs=rhs, rhs_ci=rhs_ci, overlap=overlap)
@@ -249,17 +255,12 @@ def verify_perfect_scaling(small_samples, ref_samples, lam: float, gamma2: float
         rng = np.random.default_rng(2)
     theory = lam ** xi_bar(gamma2, alpha, d, q_grid)
 
-    def ratios(idx_s, idx_r):
-        s = small if idx_s is None else small[idx_s]
-        r = ref if idx_r is None else ref[idx_r]
+    def ratios(s, r):
         return np.array([np.mean(s**q) / np.mean(r**q) for q in q_grid])
 
-    point = ratios(None, None)
-    boot = np.empty((n_boot, q_grid.size))
-    for b in range(n_boot):
-        boot[b] = ratios(rng.integers(0, small.size, small.size),
-                         rng.integers(0, ref.size, ref.size))
-    ci = np.percentile(boot, [2.5, 97.5], axis=0).T
+    point = ratios(small, ref)
+    ci = _percentile_ci(_bootstrap(rng, n_boot, lambda i, j: ratios(small[i], ref[j]),
+                                   small.size, ref.size))
     ok = (ci[:, 0] <= theory) & (theory <= ci[:, 1])
 
     # distributional check: log Mbar(lam A) vs log(lam^(d/alpha) e^(Omega/alpha) Mbar(A))
@@ -395,21 +396,18 @@ def dimension_estimate(levels, s_grid, sums: np.ndarray, n_boot: int = 200,
         rng = np.random.default_rng(3)
     eps = 1e-300
 
-    def slopes_of(idx):
-        mean_log = np.log(np.maximum(sums[idx] if idx is not None else sums, eps)).mean(axis=0)
+    def slopes_of(table):
+        mean_log = np.log(np.maximum(table, eps)).mean(axis=0)
         return np.array([ols_slope(levels, mean_log[:, si])[0] for si in range(s_grid.size)])
 
-    slopes = slopes_of(None)
+    slopes = slopes_of(sums)
     if slopes[0] <= 0 or slopes[-1] >= 0:
         raise AnalysisError("s grid does not bracket the zero crossing")
     est = _crossing(s_grid, slopes)
     n_rep = sums.shape[0]
     if n_rep > 1:
-        boots = np.array([
-            _crossing(s_grid, slopes_of(idx))
-            for idx in _bootstrap_indices(rng, n_rep, n_boot)
-        ])
-        lo, hi = np.percentile(boots, [2.5, 97.5])
+        lo, hi = _percentile_ci(_bootstrap(
+            rng, n_boot, lambda idx: _crossing(s_grid, slopes_of(sums[idx])), n_rep))
     else:
         lo = hi = est
     return DimensionEstimate(estimate=est, ci_lo=float(lo), ci_hi=float(hi),

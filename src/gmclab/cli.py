@@ -20,6 +20,7 @@ from dataclasses import replace
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, config_to_dict, load_config, validate_config
+from .field import PURPOSES
 from .pipelines import PIPELINES, PipelineResult
 
 EXIT_PASS = 0
@@ -88,7 +89,7 @@ def write_outputs(result: PipelineResult, cfg: ExperimentConfig,
             "bit_generator": "Philox",
             "spawn_key": "(purpose, replica, 0)",
             "field": "one substream per replica, (field, replica, 0), for the whole field X^n",
-            "purposes": ["field", "atoms", "subordinated", "bootstrap", "omega", "control"],
+            "purposes": list(PURPOSES),
         },
         "wall_clock_seconds": elapsed,
         "summary": result.summary,

@@ -61,7 +61,6 @@ class ExperimentConfig:
     s_grid: tuple[float, ...] = ()
     hill_k: int = 0                    # 0: max(replicas // 20, 50)
     out_dir: str = "gmclab-out"
-    dump_fields: bool = False
 
     def alpha(self) -> float:
         if self.alpha_mode == "duality":
@@ -97,7 +96,6 @@ _KEY_MAP = {
     "s.grid": ("s_grid", _floats),
     "hill.k": ("hill_k", int),
     "out": ("out_dir", str),
-    "dump.fields": ("dump_fields", lambda v: v.lower() in ("1", "true", "yes")),
 }
 
 

@@ -36,9 +36,6 @@ PURPOSES = {
     "field": 0,
     "atoms": 1,
     "subordinated": 2,
-    "bootstrap": 3,
-    "omega": 4,
-    "control": 5,
 }
 
 
@@ -52,13 +49,15 @@ class EmbeddingError(FieldError):
 
 @dataclass(frozen=True)
 class RngStream:
-    """Deterministic substream factory keyed by (replica, level, purpose)."""
+    """Deterministic substream factory keyed by (purpose, replica)."""
 
     master_seed: int
 
-    def generator(self, replica: int, level: int = 0, purpose: str = "field") -> np.random.Generator:
-        code = PURPOSES[purpose]
-        ss = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(code, replica, level))
+    def generator(self, replica: int, purpose: str) -> np.random.Generator:
+        # manifest.json records this key as the seed scheme; any other key
+        # changes every draw
+        ss = np.random.SeedSequence(entropy=self.master_seed,
+                                    spawn_key=(PURPOSES[purpose], replica, 0))
         return np.random.Generator(np.random.Philox(ss))
 
 
@@ -242,7 +241,7 @@ class LayerSampler:
         return FieldGrid(
             lattice=self.lattice,
             level=max(self.levels),
-            values=self._draw(stream.generator(replica, 0, "field")),
+            values=self._draw(stream.generator(replica, "field")),
             variance0=self.variance0,
         )
 
@@ -266,29 +265,3 @@ def field_variance0(spec: KernelSpec, levels: Sequence[int],
     if levels == list(range(1, levels[-1] + 1)):
         return float(partial_kernel_radial(spec, levels[-1], 0.0))
     return float(sum(level_increment_radial(spec, n, 0.0) for n in levels))
-
-
-def sample_layer(spec: KernelSpec, n: int, lattice: Lattice,
-                 rng: np.random.Generator) -> np.ndarray:
-    """One draw of the level-n layer Y^n at the lattice sites."""
-    return LayerSampler(spec, lattice, [n])._draw(rng)
-
-
-def accumulate_field(spec: KernelSpec, lattice: Lattice, layers: Sequence[np.ndarray],
-                     levels: Sequence[int]) -> FieldGrid:
-    """Sitewise sum of layers sampled on one lattice."""
-    levels = list(levels)
-    if len(layers) != len(levels):
-        raise FieldError("layers and levels must align")
-    total = np.zeros(lattice.n_sites)
-    for y in layers:
-        if y.shape != (lattice.n_sites,):
-            raise FieldError("layer shape does not match lattice")
-        total = total + y
-    var0 = field_variance0(spec, levels, lattice) if levels else 0.0
-    return FieldGrid(
-        lattice=lattice,
-        level=max(levels) if levels else 0,
-        values=total,
-        variance0=var0,
-    )

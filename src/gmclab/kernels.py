@@ -65,19 +65,6 @@ class KernelSpec:
         return self.family != "gff-square"
 
 
-@dataclass(frozen=True)
-class LevelRange:
-    n_min: int
-    n_max: int
-
-    def __post_init__(self):
-        if not (1 <= self.n_min <= self.n_max):
-            raise KernelError("level range requires 1 <= n_min <= n_max")
-
-    def __iter__(self):
-        return iter(range(self.n_min, self.n_max + 1))
-
-
 def _check_level(n: int):
     if n < 1:
         raise KernelError(f"level must be >= 1, got {n}")
@@ -220,20 +207,15 @@ def _gff_band(x: np.ndarray, y: np.ndarray, a: float, b: float) -> np.ndarray:
     return np.sum(s * out, axis=(-2, -1))
 
 
-def gff_square_level(spec: KernelSpec, n: int, x, y) -> np.ndarray:
-    """Level increment q_n for the GFF-on-square family (heat-kernel time slice)."""
-    _check_level(n)
-    _check_interior(x)
-    _check_interior(y)
-    scalar = np.ndim(x) == 1
+def _gff_level(n: int, x, y) -> np.ndarray:
+    """Level increment q_n: heat-kernel time slice n."""
     if n == 1:
-        out = _gff_head(x, y, _gff_slice_lo(1))
-    else:
-        out = _gff_band(x, y, _gff_slice_lo(n), _gff_slice_lo(n - 1))
-    return float(out.reshape(())) if scalar and out.size == 1 else out
+        return _gff_head(x, y, _gff_slice_lo(1))
+    return _gff_band(x, y, _gff_slice_lo(n), _gff_slice_lo(n - 1))
 
 
-def _gff_partial(spec: KernelSpec, n: int, x, y) -> np.ndarray:
+def _gff_partial(n: int, x, y) -> np.ndarray:
+    """Partial kernel k_n: the time slices of levels 1..n in one band."""
     out = _gff_head(x, y, _GFF_T0)
     if n >= 2:
         out = out + _gff_band(x, y, _gff_slice_lo(n), _GFF_T0)
@@ -301,55 +283,14 @@ def gff_spectral_weights(levels: Sequence[int], resolution: int) -> np.ndarray:
 # public evaluation API
 # ---------------------------------------------------------------------------
 
-def eval_partial_kernel(spec: KernelSpec, n: int, x, y):
-    """k_n(x, y), the covariance of the accumulated field X^n."""
-    _check_level(n)
-    if spec.family == "gff-square":
-        scalar = np.ndim(x) == 1
-        _check_interior(x)
-        _check_interior(y)
-        out = _gff_partial(spec, n, x, y)
-        return float(out.reshape(())) if scalar and out.size == 1 else out
-    r = _pair_distance(x, y, spec.d)
-    scalar = np.ndim(r) == 0
-    r = np.atleast_1d(r)
-    if spec.family == "exact1d":
-        out = _kn_exact(r, n, spec.T, 1)
-    elif spec.family == "exact2d":
-        out = _kn_exact(r, n, spec.T, 2)
-    else:
-        out = np.zeros_like(r)
-        for m in range(1, n + 1):
-            out = out + _star_level(spec, m, r)
-    return float(out[0]) if scalar else out
-
-
-def eval_level_increment(spec: KernelSpec, n: int, x, y):
-    """q_n(x, y) = k_n - k_{n-1} (k_0 = 0)."""
-    _check_level(n)
-    if spec.family == "gff-square":
-        return gff_square_level(spec, n, x, y)
-    if spec.family == "star":
-        r = _pair_distance(x, y, spec.d)
-        scalar = np.ndim(r) == 0
-        out = _star_level(spec, n, np.atleast_1d(r))
-        return float(out[0]) if scalar else out
-    kn = eval_partial_kernel(spec, n, x, y)
-    if n == 1:
-        return kn
-    return kn - eval_partial_kernel(spec, n - 1, x, y)
-
-
 def partial_kernel_radial(spec: KernelSpec, n: int, r) -> np.ndarray:
     """k_n as a function of distance (stationary families only)."""
     _check_level(n)
     if not spec.stationary:
         raise KernelError("radial evaluation requires a stationary family")
     r = np.abs(np.asarray(r, dtype=float))
-    if spec.family == "exact1d":
-        return _kn_exact(r, n, spec.T, 1)
-    if spec.family == "exact2d":
-        return _kn_exact(r, n, spec.T, 2)
+    if spec.family != "star":
+        return _kn_exact(r, n, spec.T, spec.d)
     out = np.zeros_like(r)
     for m in range(1, n + 1):
         out = out + _star_level(spec, m, r)
@@ -369,13 +310,25 @@ def level_increment_radial(spec: KernelSpec, n: int, r) -> np.ndarray:
     return partial_kernel_radial(spec, n, r) - partial_kernel_radial(spec, n - 1, r)
 
 
-def limit_kernel(spec: KernelSpec, x, y):
-    """The log-correlated limit ln_+(T/r) for the exact families."""
-    if spec.family not in ("exact1d", "exact2d"):
-        raise KernelError("closed-form limit kernel only for the exact families")
+def _eval_pair(spec: KernelSpec, n: int, x, y, gff, radial):
+    """gff(n, x, y) for gff-square, else radial(spec, n, |x - y|); a single
+    pair of points gives a float."""
+    _check_level(n)
+    if spec.family == "gff-square":
+        _check_interior(x)
+        _check_interior(y)
+        out = gff(n, x, y)
+        return float(out.reshape(())) if np.ndim(x) == 1 and out.size == 1 else out
     r = _pair_distance(x, y, spec.d)
-    scalar = np.ndim(r) == 0
-    r = np.atleast_1d(r)
-    with np.errstate(divide="ignore"):
-        out = np.where(r < spec.T, np.log(spec.T / np.maximum(r, 1e-300)), 0.0)
-    return float(out[0]) if scalar else out
+    out = radial(spec, n, np.atleast_1d(r))
+    return float(out[0]) if np.ndim(r) == 0 else out
+
+
+def eval_partial_kernel(spec: KernelSpec, n: int, x, y):
+    """k_n(x, y), the covariance of the accumulated field X^n."""
+    return _eval_pair(spec, n, x, y, _gff_partial, partial_kernel_radial)
+
+
+def eval_level_increment(spec: KernelSpec, n: int, x, y):
+    """q_n(x, y) = k_n - k_{n-1} (k_0 = 0)."""
+    return _eval_pair(spec, n, x, y, _gff_level, level_increment_radial)

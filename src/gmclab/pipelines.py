@@ -10,10 +10,6 @@ So a given (config, seed) pair reproduces byte-identical outputs.
 
 from __future__ import annotations
 
-import json
-import os
-import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -43,23 +39,6 @@ class PipelineResult:
     extra_files: dict = dc_field(default_factory=dict)  # name -> bytes
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("GMCLAB_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def replica_map(fn, replicas: int) -> list:
-    """Apply fn(replica) for each replica; results in replica order regardless
-    of worker count (deterministic fixed-shape reduction)."""
-    workers = _worker_count()
-    if workers == 1:
-        return [fn(r) for r in range(replicas)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(replicas)))
-
-
 def kernel_spec(cfg: ExperimentConfig) -> KernelSpec:
     return KernelSpec(family=cfg.kernel_family, T=cfg.kernel_T, d=cfg.dimension)
 
@@ -80,12 +59,11 @@ def chaos_box_masses(spec, lattice, levels, gamma2, stream: RngStream,
                      replicas: int, boxes) -> np.ndarray:
     """Per-replica chaos masses of the given boxes, shape (replicas, n_boxes)."""
     sampler = LayerSampler(spec, lattice, levels)
-
-    def one(r):
+    masses = []
+    for r in range(replicas):
         m = build_chaos(sampler.sample_field(stream, r), gamma2)
-        return [measure_box(m, lo, hi) for lo, hi in boxes]
-
-    return np.array(replica_map(one, replicas))
+        masses.append([measure_box(m, lo, hi) for lo, hi in boxes])
+    return np.array(masses)
 
 
 def atomic_box_masses(spec, lattice, levels, gamma2, alpha, z_min,
@@ -94,71 +72,19 @@ def atomic_box_masses(spec, lattice, levels, gamma2, alpha, z_min,
     """Per-replica atomic-measure masses of the given boxes."""
     sampler = LayerSampler(spec, lattice, levels)
     region = Region(np.full(lattice.d, lattice.low), np.full(lattice.d, lattice.high))
-
-    def one(r):
+    masses = []
+    for r in range(replicas):
         field = sampler.sample_field(stream, r)
         if construction == "direct":
             atoms = sample_stable_atoms(region, alpha, z_min,
-                                        stream.generator(r, 0, "atoms"))
+                                        stream.generator(r, "atoms"))
             mbar = build_atomic_direct(field, gamma2, alpha, atoms)
         else:
             m = build_chaos(field, gamma2)
             mbar = build_subordinated(m, alpha, z_min,
-                                      stream.generator(r, 0, "subordinated"))
-        return [mbar.box_mass(lo, hi) for lo, hi in boxes]
-
-    return np.array(replica_map(one, replicas))
-
-
-# ---------------------------------------------------------------------------
-# binary field ensemble dump
-# ---------------------------------------------------------------------------
-
-_DUMP_MAGIC = b"GMCENS\x00\x00"
-
-
-def serialize_field_ensemble(spec: KernelSpec, lattice: Lattice, level: int,
-                             seed: int, fields: list[np.ndarray]) -> bytes:
-    """Concatenated little-endian float64 ensemble with an index footer."""
-    import io
-
-    fh = io.BytesIO()
-    fh.write(_DUMP_MAGIC)
-    fh.write(struct.pack("<IIIIQ", 1, lattice.d, lattice.resolution, level, seed))
-    fh.write(spec.family.encode().ljust(16, b"\x00"))
-    offsets = []
-    for values in fields:
-        offsets.append(fh.tell())
-        fh.write(np.asarray(values, dtype="<f8").tobytes())
-    footer = json.dumps({"replicas": len(fields), "offsets": offsets}).encode()
-    fh.write(footer)
-    fh.write(struct.pack("<Q", len(footer)))
-    return fh.getvalue()
-
-
-def write_field_ensemble(path: str, spec: KernelSpec, lattice: Lattice, level: int,
-                         seed: int, fields: list[np.ndarray]):
-    with open(path, "wb") as fh:
-        fh.write(serialize_field_ensemble(spec, lattice, level, seed, fields))
-
-
-def read_field_ensemble(path: str):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != _DUMP_MAGIC:
-        raise ValueError("not a gmclab field ensemble file")
-    version, d, res, level, seed = struct.unpack("<IIIIQ", data[8:32])
-    family = data[32:48].rstrip(b"\x00").decode()
-    (footer_len,) = struct.unpack("<Q", data[-8:])
-    footer = json.loads(data[-8 - footer_len:-8])
-    n_sites = res**d
-    fields = [
-        np.frombuffer(data, dtype="<f8", count=n_sites, offset=off).copy()
-        for off in footer["offsets"]
-    ]
-    meta = {"version": version, "d": d, "resolution": res, "level": level,
-            "seed": seed, "family": family}
-    return meta, fields
+                                      stream.generator(r, "subordinated"))
+        masses.append([mbar.box_mass(lo, hi) for lo, hi in boxes])
+    return np.array(masses)
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +101,8 @@ def run_field(cfg: ExperimentConfig) -> PipelineResult:
     n_pairs = 20
     idx = check_rng.integers(0, lat.n_sites, size=(n_pairs, 2))
     values = np.empty((cfg.replicas, 2 * n_pairs))
-    fields = []
     for r in range(cfg.replicas):
-        f = sampler.sample_field(stream, r)
-        values[r] = f.values[idx.ravel()]
-        if cfg.dump_fields and r < 64:
-            fields.append(f.values)
+        values[r] = sampler.sample_field(stream, r).values[idx.ravel()]
     pts = lat.centers()
     rows = []
     n_pass = 0
@@ -198,17 +120,13 @@ def run_field(cfg: ExperimentConfig) -> PipelineResult:
         rows.append((p, int(idx[p, 0]), int(idx[p, 1]), emp, theory, se, int(ok)))
     # 3-SE checks at 20 pairs: allow one excursion (95% pointwise criterion)
     passed = n_pass >= n_pairs - 1
-    result = PipelineResult(
+    return PipelineResult(
         name="field",
         passed=passed,
         summary={"pairs": n_pairs, "pairs_within_3se": int(n_pass)},
         tables={"covariance": (
             ["pair", "i", "j", "empirical", "theory", "se", "pass"], rows)},
     )
-    if cfg.dump_fields:
-        result.extra_files["fields.ens"] = serialize_field_ensemble(
-            spec, lat, cfg.level, cfg.seed, fields)
-    return result
 
 
 def run_chaos(cfg: ExperimentConfig) -> PipelineResult:
@@ -271,7 +189,7 @@ def run_atoms(cfg: ExperimentConfig) -> PipelineResult:
     top_atoms = None
     for r in range(cfg.replicas):
         field = sampler.sample_field(stream, r)
-        atoms = sample_stable_atoms(region, alpha, z_min, stream.generator(r, 0, "atoms"))
+        atoms = sample_stable_atoms(region, alpha, z_min, stream.generator(r, "atoms"))
         mbar = build_atomic_direct(field, cfg.gamma2, alpha, atoms)
         if mbar.count:
             spans.append(float(np.log10(mbar.masses.max()) - np.log10(mbar.masses.min())))
@@ -481,18 +399,17 @@ def _covering_ensemble(cfg: ExperimentConfig, measure_kind: str,
     s_grid = np.asarray(cfg.s_grid, dtype=float)
     sampler = LayerSampler(spec, lat, range(1, cfg.level + 1))
     region = Region.unit(lat.d)
-
-    def one(r):
+    sums = []
+    for r in range(cfg.replicas):
         field = sampler.sample_field(stream, r)
         if measure_kind == "chaos":
             measure = build_chaos(field, gamma2)
         else:
             atoms = sample_stable_atoms(region, alpha, z_min,
-                                        stream.generator(r, 0, "atoms"))
+                                        stream.generator(r, "atoms"))
             measure = build_atomic_direct(field, gamma2, alpha, atoms)
-        return analysis.covering_sums(measure, "cantor", levels, s_grid).sums
-
-    return np.array(replica_map(one, cfg.replicas)), levels, s_grid
+        sums.append(analysis.covering_sums(measure, "cantor", levels, s_grid).sums)
+    return np.array(sums), levels, s_grid
 
 
 def _lebesgue_control(cfg: ExperimentConfig):
@@ -592,7 +509,7 @@ def run_lq(cfg: ExperimentConfig) -> PipelineResult:
     field = sampler.sample_field(stream, 0)
     m = build_chaos(field, cfg.gamma2)
     atoms = sample_stable_atoms(Region.unit(lat.d), alpha, z_min,
-                                stream.generator(0, 0, "atoms"))
+                                stream.generator(0, "atoms"))
     mbar = build_atomic_direct(field, cfg.gamma2, alpha, atoms)
     max_depth = int(np.floor(np.log2(lat.resolution)))
     depths = [j for j in range(2, max_depth + 1)

@@ -86,10 +86,10 @@ def dual_ensemble():
         f = sampler.sample_field(stream, r)
         m = build_chaos(f, g2)
         m_tot[r] = m.total_mass()
-        atoms = sample_stable_atoms(region, alpha, z_min, stream.generator(r, 0, "atoms"))
+        atoms = sample_stable_atoms(region, alpha, z_min, stream.generator(r, "atoms"))
         direct[r] = build_atomic_direct(f, g2, alpha, atoms).total_mass()
         subord[r] = build_subordinated(m, alpha, z_min,
-                                       stream.generator(r, 0, "subordinated")).total_mass()
+                                       stream.generator(r, "subordinated")).total_mass()
     return {"m": m_tot, "direct": direct, "subord": subord,
             "alpha": alpha, "gamma2": g2, "z_min": z_min}
 
@@ -121,7 +121,7 @@ def cantor_ensemble_dual():
     sums_m, sums_bar = [], []
     for r in range(60):
         m = build_chaos(sampler.sample_field(stream, r), 1.0)
-        mbar = build_subordinated(m, 0.5, 1e-7, stream.generator(r, 0, "subordinated"))
+        mbar = build_subordinated(m, 0.5, 1e-7, stream.generator(r, "subordinated"))
         sums_m.append(analysis.covering_sums(m, "cantor", levels, s_m).sums)
         sums_bar.append(analysis.covering_sums(mbar, "cantor", levels, s_bar).sums)
     return levels, s_m, np.array(sums_m), s_bar, np.array(sums_bar)
@@ -309,7 +309,7 @@ def test_criterion_10_atomic_figure_stats():
         for r in range(40):
             f = sampler.sample_field(stream, r)
             atoms = sample_stable_atoms(region, alpha, z_min,
-                                        stream.generator(r, 0, "atoms"))
+                                        stream.generator(r, "atoms"))
             mbar = build_atomic_direct(f, g2, alpha, atoms)
             if mbar.count < 3:
                 continue

@@ -80,8 +80,8 @@ class TestStableAtoms:
         # positions are the values Generator.uniform draws, and the stream
         # continues from the same state
         region = Region(low=low, high=high)
-        atoms = sample_stable_atoms(region, 0.5, 1e-3, RngStream(3).generator(0, 0, "atoms"))
-        rng = RngStream(3).generator(0, 0, "atoms")
+        atoms = sample_stable_atoms(region, 0.5, 1e-3, RngStream(3).generator(0, "atoms"))
+        rng = RngStream(3).generator(0, "atoms")
         count = int(rng.poisson(expected_atom_count(region.volume, 0.5, 1e-3)))
         lo, hi = np.atleast_1d(low), np.atleast_1d(high)
         np.testing.assert_array_equal(atoms.positions, rng.uniform(lo, hi, size=(count, lo.size)))
@@ -144,10 +144,10 @@ class TestConstructions:
             f = sampler.sample_field(stream, r)
             m = build_chaos(f, 1.0)
             atoms = sample_stable_atoms(Region.unit(1), 0.5, 1e-6,
-                                        stream.generator(r, 0, "atoms"))
+                                        stream.generator(r, "atoms"))
             direct[r] = build_atomic_direct(f, 1.0, 0.5, atoms).total_mass()
             subord[r] = build_subordinated(m, 0.5, 1e-6,
-                                           stream.generator(r, 0, "subordinated")).total_mass()
+                                           stream.generator(r, "subordinated")).total_mass()
         u = 1.0
         a = np.exp(-u * direct)
         b = np.exp(-u * subord)

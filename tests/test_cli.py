@@ -2,7 +2,6 @@ import hashlib
 import json
 import os
 
-import numpy as np
 import pytest
 
 from gmclab.cli import main, write_csv
@@ -11,9 +10,6 @@ from gmclab.config import (
     parse_config_text,
     validate_config,
 )
-from gmclab.pipelines import read_field_ensemble, serialize_field_ensemble
-from gmclab.field import Lattice
-from gmclab.kernels import KernelSpec
 
 BASE_CONFIG = """
 # smoke configuration
@@ -51,6 +47,7 @@ class TestConfigParsing:
         "bogus.key = 1",
         "seed 4",
         "level = three",
+        "dump.fields = true",
     ])
     def test_bad_input_raises(self, text):
         with pytest.raises(ConfigError):
@@ -79,26 +76,6 @@ class TestCsv:
         write_csv(str(path), ["a", "b"], [(1, value)])
         line = path.read_text().splitlines()[1]
         assert float(line.split(",")[1]) == value
-
-
-class TestEnsembleFile:
-    def test_round_trip(self):
-        spec = KernelSpec(family="exact1d", T=1.0, d=1)
-        lat = Lattice(1, 8)
-        fields = [np.arange(8.0), np.ones(8)]
-        blob = serialize_field_ensemble(spec, lat, 3, 77, fields)
-        import tempfile
-        with tempfile.NamedTemporaryFile(suffix=".ens", delete=False) as fh:
-            fh.write(blob)
-            path = fh.name
-        try:
-            meta, back = read_field_ensemble(path)
-        finally:
-            os.unlink(path)
-        assert meta["family"] == "exact1d"
-        assert meta["seed"] == 77
-        np.testing.assert_array_equal(back[0], fields[0])
-        np.testing.assert_array_equal(back[1], fields[1])
 
 
 class TestCliRuns:
@@ -184,13 +161,3 @@ class TestCliRuns:
         code = main(["atoms", "--config", str(path), "--out", out])
         assert code == 0
         assert (tmp_path / "out" / "atoms.svg").read_text().startswith("<svg")
-
-    def test_workers_env_is_deterministic(self, config_file, tmp_path, monkeypatch):
-        out1 = str(tmp_path / "a")
-        out2 = str(tmp_path / "b")
-        main(["chaos", "--config", config_file, "--out", out1])
-        monkeypatch.setenv("GMCLAB_WORKERS", "4")
-        main(["chaos", "--config", config_file, "--out", out2])
-        a = (tmp_path / "a" / "masses.csv").read_bytes()
-        b = (tmp_path / "b" / "masses.csv").read_bytes()
-        assert a == b

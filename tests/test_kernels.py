@@ -5,11 +5,9 @@ from scipy import integrate
 from gmclab.kernels import (
     KernelError,
     KernelSpec,
-    LevelRange,
+    eval_level_increment,
     eval_partial_kernel,
-    gff_square_level,
     level_increment_radial,
-    limit_kernel,
     partial_kernel_radial,
 )
 
@@ -69,12 +67,6 @@ class TestExactKernels:
                 atol=1e-13,
             )
 
-    def test_limit_kernel_log_zone(self):
-        x = np.array([0.3])
-        y = np.array([0.05])
-        val = limit_kernel(EXACT1D, x, y)
-        assert val == pytest.approx(np.log(1.0 / 0.25))
-
 
 class TestStarKernel:
     def test_first_increment_at_zero(self):
@@ -102,7 +94,7 @@ class TestGFFSquare:
     def test_center_head_value(self):
         # frozen high-precision oracle value of the t >= 1 contribution
         x = np.array([[0.5, 0.5]])
-        val = gff_square_level(GFF, 1, x, x)
+        val = eval_level_increment(GFF, 1, x, x)
         assert val[0] == pytest.approx(6.585600605439e-05, rel=1e-9)
 
     def test_symmetry(self):
@@ -111,30 +103,27 @@ class TestGFFSquare:
         y = rng.uniform(0.1, 0.9, size=(6, 2))
         for n in (1, 2, 3):
             np.testing.assert_allclose(
-                gff_square_level(GFF, n, x, y),
-                gff_square_level(GFF, n, y, x),
+                eval_level_increment(GFF, n, x, y),
+                eval_level_increment(GFF, n, y, x),
                 rtol=1e-10,
             )
 
     def test_partial_kernel_is_running_sum(self):
         x = np.array([[0.4, 0.6]])
         y = np.array([[0.45, 0.55]])
-        total = sum(gff_square_level(GFF, n, x, y) for n in range(1, 4))
+        total = sum(eval_level_increment(GFF, n, x, y) for n in range(1, 4))
         np.testing.assert_allclose(eval_partial_kernel(GFF, 3, x, y), total, rtol=1e-12)
 
     def test_boundary_rejected(self):
         x = np.array([[0.0, 0.5]])
         with pytest.raises(KernelError):
-            gff_square_level(GFF, 1, x, x)
+            eval_level_increment(GFF, 1, x, x)
 
 
 class TestSpecValidation:
     def test_unknown_family(self):
         with pytest.raises(KernelError):
             KernelSpec(family="nope", T=1.0, d=1)
-
-    def test_level_range_iterates(self):
-        assert list(LevelRange(2, 5)) == [2, 3, 4, 5]
 
     def test_radial_requires_stationary(self):
         with pytest.raises(KernelError):

@@ -1,0 +1,66 @@
+"""The benchmark's span tracer (perfbench/tracer.py) patches gmclab from
+outside the package, by module attribute and by parameter name.  These tests
+pin what it reaches, so a rename in gmclab fails here and not in a benchmark
+run."""
+
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+import gmclab.analysis as analysis
+import gmclab.cli as cli
+import gmclab.field as gfield
+import gmclab.kernels as kernels
+
+ROOT = Path(__file__).resolve().parents[1]
+
+BOOTSTRAP_FUNCTIONS = ("estimate_spectrum", "verify_laplace", "verify_perfect_scaling",
+                       "dimension_estimate")
+
+
+@pytest.fixture
+def tracer_module(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    return importlib.import_module("perfbench.tracer")
+
+
+def _current(owner, attr):
+    return owner[attr] if isinstance(owner, dict) else getattr(owner, attr)
+
+
+def test_instrument_patches_and_close_restores(tracer_module, tmp_path):
+    tracer = tracer_module.Tracer()
+    try:
+        tracer_module.instrument(tracer)
+        patches = list(tracer._patches)
+        patched = {(id(owner), attr) for owner, attr, _ in patches}
+        for owner, attr in [(gfield, "level_increment_radial"),
+                            (gfield, "eval_level_increment"),
+                            (kernels, "eval_partial_kernel"),
+                            (gfield, "prepare_circulant"),
+                            (gfield.LayerSampler, "sample_field"),
+                            (gfield.RngStream, "generator")]:
+            assert (id(owner), attr) in patched, attr
+        for owner, attr, original in patches:
+            assert _current(owner, attr) is not original, attr
+        # one traced run feeds the counters that read results and arguments
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("level = 3\nresolution = 32\nreplicas = 5\nseed = 3\n")
+        assert cli.main(["chaos", "--config", str(cfg), "--out", str(tmp_path / "out")]) in (0, 1)
+    finally:
+        tracer.close()
+    for owner, attr, original in patches:
+        assert _current(owner, attr) is original, attr
+    metrics = tracer_module.run_metrics(tracer.spans)
+    assert metrics["field.embedding_m"] == 64
+    assert metrics["field.layer_draws"] == 5 * 3
+    assert metrics["field.rng_streams"] == 5
+    assert metrics["cli.bytes_written"] > 0
+    assert {s.replica for s in tracer.spans if s.group == "field.rng"} == set(range(5))
+    # instrument() reads these by name; the chaos run above does not reach them
+    for name in BOOTSTRAP_FUNCTIONS:
+        assert "n_boot" in inspect.signature(getattr(analysis, name)).parameters, name
+    assert "sums" in inspect.signature(analysis.dimension_estimate).parameters
+
