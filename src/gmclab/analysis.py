@@ -70,7 +70,6 @@ class SpectrumFit:
     stderr: np.ndarray
     lambda_grid: np.ndarray
     r2: np.ndarray
-    theory: np.ndarray | None = None
 
 
 def estimate_spectrum(lambda_grid, mass_samples: np.ndarray, q_grid,

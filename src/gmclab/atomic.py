@@ -10,7 +10,7 @@ the cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -73,7 +73,6 @@ class AtomicMeasure:
 
     positions: np.ndarray
     masses: np.ndarray
-    meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         if self.masses.size and float(self.masses.min()) <= 0:
@@ -128,8 +127,9 @@ def expected_atom_count(control_mass: float, alpha: float, z_min: float) -> floa
     return control_mass * z_min ** (-alpha) / alpha
 
 
-def auto_z_min(control_mass: float, alpha: float, rel_tol: float = 1e-3) -> float:
-    """Truncation level making the mean discarded mass <= rel_tol * control mass."""
+def auto_z_min(alpha: float, rel_tol: float = 1e-3) -> float:
+    """Truncation level making the mean discarded mass rel_tol per unit control
+    mass: z^(1-alpha)/(1-alpha) = rel_tol."""
     return (rel_tol * (1.0 - alpha)) ** (1.0 / (1.0 - alpha))
 
 
@@ -178,17 +178,7 @@ def build_atomic_direct(field: FieldGrid, gamma2: float, alpha: float,
     var = field.variance0[idx] if np.ndim(field.variance0) else field.variance0
     log_w = (gamma / alpha) * x_at - (gamma2 / (2 * alpha)) * var
     masses = atoms.sizes * np.exp(log_w)
-    return AtomicMeasure(
-        positions=np.array(atoms.positions),
-        masses=masses,
-        meta={
-            "construction": "direct",
-            "gamma2": gamma2,
-            "alpha": alpha,
-            "z_min": atoms.z_min,
-            "level": field.level,
-        },
-    )
+    return AtomicMeasure(positions=np.array(atoms.positions), masses=masses)
 
 
 def build_subordinated(m: LatticeMeasure, alpha: float, z_min: float,
@@ -215,17 +205,7 @@ def build_subordinated(m: LatticeMeasure, alpha: float, z_min: float,
             lat.low + iy * h + h * rng.random(total),
         ])
     sizes = _pareto(rng, alpha, z_min, total)
-    return AtomicMeasure(
-        positions=positions,
-        masses=sizes,
-        meta={
-            "construction": "subordinated",
-            "gamma2": m.meta.get("gamma2"),
-            "alpha": alpha,
-            "z_min": z_min,
-            "level": m.meta.get("level"),
-        },
-    )
+    return AtomicMeasure(positions=positions, masses=sizes)
 
 
 def moment_relation_constant(beta: float, alpha: float) -> float:

@@ -7,7 +7,7 @@ cell centers.  E[M_n(A)] = |A| exactly for every level n.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,11 +20,10 @@ class ChaosError(ValueError):
 
 @dataclass
 class LatticeMeasure:
-    """Nonnegative cell masses over a lattice, plus build metadata."""
+    """Nonnegative cell masses over a lattice."""
 
     lattice: Lattice
     masses: np.ndarray
-    meta: dict = dc_field(default_factory=dict)
 
     def total_mass(self) -> float:
         return float(self.masses.sum())
@@ -61,11 +60,7 @@ def build_chaos(field: FieldGrid, gamma2: float) -> LatticeMeasure:
     gamma = np.sqrt(gamma2)
     cell = field.lattice.spacing ** d
     masses = cell * np.exp(gamma * field.values - 0.5 * gamma2 * field.variance0)
-    return LatticeMeasure(
-        lattice=field.lattice,
-        masses=masses,
-        meta={"gamma2": gamma2, "level": field.level},
-    )
+    return LatticeMeasure(lattice=field.lattice, masses=masses)
 
 
 def _snap_interval(lattice: Lattice, lo: float, hi: float) -> tuple[int, int]:

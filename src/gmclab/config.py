@@ -69,9 +69,9 @@ class ExperimentConfig:
             raise ConfigError("alpha.mode=explicit requires alpha.value")
         return self.alpha_value
 
-    def resolved_z_min(self, control_mass: float = 1.0) -> float:
+    def resolved_z_min(self) -> float:
         if self.z_min == "auto":
-            return auto_z_min(control_mass, self.alpha())
+            return auto_z_min(self.alpha())
         return float(self.z_min)
 
 

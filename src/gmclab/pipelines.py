@@ -1,11 +1,13 @@
 """Experiment pipelines behind the CLI subcommands.
 
 Each pipeline builds the ensembles it needs, runs the matching statistical
-checks, and returns tables plus a pass/fail summary.  All randomness flows
-through RngStream substreams: one field substream (field, replica, 0) per
-replica, from which the whole field is drawn at once, and the atoms and
-subordinated substreams (atoms, replica, 0) and (subordinated, replica, 0).
-So a given (config, seed) pair reproduces byte-identical outputs.
+checks, and returns tables plus a pass/fail summary.  Every ensemble comes
+from one replica loop, `_measures(cfg, kind, stream)`: replica r draws its
+field X^n on the substream (field, r, 0) and forms the chaos M_n ("chaos") or
+its atomic dual, built by weighting a stable atom cloud drawn on (atoms, r, 0)
+("direct") or by subordinating M_n on (subordinated, r, 0) ("subordinated").
+Two reducers turn an ensemble into box masses or Cantor covering sums.  So a
+given (config, seed) pair reproduces byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -43,48 +45,64 @@ def kernel_spec(cfg: ExperimentConfig) -> KernelSpec:
     return KernelSpec(family=cfg.kernel_family, T=cfg.kernel_T, d=cfg.dimension)
 
 
-def lattice_for(cfg: ExperimentConfig, resolution: int | None = None) -> Lattice:
-    return Lattice(cfg.dimension, resolution or cfg.resolution)
+def lattice_for(cfg: ExperimentConfig) -> Lattice:
+    return Lattice(cfg.dimension, cfg.resolution)
 
 
-def _full_box(lat: Lattice):
-    return np.full(lat.d, lat.low), np.full(lat.d, lat.high)
+def _box(d: int, side: float):
+    """The box [0, side]^d as (lo, hi) corners."""
+    return np.zeros(d), np.full(d, side)
 
 
 # ---------------------------------------------------------------------------
-# ensemble builders
+# the replica loop and its reducers
 # ---------------------------------------------------------------------------
 
-def chaos_box_masses(spec, lattice, levels, gamma2, stream: RngStream,
-                     replicas: int, boxes) -> np.ndarray:
-    """Per-replica chaos masses of the given boxes, shape (replicas, n_boxes)."""
-    sampler = LayerSampler(spec, lattice, levels)
-    masses = []
-    for r in range(replicas):
-        m = build_chaos(sampler.sample_field(stream, r), gamma2)
-        masses.append([measure_box(m, lo, hi) for lo, hi in boxes])
-    return np.array(masses)
+def _sampler(cfg: ExperimentConfig, level: int | None = None) -> LayerSampler:
+    """Field sampler for levels 1..level (default cfg.level) on cfg's lattice."""
+    return LayerSampler(kernel_spec(cfg), lattice_for(cfg), range(1, (level or cfg.level) + 1))
 
 
-def atomic_box_masses(spec, lattice, levels, gamma2, alpha, z_min,
-                      stream: RngStream, replicas: int, boxes,
-                      construction: str = "direct") -> np.ndarray:
-    """Per-replica atomic-measure masses of the given boxes."""
-    sampler = LayerSampler(spec, lattice, levels)
-    region = Region(np.full(lattice.d, lattice.low), np.full(lattice.d, lattice.high))
-    masses = []
-    for r in range(replicas):
+def _measures(cfg: ExperimentConfig, kind: str, stream: RngStream,
+              level: int | None = None):
+    """Yield (field, atoms, measure) for replicas r < cfg.replicas.
+
+    kind: "chaos" (the lattice chaos M_n), "direct" (a stable atom cloud
+    weighted by the field; atoms is that cloud, None for the other kinds) or
+    "subordinated" (atoms drawn from M_n).
+    """
+    sampler = _sampler(cfg, level)
+    if kind != "chaos":
+        alpha, z_min = cfg.alpha(), cfg.resolved_z_min()
+        region = Region.unit(cfg.dimension)
+    for r in range(cfg.replicas):
         field = sampler.sample_field(stream, r)
-        if construction == "direct":
-            atoms = sample_stable_atoms(region, alpha, z_min,
-                                        stream.generator(r, "atoms"))
-            mbar = build_atomic_direct(field, gamma2, alpha, atoms)
+        if kind == "direct":
+            atoms = sample_stable_atoms(region, alpha, z_min, stream.generator(r, "atoms"))
+            yield field, atoms, build_atomic_direct(field, cfg.gamma2, alpha, atoms)
+        elif kind == "subordinated":
+            m = build_chaos(field, cfg.gamma2)
+            yield field, None, build_subordinated(m, alpha, z_min,
+                                                  stream.generator(r, "subordinated"))
         else:
-            m = build_chaos(field, gamma2)
-            mbar = build_subordinated(m, alpha, z_min,
-                                      stream.generator(r, "subordinated"))
-        masses.append([mbar.box_mass(lo, hi) for lo, hi in boxes])
-    return np.array(masses)
+            yield field, None, build_chaos(field, cfg.gamma2)
+
+
+def _box_masses(cfg: ExperimentConfig, kind: str, stream: RngStream, boxes,
+                level: int | None = None) -> np.ndarray:
+    """Per-replica masses of the boxes, shape (replicas, len(boxes))."""
+    return np.array([
+        [measure_box(m, lo, hi) if kind == "chaos" else m.box_mass(lo, hi)
+         for lo, hi in boxes]
+        for _, _, m in _measures(cfg, kind, stream, level)
+    ])
+
+
+def _covering_sums(cfg: ExperimentConfig, kind: str, stream: RngStream,
+                   levels, s_grid) -> np.ndarray:
+    """Per-replica Cantor covering sums, shape (replicas, len(levels), len(s_grid))."""
+    return np.array([analysis.covering_sums(m, "cantor", levels, s_grid).sums
+                     for _, _, m in _measures(cfg, kind, stream)])
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +112,9 @@ def atomic_box_masses(spec, lattice, levels, gamma2, alpha, z_min,
 def run_field(cfg: ExperimentConfig) -> PipelineResult:
     """Covariance fidelity check at random site pairs (3 SE criterion)."""
     spec = kernel_spec(cfg)
-    lat = lattice_for(cfg)
+    sampler = _sampler(cfg)
+    lat = sampler.lattice
     stream = RngStream(cfg.seed)
-    sampler = LayerSampler(spec, lat, range(1, cfg.level + 1))
     check_rng = np.random.default_rng(cfg.seed)
     n_pairs = 20
     idx = check_rng.integers(0, lat.n_sites, size=(n_pairs, 2))
@@ -131,14 +149,8 @@ def run_field(cfg: ExperimentConfig) -> PipelineResult:
 
 def run_chaos(cfg: ExperimentConfig) -> PipelineResult:
     """Expectation identity: mean total chaos mass within 3 SE of 1."""
-    spec = kernel_spec(cfg)
-    lat = lattice_for(cfg)
-    stream = RngStream(cfg.seed)
-    boxes = [_full_box(lat)] + [
-        (np.full(lat.d, 0.0), np.full(lat.d, lam)) for lam in cfg.lambda_grid
-    ]
-    masses = chaos_box_masses(spec, lat, range(1, cfg.level + 1), cfg.gamma2,
-                              stream, cfg.replicas, boxes)
+    boxes = [_box(cfg.dimension, lam) for lam in (1.0, *cfg.lambda_grid)]
+    masses = _box_masses(cfg, "chaos", RngStream(cfg.seed), boxes)
     rows = []
     for r in range(cfg.replicas):
         rows.append((r, 0, 1.0, masses[r, 0]))
@@ -176,21 +188,14 @@ def _svg_scatter(positions: np.ndarray, masses: np.ndarray, size: int = 480) -> 
 
 def run_atoms(cfg: ExperimentConfig) -> PipelineResult:
     """Atom table emission plus the qualitative dominance/localization stats."""
-    spec = kernel_spec(cfg)
     lat = lattice_for(cfg)
-    stream = RngStream(cfg.seed)
     alpha = cfg.alpha()
     z_min = cfg.resolved_z_min()
-    sampler = LayerSampler(spec, lat, range(1, cfg.level + 1))
-    region = Region.unit(lat.d)
     rows = []
     spans = []
     corrs = []
     top_atoms = None
-    for r in range(cfg.replicas):
-        field = sampler.sample_field(stream, r)
-        atoms = sample_stable_atoms(region, alpha, z_min, stream.generator(r, "atoms"))
-        mbar = build_atomic_direct(field, cfg.gamma2, alpha, atoms)
+    for r, (field, atoms, mbar) in enumerate(_measures(cfg, "direct", RngStream(cfg.seed))):
         if mbar.count:
             spans.append(float(np.log10(mbar.masses.max()) - np.log10(mbar.masses.min())))
             x_at = field.values[lat.cell_index(mbar.positions)]
@@ -218,8 +223,8 @@ def run_atoms(cfg: ExperimentConfig) -> PipelineResult:
             "z_min": z_min,
             "median_log10_mass_span": span,
             "median_field_mass_spearman": corr,
-            "expected_atom_count": expected_atom_count(region.volume, alpha, z_min),
-            "truncation_bound": truncation_bound(region.volume, alpha, z_min),
+            "expected_atom_count": expected_atom_count(1.0, alpha, z_min),
+            "truncation_bound": truncation_bound(1.0, alpha, z_min),
         },
         tables={"atoms": (header, rows)},
     )
@@ -230,12 +235,8 @@ def run_atoms(cfg: ExperimentConfig) -> PipelineResult:
 
 def run_spectrum(cfg: ExperimentConfig) -> PipelineResult:
     """Moment-slope estimation of the chaos spectrum against the closed form."""
-    spec = kernel_spec(cfg)
-    lat = lattice_for(cfg)
-    stream = RngStream(cfg.seed)
-    boxes = [(np.full(lat.d, 0.0), np.full(lat.d, lam)) for lam in cfg.lambda_grid]
-    masses = chaos_box_masses(spec, lat, range(1, cfg.level + 1), cfg.gamma2,
-                              stream, cfg.replicas, boxes)
+    boxes = [_box(cfg.dimension, lam) for lam in cfg.lambda_grid]
+    masses = _box_masses(cfg, "chaos", RngStream(cfg.seed), boxes)
     fit = analysis.estimate_spectrum(cfg.lambda_grid, masses, cfg.q_grid,
                                      rng=np.random.default_rng(cfg.seed))
     theory = xi(cfg.gamma2, cfg.dimension, np.asarray(cfg.q_grid))
@@ -256,20 +257,12 @@ def run_spectrum(cfg: ExperimentConfig) -> PipelineResult:
 
 def run_laplace(cfg: ExperimentConfig) -> PipelineResult:
     """Laplace duality on [0,1]: both constructions against the chaos side."""
-    spec = kernel_spec(cfg)
-    lat = lattice_for(cfg)
     alpha = cfg.alpha()
     z_min = cfg.resolved_z_min()
-    levels = range(1, cfg.level + 1)
-    boxes = [_full_box(lat)]
-    m = chaos_box_masses(spec, lat, levels, cfg.gamma2,
-                         RngStream(cfg.seed), cfg.replicas, boxes)[:, 0]
-    direct = atomic_box_masses(spec, lat, levels, cfg.gamma2, alpha, z_min,
-                               RngStream(cfg.seed + 1), cfg.replicas, boxes,
-                               "direct")[:, 0]
-    subord = atomic_box_masses(spec, lat, levels, cfg.gamma2, alpha, z_min,
-                               RngStream(cfg.seed + 2), cfg.replicas, boxes,
-                               "subordinated")[:, 0]
+    unit = [_box(cfg.dimension, 1.0)]
+    m = _box_masses(cfg, "chaos", RngStream(cfg.seed), unit)[:, 0]
+    direct = _box_masses(cfg, "direct", RngStream(cfg.seed + 1), unit)[:, 0]
+    subord = _box_masses(cfg, "subordinated", RngStream(cfg.seed + 2), unit)[:, 0]
     rng = np.random.default_rng(cfg.seed)
     tables = {}
     passed = True
@@ -297,13 +290,8 @@ def run_laplace(cfg: ExperimentConfig) -> PipelineResult:
 
 def run_tail(cfg: ExperimentConfig) -> PipelineResult:
     """Hill plateau of the atomic total mass, with synthetic controls."""
-    spec = kernel_spec(cfg)
-    lat = lattice_for(cfg)
     alpha = cfg.alpha()
-    z_min = cfg.resolved_z_min()
-    totals = atomic_box_masses(spec, lat, range(1, cfg.level + 1), cfg.gamma2,
-                               alpha, z_min, RngStream(cfg.seed), cfg.replicas,
-                               [_full_box(lat)], "direct")[:, 0]
+    totals = _box_masses(cfg, "direct", RngStream(cfg.seed), [_box(cfg.dimension, 1.0)])[:, 0]
     k = cfg.hill_k or max(cfg.replicas // 20, 50)
     hill = analysis.hill_tail_index(totals, k)
     ctrl_rng = np.random.default_rng(cfg.seed)
@@ -341,17 +329,11 @@ def run_tail(cfg: ExperimentConfig) -> PipelineResult:
 
 def run_scaling(cfg: ExperimentConfig) -> PipelineResult:
     """Perfect scaling: level-matched moment ratios and the Omega MGF self-test."""
-    spec = kernel_spec(cfg)
-    if spec.family not in ("exact1d", "exact2d"):
+    if cfg.kernel_family not in ("exact1d", "exact2d"):
         raise ValueError("perfect scaling requires an exact scale invariant kernel")
-    lat = lattice_for(cfg)
     alpha = cfg.alpha()
-    z_min = cfg.resolved_z_min()
     radius = cfg.scaling_radius
-    ref = atomic_box_masses(
-        spec, lat, range(1, cfg.level + 1), cfg.gamma2, alpha, z_min,
-        RngStream(cfg.seed), cfg.replicas,
-        [(np.full(lat.d, 0.0), np.full(lat.d, radius))], "direct")[:, 0]
+    ref = _box_masses(cfg, "direct", RngStream(cfg.seed), [_box(cfg.dimension, radius)])[:, 0]
     q_grid = np.asarray([q for q in cfg.q_grid if q < alpha])
     if q_grid.size == 0:
         q_grid = alpha * np.array([0.25, 0.5, 0.75])
@@ -361,10 +343,8 @@ def run_scaling(cfg: ExperimentConfig) -> PipelineResult:
     for j, lam in enumerate(cfg.scaling_lambdas, start=1):
         # exact self-similarity holds level-matched: scale lambda at level n/lambda
         level_lam = int(round(cfg.level / lam))
-        small = atomic_box_masses(
-            spec, lat, range(1, level_lam + 1), cfg.gamma2, alpha, z_min,
-            RngStream(cfg.seed + j), cfg.replicas,
-            [(np.full(lat.d, 0.0), np.full(lat.d, lam * radius))], "direct")[:, 0]
+        small = _box_masses(cfg, "direct", RngStream(cfg.seed + j),
+                            [_box(cfg.dimension, lam * radius)], level=level_lam)[:, 0]
         res = analysis.verify_perfect_scaling(small, ref, lam, cfg.gamma2, alpha,
                                               cfg.dimension, q_grid, rng=rng)
         for i, q in enumerate(q_grid):
@@ -390,47 +370,21 @@ def run_scaling(cfg: ExperimentConfig) -> PipelineResult:
     )
 
 
-def _covering_ensemble(cfg: ExperimentConfig, measure_kind: str,
-                       stream: RngStream, gamma2: float, alpha=None, z_min=None):
-    """Stacked covering-sum tables over replicas for the Cantor test set."""
-    spec = kernel_spec(cfg)
-    lat = lattice_for(cfg)
-    levels = list(range(1, cfg.cantor_depth + 1))
-    s_grid = np.asarray(cfg.s_grid, dtype=float)
-    sampler = LayerSampler(spec, lat, range(1, cfg.level + 1))
-    region = Region.unit(lat.d)
-    sums = []
-    for r in range(cfg.replicas):
-        field = sampler.sample_field(stream, r)
-        if measure_kind == "chaos":
-            measure = build_chaos(field, gamma2)
-        else:
-            atoms = sample_stable_atoms(region, alpha, z_min,
-                                        stream.generator(r, "atoms"))
-            measure = build_atomic_direct(field, gamma2, alpha, atoms)
-        sums.append(analysis.covering_sums(measure, "cantor", levels, s_grid).sums)
-    return np.array(sums), levels, s_grid
-
-
-def _lebesgue_control(cfg: ExperimentConfig):
-    lat = lattice_for(cfg)
-    uniform = LatticeMeasure(lat, np.full(lat.n_sites, lat.spacing**lat.d))
-    levels = list(range(1, cfg.cantor_depth + 1))
-    s_grid = np.linspace(0.5, 0.75, 11)
-    table = analysis.covering_sums(uniform, "cantor", levels, s_grid)
-    return analysis.dimension_estimate(levels, s_grid, table.sums)
-
-
 def run_kpz(cfg: ExperimentConfig) -> PipelineResult:
     """Measure-based Cantor dimension against the KPZ root."""
     d23 = float(np.log(2) / np.log(3))
+    levels = list(range(1, cfg.cantor_depth + 1))
     s_grid = np.asarray(cfg.s_grid, dtype=float)
-    sums, levels, s_grid = _covering_ensemble(cfg, "chaos", RngStream(cfg.seed),
-                                              cfg.gamma2)
+    sums = _covering_sums(cfg, "chaos", RngStream(cfg.seed), levels, s_grid)
     est = analysis.dimension_estimate(levels, s_grid, sums,
                                       rng=np.random.default_rng(cfg.seed))
     target = analysis.kpz_solve(d23, cfg.gamma2, cfg.dimension)
-    leb = _lebesgue_control(cfg)
+    # control: the uniform (Lebesgue) measure must recover log 2 / log 3
+    lat = lattice_for(cfg)
+    uniform = LatticeMeasure(lat, np.full(lat.n_sites, lat.spacing**lat.d))
+    leb_grid = np.linspace(0.5, 0.75, 11)
+    leb = analysis.dimension_estimate(
+        levels, leb_grid, analysis.covering_sums(uniform, "cantor", levels, leb_grid).sums)
     rows = []
     for ri in range(min(sums.shape[0], 50)):
         for li, g in enumerate(levels):
@@ -454,26 +408,19 @@ def run_kpz(cfg: ExperimentConfig) -> PipelineResult:
     )
 
 
-def _with_s_grid(cfg: ExperimentConfig, s_grid) -> ExperimentConfig:
-    from dataclasses import replace
-    return replace(cfg, s_grid=tuple(float(s) for s in s_grid))
-
-
 def run_duality(cfg: ExperimentConfig) -> PipelineResult:
     """Dual dimension relation dim_Mbar = alpha * dim_M plus the algebraic identity."""
     alpha = cfg.alpha()
-    z_min = cfg.resolved_z_min()
-    sums_m, levels, s_grid_m = _covering_ensemble(cfg, "chaos", RngStream(cfg.seed),
-                                                  cfg.gamma2)
-    est_m = analysis.dimension_estimate(levels, s_grid_m, sums_m,
+    levels = list(range(1, cfg.cantor_depth + 1))
+    s_grid = np.asarray(cfg.s_grid, dtype=float)
+    sums_m = _covering_sums(cfg, "chaos", RngStream(cfg.seed), levels, s_grid)
+    est_m = analysis.dimension_estimate(levels, s_grid, sums_m,
                                         rng=np.random.default_rng(cfg.seed))
     # dual grid centered on the predicted dual dimension alpha * dim_M
     center = max(alpha * est_m.estimate, 1e-3)
-    dual_cfg_grid = np.unique(np.clip(np.linspace(0.2, 2.5, 12) * center, 1e-4, 0.999))
-    sums_bar, levels, _ = _covering_ensemble(
-        _with_s_grid(cfg, dual_cfg_grid), "atomic", RngStream(cfg.seed + 1),
-        cfg.gamma2, alpha, z_min)
-    est_bar = analysis.dimension_estimate(levels, dual_cfg_grid, sums_bar,
+    dual_grid = np.unique(np.clip(np.linspace(0.2, 2.5, 12) * center, 1e-4, 0.999))
+    sums_bar = _covering_sums(cfg, "direct", RngStream(cfg.seed + 1), levels, dual_grid)
+    est_bar = analysis.dimension_estimate(levels, dual_grid, sums_bar,
                                           rng=np.random.default_rng(cfg.seed + 1))
     grid = np.linspace(0.0, 1.0, 100)
     alg_err = max(
@@ -500,25 +447,19 @@ def run_duality(cfg: ExperimentConfig) -> PipelineResult:
 
 def run_lq(cfg: ExperimentConfig) -> PipelineResult:
     """Box-counting L^q-spectrum proxy, labeled CONJECTURE-COMPARISON."""
-    spec = kernel_spec(cfg)
-    lat = lattice_for(cfg)
     alpha = cfg.alpha()
-    z_min = cfg.resolved_z_min()
-    stream = RngStream(cfg.seed)
-    sampler = LayerSampler(spec, lat, range(1, cfg.level + 1))
-    field = sampler.sample_field(stream, 0)
-    m = build_chaos(field, cfg.gamma2)
-    atoms = sample_stable_atoms(Region.unit(lat.d), alpha, z_min,
-                                stream.generator(0, "atoms"))
-    mbar = build_atomic_direct(field, cfg.gamma2, alpha, atoms)
-    max_depth = int(np.floor(np.log2(lat.resolution)))
+    max_depth = int(np.floor(np.log2(cfg.resolution)))
     depths = [j for j in range(2, max_depth + 1)
-              if lat.resolution % 2**j == 0][-5:]
+              if cfg.resolution % 2**j == 0][-5:]
     if len(depths) < 3:
         raise ValueError(
             "resolution must be divisible by at least three dyadic depths 2^j "
             "(use a power-of-two resolution for the lq pipeline)"
         )
+    # replica 0 only; both measures see the same field draw on (field, 0, 0)
+    stream = RngStream(cfg.seed)
+    _, _, m = next(_measures(cfg, "chaos", stream))
+    _, _, mbar = next(_measures(cfg, "direct", stream))
     q_grid = np.asarray(cfg.q_grid, dtype=float)
     res_m = analysis.lq_spectrum(m, q_grid, depths, d=cfg.dimension)
     res_bar = analysis.lq_spectrum(mbar, q_grid, depths, gamma2=cfg.gamma2,

@@ -63,7 +63,7 @@ class TestStableAtoms:
     def test_truncation_bookkeeping(self):
         assert truncation_bound(1.0, 0.5, 1e-6) == pytest.approx(2e-3)
         assert expected_atom_count(1.0, 0.5, 1e-6) == pytest.approx(2000.0)
-        z = auto_z_min(1.0, 0.5, rel_tol=1e-3)
+        z = auto_z_min(0.5, rel_tol=1e-3)
         assert truncation_bound(1.0, 0.5, z) == pytest.approx(1e-3)
 
     def test_sampled_counts_and_sizes(self):
@@ -112,7 +112,6 @@ class TestConstructions:
         mbar = build_atomic_direct(f, 1.0, 0.5, atoms)
         assert mbar.count == atoms.count
         assert np.all(mbar.masses > 0)
-        assert mbar.meta["construction"] == "direct"
 
     def test_direct_alpha_mismatch(self):
         f = make_field()

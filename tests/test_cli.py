@@ -24,6 +24,28 @@ q.grid = 0.2,0.5
 u.grid = 0.5,1
 """
 
+# one small config per subcommand, each run in about a second
+RERUN_CONFIGS = {
+    "field": BASE_CONFIG,
+    "chaos": BASE_CONFIG,
+    "atoms": "gamma2 = 1.0\nlevel = 3\nresolution = 32\nreplicas = 5\nseed = 2\n",
+    "spectrum": "gamma2 = 0.5\nlevel = 5\nresolution = 256\nreplicas = 100\nseed = 7\n"
+                "lambda.grid = 0.5,0.25,0.125,0.0625\nq.grid = 0.5,1.0\n",
+    "laplace": "gamma2 = 1.0\nlevel = 3\nresolution = 64\nz_min = 1e-5\n"
+               "replicas = 100\nseed = 7\n",
+    "tail": "gamma2 = 1.0\nlevel = 3\nresolution = 64\nz_min = 1e-5\nreplicas = 1000\n"
+            "seed = 7\nhill.k = 50\n",
+    "scaling": "gamma2 = 1.0\nlevel = 4\nresolution = 128\nz_min = 1e-6\nreplicas = 100\n"
+               "seed = 7\nq.grid = 0.1,0.2\nscaling.lambdas = 0.5,0.25\n",
+    "kpz": "gamma2 = 0.5\nlevel = 5\nresolution = 243\ncantor.depth = 5\nreplicas = 10\n"
+           "seed = 7\ns.grid = 0.30,0.35,0.40,0.45,0.50,0.55,0.60,0.65,0.70,0.75\n",
+    "duality": "gamma2 = 1.0\nlevel = 5\nresolution = 243\ncantor.depth = 5\nz_min = 1e-6\n"
+               "replicas = 10\nseed = 7\n"
+               "s.grid = 0.30,0.35,0.40,0.45,0.50,0.55,0.60,0.65,0.70,0.75\n",
+    "lq": "gamma2 = 0.5\nlevel = 5\nresolution = 256\nq.grid = 0,0.5,1\nreplicas = 1\n"
+          "seed = 7\n",
+}
+
 
 @pytest.fixture
 def config_file(tmp_path):
@@ -114,23 +136,24 @@ class TestCliRuns:
         header = (tmp_path / "out" / "masses.csv").read_text().splitlines()[0]
         assert header == "replica,box_id,lambda,mass"
 
-    def test_rerun_is_byte_identical(self, config_file, tmp_path):
-        out1 = str(tmp_path / "a")
-        out2 = str(tmp_path / "b")
-        assert main(["chaos", "--config", config_file, "--out", out1]) == 0
-        assert main(["chaos", "--config", config_file, "--out", out2]) == 0
+    @pytest.mark.parametrize("experiment", sorted(RERUN_CONFIGS))
+    def test_rerun_is_byte_identical(self, experiment, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text(RERUN_CONFIGS[experiment])
+        outs = [tmp_path / "a", tmp_path / "b"]
+        codes = [main([experiment, "--config", str(path), "--out", str(out)]) for out in outs]
+        assert codes[0] in (0, 1) and codes[0] == codes[1]
 
-        def digest(out):
-            h = hashlib.sha256()
-            for name in sorted(os.listdir(out)):
-                if name != "manifest.json":  # wall clock differs
-                    h.update(open(os.path.join(out, name), "rb").read())
-            return h.hexdigest()
+        def artifacts(out):
+            return {name: (out / name).read_bytes()
+                    for name in os.listdir(out) if name != "manifest.json"}
 
-        assert digest(out1) == digest(out2)
-        m1 = json.loads((tmp_path / "a" / "manifest.json").read_text())
-        m2 = json.loads((tmp_path / "b" / "manifest.json").read_text())
-        assert m1["artifacts"] == m2["artifacts"]
+        first = artifacts(outs[0])
+        assert first == artifacts(outs[1])  # manifest.json: wall clock differs
+        for out in outs:
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["artifacts"] == {
+                name: hashlib.sha256(blob).hexdigest() for name, blob in first.items()}
 
     def test_seed_override_changes_output(self, config_file, tmp_path):
         out1 = str(tmp_path / "a")
