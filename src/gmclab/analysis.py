@@ -393,20 +393,23 @@ def dimension_estimate(levels, s_grid, sums: np.ndarray, n_boot: int = 200,
         raise AnalysisError("need >= 3 levels and >= 5 s values")
     if rng is None:
         rng = np.random.default_rng(3)
-    eps = 1e-300
+    log_sums = np.log(np.maximum(sums, 1e-300))
+    dx = levels - levels.mean()
+    sxx = np.sum(dx**2)
 
-    def slopes_of(table):
-        mean_log = np.log(np.maximum(table, eps)).mean(axis=0)
-        return np.array([ols_slope(levels, mean_log[:, si])[0] for si in range(s_grid.size)])
+    def slopes_of(logs):
+        # ols_slope of each s column at once, with its summation order
+        mean_log = logs.mean(axis=0)
+        return np.sum(dx[:, None] * (mean_log - mean_log.mean(axis=0)), axis=0) / sxx
 
-    slopes = slopes_of(sums)
+    slopes = slopes_of(log_sums)
     if slopes[0] <= 0 or slopes[-1] >= 0:
         raise AnalysisError("s grid does not bracket the zero crossing")
     est = _crossing(s_grid, slopes)
     n_rep = sums.shape[0]
     if n_rep > 1:
         lo, hi = _percentile_ci(_bootstrap(
-            rng, n_boot, lambda idx: _crossing(s_grid, slopes_of(sums[idx])), n_rep))
+            rng, n_boot, lambda idx: _crossing(s_grid, slopes_of(log_sums[idx])), n_rep))
     else:
         lo = hi = est
     return DimensionEstimate(estimate=est, ci_lo=float(lo), ci_hi=float(hi),
@@ -464,28 +467,16 @@ class LqSpectrumResult:
     label: str = "CONJECTURE-COMPARISON"
 
 
-def _dyadic_box_masses(measure, depth: int) -> np.ndarray:
-    if isinstance(measure, LatticeMeasure):
-        lat = measure.lattice
-        boxes = 2**depth
-        if lat.d == 1:
-            if lat.resolution % boxes != 0:
-                raise AnalysisError("dyadic depth does not divide the lattice resolution")
-            return measure.masses.reshape(boxes, -1).sum(axis=1)
-        if lat.resolution % boxes != 0:
-            raise AnalysisError("dyadic depth does not divide the lattice resolution")
-        per = lat.resolution // boxes
-        grid = measure.masses.reshape(lat.resolution, lat.resolution)
-        return grid.reshape(boxes, per, boxes, per).sum(axis=(1, 3)).ravel()
-    if isinstance(measure, AtomicMeasure):
-        boxes = 2**depth
-        if measure.count == 0:
-            raise AnalysisError("empty measure")
-        d = measure.positions.shape[1]
-        idx = np.clip((measure.positions * boxes).astype(int), 0, boxes - 1)
-        flat = idx[:, 0] if d == 1 else idx[:, 0] * boxes + idx[:, 1]
-        return np.bincount(flat, weights=measure.masses, minlength=boxes**d)
-    raise AnalysisError("unsupported measure type")
+def _dyadic_box_masses(measure: LatticeMeasure, depth: int) -> np.ndarray:
+    lat = measure.lattice
+    boxes = 2**depth
+    if lat.resolution % boxes != 0:
+        raise AnalysisError("dyadic depth does not divide the lattice resolution")
+    if lat.d == 1:
+        return measure.masses.reshape(boxes, -1).sum(axis=1)
+    per = lat.resolution // boxes
+    grid = measure.masses.reshape(lat.resolution, lat.resolution)
+    return grid.reshape(boxes, per, boxes, per).sum(axis=(1, 3)).ravel()
 
 
 def lq_conjecture(q_grid, gamma2: float, alpha: float, d: int) -> np.ndarray:
@@ -523,7 +514,7 @@ def lq_conjecture(q_grid, gamma2: float, alpha: float, d: int) -> np.ndarray:
     return out
 
 
-def lq_spectrum(measure, q_grid, depths, gamma2: float | None = None,
+def lq_spectrum(measure: LatticeMeasure, q_grid, depths, gamma2: float | None = None,
                 alpha: float | None = None, d: int = 1) -> LqSpectrumResult:
     """Dyadic box-counting proxy of the L^q spectrum tau(q).
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammaln
+from scipy.special import gamma as gamma_fn, gammaln
 
 from .chaos import LatticeMeasure
 from .field import FieldGrid
@@ -159,6 +159,12 @@ def sample_stable_atoms(region: Region, alpha: float, z_min: float,
                        z_min=z_min, region=region)
 
 
+def _dual_weights(field: FieldGrid, gamma2: float, alpha: float) -> np.ndarray:
+    """Per-cell weight exp((g/a) X - (g^2/2a) Var X) of the direct dual."""
+    gamma = np.sqrt(gamma2)
+    return np.exp((gamma / alpha) * field.values - (gamma2 / (2 * alpha)) * field.variance0)
+
+
 def build_atomic_direct(field: FieldGrid, gamma2: float, alpha: float,
                         atoms: StableAtoms) -> AtomicMeasure:
     """Direct construction: atom mass z * exp((g/a) X(cell) - (g^2/2a) Var X).
@@ -172,13 +178,46 @@ def build_atomic_direct(field: FieldGrid, gamma2: float, alpha: float,
     hi = np.atleast_1d(np.asarray(atoms.region.high))
     if np.any(lo < lat.low - 1e-12) or np.any(hi > lat.high + 1e-12):
         raise AtomicError("atom region extends outside the field lattice")
-    gamma = np.sqrt(gamma2)
     idx = lat.cell_index(atoms.positions) if atoms.count else np.zeros(0, dtype=np.int64)
-    x_at = field.values[idx]
-    var = field.variance0[idx] if np.ndim(field.variance0) else field.variance0
-    log_w = (gamma / alpha) * x_at - (gamma2 / (2 * alpha)) * var
-    masses = atoms.sizes * np.exp(log_w)
+    masses = atoms.sizes * _dual_weights(field, gamma2, alpha)[idx]
     return AtomicMeasure(positions=np.array(atoms.positions), masses=masses)
+
+
+def sample_positive_stable(alpha: float, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Standard positive alpha-stable draws, E exp(-u S) = exp(-u^alpha).
+
+    Kanter's representation: with U uniform on (0, pi) and E ~ Exp(1),
+    S = sin(aU)/sin(U)^(1/a) * (sin((1-a)U)/E)^((1-a)/a).  It is evaluated in
+    logs as (sin(aU)/sin U)^(1/a) (sin((1-a)U)/(sin(aU) E))^((1-a)/a), whose
+    ratios stay finite as U -> 0.  U = pi (1 - u) for u = rng.random() never
+    reaches 0, and the float pi lies below pi, so sin U > 0.  The result is
+    clipped to the positive finite doubles, which only the edge draw E = 0
+    and the extreme tails reach.
+    """
+    if not (0.0 < alpha < 1.0):
+        raise AtomicError("alpha must lie strictly in (0, 1)")
+    u = np.pi * (1.0 - rng.random(size))
+    e = np.maximum(rng.standard_exponential(size), np.finfo(float).tiny)
+    sin_au = np.sin(alpha * u)
+    log_s = (np.log(sin_au / np.sin(u)) / alpha
+             + (1.0 - alpha) / alpha * (np.log(np.sin((1.0 - alpha) * u) / sin_au) - np.log(e)))
+    bounds = np.log([np.finfo(float).tiny, np.finfo(float).max])
+    return np.exp(np.clip(log_s, *bounds))
+
+
+def build_dual_cells(field: FieldGrid, gamma2: float, alpha: float,
+                     rng: np.random.Generator) -> LatticeMeasure:
+    """Exact cell masses of the direct dual: the untruncated stable atoms of
+    cell c sum to (h^d Gamma(1-a)/a)^(1/a) S_c, S_c standard positive stable,
+    so cell c carries exp((g/a) X_c - (g^2/2a) Var X_c) (h^d Gamma(1-a)/a)^(1/a) S_c.
+
+    One positive-stable draw per cell replaces the atom cloud wherever only
+    cell-aligned masses are read.  The field and rng must be independent.
+    """
+    lat = field.lattice
+    scale = (lat.spacing**lat.d * gamma_fn(1.0 - alpha) / alpha) ** (1.0 / alpha)
+    stable = sample_positive_stable(alpha, lat.n_sites, rng)
+    return LatticeMeasure(lattice=lat, masses=_dual_weights(field, gamma2, alpha) * scale * stable)
 
 
 def build_subordinated(m: LatticeMeasure, alpha: float, z_min: float,
@@ -235,7 +274,6 @@ def fractional_moment_identity_check(x: float, beta: float) -> float:
         raise AtomicError("beta must lie strictly in (0, 1)")
     if x == 0.0:
         return 0.0
-    from scipy.special import gamma as gamma_fn
 
     def integrand(z):
         return -np.expm1(-x * z) / z ** (1.0 + beta)

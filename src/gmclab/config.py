@@ -181,15 +181,25 @@ def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> lis
         except ConfigError:
             pass
     if experiment in ("kpz", "duality"):
-        if cfg.cantor_depth < 1:
-            diags.append("cantor.depth must be >= 1")
+        if cfg.cantor_depth < 3:
+            diags.append("cantor.depth must be >= 3: the dimension fit needs three levels")
         if 3**cfg.cantor_depth > cfg.resolution or cfg.resolution % 3**cfg.cantor_depth:
             diags.append(
                 f"resolution must be a multiple of 3^cantor.depth = {3**cfg.cantor_depth} "
                 "so covering intervals align with cell boundaries"
             )
-        if len(cfg.s_grid) and len(cfg.s_grid) < 5:
+        if len(cfg.s_grid) < 5:
             diags.append("s.grid needs at least 5 values")
+    if experiment == "lq" and cfg.replicas != 1:
+        diags.append(f"lq analyses one replica: replicas must be 1, got {cfg.replicas}")
+    if experiment == "scaling":
+        # the dual's box masses are sums of whole cells
+        for lam in (1.0, *cfg.scaling_lambdas):
+            cells = cfg.resolution * cfg.scaling_radius * lam
+            if abs(cells - round(cells)) > 1e-9:
+                diags.append(
+                    f"scaling box of side {cfg.scaling_radius * lam:g} spans {cells:g} "
+                    "cells; resolution * scaling.radius * lambda must be a whole number")
     for lam in cfg.scaling_lambdas:
         if not (0 < lam < 1):
             diags.append(f"scaling lambda {lam} outside (0,1)")

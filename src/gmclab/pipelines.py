@@ -4,10 +4,12 @@ Each pipeline builds the ensembles it needs, runs the matching statistical
 checks, and returns tables plus a pass/fail summary.  Every ensemble comes
 from one replica loop, `_measures(cfg, kind, stream)`: replica r draws its
 field X^n on the substream (field, r, 0) and forms the chaos M_n ("chaos") or
-its atomic dual, built by weighting a stable atom cloud drawn on (atoms, r, 0)
-("direct") or by subordinating M_n on (subordinated, r, 0) ("subordinated").
-Two reducers turn an ensemble into box masses or Cantor covering sums.  So a
-given (config, seed) pair reproduces byte-identical outputs.
+its dual.  The dual's exact cell masses take one positive-stable draw per cell
+on (atoms, r, 0) ("dual"); the atom-level dual weights a stable atom cloud
+drawn on (atoms, r, 0) ("direct") or subordinates M_n on (subordinated, r, 0)
+("subordinated").  Two reducers turn an ensemble into box masses or Cantor
+covering sums.  So a given (config, seed) pair reproduces byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from . import analysis
 from .atomic import (
     Region,
     build_atomic_direct,
+    build_dual_cells,
     build_subordinated,
     expected_atom_count,
     sample_stable_atoms,
@@ -67,9 +70,10 @@ def _measures(cfg: ExperimentConfig, kind: str, stream: RngStream,
               level: int | None = None):
     """Yield (field, atoms, measure) for replicas r < cfg.replicas.
 
-    kind: "chaos" (the lattice chaos M_n), "direct" (a stable atom cloud
-    weighted by the field; atoms is that cloud, None for the other kinds) or
-    "subordinated" (atoms drawn from M_n).
+    kind: "chaos" (the lattice chaos M_n), "dual" (the dual's exact cell
+    masses, a LatticeMeasure), "direct" (a stable atom cloud weighted by the
+    field; atoms is that cloud, None for the other kinds) or "subordinated"
+    (atoms drawn from M_n).  Only the atom-level kinds are truncated at z_min.
     """
     sampler = _sampler(cfg, level)
     if kind != "chaos":
@@ -77,7 +81,10 @@ def _measures(cfg: ExperimentConfig, kind: str, stream: RngStream,
         region = Region.unit(cfg.dimension)
     for r in range(cfg.replicas):
         field = sampler.sample_field(stream, r)
-        if kind == "direct":
+        if kind == "dual":
+            yield field, None, build_dual_cells(field, cfg.gamma2, alpha,
+                                                stream.generator(r, "atoms"))
+        elif kind == "direct":
             atoms = sample_stable_atoms(region, alpha, z_min, stream.generator(r, "atoms"))
             yield field, atoms, build_atomic_direct(field, cfg.gamma2, alpha, atoms)
         elif kind == "subordinated":
@@ -92,7 +99,7 @@ def _box_masses(cfg: ExperimentConfig, kind: str, stream: RngStream, boxes,
                 level: int | None = None) -> np.ndarray:
     """Per-replica masses of the boxes, shape (replicas, len(boxes))."""
     return np.array([
-        [measure_box(m, lo, hi) if kind == "chaos" else m.box_mass(lo, hi)
+        [measure_box(m, lo, hi) if isinstance(m, LatticeMeasure) else m.box_mass(lo, hi)
          for lo, hi in boxes]
         for _, _, m in _measures(cfg, kind, stream, level)
     ])
@@ -291,7 +298,7 @@ def run_laplace(cfg: ExperimentConfig) -> PipelineResult:
 def run_tail(cfg: ExperimentConfig) -> PipelineResult:
     """Hill plateau of the atomic total mass, with synthetic controls."""
     alpha = cfg.alpha()
-    totals = _box_masses(cfg, "direct", RngStream(cfg.seed), [_box(cfg.dimension, 1.0)])[:, 0]
+    totals = _box_masses(cfg, "dual", RngStream(cfg.seed), [_box(cfg.dimension, 1.0)])[:, 0]
     k = cfg.hill_k or max(cfg.replicas // 20, 50)
     hill = analysis.hill_tail_index(totals, k)
     ctrl_rng = np.random.default_rng(cfg.seed)
@@ -333,7 +340,7 @@ def run_scaling(cfg: ExperimentConfig) -> PipelineResult:
         raise ValueError("perfect scaling requires an exact scale invariant kernel")
     alpha = cfg.alpha()
     radius = cfg.scaling_radius
-    ref = _box_masses(cfg, "direct", RngStream(cfg.seed), [_box(cfg.dimension, radius)])[:, 0]
+    ref = _box_masses(cfg, "dual", RngStream(cfg.seed), [_box(cfg.dimension, radius)])[:, 0]
     q_grid = np.asarray([q for q in cfg.q_grid if q < alpha])
     if q_grid.size == 0:
         q_grid = alpha * np.array([0.25, 0.5, 0.75])
@@ -343,7 +350,7 @@ def run_scaling(cfg: ExperimentConfig) -> PipelineResult:
     for j, lam in enumerate(cfg.scaling_lambdas, start=1):
         # exact self-similarity holds level-matched: scale lambda at level n/lambda
         level_lam = int(round(cfg.level / lam))
-        small = _box_masses(cfg, "direct", RngStream(cfg.seed + j),
+        small = _box_masses(cfg, "dual", RngStream(cfg.seed + j),
                             [_box(cfg.dimension, lam * radius)], level=level_lam)[:, 0]
         res = analysis.verify_perfect_scaling(small, ref, lam, cfg.gamma2, alpha,
                                               cfg.dimension, q_grid, rng=rng)
@@ -419,7 +426,7 @@ def run_duality(cfg: ExperimentConfig) -> PipelineResult:
     # dual grid centered on the predicted dual dimension alpha * dim_M
     center = max(alpha * est_m.estimate, 1e-3)
     dual_grid = np.unique(np.clip(np.linspace(0.2, 2.5, 12) * center, 1e-4, 0.999))
-    sums_bar = _covering_sums(cfg, "direct", RngStream(cfg.seed + 1), levels, dual_grid)
+    sums_bar = _covering_sums(cfg, "dual", RngStream(cfg.seed + 1), levels, dual_grid)
     est_bar = analysis.dimension_estimate(levels, dual_grid, sums_bar,
                                           rng=np.random.default_rng(cfg.seed + 1))
     grid = np.linspace(0.0, 1.0, 100)
@@ -459,7 +466,7 @@ def run_lq(cfg: ExperimentConfig) -> PipelineResult:
     # replica 0 only; both measures see the same field draw on (field, 0, 0)
     stream = RngStream(cfg.seed)
     _, _, m = next(_measures(cfg, "chaos", stream))
-    _, _, mbar = next(_measures(cfg, "direct", stream))
+    _, _, mbar = next(_measures(cfg, "dual", stream))
     q_grid = np.asarray(cfg.q_grid, dtype=float)
     res_m = analysis.lq_spectrum(m, q_grid, depths, d=cfg.dimension)
     res_bar = analysis.lq_spectrum(mbar, q_grid, depths, gamma2=cfg.gamma2,

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gmclab.analysis import (
     AnalysisError,
+    _crossing,
     cantor_intervals,
     covering_sums,
     dimension_estimate,
@@ -147,6 +148,38 @@ class TestCovering:
         table = covering_sums(uniform, "interval", levels, s_grid)
         est = dimension_estimate(list(levels), s_grid, table.sums)
         assert est.estimate == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("n_levels", range(3, 10))
+    def test_vectorized_fit_matches_column_loop(self, n_levels):
+        def loop_estimate(levels, s_grid, sums, rng):
+            # reference: one ols_slope call per s column
+            def slopes_of(table):
+                mean_log = np.log(np.maximum(table, 1e-300)).mean(axis=0)
+                return np.array([ols_slope(levels, mean_log[:, si])[0]
+                                 for si in range(s_grid.size)])
+
+            n = sums.shape[0]
+            boots = [_crossing(s_grid, slopes_of(sums[rng.integers(0, n, size=n)]))
+                     for _ in range(200)]
+            slopes = slopes_of(sums)
+            return (slopes, _crossing(s_grid, slopes), *np.percentile(boots, [2.5, 97.5]))
+
+        levels = np.arange(1.0, n_levels + 1)
+        s_grid = np.linspace(0.3, 0.9, 10)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            rate = levels[:, None] * (np.log(2.0) - s_grid * np.log(3.0))
+            sums = np.exp(rate + rng.normal(0.0, 0.5, (20, n_levels, s_grid.size)))
+            est = dimension_estimate(levels, s_grid, sums, rng=np.random.default_rng(seed))
+            got = (est.slopes, est.estimate, est.ci_lo, est.ci_hi)
+            ref = loop_estimate(levels, s_grid, sums, np.random.default_rng(seed))
+            for g, r in zip(got, ref):
+                if n_levels < 8:
+                    # same summation order: equal bit for bit
+                    np.testing.assert_array_equal(g, r)
+                else:
+                    # numpy's 1-D sum goes pairwise from 8 terms on
+                    np.testing.assert_allclose(g, r, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("set_name", ["cantor", "interval"])
     def test_atomic_sums_match_interval_loop(self, set_name):

@@ -9,15 +9,17 @@ from gmclab.atomic import (
     alpha_from_gamma,
     auto_z_min,
     build_atomic_direct,
+    build_dual_cells,
     build_subordinated,
     expected_atom_count,
     fractional_moment_identity_check,
     moment_relation_constant,
+    sample_positive_stable,
     sample_stable_atoms,
     truncation_bound,
     xi_bar,
 )
-from gmclab.chaos import build_chaos, xi
+from gmclab.chaos import build_chaos, measure_box, xi
 from gmclab.field import Lattice, LayerSampler, RngStream
 from gmclab.kernels import KernelSpec
 
@@ -103,6 +105,60 @@ class TestStableAtoms:
         mean = expected_atom_count(1.0, 0.5, 1e-2)
         se = np.sqrt(mean / len(counts))
         assert abs(np.mean(counts) - mean) < 4 * se
+
+
+class _EdgeDraws:
+    """Generator stand-in whose uniform and exponential draws are fixed."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+    def standard_exponential(self, size):
+        return np.zeros(size)
+
+
+class TestPositiveStable:
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    def test_laplace_transform(self, alpha):
+        s = sample_positive_stable(alpha, 100_000, np.random.default_rng(17))
+        for u in (0.5, 2.0, 8.0, 32.0):
+            t = np.exp(-u * s)
+            se = t.std(ddof=1) / np.sqrt(t.size)
+            assert abs(t.mean() - np.exp(-u**alpha)) < 4 * se, u
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.75, 0.95])
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53], ids=["u0", "u1"])
+    def test_edge_draws_finite_and_positive(self, alpha, u):
+        # E = 0 together with either end of the uniform grid
+        s = sample_positive_stable(alpha, 3, _EdgeDraws(u))
+        assert np.all(np.isfinite(s)) and np.all(s > 0)
+
+    def test_cell_law_matches_atoms(self):
+        # box [0, 1/4) at N = 64: the exact cell masses against the truncated
+        # atom-level direct construction, by the Laplace transform; the atoms
+        # miss at most the conditional mean truncation_bound of the weights
+        gamma2, alpha, z_min, R = 1.0, 0.5, 1e-7, 2000
+        sampler = LayerSampler(EXACT1D, Lattice(1, 64), range(1, 4))
+        gamma = np.sqrt(gamma2)
+        cell_stream, atom_stream = RngStream(31), RngStream(32)
+        cells, atoms, missed = np.empty(R), np.empty(R), np.empty(R)
+        for r in range(R):
+            f = sampler.sample_field(cell_stream, r)
+            mbar = build_dual_cells(f, gamma2, alpha, cell_stream.generator(r, "atoms"))
+            cells[r] = measure_box(mbar, [0.0], [0.25])
+            g = sampler.sample_field(atom_stream, r)
+            cloud = sample_stable_atoms(Region.unit(1), alpha, z_min,
+                                        atom_stream.generator(r, "atoms"))
+            atoms[r] = build_atomic_direct(g, gamma2, alpha, cloud).box_mass([0.0], [0.25])
+            w = np.exp((gamma / alpha) * g.values - (gamma2 / (2 * alpha)) * g.variance0)
+            missed[r] = truncation_bound(w[:16].sum() / 64, alpha, z_min)
+        for u in (0.5, 2.0, 8.0):
+            a, b = np.exp(-u * cells), np.exp(-u * atoms)
+            se = np.sqrt(a.var(ddof=1) / R + b.var(ddof=1) / R)
+            assert abs(a.mean() - b.mean()) < 4 * se + u * missed.mean(), u
 
 
 class TestConstructions:

@@ -124,6 +124,26 @@ class TestCliRuns:
         assert main(["chaos", "--config", str(path)]) == 2
         assert f"config error: kernel: {diag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment,text,args,diag", [
+        ("kpz", "resolution = 729\n", [], "s.grid needs at least 5 values"),
+        ("duality", "resolution = 729\ncantor.depth = 2\ns.grid = 0.3,0.4,0.5,0.6,0.7\n", [],
+         "cantor.depth must be >= 3: the dimension fit needs three levels"),
+        ("lq", "resolution = 256\nreplicas = 1\n", ["--replicas", "400"],
+         "lq analyses one replica: replicas must be 1, got 400"),
+        ("scaling", "gamma2 = 1.0\nresolution = 100\nq.grid = 0.1\nscaling.lambdas = 0.5\n", [],
+         "scaling box of side 0.125 spans 12.5 cells; "
+         "resolution * scaling.radius * lambda must be a whole number"),
+    ], ids=["kpz-s-grid", "duality-depth", "lq-replicas", "scaling-cells"])
+    def test_unrunnable_config_is_diagnosed(self, tmp_path, capsys, experiment, text, args,
+                                            diag):
+        # rejected before any ensemble is built
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert main([experiment, "--config", str(path), "--out", str(tmp_path / "out"),
+                     *args]) == 2
+        assert capsys.readouterr().err == f"gmclab: config error: {diag}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_chaos_run_and_artifacts(self, config_file, tmp_path, capsys):
         out = str(tmp_path / "out")
         code = main(["chaos", "--config", config_file, "--out", out])
