@@ -308,12 +308,12 @@ def _interval_masses(measure, intervals: np.ndarray) -> np.ndarray:
     if isinstance(measure, LatticeMeasure):
         lat = measure.lattice
         h = lat.spacing
-        i0 = np.round((intervals[:, 0] - lat.low) / h).astype(int)
-        i1 = np.round((intervals[:, 1] - lat.low) / h).astype(int)
-        if np.max(np.abs(intervals[:, 0] - (lat.low + i0 * h))) > 1e-9:
+        ends = np.round((intervals - lat.low) / h).astype(int)
+        if np.max(np.abs(intervals - (lat.low + ends * h))) > 1e-9:
             raise AnalysisError("covering intervals do not align with cell boundaries")
         csum = np.concatenate([[0.0], np.cumsum(measure.masses)])
-        return csum[np.clip(i1, 0, lat.resolution)] - csum[np.clip(i0, 0, lat.resolution)]
+        ends = np.clip(ends, 0, lat.resolution)
+        return csum[ends[:, 1]] - csum[ends[:, 0]]
     if isinstance(measure, AtomicMeasure):
         x = measure.positions[:, 0] if measure.count else np.zeros(0)
         order = np.argsort(x)
@@ -347,11 +347,20 @@ def covering_sums(measure, set_name: str, levels, s_grid) -> CoveringSumTable:
             raise AnalysisError(f"unknown set spec {set_name!r}")
     # all levels in one call, so an atomic measure's atoms are sorted once
     mu_all = _interval_masses(measure, np.vstack(ivals))
-    sums = np.zeros((levels.size, s_grid.size))
-    for li, mu in enumerate(np.split(mu_all, np.cumsum([len(iv) for iv in ivals])[:-1])):
-        pos = mu[mu > 0]
-        for si, s in enumerate(s_grid):
-            sums[li, si] = np.sum(pos**s) if s > 0 else pos.size
+    level_of = np.repeat(np.arange(levels.size), [len(iv) for iv in ivals])
+    keep = mu_all > 0
+    pos = mu_all[keep]
+    counts = np.bincount(level_of[keep], minlength=levels.size)
+    # one scalar power pos**s per row keeps numpy's fast paths (s = 0.5 is a
+    # sqrt), and one row reduction per level keeps the pairwise order of a
+    # 1-D np.sum: every sum is bit-equal to a per-(level, s) loop.  Rows with
+    # s <= 0 stay ones, so they count the intervals of positive mass.
+    table = np.ones((s_grid.size, pos.size))
+    for si, s in enumerate(s_grid):
+        if s > 0:
+            table[si] = pos**s
+    stop = np.cumsum(counts)
+    sums = np.array([table[:, a:b].sum(axis=1) for a, b in zip(stop - counts, stop)])
     return CoveringSumTable(set_name=set_name, levels=levels, s_grid=s_grid, sums=sums)
 
 

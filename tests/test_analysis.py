@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from gmclab.analysis import (
     AnalysisError,
     _crossing,
+    _interval_masses,
     cantor_intervals,
     covering_sums,
     dimension_estimate,
@@ -19,9 +20,10 @@ from gmclab.analysis import (
     sample_omega,
     verify_laplace,
 )
-from gmclab.atomic import AtomicMeasure
-from gmclab.chaos import LatticeMeasure, xi
-from gmclab.field import Lattice
+from gmclab.atomic import AtomicMeasure, build_dual_cells
+from gmclab.chaos import LatticeMeasure, build_chaos, xi
+from gmclab.field import Lattice, LayerSampler, RngStream
+from gmclab.kernels import KernelSpec
 
 LN23 = np.log(2.0) / np.log(3.0)
 
@@ -214,6 +216,73 @@ class TestCovering:
         uniform = LatticeMeasure(lat, np.full(1000, lat.spacing))
         with pytest.raises(AnalysisError):
             covering_sums(uniform, "cantor", [3], [0.5])
+
+    def test_misaligned_right_end_rejected(self):
+        lat = Lattice(1, 8)
+        uniform = LatticeMeasure(lat, np.full(8, lat.spacing))
+        # the left end sits on a cell boundary, the right end inside a cell
+        with pytest.raises(AnalysisError):
+            _interval_masses(uniform, np.array([[0.25, 0.3]]))
+
+
+def _field(resolution, seed=11):
+    sampler = LayerSampler(KernelSpec(family="exact1d", T=1.0, d=1),
+                           Lattice(1, resolution), range(1, 10))
+    return sampler.sample_field(RngStream(seed), 0)
+
+
+def _chaos(resolution):
+    return build_chaos(_field(resolution), 1.0)
+
+
+def _dual(resolution):
+    # the duality workload's alpha = 0.5: the cell masses span several
+    # decades and every interval carries mass
+    mu = build_dual_cells(_field(resolution), 1.0, 0.5, RngStream(11).generator(0, "atoms"))
+    assert np.log10(mu.masses.max() / mu.masses.min()) > 5
+    return mu
+
+
+def _dual_wide(resolution):
+    # alpha = 0.04: the cell masses span more than 100 decades.  Each sum is
+    # its largest term to the last bit, and most intervals read 0 (see the
+    # prefix-sum note in ROADMAP), so this case checks only that regime.
+    mu = build_dual_cells(_field(resolution), 0.08, 0.04, RngStream(11).generator(0, "atoms"))
+    assert np.log10(mu.masses.max() / mu.masses.min()) > 100
+    return mu
+
+
+def _atomic(resolution):
+    # few atoms, so most fine intervals are empty
+    rng = np.random.default_rng(5)
+    return AtomicMeasure(rng.random((30, 1)), 10.0 ** rng.uniform(-14, 0, 30))
+
+
+class TestGridAtOnce:
+    """The grid-at-once covering sums equal a per-(level, s) loop bit for bit."""
+
+    @pytest.mark.parametrize("build", [_chaos, _dual, _dual_wide, _atomic])
+    @pytest.mark.parametrize("set_name, resolution", [("cantor", 729), ("interval", 512)])
+    def test_covering_sums_match_loop(self, build, set_name, resolution):
+        measure = build(resolution)
+        levels = range(1, 7)
+        # 0 takes the count branch; 0.5, 1 and 2 take numpy's scalar power paths
+        s_grid = np.array([0.0, 0.3, 0.5, 0.7, 1.0, 2.0])
+        table = covering_sums(measure, set_name, levels, s_grid)
+        empty = 0
+        for li, g in enumerate(levels):
+            edges = np.linspace(0.0, 1.0, 2**g + 1)
+            ivals = (cantor_intervals(g) if set_name == "cantor"
+                     else np.column_stack([edges[:-1], edges[1:]]))
+            mu = _interval_masses(measure, ivals)
+            empty += np.sum(mu == 0)
+            pos = mu[mu > 0]
+            ref = np.array([np.sum(pos**s) if s > 0 else pos.size for s in s_grid])
+            assert np.array_equal(table.sums[li], ref), (g, table.sums[li] - ref)
+        if build is _atomic:
+            assert empty > 0
+        if build in (_chaos, _dual):
+            assert empty == 0
 
 
 class TestKpz:
