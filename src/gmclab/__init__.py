@@ -7,7 +7,6 @@ from .atomic import (
     AtomicMeasure,
     Region,
     StableAtoms,
-    alpha_from_gamma,
     build_atomic_direct,
     build_subordinated,
     fractional_moment_identity_check,

@@ -14,9 +14,11 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from .atomic import AtomicMeasure, xi_bar
-from .chaos import LatticeMeasure, xi
+from .chaos import LatticeMeasure
 
 HILL_MIN_K = 30
+# largest relative spread of the Hill k-sweep that still counts as a plateau
+HILL_STABILITY_RTOL = 0.25
 
 
 class AnalysisError(ValueError):
@@ -27,8 +29,8 @@ class AnalysisError(ValueError):
 # regression utilities
 # ---------------------------------------------------------------------------
 
-def ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares slope, intercept and R^2 of y on x."""
+def ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope and intercept of y on x."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     xm, ym = x.mean(), y.mean()
@@ -36,11 +38,7 @@ def ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     if sxx == 0:
         raise AnalysisError("degenerate abscissa in regression")
     slope = np.sum((x - xm) * (y - ym)) / sxx
-    intercept = ym - slope * xm
-    resid = y - (intercept + slope * x)
-    syy = np.sum((y - ym) ** 2)
-    r2 = 1.0 - np.sum(resid**2) / syy if syy > 0 else 1.0
-    return float(slope), float(intercept), float(r2)
+    return float(slope), float(ym - slope * xm)
 
 
 def _bootstrap(rng: np.random.Generator, n_boot: int, stat, *sizes) -> np.ndarray:
@@ -65,11 +63,8 @@ def _percentile_ci(boot: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SpectrumFit:
-    q_grid: np.ndarray
     slopes: np.ndarray
     stderr: np.ndarray
-    lambda_grid: np.ndarray
-    r2: np.ndarray
 
 
 def estimate_spectrum(lambda_grid, mass_samples: np.ndarray, q_grid,
@@ -92,23 +87,16 @@ def estimate_spectrum(lambda_grid, mass_samples: np.ndarray, q_grid,
 
     def slopes_for(sub):
         out = np.empty(q_grid.size)
-        r2s = np.empty(q_grid.size)
         for i, q in enumerate(q_grid):
             moments = np.mean(sub**q, axis=0)
             if not np.all(np.isfinite(moments)) or np.any(moments <= 0):
                 raise AnalysisError(f"non-finite empirical moment at q={q}")
-            out[i], _, r2s[i] = ols_slope(log_lam, np.log(moments))
-        return out, r2s
+            out[i] = ols_slope(log_lam, np.log(moments))[0]
+        return out
 
-    slopes, r2 = slopes_for(samples)
-    boots = _bootstrap(rng, n_boot, lambda idx: slopes_for(samples[idx])[0], samples.shape[0])
-    return SpectrumFit(
-        q_grid=q_grid,
-        slopes=slopes,
-        stderr=boots.std(axis=0, ddof=1),
-        lambda_grid=lambda_grid,
-        r2=r2,
-    )
+    slopes = slopes_for(samples)
+    boots = _bootstrap(rng, n_boot, lambda idx: slopes_for(samples[idx]), samples.shape[0])
+    return SpectrumFit(slopes=slopes, stderr=boots.std(axis=0, ddof=1))
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +120,7 @@ def _hill_at(sorted_desc: np.ndarray, k: int) -> float:
     return float(1.0 / np.mean(logs))
 
 
-def hill_tail_index(samples, k: int, stability_rtol: float = 0.25) -> HillResult:
+def hill_tail_index(samples, k: int) -> HillResult:
     """Hill estimator of the tail index on the top-k order statistics.
 
     A k-sweep over [k/2, 2k] provides a plateau-stability diagnostic: thin
@@ -159,7 +147,7 @@ def hill_tail_index(samples, k: int, stability_rtol: float = 0.25) -> HillResult
         ci_hi=est + half,
         k=k,
         k_sweep=sweep,
-        stable=spread <= stability_rtol,
+        stable=spread <= HILL_STABILITY_RTOL,
         plateau_spread=spread,
     )
 
@@ -218,13 +206,10 @@ def verify_laplace(mbar_samples, m_samples, alpha, u_grid, n_boot: int = 400,
 
 @dataclass
 class ScalingCheckResult:
-    lam: float
-    q_grid: np.ndarray
     ratio: np.ndarray          # empirical E[Mbar(lam A)^q] / E[Mbar(A)^q]
     ratio_ci: np.ndarray       # (n_q, 2)
     theory: np.ndarray         # lam^xi_bar(q)
     pass_per_q: np.ndarray
-    quantile_stat: float       # max quantile gap of log-mass distributional check
 
 
 def sample_omega(lam: float, gamma2: float, size: int,
@@ -241,8 +226,9 @@ def sample_omega(lam: float, gamma2: float, size: int,
 def verify_perfect_scaling(small_samples, ref_samples, lam: float, gamma2: float,
                            alpha: float, d: int, q_grid, n_boot: int = 300,
                            rng: np.random.Generator | None = None) -> ScalingCheckResult:
-    """Moment-ratio and quantile checks of the exact scaling law
-    Mbar(lam A) ~ lam^(d/alpha) e^(Omega/alpha) Mbar(A)."""
+    """Moment-ratio check of the exact scaling law
+    Mbar(lam A) ~ lam^(d/alpha) e^(Omega/alpha) Mbar(A): bootstrap CIs of
+    E[Mbar(lam A)^q] / E[Mbar(A)^q] must cover lam^xi_bar(q)."""
     if not (0.0 < lam < 1.0):
         raise AnalysisError("lambda must lie in (0, 1)")
     q_grid = np.asarray(q_grid, dtype=float)
@@ -261,18 +247,7 @@ def verify_perfect_scaling(small_samples, ref_samples, lam: float, gamma2: float
     ci = _percentile_ci(_bootstrap(rng, n_boot, lambda i, j: ratios(small[i], ref[j]),
                                    small.size, ref.size))
     ok = (ci[:, 0] <= theory) & (theory <= ci[:, 1])
-
-    # distributional check: log Mbar(lam A) vs log(lam^(d/alpha) e^(Omega/alpha) Mbar(A))
-    # truncation can leave an atomic box empty; compare positive masses only
-    small_pos = small[small > 0]
-    ref_pos = ref[ref > 0]
-    omega = sample_omega(lam, gamma2, ref_pos.size, rng)
-    rescaled = (d / alpha) * np.log(lam) + omega / alpha + np.log(ref_pos)
-    qs = np.linspace(0.05, 0.95, 19)
-    gap = float(np.max(np.abs(np.quantile(np.log(small_pos), qs) - np.quantile(rescaled, qs)))) \
-        if small_pos.size and ref_pos.size else float("nan")
-    return ScalingCheckResult(lam=lam, q_grid=q_grid, ratio=point, ratio_ci=ci,
-                              theory=theory, pass_per_q=ok, quantile_stat=gap)
+    return ScalingCheckResult(ratio=point, ratio_ci=ci, theory=theory, pass_per_q=ok)
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +256,7 @@ def verify_perfect_scaling(small_samples, ref_samples, lam: float, gamma2: float
 
 @dataclass
 class CoveringSumTable:
-    set_name: str
     levels: np.ndarray
-    s_grid: np.ndarray
     sums: np.ndarray   # (n_levels, n_s)
 
 
@@ -304,28 +277,30 @@ def cantor_intervals(generation: int) -> np.ndarray:
 
 
 def _interval_masses(measure, intervals: np.ndarray) -> np.ndarray:
-    """Half-open [a, b) interval masses of a lattice or atomic measure (d=1)."""
+    """Half-open [a, b) interval masses of a lattice or atomic measure (d=1).
+
+    Masses span many decades, so each interval is summed directly: a
+    difference of prefix sums would lose the small intervals after a heavy one.
+    """
     if isinstance(measure, LatticeMeasure):
         lat = measure.lattice
-        h = lat.spacing
-        ends = np.round((intervals - lat.low) / h).astype(int)
-        if np.max(np.abs(intervals - (lat.low + ends * h))) > 1e-9:
+        ends = np.round(intervals / lat.spacing).astype(int)
+        if np.max(np.abs(intervals - ends * lat.spacing)) > 1e-9:
             raise AnalysisError("covering intervals do not align with cell boundaries")
-        csum = np.concatenate([[0.0], np.cumsum(measure.masses)])
-        ends = np.clip(ends, 0, lat.resolution)
-        return csum[ends[:, 1]] - csum[ends[:, 0]]
-    if isinstance(measure, AtomicMeasure):
+        masses = measure.masses
+        lo, hi = np.clip(ends, 0, lat.resolution).T
+    elif isinstance(measure, AtomicMeasure):
         x = measure.positions[:, 0] if measure.count else np.zeros(0)
         order = np.argsort(x)
+        masses = measure.masses[order]
         # [a, b) holds the sorted atoms lo..hi-1
         lo = np.searchsorted(x[order], intervals[:, 0], side="left")
         hi = np.searchsorted(x[order], intervals[:, 1], side="left")
-        # masses span many decades, so each interval is summed directly, not as a
-        # difference of prefix sums; the trailing zero keeps index hi = count valid
-        masses = np.append(measure.masses[order], 0.0)
-        sums = np.add.reduceat(masses, np.column_stack([lo, hi]).ravel())[::2]
-        return np.where(hi > lo, sums, 0.0)
-    raise AnalysisError("unsupported measure type")
+    else:
+        raise AnalysisError("unsupported measure type")
+    # the trailing zero keeps index hi = len(masses) valid
+    sums = np.add.reduceat(np.append(masses, 0.0), np.column_stack([lo, hi]).ravel())[::2]
+    return np.where(hi > lo, sums, 0.0)
 
 
 def covering_sums(measure, set_name: str, levels, s_grid) -> CoveringSumTable:
@@ -361,7 +336,7 @@ def covering_sums(measure, set_name: str, levels, s_grid) -> CoveringSumTable:
             table[si] = pos**s
     stop = np.cumsum(counts)
     sums = np.array([table[:, a:b].sum(axis=1) for a, b in zip(stop - counts, stop)])
-    return CoveringSumTable(set_name=set_name, levels=levels, s_grid=s_grid, sums=sums)
+    return CoveringSumTable(levels=levels, sums=sums)
 
 
 @dataclass
@@ -369,7 +344,6 @@ class DimensionEstimate:
     estimate: float
     ci_lo: float
     ci_hi: float
-    s_grid: np.ndarray
     slopes: np.ndarray
 
 
@@ -421,46 +395,38 @@ def dimension_estimate(levels, s_grid, sums: np.ndarray, n_boot: int = 200,
             rng, n_boot, lambda idx: _crossing(s_grid, slopes_of(log_sums[idx])), n_rep))
     else:
         lo = hi = est
-    return DimensionEstimate(estimate=est, ci_lo=float(lo), ci_hi=float(hi),
-                             s_grid=s_grid, slopes=slopes)
+    return DimensionEstimate(estimate=est, ci_lo=float(lo), ci_hi=float(hi), slopes=slopes)
 
 
 # ---------------------------------------------------------------------------
 # KPZ solvers
 # ---------------------------------------------------------------------------
 
-def kpz_solve(dim_leb: float, gamma2: float, d: int) -> float:
-    """Unique x in [0,1] with xi(x)/d = dim_leb (quadratic, bisection guard)."""
+def _kpz_root(dim_leb: float, a: float, b: float, d: int, top: float) -> float:
+    """Root in [0, top] of b q - a q^2 = d dim_leb, as the cancellation-free
+    2c / (b + sqrt(b^2 - 4ac)) with c = d dim_leb: the textbook form
+    (b - sqrt(b^2 - 4ac)) / 2a loses its digits when a c is small."""
     if not (0.0 <= dim_leb <= 1.0):
         raise AnalysisError("dim_leb must lie in [0, 1]")
+    c = d * dim_leb
+    return float(min(2.0 * c / (b + np.sqrt(max(b * b - 4.0 * a * c, 0.0))), top))
+
+
+def kpz_solve(dim_leb: float, gamma2: float, d: int) -> float:
+    """Unique x in [0,1] with xi(x)/d = dim_leb."""
     if not (0.0 <= gamma2 < 2 * d):
         raise AnalysisError("gamma2 must lie in [0, 2d)")
-    if gamma2 == 0.0:
-        return float(dim_leb)
-    a = gamma2 / 2.0
-    b = d + gamma2 / 2.0
-    disc = b * b - 4.0 * a * d * dim_leb
-    root = (b - np.sqrt(max(disc, 0.0))) / (2.0 * a)
-    if not (0.0 <= root <= 1.0):
-        # bisection fallback; xi is strictly increasing on [0,1] for gamma2 < 2d
-        lo, hi = 0.0, 1.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if xi(gamma2, d, mid) / d < dim_leb:
-                lo = mid
-            else:
-                hi = mid
-        root = 0.5 * (lo + hi)
-    return float(min(max(root, 0.0), 1.0))
+    return _kpz_root(dim_leb, gamma2 / 2.0, d + gamma2 / 2.0, d, 1.0)
 
 
 def kpz_solve_dual(dim_leb: float, gamma2: float, d: int) -> float:
-    """Unique root of xi_bar(x)/d = dim_leb in [0, alpha]; equals
-    alpha * kpz_solve(dim_leb) by the algebraic identity xi_bar(q) = xi(q/alpha)."""
+    """Unique root of xi_bar(x)/d = dim_leb in [0, alpha], solved on xi_bar's
+    own coefficients; xi_bar(q) = xi(q/alpha) makes it alpha * kpz_solve(dim_leb)."""
     alpha = gamma2 / (2.0 * d)
     if not (0.0 < alpha < 1.0):
         raise AnalysisError("duality mode requires 0 < gamma2 < 2d")
-    return alpha * kpz_solve(dim_leb, gamma2, d)
+    return _kpz_root(dim_leb, gamma2 / (2 * alpha**2), d / alpha + gamma2 / (2 * alpha),
+                     d, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -469,11 +435,9 @@ def kpz_solve_dual(dim_leb: float, gamma2: float, d: int) -> float:
 
 @dataclass
 class LqSpectrumResult:
-    q_grid: np.ndarray
     tau_hat: np.ndarray
     stderr: np.ndarray
     conjecture: np.ndarray | None
-    label: str = "CONJECTURE-COMPARISON"
 
 
 def _dyadic_box_masses(measure: LatticeMeasure, depth: int) -> np.ndarray:
@@ -490,37 +454,22 @@ def _dyadic_box_masses(measure: LatticeMeasure, depth: int) -> np.ndarray:
 
 def lq_conjecture(q_grid, gamma2: float, alpha: float, d: int) -> np.ndarray:
     """Conjectured tau(q): xi_bar(q) - d on [q_-, alpha], 0 above alpha, and
-    linear with slope xi_bar'(q_-) below q_-."""
+    linear with slope xi_bar'(q_-) below q_-.
+
+    q_- is the negative root of the Legendre identity q xi_bar'(q) - xi_bar(q)
+    = -d.  With xi_bar(q) = b q - a q^2 the left side is -a q^2, so
+    q_- = -sqrt(d/a), and there is no root (q_- = -inf) when a = 0.
+    """
     q_grid = np.asarray(q_grid, dtype=float)
     a2 = gamma2 / (2 * alpha**2)
-    b2 = d / alpha + gamma2 / (2 * alpha)
-
-    def xb(q):
-        return b2 * q - a2 * q * q
-
-    def xb_prime(q):
-        return b2 - 2 * a2 * q
-
-    # q_-: unique negative solution of the Legendre identity
-    # xb*(xb'(q)) = q xb'(q) - xb(q) = -d, solved numerically for robustness
-    from scipy.optimize import brentq
-
-    def f(q):
-        return (q * xb_prime(q) - xb(q)) + d
-
-    try:
-        q_minus = brentq(f, -1e6, -1e-12)
-    except ValueError:
-        q_minus = None
-    out = np.empty(q_grid.size)
-    for i, q in enumerate(q_grid):
-        if q >= alpha:
-            out[i] = 0.0
-        elif q_minus is None or q >= q_minus:
-            out[i] = xb(q) - d
-        else:
-            out[i] = xb_prime(q_minus) * q
-    return out
+    q_minus = -np.sqrt(d / a2) if a2 > 0 else -np.inf
+    tau = xi_bar(gamma2, alpha, d, q_grid) - d
+    below = q_grid < q_minus
+    if below.any():
+        # xi_bar'(q_-) = b - 2 a q_-
+        tau[below] = (d / alpha + gamma2 / (2 * alpha) - 2 * a2 * q_minus) * q_grid[below]
+    tau[q_grid >= alpha] = 0.0
+    return tau
 
 
 def lq_spectrum(measure: LatticeMeasure, q_grid, depths, gamma2: float | None = None,
@@ -542,10 +491,10 @@ def lq_spectrum(measure: LatticeMeasure, q_grid, depths, gamma2: float | None = 
         for mu in per_depth:
             pos = mu[mu > 0]
             logs.append(np.log(np.sum(pos**q)) if q != 0 else np.log(pos.size))
-        slope, intercept, _ = ols_slope(log_r, np.array(logs))
+        slope, intercept = ols_slope(log_r, np.array(logs))
         tau[i] = slope
         err[i] = float(np.std(np.array(logs) - (intercept + slope * log_r)))
     conj = None
     if gamma2 is not None and alpha is not None:
         conj = lq_conjecture(q_grid, gamma2, alpha, d)
-    return LqSpectrumResult(q_grid=q_grid, tau_hat=tau, stderr=err, conjecture=conj)
+    return LqSpectrumResult(tau_hat=tau, stderr=err, conjecture=conj)

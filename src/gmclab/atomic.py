@@ -96,15 +96,6 @@ class AtomicMeasure:
         return float(self.masses[inside].sum())
 
 
-def alpha_from_gamma(gamma2: float, d: int) -> tuple[float, float]:
-    """Duality mode: alpha = gamma^2/(2d) and the dual coupling gamma/alpha."""
-    if not (0.0 < gamma2 < 2 * d):
-        raise AtomicError(f"duality requires 0 < gamma2 < {2*d}, got {gamma2}")
-    alpha = gamma2 / (2.0 * d)
-    gamma_bar = np.sqrt(gamma2) / alpha
-    return alpha, gamma_bar
-
-
 def xi_bar(gamma2: float, alpha: float, d: int, q) -> float | np.ndarray:
     """Dual spectrum (d/alpha + g2/(2 alpha)) q - (g2/(2 alpha^2)) q^2.
 
@@ -176,7 +167,7 @@ def build_atomic_direct(field: FieldGrid, gamma2: float, alpha: float,
     lat = field.lattice
     lo = np.atleast_1d(np.asarray(atoms.region.low))
     hi = np.atleast_1d(np.asarray(atoms.region.high))
-    if np.any(lo < lat.low - 1e-12) or np.any(hi > lat.high + 1e-12):
+    if np.any(lo < -1e-12) or np.any(hi > 1.0 + 1e-12):
         raise AtomicError("atom region extends outside the field lattice")
     idx = lat.cell_index(atoms.positions) if atoms.count else np.zeros(0, dtype=np.int64)
     masses = atoms.sizes * _dual_weights(field, gamma2, alpha)[idx]
@@ -235,13 +226,12 @@ def build_subordinated(m: LatticeMeasure, alpha: float, z_min: float,
     cell_ids = np.repeat(np.arange(lat.n_sites), counts)
     h = lat.spacing
     if lat.d == 1:
-        base = lat.low + cell_ids * h
-        positions = (base + h * rng.random(total))[:, None]
+        positions = (cell_ids * h + h * rng.random(total))[:, None]
     else:
         ix, iy = cell_ids // lat.resolution, cell_ids % lat.resolution
         positions = np.column_stack([
-            lat.low + ix * h + h * rng.random(total),
-            lat.low + iy * h + h * rng.random(total),
+            ix * h + h * rng.random(total),
+            iy * h + h * rng.random(total),
         ])
     sizes = _pareto(rng, alpha, z_min, total)
     return AtomicMeasure(positions=positions, masses=sizes)

@@ -66,8 +66,8 @@ def build_chaos(field: FieldGrid, gamma2: float) -> LatticeMeasure:
 def _snap_interval(lattice: Lattice, lo: float, hi: float) -> tuple[int, int]:
     """Snap [lo, hi] to cell boundaries: half-open cell range [i0, i1)."""
     h = lattice.spacing
-    i0 = int(np.floor((lo - lattice.low) / h + 0.5))
-    i1 = int(np.floor((hi - lattice.low) / h + 0.5))
+    i0 = int(np.floor(lo / h + 0.5))
+    i1 = int(np.floor(hi / h + 0.5))
     i0 = max(i0, 0)
     i1 = min(i1, lattice.resolution)
     return i0, i1

@@ -151,6 +151,7 @@ def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> lis
         diags.append("resolution must be >= 2")
     if cfg.replicas < 1:
         diags.append("replicas must be >= 1")
+    alpha = None
     if cfg.alpha_mode not in ("duality", "explicit"):
         diags.append(f"alpha.mode must be duality or explicit, got {cfg.alpha_mode!r}")
     else:
@@ -158,7 +159,6 @@ def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> lis
             alpha = cfg.alpha()
         except ConfigError as exc:
             diags.append(str(exc))
-            alpha = None
         if alpha is not None and not (0.0 < alpha < 1.0):
             diags.append(f"alpha out of (0,1): {alpha} "
                          f"(gamma2={cfg.gamma2}, d={cfg.dimension})")
@@ -171,15 +171,8 @@ def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> lis
         diags.append(
             f"q grid exceeds the chaos moment range q < 2d/gamma2 = {q_max_m:g}"
         )
-    if experiment in ("scaling", "tail", "laplace"):
-        try:
-            alpha = cfg.alpha()
-            if experiment == "scaling" and any(q >= alpha for q in cfg.q_grid):
-                diags.append(
-                    f"q grid exceeds the atomic moment threshold q < alpha = {alpha:g}"
-                )
-        except ConfigError:
-            pass
+    if experiment == "scaling" and alpha is not None and any(q >= alpha for q in cfg.q_grid):
+        diags.append(f"q grid exceeds the atomic moment threshold q < alpha = {alpha:g}")
     if experiment in ("kpz", "duality"):
         if cfg.cantor_depth < 3:
             diags.append("cantor.depth must be >= 3: the dimension fit needs three levels")

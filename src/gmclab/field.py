@@ -63,30 +63,25 @@ class RngStream:
 
 @dataclass(frozen=True)
 class Lattice:
-    """Regular grid of cell centers over an axis-aligned box (default unit box)."""
+    """Regular grid of cell centers over the unit box [0, 1]^d."""
 
     d: int
     resolution: int
-    low: float = 0.0
-    high: float = 1.0
 
     def __post_init__(self):
         if self.resolution < 2:
             raise FieldError("resolution must be >= 2")
-        if not self.high > self.low:
-            raise FieldError("box must have positive side")
 
     @property
     def spacing(self) -> float:
-        return (self.high - self.low) / self.resolution
+        return 1.0 / self.resolution
 
     @property
     def n_sites(self) -> int:
         return self.resolution**self.d
 
     def axis_centers(self) -> np.ndarray:
-        h = self.spacing
-        return self.low + h * (np.arange(self.resolution) + 0.5)
+        return self.spacing * (np.arange(self.resolution) + 0.5)
 
     def centers(self) -> np.ndarray:
         """Site centers, shape (n_sites, d) in row-major site order."""
@@ -97,9 +92,9 @@ class Lattice:
         return np.column_stack([gx.ravel(), gy.ravel()])
 
     def cell_index(self, points: np.ndarray) -> np.ndarray:
-        """Nearest-cell flat index for points inside the box."""
+        """Nearest-cell flat index for points inside the unit box."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        idx = np.floor((pts - self.low) / self.spacing).astype(np.int64)
+        idx = np.floor(pts / self.spacing).astype(np.int64)
         idx = np.clip(idx, 0, self.resolution - 1)
         if self.d == 1:
             return idx[:, 0]
@@ -115,7 +110,6 @@ class FieldGrid:
     """
 
     lattice: Lattice
-    level: int
     values: np.ndarray
     variance0: float | np.ndarray
 
@@ -203,7 +197,7 @@ def _prepare_sine(levels: Sequence[int], lattice: Lattice) -> tuple[np.ndarray, 
     and W the folded spectrum; dstn type 3 computes 2 S on every mode but the
     last, so the weights carry a factor 1/2 there.
     """
-    if lattice.d != 2 or lattice.low != 0.0 or lattice.high != 1.0:
+    if lattice.d != 2:
         raise FieldError("gff-square is sampled on the unit square")
     n = lattice.resolution
     w = gff_spectral_weights(levels, n)
@@ -240,7 +234,6 @@ class LayerSampler:
         """One replica of X^n, drawn at once on the substream (field, replica, 0)."""
         return FieldGrid(
             lattice=self.lattice,
-            level=max(self.levels),
             values=self._draw(stream.generator(replica, "field")),
             variance0=self.variance0,
         )

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy.special import exp1
 
 FAMILIES = ("exact1d", "exact2d", "star", "gff-square")
@@ -40,14 +39,14 @@ class KernelSpec:
     family: one of 'exact1d', 'exact2d', 'star', 'gff-square'
     T: correlation length (support radius of the exact families)
     d: ambient dimension, must match the family
-    star_seed: optional seed kernel k(r) for the star family; defaults to
-        exp(-r^2), which is positive definite in every dimension.
+
+    The star family integrates the seed kernel exp(-r^2), which is positive
+    definite in every dimension.
     """
 
     family: str
     T: float = 1.0
     d: int = 1
-    star_seed: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -119,24 +118,9 @@ def _star_slice_gaussian(r: np.ndarray, a: float, b: float) -> np.ndarray:
     return out
 
 
-def _star_slice_quad(seed, r: np.ndarray, a: float, b: float) -> np.ndarray:
-    flat = np.atleast_1d(np.asarray(r, dtype=float)).ravel()
-    vals = np.empty_like(flat)
-    for i, ri in enumerate(flat):
-        val, err = integrate.quad(lambda u: seed(ri * u) / u, a, b, epsrel=1e-8, limit=200)
-        if not np.isfinite(val) or (abs(val) > 1e-14 and err > 1e-6 * abs(val) + 1e-12):
-            raise KernelError(f"star quadrature failed at r={ri}: value {val}, err {err}")
-        vals[i] = val
-    return vals.reshape(np.shape(r)) if np.ndim(r) else vals[0]
-
-
 def _star_level(spec: KernelSpec, n: int, r: np.ndarray) -> np.ndarray:
     # level n integrates the seed over u in [2^n, 2^(n+1)]; distances scale by 1/T
-    a, b = 2.0**n, 2.0 ** (n + 1)
-    rs = np.asarray(r, dtype=float) / spec.T
-    if spec.star_seed is None:
-        return _star_slice_gaussian(rs, a, b)
-    return _star_slice_quad(spec.star_seed, rs, a, b)
+    return _star_slice_gaussian(np.asarray(r, dtype=float) / spec.T, 2.0**n, 2.0 ** (n + 1))
 
 
 # ---------------------------------------------------------------------------

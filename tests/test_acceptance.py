@@ -272,7 +272,7 @@ def test_criterion_09_structural_self_tests(tmp_path):
     notes.append(f"fractional-moment residual {resid:.1e}")
     # regression self-test
     x = np.arange(12.0)
-    slope, intercept, _ = analysis.ols_slope(x, -1.75 * x + 0.5)
+    slope, intercept = analysis.ols_slope(x, -1.75 * x + 0.5)
     ok &= abs(slope + 1.75) < 1e-9 and abs(intercept - 0.5) < 1e-9
     notes.append("regression 1e-9")
     # byte-identical reruns of a full pipeline

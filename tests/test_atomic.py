@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from gmclab.atomic import (
     AtomicError,
     Region,
-    alpha_from_gamma,
     auto_z_min,
     build_atomic_direct,
     build_dual_cells,
@@ -32,21 +31,11 @@ def make_field(level=4, res=64, seed=1, replica=0):
 
 
 class TestDuality:
-    @pytest.mark.parametrize("gamma2,d,alpha", [
-        (1.0, 1, 0.5),
-        (0.5, 1, 0.25),
-        (1.0, 2, 0.25),
-        (3.6, 2, 0.9),
-    ])
-    def test_alpha_from_gamma(self, gamma2, d, alpha):
-        a, gbar = alpha_from_gamma(gamma2, d)
-        assert a == pytest.approx(alpha)
-        # the pairing gamma * gamma_bar = 2d
-        assert np.sqrt(gamma2) * gbar == pytest.approx(2 * d)
-
     def test_out_of_range(self):
+        # duality mode needs gamma2 < 2d: at gamma2 = 2d, alpha = gamma2/(2d) = 1
+        gamma2, d = 2.0, 1
         with pytest.raises(AtomicError):
-            alpha_from_gamma(2.0, 1)
+            xi_bar(gamma2, gamma2 / (2 * d), d, 0.5)
 
     @given(st.floats(0.05, 0.45))
     @settings(max_examples=30, deadline=None)

@@ -75,11 +75,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text(text)
 
-    def test_alpha_modes(self):
-        cfg = parse_config_text("gamma2 = 1.0\n")
-        assert cfg.alpha() == pytest.approx(0.5)
-        cfg = parse_config_text("alpha.mode = explicit\nalpha.value = 0.3\n")
-        assert cfg.alpha() == pytest.approx(0.3)
+    @pytest.mark.parametrize("text,alpha", [
+        # duality mode: alpha = gamma2 / (2d)
+        ("gamma2 = 1.0\n", 0.5),
+        ("gamma2 = 0.5\n", 0.25),
+        ("gamma2 = 1.0\ndimension = 2\n", 0.25),
+        ("gamma2 = 3.6\ndimension = 2\n", 0.9),
+        ("alpha.mode = explicit\nalpha.value = 0.3\n", 0.3),
+    ], ids=["1.0-1-0.5", "0.5-1-0.25", "1.0-2-0.25", "3.6-2-0.9", "explicit"])
+    def test_alpha_modes(self, text, alpha):
+        assert parse_config_text(text).alpha() == pytest.approx(alpha)
 
     def test_validate_flags_bad_alpha(self):
         cfg = parse_config_text("gamma2 = 2.5\n")

@@ -99,7 +99,6 @@ class TestLayerSampler:
         sampler = LayerSampler(spec, lat, range(1, level + 1))
         stream = RngStream(31)
         draws = np.array([sampler.sample_field(stream, r).values for r in range(4000)])
-        assert sampler.sample_field(stream, 0).level == level
         pts = lat.centers()
         for lag in lags:
             j = int(np.ravel_multi_index(lag, (res,) * spec.d))

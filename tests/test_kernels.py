@@ -81,14 +81,6 @@ class TestStarKernel:
                 ref, _ = integrate.quad(lambda u: np.exp(-((r * u) ** 2)) / u, a, b)
                 assert level_increment_radial(spec, n, r) == pytest.approx(ref, abs=1e-10)
 
-    def test_custom_seed_quadrature_path(self):
-        spec = KernelSpec(family="star", T=1.0, d=1,
-                          star_seed=lambda r: 1.0 / (1.0 + r**2))
-        a, b = 2.0, 4.0
-        r = 0.3
-        ref, _ = integrate.quad(lambda u: 1.0 / (1.0 + (r * u) ** 2) / u, a, b)
-        assert level_increment_radial(spec, 1, r) == pytest.approx(ref, rel=1e-7)
-
 
 class TestGFFSquare:
     def test_center_head_value(self):

@@ -64,3 +64,47 @@ def test_instrument_patches_and_close_restores(tracer_module, tmp_path):
         assert "n_boot" in inspect.signature(getattr(analysis, name)).parameters, name
     assert "sums" in inspect.signature(analysis.dimension_estimate).parameters
 
+
+# runs the chaos run above does not reach: the counters read covering_sums'
+# levels, dimension_estimate's sums, sample_stable_atoms' region, alpha and
+# z_min, the subordinated measure's count and each bootstrap's n_boot
+TRACED_RUNS = {
+    "duality": ("gamma2 = 1.0\nlevel = 3\nresolution = 27\ncantor.depth = 3\nz_min = 1e-6\n"
+                "replicas = 4\nseed = 3\ns.grid = 0.3,0.4,0.5,0.6,0.7,0.8\n", {
+                    # 2 + 4 + 8 Cantor intervals per measure, M and its dual
+                    "analysis.covering_intervals": 14 * 2 * 4,
+                    # two dimension estimates over four replicas
+                    "analysis.bootstrap_resamples": 2 * 200,
+                    "field.layer_draws": 2 * 4 * 3,
+                    "pipelines.replicas": 4,
+                }),
+    "laplace": ("gamma2 = 1.0\nlevel = 3\nresolution = 32\nz_min = 1e-4\nreplicas = 20\n"
+                "seed = 3\nu.grid = 0.5,1\n", {
+                    # two comparisons, each resampling both sides 400 times
+                    "analysis.bootstrap_resamples": 2 * 2 * 400,
+                    "field.layer_draws": 3 * 20 * 3,
+                    # field substreams of three ensembles, plus atoms and subordinated
+                    "field.rng_streams": 5 * 20,
+                    "pipelines.replicas": 20,
+                }),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(TRACED_RUNS))
+def test_traced_run_feeds_counters(tracer_module, tmp_path, experiment):
+    text, expected = TRACED_RUNS[experiment]
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    tracer = tracer_module.Tracer()
+    try:
+        tracer_module.instrument(tracer)
+        assert cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")]) in (0, 1)
+    finally:
+        tracer.close()
+    metrics = tracer_module.run_metrics(tracer.spans)
+    assert {name: metrics[name] for name in expected} == expected
+    if experiment == "laplace":
+        # about 200 atoms per replica at z_min = 1e-4, alpha = 1/2
+        assert abs(metrics["atomic.atom_count_ratio"] - 1.0) < 0.1
+        assert metrics["atomic.subordinated_atoms"] > 0
+
