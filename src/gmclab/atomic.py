@@ -171,7 +171,8 @@ def build_atomic_direct(field: FieldGrid, gamma2: float, alpha: float,
         raise AtomicError("atom region extends outside the field lattice")
     idx = lat.cell_index(atoms.positions) if atoms.count else np.zeros(0, dtype=np.int64)
     masses = atoms.sizes * _dual_weights(field, gamma2, alpha)[idx]
-    return AtomicMeasure(positions=np.array(atoms.positions), masses=masses)
+    # shares the cloud's positions array; no caller writes to either
+    return AtomicMeasure(positions=atoms.positions, masses=masses)
 
 
 def sample_positive_stable(alpha: float, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -86,7 +86,7 @@ def write_outputs(result: PipelineResult, cfg: ExperimentConfig,
         "passed": result.passed,
         "config": config_to_dict(cfg),
         "seed_scheme": {
-            "bit_generator": "Philox",
+            "bit_generator": {purpose: bg.__name__ for purpose, (_, bg) in PURPOSES.items()},
             "spawn_key": "(purpose, replica, 0)",
             "field": "one substream per replica, (field, replica, 0), for the whole field X^n",
             "purposes": list(PURPOSES),

@@ -433,7 +433,7 @@ def run_duality(cfg: ExperimentConfig) -> PipelineResult:
                                           rng=np.random.default_rng(cfg.seed + 1))
     grid = np.linspace(0.0, 1.0, 100)
     alg_err = max(
-        abs(analysis.kpz_solve_dual(x, cfg.gamma2, cfg.dimension)
+        abs(analysis.kpz_solve_dual(x, cfg.gamma2, cfg.dimension, alpha)
             - alpha * analysis.kpz_solve(x, cfg.gamma2, cfg.dimension))
         for x in grid
     )

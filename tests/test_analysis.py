@@ -326,6 +326,14 @@ class TestKpz:
         assert kpz_solve_dual(dim_leb, g2, 1) == pytest.approx(
             alpha * kpz_solve(dim_leb, g2, 1), abs=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.95])
+    def test_dual_at_explicit_alpha(self, alpha):
+        # xi_bar at an explicit alpha, not the duality value g2/2d = 0.5
+        for dim_leb in np.linspace(0.0, 1.0, 101):
+            root = kpz_solve_dual(dim_leb, 1.0, 1, alpha)
+            assert abs(root - alpha * kpz_solve(dim_leb, 1.0, 1)) < 1e-12
+            assert abs(xi_bar(1.0, alpha, 1, root) - dim_leb) < 1e-12
+
     def test_gamma_zero_is_identity(self):
         assert kpz_solve(0.37, 0.0, 1) == pytest.approx(0.37)
 

@@ -118,6 +118,17 @@ class TestPositiveStable:
             se = t.std(ddof=1) / np.sqrt(t.size)
             assert abs(t.mean() - np.exp(-u**alpha)) < 4 * se, u
 
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    def test_laplace_transform_on_atoms_streams(self, alpha):
+        # as build_dual_cells draws: one cell's worth per replica substream
+        stream = RngStream(19)
+        s = np.concatenate([sample_positive_stable(alpha, 1000, stream.generator(r, "atoms"))
+                            for r in range(100)])
+        for u in (0.5, 2.0, 8.0, 32.0):
+            t = np.exp(-u * s)
+            se = t.std(ddof=1) / np.sqrt(t.size)
+            assert abs(t.mean() - np.exp(-u**alpha)) < 4 * se, u
+
     @pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.75, 0.95])
     @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53], ids=["u0", "u1"])
     def test_edge_draws_finite_and_positive(self, alpha, u):

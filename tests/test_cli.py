@@ -10,6 +10,7 @@ from gmclab.config import (
     parse_config_text,
     validate_config,
 )
+from gmclab.field import PURPOSES, RngStream
 
 BASE_CONFIG = """
 # smoke configuration
@@ -160,6 +161,26 @@ class TestCliRuns:
         assert "masses.csv" in manifest["artifacts"]
         header = (tmp_path / "out" / "masses.csv").read_text().splitlines()[0]
         assert header == "replica,box_id,lambda,mass"
+
+    def test_manifest_seed_scheme_names_each_bit_generator(self, config_file, tmp_path):
+        main(["chaos", "--config", config_file, "--out", str(tmp_path / "out")])
+        scheme = json.loads((tmp_path / "out" / "manifest.json").read_text())["seed_scheme"]
+        assert scheme["bit_generator"] == {
+            purpose: type(RngStream(0).generator(0, purpose).bit_generator).__name__
+            for purpose in PURPOSES}
+        assert scheme["purposes"] == list(PURPOSES)
+
+    def test_duality_at_explicit_alpha(self, tmp_path):
+        # the algebraic-identity gate solves xi_bar at the config's alpha, not
+        # at the duality value gamma2/2d (it read 0.2 at alpha = 0.3 before)
+        path = tmp_path / "cfg.txt"
+        path.write_text(RERUN_CONFIGS["duality"]
+                        + "alpha.mode = explicit\nalpha.value = 0.3\n")
+        out = tmp_path / "out"
+        assert main(["duality", "--config", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        assert summary["alpha"] == 0.3
+        assert summary["algebraic_identity_max_err"] <= 1e-12
 
     @pytest.mark.parametrize("experiment", sorted(RERUN_CONFIGS))
     def test_rerun_is_byte_identical(self, experiment, tmp_path):

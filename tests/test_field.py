@@ -7,6 +7,7 @@ from gmclab.field import (
     FieldError,
     Lattice,
     LayerSampler,
+    PURPOSES,
     RngStream,
     field_variance0,
     prepare_circulant,
@@ -62,6 +63,19 @@ class TestRngStream:
         a = s.generator(3, "atoms").standard_normal(8)
         b = RngStream(7).generator(3, "atoms").standard_normal(8)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("purpose,code,bit_generator", [
+        ("field", 0, np.random.Philox),
+        ("atoms", 1, np.random.SFC64),
+        ("subordinated", 2, np.random.SFC64),
+    ])
+    def test_bit_generator_per_purpose(self, purpose, code, bit_generator):
+        # the field stays on Philox, the atom clouds draw on SFC64; every
+        # substream is keyed SeedSequence(master, spawn_key=(code, replica, 0))
+        assert PURPOSES[purpose] == (code, bit_generator)
+        ss = np.random.SeedSequence(entropy=7, spawn_key=(code, 3, 0))
+        expected = np.random.Generator(bit_generator(ss)).random(8)
+        np.testing.assert_array_equal(RngStream(7).generator(3, purpose).random(8), expected)
 
 
 class TestCirculant:
