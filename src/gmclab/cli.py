@@ -20,7 +20,7 @@ from dataclasses import replace
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, config_to_dict, load_config, validate_config
-from .field import PURPOSES
+from .field import FIELD_BLOCK, PURPOSES
 from .pipelines import PIPELINES, PipelineResult
 
 EXIT_PASS = 0
@@ -86,9 +86,13 @@ def write_outputs(result: PipelineResult, cfg: ExperimentConfig,
         "passed": result.passed,
         "config": config_to_dict(cfg),
         "seed_scheme": {
-            "bit_generator": {purpose: bg.__name__ for purpose, (_, bg) in PURPOSES.items()},
-            "spawn_key": "(purpose, replica, 0)",
-            "field": "one substream per replica, (field, replica, 0), for the whole field X^n",
+            "bit_generator": {purpose: bg.__name__ for purpose, (_, bg, _) in PURPOSES.items()},
+            "block": {purpose: block for purpose, (_, _, block) in PURPOSES.items()},
+            "spawn_key": "(purpose, replica // block, 0)",
+            "field": (f"one substream per block of {FIELD_BLOCK} replicas, "
+                      f"(field, replica // {FIELD_BLOCK}, 0), drawn in replica order; "
+                      "circulant draw k of a block gives replica 2k its real part "
+                      "and replica 2k + 1 its imaginary part; sine draw k is replica k"),
             "purposes": list(PURPOSES),
         },
         "wall_clock_seconds": elapsed,

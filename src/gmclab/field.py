@@ -4,10 +4,13 @@ The field X^n = Y^1 + ... + Y^n is a sum of independent Gaussian layers, so it
 is one Gaussian with the summed covariance k_n = q_1 + ... + q_n.  It is drawn
 in one step, with one path per kernel kind: circulant embedding with FFTs for
 the stationary families, and the folded Dirichlet sine spectrum with one
-type-III DST for gff-square.  Each replica draws from its own RNG substream
-(field, replica, 0), derived from a single master seed, so every draw is
-reproducible bit for bit.  The dense factorization `_dense_factor` is kept as
-the reference that tests compare the samplers against.
+type-III DST for gff-square.  Replicas come in blocks of FIELD_BLOCK: block
+b draws its replicas in order from one RNG substream (field, b, 0), derived
+from a single master seed, with one batched transform per chunk of them.  A
+circulant FFT gives two replicas, its real and its imaginary part.  Replica
+r's field depends only on (seed, r), so every draw is reproducible bit for
+bit.  The dense factorization `_dense_factor` is kept as the reference that
+tests compare the samplers against.
 """
 
 from __future__ import annotations
@@ -31,14 +34,23 @@ DENSE_SITE_LIMIT = 4096
 CLIP_MASS_TOL = 1e-6
 DENSE_JITTER = 1e-12
 
-# RNG substream purposes: a stable code for the spawn key and a bit generator.
-# The field keeps Philox, so every chaos-side draw stays as it was; the atom
-# clouds draw up to ~2e4 uniforms per replica, which SFC64 makes about three
-# times faster.
+# replicas per field substream; a multiple of 2, since a circulant draw
+# gives two replicas
+FIELD_BLOCK = 64
+# byte budget of one batched transform's transient arrays
+CHUNK_BYTES = 32 * 2**20
+# streams whose current chunk a sampler keeps, so that loops alternating a
+# few streams do not redraw their blocks
+STREAMS_KEPT = 4
+
+# RNG substream purposes: a stable code for the spawn key, a bit generator and
+# the number of replicas that share one substream.  The field draws its
+# replicas in blocks; the atom clouds draw up to ~2e4 uniforms per replica,
+# which SFC64 makes about three times faster than Philox.
 PURPOSES = {
-    "field": (0, np.random.Philox),
-    "atoms": (1, np.random.SFC64),
-    "subordinated": (2, np.random.SFC64),
+    "field": (0, np.random.Philox, FIELD_BLOCK),
+    "atoms": (1, np.random.SFC64, 1),
+    "subordinated": (2, np.random.SFC64, 1),
 }
 
 
@@ -52,16 +64,18 @@ class EmbeddingError(FieldError):
 
 @dataclass(frozen=True)
 class RngStream:
-    """Deterministic substream factory keyed by (purpose, replica)."""
+    """Deterministic substream factory keyed by (purpose, replica // block)."""
 
     master_seed: int
 
     def generator(self, replica: int, purpose: str) -> np.random.Generator:
+        """A fresh generator of the substream that holds replica's draws for
+        purpose; replicas of one block share it."""
         # manifest.json records this key and bit generator as the seed
         # scheme; any other key or generator changes every draw
-        code, bit_generator = PURPOSES[purpose]
+        code, bit_generator, block = PURPOSES[purpose]
         ss = np.random.SeedSequence(entropy=self.master_seed,
-                                    spawn_key=(code, replica, 0))
+                                    spawn_key=(code, replica // block, 0))
         return np.random.Generator(bit_generator(ss))
 
 
@@ -157,15 +171,27 @@ def prepare_circulant(spec: KernelSpec, levels: Sequence[int],
     )
 
 
-def _draw_circulant(sqrt_lam: np.ndarray, m: int, d: int, resolution: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    shape = (m,) if d == 1 else (m, m)
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    if d == 1:
-        e = np.fft.fft(sqrt_lam * z) / np.sqrt(m)
-        return e.real[:resolution]
-    e = np.fft.fft2(sqrt_lam * z) / m
-    return e.real[:resolution, :resolution].reshape(-1)
+def _circulant_fields(sqrt_lam: np.ndarray, resolution: int, z: np.ndarray) -> np.ndarray:
+    """Fields of a batch of circulant draws, shape (2 * rows, resolution**d).
+
+    z holds the unit normals, shape (rows, 2, m[, m]).  Row k forms the complex
+    vector z[k, 0] + i z[k, 1]; the real part of its transform is replica 2k
+    and the imaginary part replica 2k + 1, two independent fields with the
+    embedded covariance (Dietrich & Newsam 1997; Wood & Chan 1994).
+    """
+    m = sqrt_lam.shape[0]
+    w = np.empty(z[:, 0].shape, dtype=complex)
+    w.real = z[:, 0]
+    w.imag = z[:, 1]
+    w *= sqrt_lam
+    if sqrt_lam.ndim == 1:
+        e = np.fft.fft(w)[:, :resolution] / np.sqrt(m)
+    else:
+        e = np.fft.fft2(w)[:, :resolution, :resolution] / m
+    out = np.empty((2 * len(z), resolution**sqrt_lam.ndim))
+    out[0::2] = e.real.reshape(len(z), -1)
+    out[1::2] = e.imag.reshape(len(z), -1)
+    return out
 
 
 def _dense_factor(spec: KernelSpec, levels: Sequence[int], lattice: Lattice) -> np.ndarray:
@@ -212,11 +238,28 @@ def _prepare_sine(levels: Sequence[int], lattice: Lattice) -> tuple[np.ndarray, 
     return sqrt_w, (s2 @ w @ s2.T).reshape(-1)
 
 
+@dataclass
+class _Chunk:
+    """The current chunk of one stream's field block: rows start..stop - 1 of
+    the block, their fields, and the block's generator positioned at row stop."""
+
+    block: int
+    rng: np.random.Generator
+    start: int = 0
+    stop: int = 0
+    fields: np.ndarray | None = None
+
+
 class LayerSampler:
     """Reusable field sampler over a level set: the covariance summed over the
-    levels is prepared once, then each draw costs one batch of normals and one
-    transform.  Stationary families use a circulant embedding and one FFT;
-    gff-square uses its folded sine spectrum and one DST."""
+    levels is prepared once, then each chunk of replicas costs one batch of
+    normals and one batched transform.  Stationary families use a circulant
+    embedding and one FFT per two replicas; gff-square uses its folded sine
+    spectrum and one DST per replica.
+
+    A row is one draw of unit normals: two replicas on the circulant path, one
+    on the sine path.  A block's rows are drawn in order; the sampler keeps the
+    current chunk of each of the last STREAMS_KEPT streams it served."""
 
     def __init__(self, spec: KernelSpec, lattice: Lattice, levels: Sequence[int]):
         self.spec = spec
@@ -225,22 +268,52 @@ class LayerSampler:
         if spec.stationary:
             self._factor = prepare_circulant(spec, self.levels, lattice)
             self.variance0 = field_variance0(spec, self.levels, lattice)
+            m = self._factor[1]
+            self._row_shape = (2,) + (m,) * lattice.d
+            self._per_row = 2
+            # normals, the weighted complex input and the FFT output
+            self._row_bytes = 48 * m**lattice.d
         else:
             self._factor, self.variance0 = _prepare_sine(self.levels, lattice)
+            self._row_shape = self._factor.shape
+            self._per_row = 1
+            # normals, the weighted input and the DST output
+            self._row_bytes = 24 * self._factor.size
+        self._chunks: dict[RngStream, _Chunk] = {}
 
-    def _draw(self, rng: np.random.Generator) -> np.ndarray:
+    def _fields(self, z: np.ndarray) -> np.ndarray:
+        """Fields of a batch of unit-normal rows z, one per replica in order."""
         if self.spec.stationary:
-            sqrt_lam, m = self._factor
-            return _draw_circulant(sqrt_lam, m, self.lattice.d, self.lattice.resolution, rng)
-        return dstn(self._factor * rng.standard_normal(self._factor.shape), type=3).reshape(-1)
+            return _circulant_fields(self._factor[0], self.lattice.resolution, z)
+        return dstn(self._factor * z, type=3, axes=(1, 2)).reshape(len(z), -1)
+
+    def _draw_chunk(self, chunk: _Chunk, row: int):
+        """Replace chunk's fields by the next rows of its block, up to at least
+        row.  A chunk takes as many rows as are drawn already, so a block costs
+        about log2 of its rows in transforms and draws at most twice the rows
+        asked for; CHUNK_BYTES and the end of the block cap it."""
+        n = min(max(chunk.stop, row + 1 - chunk.stop, 1),
+                max(1, CHUNK_BYTES // self._row_bytes),
+                FIELD_BLOCK // self._per_row - chunk.stop)
+        chunk.fields = self._fields(chunk.rng.standard_normal((n,) + self._row_shape))
+        chunk.start, chunk.stop = chunk.stop, chunk.stop + n
 
     def sample_field(self, stream: RngStream, replica: int) -> FieldGrid:
-        """One replica of X^n, drawn at once on the substream (field, replica, 0)."""
-        return FieldGrid(
-            lattice=self.lattice,
-            values=self._draw(stream.generator(replica, "field")),
-            variance0=self.variance0,
-        )
+        """One replica of X^n, from the substream (field, replica // FIELD_BLOCK, 0)."""
+        block, i = divmod(replica, FIELD_BLOCK)
+        row = i // self._per_row
+        chunk = self._chunks.get(stream)
+        if chunk is None or chunk.block != block or row < chunk.start:
+            # (re)start the block; its rows come from its substream in order
+            chunk = _Chunk(block, stream.generator(replica, "field"))
+            if stream not in self._chunks and len(self._chunks) >= STREAMS_KEPT:
+                del self._chunks[next(iter(self._chunks))]
+            self._chunks[stream] = chunk
+        while row >= chunk.stop:
+            self._draw_chunk(chunk, row)
+        k = (row - chunk.start) * self._per_row + i % self._per_row
+        return FieldGrid(lattice=self.lattice, values=chunk.fields[k].copy(),
+                         variance0=self.variance0)
 
 
 def field_variance0(spec: KernelSpec, levels: Sequence[int],

@@ -3,13 +3,13 @@
 Each pipeline builds the ensembles it needs, runs the matching statistical
 checks, and returns tables plus a pass/fail summary.  Every ensemble comes
 from one replica loop, `_measures(cfg, kind, stream)`: replica r draws its
-field X^n on the substream (field, r, 0) and forms the chaos M_n ("chaos") or
-its dual.  The dual's exact cell masses take one positive-stable draw per cell
-on (atoms, r, 0) ("dual"); the atom-level dual weights a stable atom cloud
-drawn on (atoms, r, 0) ("direct") or subordinates M_n on (subordinated, r, 0)
-("subordinated").  Two reducers turn an ensemble into box masses or Cantor
-covering sums.  So a given (config, seed) pair reproduces byte-identical
-outputs.
+field X^n from its block's substream (field, r // 64, 0) and forms the chaos
+M_n ("chaos") or its dual.  The dual's exact cell masses take one
+positive-stable draw per cell on (atoms, r, 0) ("dual"); the atom-level dual
+weights a stable atom cloud drawn on (atoms, r, 0) ("direct") or subordinates
+M_n on (subordinated, r, 0) ("subordinated").  Two reducers turn an ensemble
+into box masses or Cantor covering sums.  So a given (config, seed) pair
+reproduces byte-identical outputs.
 """
 
 from __future__ import annotations

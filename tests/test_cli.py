@@ -169,6 +169,22 @@ class TestCliRuns:
             purpose: type(RngStream(0).generator(0, purpose).bit_generator).__name__
             for purpose in PURPOSES}
         assert scheme["purposes"] == list(PURPOSES)
+        # the field draws its replicas in blocks of 64, the atom clouds one each
+        assert scheme["block"] == {"field": 64, "atoms": 1, "subordinated": 1}
+        assert scheme["spawn_key"] == "(purpose, replica // block, 0)"
+        assert "(field, replica // 64, 0)" in scheme["field"]
+        assert "real part" in scheme["field"] and "imaginary part" in scheme["field"]
+
+    def test_replica_count_leaves_earlier_replicas(self, config_file, tmp_path):
+        # replica r's field depends only on (seed, r): 5 replicas are the first
+        # rows of 70, which reach into the second field block
+        rows = {}
+        for n in (5, 70):
+            out = tmp_path / str(n)
+            main(["chaos", "--config", config_file, "--out", str(out), "--replicas", str(n)])
+            rows[n] = (out / "masses.csv").read_text().splitlines()
+        first = [line for line in rows[70] if line.split(",")[0] in {"replica", *map(str, range(5))}]
+        assert len(rows[5]) > 1 and rows[5] == first
 
     def test_duality_at_explicit_alpha(self, tmp_path):
         # the algebraic-identity gate solves xi_bar at the config's alpha, not

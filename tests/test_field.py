@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import gmclab.field as gfield
 from gmclab.config import ExperimentConfig
 from gmclab.field import (
     DENSE_SITE_LIMIT,
+    FIELD_BLOCK,
     FieldError,
     Lattice,
     LayerSampler,
@@ -53,9 +55,13 @@ class TestLattice:
 
 class TestRngStream:
     def test_streams_are_independent_keys(self):
+        # field replicas share one substream per block; atom clouds have one each
         s = RngStream(42)
         a = s.generator(0, "field").standard_normal(4)
-        c = s.generator(1, "field").standard_normal(4)
+        c = s.generator(FIELD_BLOCK, "field").standard_normal(4)
+        assert not np.allclose(a, c)
+        a = s.generator(0, "atoms").standard_normal(4)
+        c = s.generator(1, "atoms").standard_normal(4)
         assert not np.allclose(a, c)
 
     def test_reproducible(self):
@@ -71,11 +77,15 @@ class TestRngStream:
     ])
     def test_bit_generator_per_purpose(self, purpose, code, bit_generator):
         # the field stays on Philox, the atom clouds draw on SFC64; every
-        # substream is keyed SeedSequence(master, spawn_key=(code, replica, 0))
-        assert PURPOSES[purpose] == (code, bit_generator)
-        ss = np.random.SeedSequence(entropy=7, spawn_key=(code, 3, 0))
-        expected = np.random.Generator(bit_generator(ss)).random(8)
-        np.testing.assert_array_equal(RngStream(7).generator(3, purpose).random(8), expected)
+        # substream is keyed SeedSequence(master, spawn_key=(code, replica // block, 0)),
+        # with blocks of 64 replicas for the field and of one for the atoms
+        block = FIELD_BLOCK if purpose == "field" else 1
+        assert PURPOSES[purpose] == (code, bit_generator, block)
+        for replica in (3, 64, 130):
+            ss = np.random.SeedSequence(entropy=7, spawn_key=(code, replica // block, 0))
+            expected = np.random.Generator(bit_generator(ss)).random(8)
+            np.testing.assert_array_equal(RngStream(7).generator(replica, purpose).random(8),
+                                          expected)
 
 
 class TestCirculant:
@@ -162,17 +172,11 @@ class TestLayerSampler:
         assert abs(emp[i] - theory[i]) < 4 * se
 
 
-class _UnitNormals:
-    """Stands in for a Generator: 'normals' that are the k-th unit vector, so a
-    draw returns the k-th column of the sampler's factor."""
-
-    def __init__(self, k):
-        self.k = k
-
-    def standard_normal(self, shape):
-        e = np.zeros(shape)
-        e.flat[self.k] = 1.0
-        return e
+def _unit_rows(sampler):
+    """Every unit vector of a sampler's normal rows, as one batch: the batch's
+    fields are the columns of the factor the draws apply."""
+    shape = sampler._row_shape
+    return np.eye(int(np.prod(shape))).reshape((-1,) + shape)
 
 
 GFF_LEVEL_SETS = ([1], [1, 2], [2, 3], [1, 2, 3, 4])
@@ -194,7 +198,7 @@ class TestGffSpectral:
         grid = np.arange(lat.n_sites).reshape(res, res)
         for levels in GFF_LEVEL_SETS:
             sampler = LayerSampler(GFF, lat, levels)
-            factor = np.column_stack([sampler._draw(_UnitNormals(k)) for k in range(lat.n_sites)])
+            factor = sampler._fields(_unit_rows(sampler)).T
             cov = factor @ factor.T
             np.testing.assert_allclose(cov[rows], sum(q[n] for n in levels), rtol=0, atol=1e-10,
                                        err_msg=str(levels))
@@ -214,6 +218,99 @@ class TestGffSpectral:
         res = run_field(ExperimentConfig(dimension=2, kernel_family="gff-square", gamma2=1.0,
                                          level=4, resolution=72, replicas=2000, seed=72))
         assert res.passed, res.summary
+
+
+class TestCirculantPairs:
+    @pytest.mark.parametrize("spec,res,levels", [
+        (EXACT1D, 64, [1, 2, 3]),
+        (STAR1D, 64, [2, 3]),
+        (EXACT2D, 8, [1, 2]),
+    ], ids=["exact1d", "star", "exact2d"])
+    def test_pairs_realize_embedded_covariance(self, spec, res, levels):
+        # unit normals through the batched FFT: the real rows and the
+        # imaginary rows each realize the embedded covariance, and the two
+        # are uncorrelated
+        lat = Lattice(spec.d, res)
+        sampler = LayerSampler(spec, lat, levels)
+        fields = sampler._fields(_unit_rows(sampler))
+        re, im = fields[0::2], fields[1::2]
+        sqrt_lam, m = sampler._factor
+        ifft = np.fft.ifft if spec.d == 1 else np.fft.ifft2
+        c = ifft(sqrt_lam**2).real
+        idx = np.indices((res,) * spec.d).reshape(spec.d, -1)
+        lag = tuple((idx[k][:, None] - idx[k][None, :]) % m for k in range(spec.d))
+        embedded = c[lag]
+        np.testing.assert_allclose(re.T @ re, embedded, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(im.T @ im, embedded, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(re.T @ im, 0.0, rtol=0, atol=1e-10)
+        # the embedding reproduces the kernel on the lattice
+        pts = lat.centers()
+        kernel = sum(level_increment_radial(
+            spec, n, np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))) for n in levels)
+        np.testing.assert_allclose(embedded, kernel, rtol=0, atol=1e-6)
+
+
+class TestFieldBlocks:
+    """Replica r's field depends only on (seed, r): not on the access order,
+    the chunk size or the other streams a sampler serves."""
+
+    REPLICAS = 2 * FIELD_BLOCK + 10
+
+    @pytest.fixture(params=[(EXACT1D, 32), (EXACT2D, 8), (GFF, 8)],
+                        ids=["exact1d", "exact2d", "gff"])
+    def spec_res(self, request):
+        return request.param
+
+    def _sequential(self, spec, res, seed=5):
+        sampler = LayerSampler(spec, Lattice(spec.d, res), [1, 2])
+        stream = RngStream(seed)
+        return np.array([sampler.sample_field(stream, r).values for r in range(self.REPLICAS)])
+
+    def test_random_access_matches_sequential(self, spec_res):
+        spec, res = spec_res
+        seq = self._sequential(spec, res)
+        sampler = LayerSampler(spec, Lattice(spec.d, res), [1, 2])
+        stream = RngStream(5)
+        for r in (70, 3, 3, 137, 64, 63, 0, 127, 71):
+            np.testing.assert_array_equal(sampler.sample_field(stream, r).values, seq[r], str(r))
+
+    def test_chunk_of_one_row_is_bit_equal(self, spec_res, monkeypatch):
+        spec, res = spec_res
+        seq = self._sequential(spec, res)
+        monkeypatch.setattr(gfield, "CHUNK_BYTES", 1)
+        np.testing.assert_array_equal(self._sequential(spec, res), seq)
+
+    def test_block_boundary_changes_substream(self, spec_res):
+        # replica 63 is the last of block 0, replica 64 the first of block 1
+        spec, res = spec_res
+        sampler = LayerSampler(spec, Lattice(spec.d, res), [1, 2])
+        rows = FIELD_BLOCK // sampler._per_row
+
+        def block_fields(block):
+            ss = np.random.SeedSequence(entropy=5, spawn_key=(0, block, 0))
+            rng = np.random.Generator(np.random.Philox(ss))
+            return sampler._fields(rng.standard_normal((rows,) + sampler._row_shape))
+
+        seq = self._sequential(spec, res)
+        np.testing.assert_array_equal(seq[:FIELD_BLOCK], block_fields(0))
+        np.testing.assert_array_equal(seq[FIELD_BLOCK:2 * FIELD_BLOCK], block_fields(1))
+        assert not np.allclose(seq[FIELD_BLOCK - 1], seq[FIELD_BLOCK])
+
+    def test_interleaved_streams_do_not_redraw(self, spec_res, monkeypatch):
+        spec, res = spec_res
+        sampler = LayerSampler(spec, Lattice(spec.d, res), [1, 2])
+        a, b = RngStream(5), RngStream(6)
+        calls = []
+        generator = RngStream.generator
+        monkeypatch.setattr(RngStream, "generator",
+                            lambda self, replica, purpose: calls.append(replica)
+                            or generator(self, replica, purpose))
+        fields = [(sampler.sample_field(a, r).values, sampler.sample_field(b, r).values)
+                  for r in range(self.REPLICAS)]
+        # one generator per stream and block
+        assert calls == [0, 0, 64, 64, 128, 128]
+        np.testing.assert_array_equal([fa for fa, _ in fields], self._sequential(spec, res, 5))
+        np.testing.assert_array_equal([fb for _, fb in fields], self._sequential(spec, res, 6))
 
 
 class TestNormality:

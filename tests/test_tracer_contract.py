@@ -56,9 +56,10 @@ def test_instrument_patches_and_close_restores(tracer_module, tmp_path):
     metrics = tracer_module.run_metrics(tracer.spans)
     assert metrics["field.embedding_m"] == 64
     assert metrics["field.layer_draws"] == 5 * 3
-    assert metrics["field.rng_streams"] == 5
+    # the five replicas share one field block, so one substream
+    assert metrics["field.rng_streams"] == 1
     assert metrics["cli.bytes_written"] > 0
-    assert {s.replica for s in tracer.spans if s.group == "field.rng"} == set(range(5))
+    assert {s.replica for s in tracer.spans if s.group == "field.rng"} == {0}
     # instrument() reads these by name; the chaos run above does not reach them
     for name in BOOTSTRAP_FUNCTIONS:
         assert "n_boot" in inspect.signature(getattr(analysis, name)).parameters, name
@@ -83,8 +84,9 @@ TRACED_RUNS = {
                     # two comparisons, each resampling both sides 400 times
                     "analysis.bootstrap_resamples": 2 * 2 * 400,
                     "field.layer_draws": 3 * 20 * 3,
-                    # field substreams of three ensembles, plus atoms and subordinated
-                    "field.rng_streams": 5 * 20,
+                    # one field block for each of three ensembles, plus one atoms
+                    # and one subordinated substream per replica
+                    "field.rng_streams": 3 + 2 * 20,
                     "pipelines.replicas": 20,
                 }),
 }
