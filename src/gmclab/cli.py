@@ -86,9 +86,9 @@ def write_outputs(result: PipelineResult, cfg: ExperimentConfig,
         "passed": result.passed,
         "config": config_to_dict(cfg),
         "seed_scheme": {
-            "bit_generator": {purpose: bg.__name__ for purpose, (_, bg, _) in PURPOSES.items()},
-            "block": {purpose: block for purpose, (_, _, block) in PURPOSES.items()},
-            "spawn_key": "(purpose, replica // block, 0)",
+            "bit_generator": {purpose: bg.__name__ for purpose, (_, bg) in PURPOSES.items()},
+            "field_block": FIELD_BLOCK,
+            "spawn_key": "(purpose, replica, 0), with replica // field_block for the field",
             "field": (f"one substream per block of {FIELD_BLOCK} replicas, "
                       f"(field, replica // {FIELD_BLOCK}, 0), drawn in replica order; "
                       "circulant draw k of a block gives replica 2k its real part "

@@ -39,18 +39,14 @@ DENSE_JITTER = 1e-12
 FIELD_BLOCK = 64
 # byte budget of one batched transform's transient arrays
 CHUNK_BYTES = 32 * 2**20
-# streams whose current chunk a sampler keeps, so that loops alternating a
-# few streams do not redraw their blocks
-STREAMS_KEPT = 4
 
-# RNG substream purposes: a stable code for the spawn key, a bit generator and
-# the number of replicas that share one substream.  The field draws its
-# replicas in blocks; the atom clouds draw up to ~2e4 uniforms per replica,
-# which SFC64 makes about three times faster than Philox.
+# RNG substream purposes: a stable code for the spawn key and a bit generator.
+# The atom clouds draw up to ~2e4 uniforms per replica, which SFC64 makes about
+# three times faster than Philox.
 PURPOSES = {
-    "field": (0, np.random.Philox, FIELD_BLOCK),
-    "atoms": (1, np.random.SFC64, 1),
-    "subordinated": (2, np.random.SFC64, 1),
+    "field": (0, np.random.Philox),
+    "atoms": (1, np.random.SFC64),
+    "subordinated": (2, np.random.SFC64),
 }
 
 
@@ -64,18 +60,19 @@ class EmbeddingError(FieldError):
 
 @dataclass(frozen=True)
 class RngStream:
-    """Deterministic substream factory keyed by (purpose, replica // block)."""
+    """Deterministic substream factory keyed by (purpose, replica), with field
+    replicas keyed by their block, replica // FIELD_BLOCK."""
 
     master_seed: int
 
     def generator(self, replica: int, purpose: str) -> np.random.Generator:
         """A fresh generator of the substream that holds replica's draws for
-        purpose; replicas of one block share it."""
+        purpose; the field replicas of one block share it."""
         # manifest.json records this key and bit generator as the seed
         # scheme; any other key or generator changes every draw
-        code, bit_generator, block = PURPOSES[purpose]
-        ss = np.random.SeedSequence(entropy=self.master_seed,
-                                    spawn_key=(code, replica // block, 0))
+        code, bit_generator = PURPOSES[purpose]
+        key = replica // FIELD_BLOCK if purpose == "field" else replica
+        ss = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(code, key, 0))
         return np.random.Generator(bit_generator(ss))
 
 
@@ -259,7 +256,7 @@ class LayerSampler:
 
     A row is one draw of unit normals: two replicas on the circulant path, one
     on the sine path.  A block's rows are drawn in order; the sampler keeps the
-    current chunk of each of the last STREAMS_KEPT streams it served."""
+    current chunk of each stream it served."""
 
     def __init__(self, spec: KernelSpec, lattice: Lattice, levels: Sequence[int]):
         self.spec = spec
@@ -306,8 +303,6 @@ class LayerSampler:
         if chunk is None or chunk.block != block or row < chunk.start:
             # (re)start the block; its rows come from its substream in order
             chunk = _Chunk(block, stream.generator(replica, "field"))
-            if stream not in self._chunks and len(self._chunks) >= STREAMS_KEPT:
-                del self._chunks[next(iter(self._chunks))]
             self._chunks[stream] = chunk
         while row >= chunk.stop:
             self._draw_chunk(chunk, row)

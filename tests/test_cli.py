@@ -170,8 +170,8 @@ class TestCliRuns:
             for purpose in PURPOSES}
         assert scheme["purposes"] == list(PURPOSES)
         # the field draws its replicas in blocks of 64, the atom clouds one each
-        assert scheme["block"] == {"field": 64, "atoms": 1, "subordinated": 1}
-        assert scheme["spawn_key"] == "(purpose, replica // block, 0)"
+        assert scheme["field_block"] == 64
+        assert scheme["spawn_key"] == "(purpose, replica, 0), with replica // field_block for the field"
         assert "(field, replica // 64, 0)" in scheme["field"]
         assert "real part" in scheme["field"] and "imaginary part" in scheme["field"]
 

@@ -77,12 +77,13 @@ class TestRngStream:
     ])
     def test_bit_generator_per_purpose(self, purpose, code, bit_generator):
         # the field stays on Philox, the atom clouds draw on SFC64; every
-        # substream is keyed SeedSequence(master, spawn_key=(code, replica // block, 0)),
-        # with blocks of 64 replicas for the field and of one for the atoms
-        block = FIELD_BLOCK if purpose == "field" else 1
-        assert PURPOSES[purpose] == (code, bit_generator, block)
+        # substream is keyed SeedSequence(master, spawn_key=(code, key, 0)),
+        # where key is the replica's block of 64 for the field and the
+        # replica itself for the atoms
+        assert PURPOSES[purpose] == (code, bit_generator)
         for replica in (3, 64, 130):
-            ss = np.random.SeedSequence(entropy=7, spawn_key=(code, replica // block, 0))
+            key = replica // FIELD_BLOCK if purpose == "field" else replica
+            ss = np.random.SeedSequence(entropy=7, spawn_key=(code, key, 0))
             expected = np.random.Generator(bit_generator(ss)).random(8)
             np.testing.assert_array_equal(RngStream(7).generator(replica, purpose).random(8),
                                           expected)
