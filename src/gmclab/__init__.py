@@ -5,7 +5,6 @@ from .field import Lattice, FieldGrid, RngStream, LayerSampler
 from .chaos import LatticeMeasure, build_chaos, measure_box, xi
 from .atomic import (
     AtomicMeasure,
-    Region,
     StableAtoms,
     build_atomic_direct,
     build_subordinated,

@@ -188,10 +188,13 @@ def verify_laplace(mbar_samples, m_samples, alpha, u_grid, n_boot: int = 400,
     u_grid = np.asarray(u_grid, dtype=float)
 
     def side(samples, transform):
-        def means(sub):
-            return np.array([transform(sub, u).mean() for u in u_grid])
-        boot = _bootstrap(rng, n_boot, lambda idx: means(samples[idx]), samples.size)
-        return means(samples), _percentile_ci(boot)
+        # a transform acts elementwise, so a resample's transform is its rows
+        # gathered from the full sample's: computed once per u, and each mean
+        # sums the same values in the same order as before
+        rows = [transform(samples, u) for u in u_grid]
+        boot = _bootstrap(rng, n_boot, lambda idx: np.array([row[idx].mean() for row in rows]),
+                          samples.size)
+        return np.array([row.mean() for row in rows]), _percentile_ci(boot)
 
     lhs, lhs_ci = side(mbar, lambda sub, u: np.exp(-u * sub))
     rhs, rhs_ci = side(m, lambda sub, u: laplace_rhs_transform(sub, alpha, u))
@@ -277,29 +280,25 @@ def cantor_intervals(generation: int) -> np.ndarray:
 
 
 def _interval_masses(measure, intervals: np.ndarray) -> np.ndarray:
-    """Half-open [a, b) interval masses of a lattice or atomic measure (d=1).
+    """Half-open [a, b) interval masses of a lattice or atomic measure (d=1),
+    for intervals whose ends lie on cell boundaries.
 
-    Masses span many decades, so each interval is summed directly: a
-    difference of prefix sums would lose the small intervals after a heavy one.
+    An atomic measure is first summed per cell.  Masses span many decades, so
+    each interval is summed directly: a difference of prefix sums would lose
+    the small intervals after a heavy one.
     """
-    if isinstance(measure, LatticeMeasure):
-        lat = measure.lattice
-        ends = np.round(intervals / lat.spacing).astype(int)
-        if np.max(np.abs(intervals - ends * lat.spacing)) > 1e-9:
-            raise AnalysisError("covering intervals do not align with cell boundaries")
-        masses = measure.masses
-        lo, hi = np.clip(ends, 0, lat.resolution).T
-    elif isinstance(measure, AtomicMeasure):
-        x = measure.positions[:, 0] if measure.count else np.zeros(0)
-        order = np.argsort(x)
-        masses = measure.masses[order]
-        # [a, b) holds the sorted atoms lo..hi-1
-        lo = np.searchsorted(x[order], intervals[:, 0], side="left")
-        hi = np.searchsorted(x[order], intervals[:, 1], side="left")
-    else:
+    if isinstance(measure, AtomicMeasure):
+        measure = measure.cell_masses()
+    if not isinstance(measure, LatticeMeasure):
         raise AnalysisError("unsupported measure type")
+    lat = measure.lattice
+    ends = np.round(intervals / lat.spacing).astype(int)
+    if np.max(np.abs(intervals - ends * lat.spacing)) > 1e-9:
+        raise AnalysisError("covering intervals do not align with cell boundaries")
+    lo, hi = np.clip(ends, 0, lat.resolution).T
     # the trailing zero keeps index hi = len(masses) valid
-    sums = np.add.reduceat(np.append(masses, 0.0), np.column_stack([lo, hi]).ravel())[::2]
+    sums = np.add.reduceat(np.append(measure.masses, 0.0),
+                           np.column_stack([lo, hi]).ravel())[::2]
     return np.where(hi > lo, sums, 0.0)
 
 
@@ -320,7 +319,7 @@ def covering_sums(measure, set_name: str, levels, s_grid) -> CoveringSumTable:
             ivals.append(np.column_stack([edges[:-1], edges[1:]]))
         else:
             raise AnalysisError(f"unknown set spec {set_name!r}")
-    # all levels in one call, so an atomic measure's atoms are sorted once
+    # all levels in one call, so an atomic measure is summed per cell once
     mu_all = _interval_masses(measure, np.vstack(ivals))
     level_of = np.repeat(np.arange(levels.size), [len(iv) for iv in ivals])
     keep = mu_all > 0

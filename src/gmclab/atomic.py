@@ -6,6 +6,11 @@ Var X).  The subordinated construction draws a conditionally Poisson atom
 cloud with intensity M(dx) dz / z^(1+alpha) from a realized chaos measure.
 Both realize the same law; the Laplace comparison in the analysis module is
 the cross-check.
+
+On the lattice an atom is a (cell, size) pair: every check reads a cloud only
+through the cells its atoms fall in, so both clouds draw their atoms cell by
+cell and no coordinate.  `atom_positions` places atoms uniformly inside their
+cells for the outputs that show coordinates.
 """
 
 from __future__ import annotations
@@ -16,43 +21,24 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gamma as gamma_fn, gammaln
 
-from .chaos import LatticeMeasure
-from .field import FieldGrid
+from .chaos import LatticeMeasure, measure_box
+from .field import FieldGrid, Lattice
 
 
 class AtomicError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Region:
-    """Axis-aligned box, per-axis [low, high]."""
-
-    low: np.ndarray
-    high: np.ndarray
-
-    @staticmethod
-    def unit(d: int) -> "Region":
-        return Region(np.zeros(d), np.ones(d))
-
-    @property
-    def d(self) -> int:
-        return len(np.atleast_1d(self.low))
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(np.atleast_1d(self.high) - np.atleast_1d(self.low)))
-
-
 @dataclass
 class StableAtoms:
-    """Finite truncation of the Poisson cloud with intensity dx dz/z^(1+alpha)."""
+    """Finite truncation of the Poisson cloud with intensity dx dz/z^(1+alpha)
+    over the lattice's cells: atom i lies in cell cells[i] and has size sizes[i]."""
 
-    positions: np.ndarray  # (count, d)
+    cells: np.ndarray      # (count,) flat cell indices, nondecreasing
     sizes: np.ndarray      # (count,), all >= z_min
     alpha: float
     z_min: float
-    region: Region
+    lattice: Lattice
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
@@ -69,9 +55,10 @@ class StableAtoms:
 
 @dataclass
 class AtomicMeasure:
-    """Purely atomic measure: positions with positive masses."""
+    """Purely atomic measure: atoms with positive masses, each in a lattice cell."""
 
-    positions: np.ndarray
+    lattice: Lattice
+    cells: np.ndarray
     masses: np.ndarray
 
     def __post_init__(self):
@@ -85,15 +72,14 @@ class AtomicMeasure:
     def total_mass(self) -> float:
         return float(self.masses.sum())
 
+    def cell_masses(self) -> LatticeMeasure:
+        """The atoms' masses summed per cell."""
+        return LatticeMeasure(self.lattice, np.bincount(self.cells, weights=self.masses,
+                                                        minlength=self.lattice.n_sites))
+
     def box_mass(self, lo, hi) -> float:
-        """Mass of the half-open box [lo, hi)."""
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        pts = np.atleast_2d(self.positions)
-        if self.count == 0:
-            return 0.0
-        inside = np.all((pts >= lo) & (pts < hi), axis=1)
-        return float(self.masses[inside].sum())
+        """Mass of the box [lo, hi], snapped to cell boundaries as measure_box does."""
+        return measure_box(self.cell_masses(), lo, hi)
 
 
 def xi_bar(gamma2: float, alpha: float, d: int, q) -> float | np.ndarray:
@@ -130,24 +116,37 @@ def _pareto(rng: np.random.Generator, alpha: float, z_min: float, size: int) -> 
     return z_min * u ** (-1.0 / alpha)
 
 
-def sample_stable_atoms(region: Region, alpha: float, z_min: float,
+def _cell_cloud(counts: np.ndarray, alpha: float, z_min: float,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Cells and Pareto(alpha, z_min) sizes of a cloud with counts[c] atoms in
+    cell c, in cell order."""
+    cells = np.repeat(np.arange(counts.size), counts)
+    return cells, _pareto(rng, alpha, z_min, cells.size)
+
+
+def sample_stable_atoms(region: Lattice, alpha: float, z_min: float,
                         rng: np.random.Generator) -> StableAtoms:
-    """Draw the truncated Poisson cloud: count ~ Poisson(|A| z_min^-alpha / alpha),
-    positions uniform on the region, sizes Pareto(alpha, z_min)."""
+    """Draw the truncated Poisson cloud cell by cell on the lattice region:
+    Poisson(h^d z_min^-alpha / alpha) atoms per cell, sizes Pareto(alpha, z_min).
+
+    By Poisson thinning this is the law of one Poisson(z_min^-alpha / alpha)
+    count of atoms placed uniformly on the unit box, seen through the cells."""
     if not (0.0 < alpha < 1.0):
         raise AtomicError("alpha must lie strictly in (0, 1)")
     if not (z_min > 0):
         raise AtomicError("z_min must be positive")
-    mean_count = expected_atom_count(region.volume, alpha, z_min)
-    count = int(rng.poisson(mean_count))
-    low = np.atleast_1d(np.asarray(region.low, dtype=float))
-    high = np.atleast_1d(np.asarray(region.high, dtype=float))
-    # same values and stream state as rng.uniform(low, high, size), without
-    # its slow broadcasting path
-    positions = low + (high - low) * rng.random((count, len(low)))
-    sizes = _pareto(rng, alpha, z_min, count)
-    return StableAtoms(positions=positions, sizes=sizes, alpha=alpha,
-                       z_min=z_min, region=region)
+    per_cell = expected_atom_count(region.volume / region.n_sites, alpha, z_min)
+    cells, sizes = _cell_cloud(rng.poisson(per_cell, region.n_sites), alpha, z_min, rng)
+    return StableAtoms(cells=cells, sizes=sizes, alpha=alpha, z_min=z_min, lattice=region)
+
+
+def atom_positions(lattice: Lattice, cells: np.ndarray,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Coordinates (count, d) of atoms in the given cells: (cell + v) h per
+    axis, v uniform on [0, 1), so each atom is uniform on its cell."""
+    n = lattice.resolution
+    index = cells[:, None] if lattice.d == 1 else np.column_stack([cells // n, cells % n])
+    return (index + rng.random((len(cells), lattice.d))) * lattice.spacing
 
 
 def _dual_weights(field: FieldGrid, gamma2: float, alpha: float) -> np.ndarray:
@@ -164,15 +163,11 @@ def build_atomic_direct(field: FieldGrid, gamma2: float, alpha: float,
     """
     if abs(alpha - atoms.alpha) > 1e-12:
         raise AtomicError("alpha mismatch between atoms and construction")
-    lat = field.lattice
-    lo = np.atleast_1d(np.asarray(atoms.region.low))
-    hi = np.atleast_1d(np.asarray(atoms.region.high))
-    if np.any(lo < -1e-12) or np.any(hi > 1.0 + 1e-12):
-        raise AtomicError("atom region extends outside the field lattice")
-    idx = lat.cell_index(atoms.positions) if atoms.count else np.zeros(0, dtype=np.int64)
-    masses = atoms.sizes * _dual_weights(field, gamma2, alpha)[idx]
-    # shares the cloud's positions array; no caller writes to either
-    return AtomicMeasure(positions=atoms.positions, masses=masses)
+    if atoms.lattice != field.lattice:
+        raise AtomicError("atoms and field live on different lattices")
+    masses = atoms.sizes * _dual_weights(field, gamma2, alpha)[atoms.cells]
+    # shares the cloud's cells array; no caller writes to either
+    return AtomicMeasure(lattice=field.lattice, cells=atoms.cells, masses=masses)
 
 
 def sample_positive_stable(alpha: float, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -215,27 +210,14 @@ def build_dual_cells(field: FieldGrid, gamma2: float, alpha: float,
 def build_subordinated(m: LatticeMeasure, alpha: float, z_min: float,
                        rng: np.random.Generator) -> AtomicMeasure:
     """Subordinated construction: cell-wise conditional Poisson sampling with
-    intensity M(cell) z_min^-alpha / alpha, uniform positions, Pareto sizes."""
+    intensity M(cell) z_min^-alpha / alpha and Pareto sizes."""
     if not (0.0 < alpha < 1.0):
         raise AtomicError("alpha must lie strictly in (0, 1)")
     if not np.all(np.isfinite(m.masses)):
         raise AtomicError("non-finite cell masses")
-    lat = m.lattice
-    lam = m.masses * z_min ** (-alpha) / alpha
-    counts = rng.poisson(lam)
-    total = int(counts.sum())
-    cell_ids = np.repeat(np.arange(lat.n_sites), counts)
-    h = lat.spacing
-    if lat.d == 1:
-        positions = (cell_ids * h + h * rng.random(total))[:, None]
-    else:
-        ix, iy = cell_ids // lat.resolution, cell_ids % lat.resolution
-        positions = np.column_stack([
-            ix * h + h * rng.random(total),
-            iy * h + h * rng.random(total),
-        ])
-    sizes = _pareto(rng, alpha, z_min, total)
-    return AtomicMeasure(positions=positions, masses=sizes)
+    cells, sizes = _cell_cloud(rng.poisson(m.masses * z_min ** (-alpha) / alpha),
+                               alpha, z_min, rng)
+    return AtomicMeasure(lattice=m.lattice, cells=cells, masses=sizes)
 
 
 def moment_relation_constant(beta: float, alpha: float) -> float:

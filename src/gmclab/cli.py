@@ -29,9 +29,10 @@ EXIT_USAGE = 2
 
 
 def _fmt(value) -> str:
-    """CSV cell: repr gives the shortest float round-trip form."""
+    """CSV cell: repr gives the shortest float round-trip form; float() first,
+    since numpy 2 writes a numpy float's repr as np.float64(...)."""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 

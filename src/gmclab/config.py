@@ -174,6 +174,9 @@ def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> lis
     if experiment == "scaling" and alpha is not None and any(q >= alpha for q in cfg.q_grid):
         diags.append(f"q grid exceeds the atomic moment threshold q < alpha = {alpha:g}")
     if experiment in ("kpz", "duality"):
+        if cfg.dimension != 1:
+            diags.append(f"{experiment} covers the Cantor set on [0, 1]: dimension must be 1, "
+                         f"got {cfg.dimension}")
         if cfg.cantor_depth < 3:
             diags.append("cantor.depth must be >= 3: the dimension fit needs three levels")
         if 3**cfg.cantor_depth > cfg.resolution or cfg.resolution % 3**cfg.cantor_depth:

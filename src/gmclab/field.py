@@ -42,11 +42,13 @@ CHUNK_BYTES = 32 * 2**20
 
 # RNG substream purposes: a stable code for the spawn key and a bit generator.
 # The atom clouds draw up to ~2e4 uniforms per replica, which SFC64 makes about
-# three times faster than Philox.
+# three times faster than Philox.  "positions" places the direct cloud's atoms
+# inside their cells, for the outputs that show coordinates.
 PURPOSES = {
     "field": (0, np.random.Philox),
     "atoms": (1, np.random.SFC64),
     "subordinated": (2, np.random.SFC64),
+    "positions": (3, np.random.SFC64),
 }
 
 
@@ -95,6 +97,11 @@ class Lattice:
     def n_sites(self) -> int:
         return self.resolution**self.d
 
+    @property
+    def volume(self) -> float:
+        """Volume of the unit box the cells cover."""
+        return 1.0
+
     def axis_centers(self) -> np.ndarray:
         return self.spacing * (np.arange(self.resolution) + 0.5)
 
@@ -105,15 +112,6 @@ class Lattice:
             return ax[:, None]
         gx, gy = np.meshgrid(ax, ax, indexing="ij")
         return np.column_stack([gx.ravel(), gy.ravel()])
-
-    def cell_index(self, points: np.ndarray) -> np.ndarray:
-        """Nearest-cell flat index for points inside the unit box."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        idx = np.floor(pts / self.spacing).astype(np.int64)
-        idx = np.clip(idx, 0, self.resolution - 1)
-        if self.d == 1:
-            return idx[:, 0]
-        return idx[:, 0] * self.resolution + idx[:, 1]
 
 
 @dataclass

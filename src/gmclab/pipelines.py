@@ -7,9 +7,11 @@ field X^n from its block's substream (field, r // 64, 0) and forms the chaos
 M_n ("chaos") or its dual.  The dual's exact cell masses take one
 positive-stable draw per cell on (atoms, r, 0) ("dual"); the atom-level dual
 weights a stable atom cloud drawn on (atoms, r, 0) ("direct") or subordinates
-M_n on (subordinated, r, 0) ("subordinated").  Two reducers turn an ensemble
-into box masses or Cantor covering sums.  So a given (config, seed) pair
-reproduces byte-identical outputs.
+M_n on (subordinated, r, 0) ("subordinated").  Both clouds draw their atoms
+cell by cell, as (cell, size) pairs; only `atoms` places them inside their
+cells, on (positions, r, 0).  Two reducers turn an ensemble into box masses or
+Cantor covering sums.  So a given (config, seed) pair reproduces
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from scipy.stats import spearmanr
 
 from . import analysis
 from .atomic import (
-    Region,
+    atom_positions,
     build_atomic_direct,
     build_dual_cells,
     build_subordinated,
@@ -78,14 +80,14 @@ def _measures(cfg: ExperimentConfig, kind: str, stream: RngStream,
     sampler = _sampler(cfg, level)
     if kind != "chaos":
         alpha, z_min = cfg.alpha(), cfg.resolved_z_min()
-        region = Region.unit(cfg.dimension)
     for r in range(cfg.replicas):
         field = sampler.sample_field(stream, r)
         if kind == "dual":
             yield field, None, build_dual_cells(field, cfg.gamma2, alpha,
                                                 stream.generator(r, "atoms"))
         elif kind == "direct":
-            atoms = sample_stable_atoms(region, alpha, z_min, stream.generator(r, "atoms"))
+            atoms = sample_stable_atoms(sampler.lattice, alpha, z_min,
+                                        stream.generator(r, "atoms"))
             yield field, atoms, build_atomic_direct(field, cfg.gamma2, alpha, atoms)
         elif kind == "subordinated":
             m = build_chaos(field, cfg.gamma2)
@@ -200,22 +202,19 @@ def run_atoms(cfg: ExperimentConfig) -> PipelineResult:
     spans = []
     corrs = []
     top_atoms = None
-    for r, (field, atoms, mbar) in enumerate(_measures(cfg, "direct", RngStream(cfg.seed))):
+    stream = RngStream(cfg.seed)
+    for r, (field, atoms, mbar) in enumerate(_measures(cfg, "direct", stream)):
         if mbar.count:
             spans.append(float(np.log10(mbar.masses.max()) - np.log10(mbar.masses.min())))
-            x_at = field.values[lat.cell_index(mbar.positions)]
             if mbar.count >= 3:
-                corrs.append(float(spearmanr(x_at, mbar.masses).statistic))
+                corrs.append(float(spearmanr(field.values[mbar.cells], mbar.masses).statistic))
+        positions = atom_positions(lat, mbar.cells, stream.generator(r, "positions"))
         for i in range(mbar.count):
-            pos = mbar.positions[i]
-            if lat.d == 1:
-                rows.append((r, float(pos[0]), float(atoms.sizes[i]), float(mbar.masses[i])))
-            else:
-                rows.append((r, float(pos[0]), float(pos[1]),
-                             float(atoms.sizes[i]), float(mbar.masses[i])))
+            rows.append((r, *map(float, positions[i]), float(atoms.sizes[i]),
+                         float(mbar.masses[i])))
         if r == 0 and mbar.count:
             keep = np.argsort(mbar.masses)[-min(200, mbar.count):]
-            top_atoms = (mbar.positions[keep], mbar.masses[keep])
+            top_atoms = (positions[keep], mbar.masses[keep])
     header = (["replica", "x", "z", "mass"] if lat.d == 1
               else ["replica", "x", "y", "z", "mass"])
     span = float(np.median(spans)) if spans else 0.0

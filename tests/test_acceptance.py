@@ -12,7 +12,6 @@ import pytest
 
 from gmclab import analysis
 from gmclab.atomic import (
-    Region,
     build_atomic_direct,
     build_subordinated,
     moment_relation_constant,
@@ -77,7 +76,6 @@ def dual_ensemble():
     sampler = LayerSampler(EXACT1D, Lattice(1, 256), range(1, 6))
     stream = RngStream(1003)
     alpha, g2, z_min = 0.5, 1.0, 1e-7
-    region = Region.unit(1)
     R = 100_000
     m_tot = np.empty(R)
     direct = np.empty(R)
@@ -86,7 +84,7 @@ def dual_ensemble():
         f = sampler.sample_field(stream, r)
         m = build_chaos(f, g2)
         m_tot[r] = m.total_mass()
-        atoms = sample_stable_atoms(region, alpha, z_min, stream.generator(r, "atoms"))
+        atoms = sample_stable_atoms(sampler.lattice, alpha, z_min, stream.generator(r, "atoms"))
         direct[r] = build_atomic_direct(f, g2, alpha, atoms).total_mass()
         subord[r] = build_subordinated(m, alpha, z_min,
                                        stream.generator(r, "subordinated")).total_mass()
@@ -297,7 +295,6 @@ def test_criterion_10_atomic_figure_stats():
     from scipy.stats import spearmanr
 
     lat = Lattice(2, 64)
-    region = Region.unit(2)
     alpha = 0.25
     z_min = 1e-5
     spans = []
@@ -308,13 +305,12 @@ def test_criterion_10_atomic_figure_stats():
         corrs = []
         for r in range(40):
             f = sampler.sample_field(stream, r)
-            atoms = sample_stable_atoms(region, alpha, z_min,
+            atoms = sample_stable_atoms(lat, alpha, z_min,
                                         stream.generator(r, "atoms"))
             mbar = build_atomic_direct(f, g2, alpha, atoms)
             if mbar.count < 3:
                 continue
-            x_at = f.values[lat.cell_index(mbar.positions)]
-            corrs.append(spearmanr(x_at, mbar.masses).statistic)
+            corrs.append(spearmanr(f.values[mbar.cells], mbar.masses).statistic)
             if g2 == 1.0:
                 spans.append(np.log10(mbar.masses.max()) - np.log10(mbar.masses.min()))
         medians[g2] = float(np.median(corrs))

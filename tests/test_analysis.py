@@ -115,6 +115,29 @@ class TestLaplace:
         cmp = verify_laplace(3.0 * m, m, 0.5, [0.25, 1.0, 4.0], rng=rng)
         assert not cmp.all_overlap
 
+    @pytest.mark.parametrize("n", [20, 500])
+    def test_transform_rows_match_resample_loop(self, n):
+        # reference: transform each resample afresh, as one loop per resample
+        def loop(mbar, m, alpha, u_grid, n_boot, rng):
+            def side(samples, transform):
+                def means(sub):
+                    return np.array([transform(sub, u).mean() for u in u_grid])
+                boot = np.array([means(samples[rng.integers(0, samples.size, size=samples.size)])
+                                 for _ in range(n_boot)])
+                return means(samples), np.percentile(boot, [2.5, 97.5], axis=0).T
+            lhs = side(mbar, lambda sub, u: np.exp(-u * sub))
+            rhs = side(m, lambda sub, u: laplace_rhs_transform(sub, alpha, u))
+            return (*lhs, *rhs)
+
+        data = np.random.default_rng(6)
+        m = data.lognormal(size=n)
+        mbar = data.pareto(0.5, size=n)
+        u_grid = [0.1, 0.5, 1.0, 2.0, 8.0]
+        cmp = verify_laplace(mbar, m, 0.5, u_grid, n_boot=100, rng=np.random.default_rng(9))
+        ref = loop(mbar, m, 0.5, np.asarray(u_grid), 100, np.random.default_rng(9))
+        for got, want in zip((cmp.lhs, cmp.lhs_ci, cmp.rhs, cmp.rhs_ci), ref):
+            assert np.array_equal(got, want)
+
 
 class TestOmega:
     def test_mgf_moment_match(self):
@@ -191,12 +214,16 @@ class TestCovering:
             return np.array([masses[(x >= a) & (x < b)].sum() for a, b in intervals])
 
         rng = np.random.default_rng(5)
+        lat = Lattice(1, 729 if set_name == "cantor" else 64)
         edges = np.unique(cantor_intervals(4) if set_name == "cantor"
                           else np.linspace(0.0, 1.0, 17))
-        # few atoms, so most fine intervals are empty; some sit exactly on edges
-        x = np.concatenate([rng.random(40), edges[1:-1:3]])
+        # few atoms, so most fine intervals are empty; some sit in the first
+        # cell after an edge
+        cells = np.concatenate([rng.integers(0, lat.n_sites, 40),
+                                np.rint(edges[1:-1:3] * lat.resolution).astype(int)])
+        x = (cells + 0.5) * lat.spacing
         masses = 10.0 ** rng.uniform(-14, 0, x.size)
-        measure = AtomicMeasure(x[:, None], masses)
+        measure = AtomicMeasure(lat, cells, masses)
         levels = range(1, 7)
         s_grid = np.array([0.0, 0.3, 0.7, 1.0])
         table = covering_sums(measure, set_name, levels, s_grid)
@@ -255,7 +282,8 @@ def _dual_wide(resolution):
 def _atomic(resolution):
     # few atoms, so most fine intervals are empty
     rng = np.random.default_rng(5)
-    return AtomicMeasure(rng.random((30, 1)), 10.0 ** rng.uniform(-14, 0, 30))
+    return AtomicMeasure(Lattice(1, resolution), rng.integers(0, resolution, 30),
+                         10.0 ** rng.uniform(-14, 0, 30))
 
 
 class TestGridAtOnce:
@@ -298,6 +326,23 @@ class TestGridAtOnce:
             assert np.all(ref > 0)
             # a direct sum of n <= 729 positive terms errs by at most (n - 1) 2^-53
             np.testing.assert_allclose(_interval_masses(measure, ivals), ref, rtol=1e-13)
+
+    @pytest.mark.parametrize("set_name, resolution", [("cantor", 729), ("interval", 512)])
+    def test_atomic_interval_masses_match_fsum(self, set_name, resolution):
+        # atoms in random cell order, several per cell, masses over 30 decades:
+        # each interval holds the atoms of its cells
+        rng = np.random.default_rng(8)
+        cells = rng.integers(0, resolution, 3000)
+        masses = 10.0 ** rng.uniform(-30, 0, cells.size)
+        measure = AtomicMeasure(Lattice(1, resolution), cells, masses)
+        for g in range(1, 7):
+            edges = np.linspace(0.0, 1.0, 2**g + 1)
+            ivals = (cantor_intervals(g) if set_name == "cantor"
+                     else np.column_stack([edges[:-1], edges[1:]]))
+            ends = np.rint(ivals * resolution).astype(int)
+            ref = np.array([math.fsum(masses[(cells >= a) & (cells < b)]) for a, b in ends])
+            # a cell sum and then an interval sum: at most 3000 terms in all
+            np.testing.assert_allclose(_interval_masses(measure, ivals), ref, rtol=1e-12)
 
 
 class TestKpz:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gmclab.atomic import (
     AtomicError,
-    Region,
+    atom_positions,
     auto_z_min,
     build_atomic_direct,
     build_dual_cells,
@@ -23,6 +23,7 @@ from gmclab.field import Lattice, LayerSampler, RngStream
 from gmclab.kernels import KernelSpec
 
 EXACT1D = KernelSpec(family="exact1d", T=1.0, d=1)
+LAT64 = Lattice(1, 64)
 
 
 def make_field(level=4, res=64, seed=1, replica=0):
@@ -59,28 +60,45 @@ class TestStableAtoms:
 
     def test_sampled_counts_and_sizes(self):
         rng = np.random.default_rng(4)
-        atoms = sample_stable_atoms(Region.unit(1), 0.5, 1e-4, rng)
+        atoms = sample_stable_atoms(LAT64, 0.5, 1e-4, rng)
         assert atoms.count > 0
         assert atoms.sizes.min() >= 1e-4
-        assert np.all((atoms.positions >= 0) & (atoms.positions <= 1))
+        assert atoms.cells.min() >= 0 and atoms.cells.max() < LAT64.n_sites
+        assert np.all(np.diff(atoms.cells) >= 0)
 
-    @pytest.mark.parametrize("low,high", [(0.0, 1.0), ((0.0, 0.0), (1.0, 1.0)),
-                                          ((0.25, -1.0), (0.75, 2.0))],
+    @pytest.mark.parametrize("lat", [Lattice(1, 64), Lattice(2, 16), Lattice(2, 27)],
                              ids=["d1", "d2", "box"])
-    def test_positions_match_generator_uniform(self, low, high):
-        # positions are the values Generator.uniform draws, and the stream
-        # continues from the same state
-        region = Region(low=low, high=high)
-        atoms = sample_stable_atoms(region, 0.5, 1e-3, RngStream(3).generator(0, "atoms"))
+    def test_positions_match_generator_uniform(self, lat):
+        # the cloud draws its per-cell counts, then its sizes; positions are
+        # (cell + v) h with v the uniforms of their own generator, one row
+        # per atom (box: a 2-D lattice whose spacing 1/27 is no binary fraction)
+        atoms = sample_stable_atoms(lat, 0.5, 1e-3, RngStream(3).generator(0, "atoms"))
         rng = RngStream(3).generator(0, "atoms")
-        count = int(rng.poisson(expected_atom_count(region.volume, 0.5, 1e-3)))
-        lo, hi = np.atleast_1d(low), np.atleast_1d(high)
-        np.testing.assert_array_equal(atoms.positions, rng.uniform(lo, hi, size=(count, lo.size)))
-        np.testing.assert_array_equal(atoms.sizes, 1e-3 * rng.random(count) ** -2.0)
+        counts = rng.poisson(expected_atom_count(1.0 / lat.n_sites, 0.5, 1e-3), lat.n_sites)
+        np.testing.assert_array_equal(atoms.cells, np.repeat(np.arange(lat.n_sites), counts))
+        np.testing.assert_array_equal(atoms.sizes, 1e-3 * rng.random(counts.sum()) ** -2.0)
+        pos = atom_positions(lat, atoms.cells, RngStream(3).generator(0, "positions"))
+        v = RngStream(3).generator(0, "positions").random((atoms.count, lat.d))
+        index = np.stack(np.unravel_index(atoms.cells, (lat.resolution,) * lat.d), axis=1)
+        np.testing.assert_array_equal(pos, (index + v) * lat.spacing)
+
+    def test_cell_counts_mean_and_variance(self):
+        # every cell's count is Poisson(h^d z_min^-alpha / alpha)
+        for lat in (Lattice(1, 64), Lattice(2, 16)):
+            lam = lat.spacing**lat.d * 1e-4 ** -0.5 / 0.5
+            stream = RngStream(13)
+            counts = np.concatenate([
+                np.bincount(sample_stable_atoms(lat, 0.5, 1e-4, stream.generator(r, "atoms")).cells,
+                            minlength=lat.n_sites)
+                for r in range(200)])
+            n = counts.size
+            # SEs of the sample mean and variance of Poisson(lam) counts
+            assert abs(counts.mean() - lam) < 4 * np.sqrt(lam / n)
+            assert abs(counts.var(ddof=1) - lam) < 4 * np.sqrt((lam + 2 * lam**2) / n)
 
     def test_pareto_tail_exponent(self):
         rng = np.random.default_rng(11)
-        atoms = sample_stable_atoms(Region.unit(1), 0.5, 1e-6, rng)
+        atoms = sample_stable_atoms(LAT64, 0.5, 1e-6, rng)
         # P(z > t) = (t/z_min)^(-alpha): check the median (~2000 atoms)
         med = np.median(atoms.sizes)
         assert med == pytest.approx(1e-6 * 2 ** (1 / 0.5), rel=0.2)
@@ -88,7 +106,7 @@ class TestStableAtoms:
     def test_poisson_mean_count(self):
         rng = np.random.default_rng(2)
         counts = [
-            sample_stable_atoms(Region.unit(1), 0.5, 1e-2, rng).count
+            sample_stable_atoms(LAT64, 0.5, 1e-2, rng).count
             for _ in range(400)
         ]
         mean = expected_atom_count(1.0, 0.5, 1e-2)
@@ -150,7 +168,7 @@ class TestPositiveStable:
             mbar = build_dual_cells(f, gamma2, alpha, cell_stream.generator(r, "atoms"))
             cells[r] = measure_box(mbar, [0.0], [0.25])
             g = sampler.sample_field(atom_stream, r)
-            cloud = sample_stable_atoms(Region.unit(1), alpha, z_min,
+            cloud = sample_stable_atoms(g.lattice, alpha, z_min,
                                         atom_stream.generator(r, "atoms"))
             atoms[r] = build_atomic_direct(g, gamma2, alpha, cloud).box_mass([0.0], [0.25])
             w = np.exp((gamma / alpha) * g.values - (gamma2 / (2 * alpha)) * g.variance0)
@@ -164,26 +182,32 @@ class TestPositiveStable:
 class TestConstructions:
     def test_direct_masses_positive(self):
         f = make_field()
-        atoms = sample_stable_atoms(Region.unit(1), 0.5, 1e-5, np.random.default_rng(1))
+        atoms = sample_stable_atoms(LAT64, 0.5, 1e-5, np.random.default_rng(1))
         mbar = build_atomic_direct(f, 1.0, 0.5, atoms)
         assert mbar.count == atoms.count
         assert np.all(mbar.masses > 0)
 
     def test_direct_alpha_mismatch(self):
         f = make_field()
-        atoms = sample_stable_atoms(Region.unit(1), 0.5, 1e-4, np.random.default_rng(1))
+        atoms = sample_stable_atoms(LAT64, 0.5, 1e-4, np.random.default_rng(1))
         with pytest.raises(AtomicError):
             build_atomic_direct(f, 1.0, 0.3, atoms)
+
+    def test_direct_lattice_mismatch(self):
+        # cells of a 32-cell cloud would index the wrong sites of a 64-cell field
+        atoms = sample_stable_atoms(Lattice(1, 32), 0.5, 1e-4, np.random.default_rng(1))
+        with pytest.raises(AtomicError):
+            build_atomic_direct(make_field(), 1.0, 0.5, atoms)
 
     def test_subordinated_positions_in_cells(self):
         m = build_chaos(make_field(), 1.0)
         mbar = build_subordinated(m, 0.5, 1e-4, np.random.default_rng(3))
-        assert np.all((mbar.positions >= 0) & (mbar.positions <= 1))
+        assert mbar.cells.min() >= 0 and mbar.cells.max() < m.lattice.n_sites
         assert np.all(mbar.masses >= 1e-4)
 
     def test_box_mass_additive(self):
         f = make_field(seed=9)
-        atoms = sample_stable_atoms(Region.unit(1), 0.5, 1e-5, np.random.default_rng(5))
+        atoms = sample_stable_atoms(LAT64, 0.5, 1e-5, np.random.default_rng(5))
         mbar = build_atomic_direct(f, 1.0, 0.5, atoms)
         halves = mbar.box_mass([0.0], [0.5]) + mbar.box_mass([0.5], [1.0])
         assert halves == pytest.approx(mbar.total_mass(), rel=1e-12)
@@ -198,7 +222,7 @@ class TestConstructions:
         for r in range(R):
             f = sampler.sample_field(stream, r)
             m = build_chaos(f, 1.0)
-            atoms = sample_stable_atoms(Region.unit(1), 0.5, 1e-6,
+            atoms = sample_stable_atoms(f.lattice, 0.5, 1e-6,
                                         stream.generator(r, "atoms"))
             direct[r] = build_atomic_direct(f, 1.0, 0.5, atoms).total_mass()
             subord[r] = build_subordinated(m, 0.5, 1e-6,

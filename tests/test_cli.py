@@ -2,15 +2,17 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
+from gmclab.atomic import sample_stable_atoms
 from gmclab.cli import main, write_csv
 from gmclab.config import (
     ConfigError,
     parse_config_text,
     validate_config,
 )
-from gmclab.field import PURPOSES, RngStream
+from gmclab.field import PURPOSES, Lattice, RngStream
 
 BASE_CONFIG = """
 # smoke configuration
@@ -46,6 +48,12 @@ RERUN_CONFIGS = {
     "lq": "gamma2 = 0.5\nlevel = 5\nresolution = 256\nq.grid = 0,0.5,1\nreplicas = 1\n"
           "seed = 7\n",
 }
+
+
+# a config kpz and duality would run but for its dimension
+SQUARE_CANTOR = ("kernel.family = exact2d\ndimension = 2\ngamma2 = 1.0\nlevel = 3\n"
+                 "resolution = 243\ncantor.depth = 5\nreplicas = 2\n"
+                 "s.grid = 0.3,0.4,0.5,0.6,0.7\n")
 
 
 @pytest.fixture
@@ -139,7 +147,14 @@ class TestCliRuns:
         ("scaling", "gamma2 = 1.0\nresolution = 100\nq.grid = 0.1\nscaling.lambdas = 0.5\n", [],
          "scaling box of side 0.125 spans 12.5 cells; "
          "resolution * scaling.radius * lambda must be a whole number"),
-    ], ids=["kpz-s-grid", "duality-depth", "lq-replicas", "scaling-cells"])
+        # the covering intervals index cells along one axis: on the square
+        # they would measure only the strip x < 1/N
+        ("kpz", SQUARE_CANTOR, [],
+         "kpz covers the Cantor set on [0, 1]: dimension must be 1, got 2"),
+        ("duality", SQUARE_CANTOR, [],
+         "duality covers the Cantor set on [0, 1]: dimension must be 1, got 2"),
+    ], ids=["kpz-s-grid", "duality-depth", "lq-replicas", "scaling-cells", "kpz-dim2",
+            "duality-dim2"])
     def test_unrunnable_config_is_diagnosed(self, tmp_path, capsys, experiment, text, args,
                                             diag):
         # rejected before any ensemble is built
@@ -237,6 +252,36 @@ class TestCliRuns:
         code = main(["field", "--config", config_file, "--out", out, "--replicas", "400"])
         assert code == 0
         assert (tmp_path / "out" / "covariance.csv").exists()
+
+    @pytest.mark.parametrize("text", [
+        "gamma2 = 1.0\nlevel = 3\nresolution = 32\nseed = 2\n",
+        "kernel.family = exact2d\ndimension = 2\ngamma2 = 1.0\nlevel = 3\nresolution = 16\n"
+        "seed = 2\n",
+    ], ids=["d1", "d2"])
+    def test_atoms_coordinates_lie_in_their_cells(self, tmp_path, text):
+        # row i of replica r is atom i of the replica's cloud on (atoms, r, 0);
+        # its coordinates come from (positions, r, 0), so 3 replicas are the
+        # first rows of 5
+        path = tmp_path / "cfg.txt"
+        path.write_text(text)
+        rows = {}
+        for n in (3, 5):
+            out = tmp_path / str(n)
+            assert main(["atoms", "--config", str(path), "--out", str(out),
+                         "--replicas", str(n)]) == 0
+            rows[n] = (out / "atoms.csv").read_text().splitlines()
+        assert rows[3] == [line for line in rows[5] if line.split(",")[0] in "replica012"]
+        cfg = parse_config_text(text)
+        lat = Lattice(cfg.dimension, cfg.resolution)
+        table = np.array([[float(v) for v in line.split(",")] for line in rows[5][1:]])
+        for r in range(5):
+            cells = sample_stable_atoms(lat, cfg.alpha(), cfg.resolved_z_min(),
+                                        RngStream(2).generator(r, "atoms")).cells
+            coords = table[table[:, 0] == r, 1:1 + lat.d]
+            index = np.stack(np.unravel_index(cells, (lat.resolution,) * lat.d), axis=1)
+            assert len(coords) == len(cells) > 0
+            assert np.all(index * lat.spacing <= coords)
+            assert np.all(coords <= (index + 1) * lat.spacing)
 
     def test_atoms_run_emits_svg(self, tmp_path):
         path = tmp_path / "cfg.txt"

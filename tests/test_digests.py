@@ -10,6 +10,8 @@ and record the changed digests in CHANGES.md.  The digests hold for the
 numpy and scipy versions they were made with.
 """
 
+import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +24,24 @@ def test_seed7_digests_match_expected():
                          capture_output=True, text=True, check=True)
     expected = (ROOT / "tests" / "digests_seed7.txt").read_text()
     assert run.stdout.splitlines() == expected.splitlines()
+
+
+def test_reference_csv_cells_parse(tmp_path):
+    # every CSV cell is a number float() reads (ints and nan included) or a
+    # plain label such as a series name; a numpy repr like np.float64(0.5) is
+    # neither
+    spec = importlib.util.spec_from_file_location("digests", ROOT / "tools" / "digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tables = 0
+    for name in tool.CONFIGS:
+        tool.digests(name, 7, tmp_path)
+        for path in sorted((tmp_path / name).glob("*.csv")):
+            tables += 1
+            for line in path.read_text().splitlines()[1:]:
+                for cell in line.split(","):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        assert re.fullmatch(r"[A-Za-z_]\w*", cell), (path.name, cell)
+    assert tables == 13

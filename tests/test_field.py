@@ -43,11 +43,6 @@ class TestLattice:
         assert c[1, 0] == c[0, 0]
         assert c[1, 1] > c[0, 1]
 
-    def test_cell_index_roundtrip(self):
-        lat = Lattice(2, 16)
-        c = lat.centers()
-        np.testing.assert_array_equal(lat.cell_index(c), np.arange(lat.n_sites))
-
     def test_rejects_degenerate(self):
         with pytest.raises(FieldError):
             Lattice(1, 1)
@@ -168,7 +163,7 @@ class TestLayerSampler:
         emp = draws.var(axis=0)
         theory = sampler.variance0
         # center site, 4 SE of the chi-square spread
-        i = lat.cell_index(np.array([[0.5, 0.5]]))[0]
+        i = 4 * lat.resolution + 4  # the cell whose lower corner is (0.5, 0.5)
         se = theory[i] * np.sqrt(2.0 / len(draws))
         assert abs(emp[i] - theory[i]) < 4 * se
 
