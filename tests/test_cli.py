@@ -270,7 +270,8 @@ class TestCliRuns:
             assert main(["atoms", "--config", str(path), "--out", str(out),
                          "--replicas", str(n)]) == 0
             rows[n] = (out / "atoms.csv").read_text().splitlines()
-        assert rows[3] == [line for line in rows[5] if line.split(",")[0] in "replica012"]
+        assert rows[3] == [line for line in rows[5]
+                           if line.split(",")[0] in {"replica", "0", "1", "2"}]
         cfg = parse_config_text(text)
         lat = Lattice(cfg.dimension, cfg.resolution)
         table = np.array([[float(v) for v in line.split(",")] for line in rows[5][1:]])
