@@ -8,8 +8,6 @@ from .atomic import (
     StableAtoms,
     build_atomic_direct,
     build_subordinated,
-    fractional_moment_identity_check,
-    moment_relation_constant,
     sample_stable_atoms,
     xi_bar,
 )

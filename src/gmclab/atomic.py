@@ -5,7 +5,8 @@ a non-normalized lognormal factor exp((gamma/alpha) X - (gamma^2/(2 alpha))
 Var X).  The subordinated construction draws a conditionally Poisson atom
 cloud with intensity M(dx) dz / z^(1+alpha) from a realized chaos measure.
 Both realize the same law; the Laplace comparison in the analysis module is
-the cross-check.
+the cross-check.  The moment constant and the fractional moment identity the
+acceptance criteria compare against are reference code in tests/oracles.py.
 
 On the lattice an atom is a (cell, size) pair: every check reads a cloud only
 through the cells its atoms fall in, so both clouds draw their atoms cell by
@@ -18,11 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gamma as gamma_fn, gammaln
+from scipy.special import gamma as gamma_fn
 
 from .chaos import LatticeMeasure, measure_box
 from .field import FieldGrid, Lattice
+
+# mean discarded atom mass per unit control mass at z_min = auto
+Z_MIN_REL_TOL = 1e-3
 
 
 class AtomicError(ValueError):
@@ -104,10 +107,10 @@ def expected_atom_count(control_mass: float, alpha: float, z_min: float) -> floa
     return control_mass * z_min ** (-alpha) / alpha
 
 
-def auto_z_min(alpha: float, rel_tol: float = 1e-3) -> float:
-    """Truncation level making the mean discarded mass rel_tol per unit control
-    mass: z^(1-alpha)/(1-alpha) = rel_tol."""
-    return (rel_tol * (1.0 - alpha)) ** (1.0 / (1.0 - alpha))
+def auto_z_min(alpha: float) -> float:
+    """Truncation level making the mean discarded mass Z_MIN_REL_TOL per unit
+    control mass: z^(1-alpha)/(1-alpha) = Z_MIN_REL_TOL."""
+    return (Z_MIN_REL_TOL * (1.0 - alpha)) ** (1.0 / (1.0 - alpha))
 
 
 def _pareto(rng: np.random.Generator, alpha: float, z_min: float, size: int) -> np.ndarray:
@@ -218,44 +221,3 @@ def build_subordinated(m: LatticeMeasure, alpha: float, z_min: float,
     cells, sizes = _cell_cloud(rng.poisson(m.masses * z_min ** (-alpha) / alpha),
                                alpha, z_min, rng)
     return AtomicMeasure(lattice=m.lattice, cells=cells, masses=sizes)
-
-
-def moment_relation_constant(beta: float, alpha: float) -> float:
-    """Gamma-function factor linking E[Mbar(A)^beta] to E[M(A)^(beta/alpha)]:
-    Gamma(1-b/a) Gamma(1-a)^(b/a) / (Gamma(1-b) a^(b/a)); finite iff beta < alpha."""
-    if beta < 0:
-        raise AtomicError("beta must be nonnegative")
-    if beta >= alpha:
-        raise AtomicError("moment constant diverges for beta >= alpha")
-    if beta == 0:
-        return 1.0
-    r = beta / alpha
-    log_c = (
-        gammaln(1.0 - r)
-        + r * gammaln(1.0 - alpha)
-        - gammaln(1.0 - beta)
-        - r * np.log(alpha)
-    )
-    return float(np.exp(log_c))
-
-
-def fractional_moment_identity_check(x: float, beta: float) -> float:
-    """Residual of x^b = (b/Gamma(1-b)) int_0^inf (1-e^(-xz)) dz/z^(1+b)."""
-    if x < 0:
-        raise AtomicError("x must be nonnegative")
-    if not (0.0 < beta < 1.0):
-        raise AtomicError("beta must lie strictly in (0, 1)")
-    if x == 0.0:
-        return 0.0
-
-    def integrand(z):
-        return -np.expm1(-x * z) / z ** (1.0 + beta)
-
-    # split at the 1/x knee so quad resolves both regimes cleanly
-    v1, e1 = integrate.quad(integrand, 0.0, 1.0 / x, epsabs=1e-13, epsrel=1e-12, limit=400)
-    v2, e2 = integrate.quad(integrand, 1.0 / x, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
-    val, err = v1 + v2, e1 + e2
-    if not np.isfinite(val):
-        raise AtomicError("quadrature failure in fractional moment identity")
-    rhs = beta / gamma_fn(1.0 - beta) * val
-    return abs(x**beta - rhs)

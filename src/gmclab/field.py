@@ -9,8 +9,8 @@ b draws its replicas in order from one RNG substream (field, b, 0), derived
 from a single master seed, with one batched transform per chunk of them.  A
 circulant FFT gives two replicas, its real and its imaginary part.  Replica
 r's field depends only on (seed, r), so every draw is reproducible bit for
-bit.  The dense factorization `_dense_factor` is kept as the reference that
-tests compare the samplers against.
+bit.  The dense factorization that tests compare the circulant embedding
+against lives with the other reference implementations in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -29,11 +29,8 @@ from .kernels import (
     partial_kernel_radial,
 )
 
-DENSE_SITE_LIMIT = 4096
 # negative circulant eigenvalue mass tolerated before the embedding is rejected
 CLIP_MASS_TOL = 1e-6
-DENSE_JITTER = 1e-12
-
 # replicas per field substream; a multiple of 2, since a circulant draw
 # gives two replicas
 FIELD_BLOCK = 64
@@ -187,32 +184,6 @@ def _circulant_fields(sqrt_lam: np.ndarray, resolution: int, z: np.ndarray) -> n
     out[0::2] = e.real.reshape(len(z), -1)
     out[1::2] = e.imag.reshape(len(z), -1)
     return out
-
-
-def _dense_factor(spec: KernelSpec, levels: Sequence[int], lattice: Lattice) -> np.ndarray:
-    """Factor F with F F^T the covariance summed over the given levels."""
-    if lattice.n_sites > DENSE_SITE_LIMIT:
-        raise FieldError(
-            f"{lattice.n_sites} sites exceed the dense backend limit {DENSE_SITE_LIMIT}"
-        )
-    pts = lattice.centers()
-    if spec.family == "gff-square":
-        # row-chunked: the image-sum expansion is memory hungry on full pair grids
-        q = np.empty((len(pts), len(pts)))
-        step = max(1, 2**18 // max(len(pts), 1))
-        for i in range(0, len(pts), step):
-            q[i:i + step] = sum(eval_level_increment(spec, n, pts[i:i + step, None, :],
-                                                     pts[None, :, :]) for n in levels)
-    else:
-        r = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
-        q = sum(level_increment_radial(spec, n, r) for n in levels)
-    scale = max(float(np.max(np.diag(q))), 1.0)
-    q = q + DENSE_JITTER * scale * np.eye(len(q))
-    w, v = np.linalg.eigh(q)
-    neg = np.abs(w[w < 0]).sum()
-    if neg > 1e-8 * np.abs(w).sum():
-        raise FieldError(f"level covariance far from positive semidefinite (mass {neg:.3e})")
-    return v * np.sqrt(np.maximum(w, 0.0))
 
 
 def _prepare_sine(levels: Sequence[int], lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:

@@ -11,19 +11,18 @@ import numpy as np
 import pytest
 
 from gmclab import analysis
-from gmclab.atomic import (
-    build_atomic_direct,
-    build_subordinated,
-    moment_relation_constant,
-    fractional_moment_identity_check,
-    sample_stable_atoms,
-)
+from gmclab.atomic import build_atomic_direct, build_subordinated, sample_stable_atoms
 from gmclab.chaos import build_chaos, measure_box, xi
 from gmclab.cli import main as cli_main
 from gmclab.config import ExperimentConfig
-from gmclab.field import Lattice, LayerSampler, RngStream, prepare_circulant, _dense_factor
+from gmclab.field import Lattice, LayerSampler, RngStream, prepare_circulant
 from gmclab.kernels import KernelSpec
 from gmclab.pipelines import run_field, run_scaling
+from oracles import (
+    dense_factor as _dense_factor,
+    fractional_moment_identity_check,
+    moment_relation_constant,
+)
 
 EXACT1D = KernelSpec(family="exact1d", T=1.0, d=1)
 EXACT2D = KernelSpec(family="exact2d", T=1.0, d=2)

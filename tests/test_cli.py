@@ -1,10 +1,14 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gmclab
 from gmclab.atomic import sample_stable_atoms
 from gmclab.cli import main, write_csv
 from gmclab.config import (
@@ -61,6 +65,19 @@ def config_file(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text(BASE_CONFIG)
     return str(path)
+
+
+def test_cli_import_loads_no_stats_or_integrate():
+    # a fresh interpreter: scipy.stats alone costs about half a second of
+    # every CLI start-up, and only the atoms pipeline imports it, when it runs
+    src = str(Path(gmclab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, gmclab.cli; "
+             "print(*[m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == []
 
 
 class TestConfigParsing:

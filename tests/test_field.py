@@ -4,7 +4,7 @@ import pytest
 import gmclab.field as gfield
 from gmclab.config import ExperimentConfig
 from gmclab.field import (
-    DENSE_SITE_LIMIT,
+    CLIP_MASS_TOL,
     FIELD_BLOCK,
     FieldError,
     Lattice,
@@ -21,6 +21,7 @@ from gmclab.kernels import (
     level_increment_radial,
 )
 from gmclab.pipelines import run_field
+from oracles import DENSE_JITTER, DENSE_SITE_LIMIT, dense_factor
 
 EXACT1D = KernelSpec(family="exact1d", T=1.0, d=1)
 STAR1D = KernelSpec(family="star", T=1.0, d=1)
@@ -105,6 +106,31 @@ class TestCirculant:
         theory = float(level_increment_radial(EXACT1D, n, lag * lat.spacing))
         se = np.std(draws[:, 0] * draws[:, lag], ddof=1) / np.sqrt(len(draws))
         assert abs(emp - theory) < 4 * se
+
+    @pytest.mark.parametrize("spec,res,levels", [
+        (EXACT1D, 32, [1, 2, 3]),
+        (STAR1D, 16, [1]),
+        (EXACT2D, 8, [1, 2]),
+        (KernelSpec(family="star", T=1.0, d=2), 24, [1, 2, 3]),
+    ], ids=["exact1d", "star", "exact2d", "star2d"])
+    def test_embedding_matches_dense_factor(self, spec, res, levels):
+        # The lattice covariance the circulant path realizes, read from its
+        # squared eigenvalues, against the dense oracle's F F^T.  The oracle
+        # adds DENSE_JITTER * scale on the diagonal, and clipping a negative
+        # eigenvalue mass ratio up to CLIP_MASS_TOL moves an entry by at most
+        # CLIP_MASS_TOL / (1 - CLIP_MASS_TOL) of the variance.  star at 16
+        # clips at m = 4N, and star2d clips 0.97 of CLIP_MASS_TOL.
+        lat = Lattice(spec.d, res)
+        sqrt_lam, m = prepare_circulant(spec, levels, lat)
+        ifft = np.fft.ifft if spec.d == 1 else np.fft.ifft2
+        c = ifft(sqrt_lam**2).real
+        idx = np.indices((res,) * spec.d).reshape(spec.d, -1)
+        embedded = c[tuple((idx[k][:, None] - idx[k][None, :]) % m for k in range(spec.d))]
+        factor = dense_factor(spec, levels, lat)
+        dense = factor @ factor.T
+        scale = max(float(np.max(np.diag(dense))), 1.0)
+        atol = (DENSE_JITTER + CLIP_MASS_TOL / (1 - CLIP_MASS_TOL)) * scale
+        np.testing.assert_allclose(embedded, dense, rtol=0, atol=atol)
 
 
 class TestLayerSampler:
