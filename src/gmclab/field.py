@@ -31,6 +31,7 @@ from .kernels import (
 
 # negative circulant eigenvalue mass tolerated before the embedding is rejected
 CLIP_MASS_TOL = 1e-6
+
 # replicas per field substream; a multiple of 2, since a circulant draw
 # gives two replicas
 FIELD_BLOCK = 64
