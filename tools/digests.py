@@ -4,7 +4,7 @@ Usage (from the root of a gmclab checkout):
 
     python3 tools/digests.py [--seed N]
 
-Runs each of the twelve reference configs below through gmclab.cli.main at
+Runs each of the fifteen reference configs below through gmclab.cli.main at
 the given seed (default 7) in a temporary directory and prints one line per
 config with its exit code, then one line per artifact:
 
@@ -105,6 +105,32 @@ CONFIGS = {
         level = 3
         resolution = 16
         replicas = 300
+    """),
+    "chaos-exact2d": ("chaos", """
+        kernel.family = exact2d
+        dimension = 2
+        gamma2 = 1.0
+        level = 3
+        resolution = 32
+        replicas = 100
+        lambda.grid = 0.5,0.25,0.125,0.0625
+    """),
+    "lq-exact2d": ("lq", """
+        kernel.family = exact2d
+        dimension = 2
+        gamma2 = 1.0
+        level = 3
+        resolution = 32
+        q.grid = 0,0.5,1
+        replicas = 1
+    """),
+    "atoms-exact2d": ("atoms", """
+        kernel.family = exact2d
+        dimension = 2
+        gamma2 = 1.0
+        level = 3
+        resolution = 16
+        replicas = 3
     """),
 }
 
