@@ -447,11 +447,9 @@ def _dyadic_box_masses(measure: LatticeMeasure, depth: int) -> np.ndarray:
     boxes = 2**depth
     if lat.resolution % boxes != 0:
         raise AnalysisError("dyadic depth does not divide the lattice resolution")
-    if lat.d == 1:
-        return measure.masses.reshape(boxes, -1).sum(axis=1)
-    per = lat.resolution // boxes
-    grid = measure.masses.reshape(lat.resolution, lat.resolution)
-    return grid.reshape(boxes, per, boxes, per).sum(axis=(1, 3)).ravel()
+    # axis 2k indexes the boxes along grid axis k, axis 2k + 1 the cells in a box
+    grid = measure.masses.reshape((boxes, lat.resolution // boxes) * lat.d)
+    return grid.sum(axis=tuple(range(1, 2 * lat.d, 2))).ravel()
 
 
 def lq_conjecture(q_grid, gamma2: float, alpha: float, d: int) -> np.ndarray:

@@ -147,8 +147,7 @@ def atom_positions(lattice: Lattice, cells: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
     """Coordinates (count, d) of atoms in the given cells: (cell + v) h per
     axis, v uniform on [0, 1), so each atom is uniform on its cell."""
-    n = lattice.resolution
-    index = cells[:, None] if lattice.d == 1 else np.column_stack([cells // n, cells % n])
+    index = np.column_stack(np.unravel_index(cells, lattice.shape))
     return (index + rng.random((len(cells), lattice.d))) * lattice.spacing
 
 

@@ -186,9 +186,17 @@ def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> lis
             )
         if len(cfg.s_grid) < 5:
             diags.append("s.grid needs at least 5 values")
-    if experiment == "lq" and cfg.replicas != 1:
-        diags.append(f"lq analyses one replica: replicas must be 1, got {cfg.replicas}")
+    if experiment == "lq":
+        if cfg.replicas != 1:
+            diags.append(f"lq analyses one replica: replicas must be 1, got {cfg.replicas}")
+        # three dyadic depths 2^j, j >= 2, divide resolution exactly when 16 does
+        if cfg.resolution % 16:
+            diags.append(f"lq fits three dyadic depths 2^2, 2^3, 2^4: resolution must be "
+                         f"a multiple of 16, got {cfg.resolution}")
     if experiment == "scaling":
+        if cfg.kernel_family not in ("exact1d", "exact2d"):
+            diags.append("perfect scaling requires an exact scale invariant kernel "
+                         f"(exact1d or exact2d), got {cfg.kernel_family}")
         # the dual's box masses are sums of whole cells
         for lam in (1.0, *cfg.scaling_lambdas):
             cells = cfg.resolution * cfg.scaling_radius * lam

@@ -53,11 +53,6 @@ def lattice_for(cfg: ExperimentConfig) -> Lattice:
     return Lattice(cfg.dimension, cfg.resolution)
 
 
-def _box(d: int, side: float):
-    """The box [0, side]^d as (lo, hi) corners."""
-    return np.zeros(d), np.full(d, side)
-
-
 # ---------------------------------------------------------------------------
 # the replica loop and its reducers
 # ---------------------------------------------------------------------------
@@ -96,11 +91,13 @@ def _measures(cfg: ExperimentConfig, kind: str, stream: RngStream,
             yield field, None, build_chaos(field, cfg.gamma2)
 
 
-def _box_masses(cfg: ExperimentConfig, kind: str, stream: RngStream, boxes,
+def _box_masses(cfg: ExperimentConfig, kind: str, stream: RngStream, sides,
                 level: int | None = None) -> np.ndarray:
-    """Per-replica masses of the boxes, shape (replicas, len(boxes)), for the
+    """Masses of the boxes [0, side]^d, shape (replicas, len(sides)), for the
     kinds whose measures live on the lattice ("chaos" and "dual")."""
-    return np.array([[measure_box(m, lo, hi) for lo, hi in boxes]
+    lo = np.zeros(cfg.dimension)
+    boxes = [np.full(cfg.dimension, side) for side in sides]
+    return np.array([[measure_box(m, lo, hi) for hi in boxes]
                      for _, _, m in _measures(cfg, kind, stream, level)])
 
 
@@ -156,8 +153,7 @@ def run_field(cfg: ExperimentConfig) -> PipelineResult:
 
 def run_chaos(cfg: ExperimentConfig) -> PipelineResult:
     """Expectation identity: mean total chaos mass within 3 SE of 1."""
-    boxes = [_box(cfg.dimension, lam) for lam in (1.0, *cfg.lambda_grid)]
-    masses = _box_masses(cfg, "chaos", RngStream(cfg.seed), boxes)
+    masses = _box_masses(cfg, "chaos", RngStream(cfg.seed), (1.0, *cfg.lambda_grid))
     rows = []
     for r in range(cfg.replicas):
         rows.append((r, 0, 1.0, masses[r, 0]))
@@ -218,8 +214,7 @@ def run_atoms(cfg: ExperimentConfig) -> PipelineResult:
         if r == 0 and mbar.count:
             keep = np.argsort(mbar.masses)[-min(200, mbar.count):]
             top_atoms = (positions[keep], mbar.masses[keep])
-    header = (["replica", "x", "z", "mass"] if lat.d == 1
-              else ["replica", "x", "y", "z", "mass"])
+    header = ["replica", *"xy"[:lat.d], "z", "mass"]
     span = float(np.median(spans)) if spans else 0.0
     corr = float(np.median(corrs)) if corrs else 0.0
     result = PipelineResult(
@@ -242,8 +237,7 @@ def run_atoms(cfg: ExperimentConfig) -> PipelineResult:
 
 def run_spectrum(cfg: ExperimentConfig) -> PipelineResult:
     """Moment-slope estimation of the chaos spectrum against the closed form."""
-    boxes = [_box(cfg.dimension, lam) for lam in cfg.lambda_grid]
-    masses = _box_masses(cfg, "chaos", RngStream(cfg.seed), boxes)
+    masses = _box_masses(cfg, "chaos", RngStream(cfg.seed), cfg.lambda_grid)
     fit = analysis.estimate_spectrum(cfg.lambda_grid, masses, cfg.q_grid,
                                      rng=np.random.default_rng(cfg.seed))
     theory = xi(cfg.gamma2, cfg.dimension, np.asarray(cfg.q_grid))
@@ -266,8 +260,7 @@ def run_laplace(cfg: ExperimentConfig) -> PipelineResult:
     """Laplace duality on [0,1]: both constructions against the chaos side."""
     alpha = cfg.alpha()
     z_min = cfg.resolved_z_min()
-    unit = [_box(cfg.dimension, 1.0)]
-    m = _box_masses(cfg, "chaos", RngStream(cfg.seed), unit)[:, 0]
+    m = _box_masses(cfg, "chaos", RngStream(cfg.seed), [1.0])[:, 0]
     # both constructions place every atom in the unit box, so their mass there
     # is the total mass: no atom needs testing against the box
     direct = np.array([mbar.total_mass() for _, _, mbar
@@ -302,7 +295,7 @@ def run_laplace(cfg: ExperimentConfig) -> PipelineResult:
 def run_tail(cfg: ExperimentConfig) -> PipelineResult:
     """Hill plateau of the atomic total mass, with synthetic controls."""
     alpha = cfg.alpha()
-    totals = _box_masses(cfg, "dual", RngStream(cfg.seed), [_box(cfg.dimension, 1.0)])[:, 0]
+    totals = _box_masses(cfg, "dual", RngStream(cfg.seed), [1.0])[:, 0]
     k = cfg.hill_k or max(cfg.replicas // 20, 50)
     hill = analysis.hill_tail_index(totals, k)
     ctrl_rng = np.random.default_rng(cfg.seed)
@@ -340,11 +333,9 @@ def run_tail(cfg: ExperimentConfig) -> PipelineResult:
 
 def run_scaling(cfg: ExperimentConfig) -> PipelineResult:
     """Perfect scaling: level-matched moment ratios and the Omega MGF self-test."""
-    if cfg.kernel_family not in ("exact1d", "exact2d"):
-        raise ValueError("perfect scaling requires an exact scale invariant kernel")
     alpha = cfg.alpha()
     radius = cfg.scaling_radius
-    ref = _box_masses(cfg, "dual", RngStream(cfg.seed), [_box(cfg.dimension, radius)])[:, 0]
+    ref = _box_masses(cfg, "dual", RngStream(cfg.seed), [radius])[:, 0]
     q_grid = np.asarray([q for q in cfg.q_grid if q < alpha])
     if q_grid.size == 0:
         q_grid = alpha * np.array([0.25, 0.5, 0.75])
@@ -354,8 +345,8 @@ def run_scaling(cfg: ExperimentConfig) -> PipelineResult:
     for j, lam in enumerate(cfg.scaling_lambdas, start=1):
         # exact self-similarity holds level-matched: scale lambda at level n/lambda
         level_lam = int(round(cfg.level / lam))
-        small = _box_masses(cfg, "dual", RngStream(cfg.seed + j),
-                            [_box(cfg.dimension, lam * radius)], level=level_lam)[:, 0]
+        small = _box_masses(cfg, "dual", RngStream(cfg.seed + j), [lam * radius],
+                            level=level_lam)[:, 0]
         res = analysis.verify_perfect_scaling(small, ref, lam, cfg.gamma2, alpha,
                                               cfg.dimension, q_grid, rng=rng)
         for i, q in enumerate(q_grid):
@@ -460,13 +451,9 @@ def run_lq(cfg: ExperimentConfig) -> PipelineResult:
     """Box-counting L^q-spectrum proxy, labeled CONJECTURE-COMPARISON."""
     alpha = cfg.alpha()
     max_depth = int(np.floor(np.log2(cfg.resolution)))
+    # validate_config requires 16 | resolution, so depths 2, 3 and 4 divide it
     depths = [j for j in range(2, max_depth + 1)
               if cfg.resolution % 2**j == 0][-5:]
-    if len(depths) < 3:
-        raise ValueError(
-            "resolution must be divisible by at least three dyadic depths 2^j "
-            "(use a power-of-two resolution for the lq pipeline)"
-        )
     # replica 0 only; both measures see the same field draw on (field, 0, 0)
     stream = RngStream(cfg.seed)
     _, _, m = next(_measures(cfg, "chaos", stream))

@@ -170,8 +170,15 @@ class TestCliRuns:
          "kpz covers the Cantor set on [0, 1]: dimension must be 1, got 2"),
         ("duality", SQUARE_CANTOR, [],
          "duality covers the Cantor set on [0, 1]: dimension must be 1, got 2"),
+        ("lq", "resolution = 24\nreplicas = 1\n", [],
+         "lq fits three dyadic depths 2^2, 2^3, 2^4: resolution must be a multiple of 16, "
+         "got 24"),
+        ("scaling", "kernel.family = star\ngamma2 = 1.0\nresolution = 128\nq.grid = 0.1\n"
+         "scaling.lambdas = 0.5\n", [],
+         "perfect scaling requires an exact scale invariant kernel (exact1d or exact2d), "
+         "got star"),
     ], ids=["kpz-s-grid", "duality-depth", "lq-replicas", "scaling-cells", "kpz-dim2",
-            "duality-dim2"])
+            "duality-dim2", "lq-depths", "scaling-kernel"])
     def test_unrunnable_config_is_diagnosed(self, tmp_path, capsys, experiment, text, args,
                                             diag):
         # rejected before any ensemble is built

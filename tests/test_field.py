@@ -44,6 +44,14 @@ class TestLattice:
         assert c[1, 0] == c[0, 0]
         assert c[1, 1] > c[0, 1]
 
+    @pytest.mark.parametrize("d,n", [(1, 8), (2, 4)], ids=["d1", "d2"])
+    def test_shape_gives_the_site_order(self, d, n):
+        # site i is the cell np.unravel_index(i, shape) on every axis
+        lat = Lattice(d, n)
+        assert lat.shape == (n,) * d
+        cells = np.column_stack(np.unravel_index(np.arange(lat.n_sites), lat.shape))
+        assert np.array_equal(lat.centers(), lat.axis_centers()[cells])
+
     def test_rejects_degenerate(self):
         with pytest.raises(FieldError):
             Lattice(1, 1)
