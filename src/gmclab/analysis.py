@@ -263,79 +263,69 @@ class CoveringSumTable:
     sums: np.ndarray   # (n_levels, n_s)
 
 
+def _grid_box_masses(measure: LatticeMeasure, boxes: int) -> np.ndarray:
+    """Masses of the boxes of side 1/boxes, as the (boxes,) * d grid."""
+    lat = measure.lattice
+    if lat.resolution % boxes:
+        raise AnalysisError(f"{boxes} boxes do not divide the resolution {lat.resolution}")
+    # axis 2k indexes the boxes along grid axis k, axis 2k + 1 the cells in a box
+    grid = measure.masses.reshape((boxes, lat.resolution // boxes) * lat.d)
+    return grid.sum(axis=tuple(range(1, 2 * lat.d, 2)))
+
+
 @functools.lru_cache
-def cantor_intervals(generation: int) -> np.ndarray:
-    """Closed construction intervals of the triadic Cantor set, (2^g, 2) array.
+def _cantor_boxes(generation: int) -> np.ndarray:
+    """Indices, among 3^g boxes per axis, of the level-g triadic Cantor boxes:
+    those whose base-3 digits are all 0 or 2, in increasing order.
 
     Memoized; the returned array is shared between callers and read-only."""
-    intervals = np.array([[0.0, 1.0]])
+    idx = np.zeros(1, dtype=int)
     for _ in range(generation):
-        third = (intervals[:, 1] - intervals[:, 0]) / 3.0
-        left = np.column_stack([intervals[:, 0], intervals[:, 0] + third])
-        right = np.column_stack([intervals[:, 1] - third, intervals[:, 1]])
-        intervals = np.vstack([left, right])
-    intervals = intervals[np.argsort(intervals[:, 0])]
-    intervals.setflags(write=False)
-    return intervals
+        idx = (3 * idx[:, None] + [0, 2]).ravel()
+    idx.setflags(write=False)
+    return idx
 
 
-def _interval_masses(measure, intervals: np.ndarray) -> np.ndarray:
-    """Half-open [a, b) interval masses of a lattice or atomic measure (d=1),
-    for intervals whose ends lie on cell boundaries.
+def _power_sums(box_sets, exponents) -> np.ndarray:
+    """Sum of mu^s over the boxes of positive mass of each set, shape
+    (n_sets, n_s); s = 0 counts those boxes.
 
-    An atomic measure is first summed per cell.  Masses span many decades, so
-    each interval is summed directly: a difference of prefix sums would lose
-    the small intervals after a heavy one.
+    One scalar power pos**s per row keeps numpy's fast paths (s = 0.5 is a
+    sqrt), and one row reduction per set keeps the pairwise order of a 1-D
+    np.sum: every sum is bit-equal to a per-(set, s) loop.
     """
-    if isinstance(measure, AtomicMeasure):
-        measure = measure.cell_masses()
-    if not isinstance(measure, LatticeMeasure):
-        raise AnalysisError("unsupported measure type")
-    lat = measure.lattice
-    ends = np.round(intervals / lat.spacing).astype(int)
-    if np.max(np.abs(intervals - ends * lat.spacing)) > 1e-9:
-        raise AnalysisError("covering intervals do not align with cell boundaries")
-    lo, hi = np.clip(ends, 0, lat.resolution).T
-    # the trailing zero keeps index hi = len(masses) valid
-    sums = np.add.reduceat(np.append(measure.masses, 0.0),
-                           np.column_stack([lo, hi]).ravel())[::2]
-    return np.where(hi > lo, sums, 0.0)
+    exponents = np.asarray(exponents, dtype=float)
+    pos = [mu[mu > 0] for mu in box_sets]
+    ends = np.cumsum([0] + [p.size for p in pos])
+    allpos = np.concatenate(pos)
+    table = np.ones((exponents.size, allpos.size))
+    for si, s in enumerate(exponents):
+        if s != 0:
+            table[si] = allpos**s
+    return np.array([table[:, a:b].sum(axis=1) for a, b in zip(ends[:-1], ends[1:])])
 
 
 def covering_sums(measure, set_name: str, levels, s_grid) -> CoveringSumTable:
-    """S_n(s) = sum over level-n construction intervals of mu(I)^s.
+    """S_g(s) = sum over the level-g Cantor boxes B of mu(B)^s.
 
-    set_name: 'cantor' (triadic construction intervals) or 'interval'
-    (dyadic partition of [0,1], the full-support control).
+    The level-g boxes are the cells of the grid of 3^g boxes per axis whose
+    index on every axis has base-3 digits 0 and 2 only: the construction
+    intervals of the Cantor set C in d = 1, the squares of C x C in d = 2.
+    set_name must be 'cantor'.  An atomic measure is summed per cell first.
     """
+    if set_name != "cantor":
+        raise AnalysisError(f"unknown set spec {set_name!r}")
+    if isinstance(measure, AtomicMeasure):
+        measure = measure.cell_masses()
     levels = np.asarray(levels, dtype=int)
-    s_grid = np.asarray(s_grid, dtype=float)
-    ivals = []
-    for g in levels:
-        if set_name == "cantor":
-            ivals.append(cantor_intervals(int(g)))
-        elif set_name == "interval":
-            edges = np.linspace(0.0, 1.0, 2**int(g) + 1)
-            ivals.append(np.column_stack([edges[:-1], edges[1:]]))
-        else:
-            raise AnalysisError(f"unknown set spec {set_name!r}")
-    # all levels in one call, so an atomic measure is summed per cell once
-    mu_all = _interval_masses(measure, np.vstack(ivals))
-    level_of = np.repeat(np.arange(levels.size), [len(iv) for iv in ivals])
-    keep = mu_all > 0
-    pos = mu_all[keep]
-    counts = np.bincount(level_of[keep], minlength=levels.size)
-    # one scalar power pos**s per row keeps numpy's fast paths (s = 0.5 is a
-    # sqrt), and one row reduction per level keeps the pairwise order of a
-    # 1-D np.sum: every sum is bit-equal to a per-(level, s) loop.  Rows with
-    # s <= 0 stay ones, so they count the intervals of positive mass.
-    table = np.ones((s_grid.size, pos.size))
-    for si, s in enumerate(s_grid):
-        if s > 0:
-            table[si] = pos**s
-    stop = np.cumsum(counts)
-    sums = np.array([table[:, a:b].sum(axis=1) for a, b in zip(stop - counts, stop)])
-    return CoveringSumTable(levels=levels, sums=sums)
+    boxes = []
+    for g in levels.tolist():
+        grid = _grid_box_masses(measure, 3**g)
+        # C^d: the Cantor boxes along each axis in turn
+        for axis in range(grid.ndim):
+            grid = grid.take(_cantor_boxes(g), axis=axis)
+        boxes.append(grid.ravel())
+    return CoveringSumTable(levels=levels, sums=_power_sums(boxes, s_grid))
 
 
 @dataclass
@@ -442,16 +432,6 @@ class LqSpectrumResult:
     conjecture: np.ndarray | None
 
 
-def _dyadic_box_masses(measure: LatticeMeasure, depth: int) -> np.ndarray:
-    lat = measure.lattice
-    boxes = 2**depth
-    if lat.resolution % boxes != 0:
-        raise AnalysisError("dyadic depth does not divide the lattice resolution")
-    # axis 2k indexes the boxes along grid axis k, axis 2k + 1 the cells in a box
-    grid = measure.masses.reshape((boxes, lat.resolution // boxes) * lat.d)
-    return grid.sum(axis=tuple(range(1, 2 * lat.d, 2))).ravel()
-
-
 def lq_conjecture(q_grid, gamma2: float, alpha: float, d: int) -> np.ndarray:
     """Conjectured tau(q): xi_bar(q) - d on [q_-, alpha], 0 above alpha, and
     linear with slope xi_bar'(q_-) below q_-.
@@ -483,17 +463,14 @@ def lq_spectrum(measure: LatticeMeasure, q_grid, depths, gamma2: float | None = 
     q_grid = np.asarray(q_grid, dtype=float)
     depths = np.asarray(depths, dtype=int)
     log_r = -depths * np.log(2.0)
+    boxes = [_grid_box_masses(measure, 2**j).ravel() for j in depths.tolist()]
+    logs = np.log(_power_sums(boxes, q_grid))
     tau = np.empty(q_grid.size)
     err = np.empty(q_grid.size)
-    per_depth = [_dyadic_box_masses(measure, int(j)) for j in depths]
-    for i, q in enumerate(q_grid):
-        logs = []
-        for mu in per_depth:
-            pos = mu[mu > 0]
-            logs.append(np.log(np.sum(pos**q)) if q != 0 else np.log(pos.size))
-        slope, intercept = ols_slope(log_r, np.array(logs))
+    for i, col in enumerate(logs.T):
+        slope, intercept = ols_slope(log_r, col)
         tau[i] = slope
-        err[i] = float(np.std(np.array(logs) - (intercept + slope * log_r)))
+        err[i] = float(np.std(col - (intercept + slope * log_r)))
     conj = None
     if gamma2 is not None and alpha is not None:
         conj = lq_conjecture(q_grid, gamma2, alpha, d)

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 
+from .analysis import HILL_MIN_K
 from .atomic import auto_z_min
 from .chaos import xi_moment_range
 from .kernels import KernelError, KernelSpec
@@ -59,7 +60,7 @@ class ExperimentConfig:
     scaling_radius: float = 0.25
     cantor_depth: int = 6
     s_grid: tuple[float, ...] = ()
-    hill_k: int = 0                    # 0: max(replicas // 20, 50)
+    hill_k: int = 0                    # 0: resolved_hill_k's default
     out_dir: str = "gmclab-out"
 
     def alpha(self) -> float:
@@ -73,6 +74,10 @@ class ExperimentConfig:
         if self.z_min == "auto":
             return auto_z_min(self.alpha())
         return float(self.z_min)
+
+    def resolved_hill_k(self) -> int:
+        """tail's Hill k: hill.k, or max(replicas // 20, 50) when it is 0."""
+        return self.hill_k or max(self.replicas // 20, 50)
 
 
 _KEY_MAP = {
@@ -167,6 +172,12 @@ def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> lis
     if len(cfg.lambda_grid) and (min(cfg.lambda_grid) <= 0 or max(cfg.lambda_grid) >= 1):
         diags.append("lambda grid values must lie in (0, 1)")
     q_max_m = xi_moment_range(cfg.gamma2, cfg.dimension)
+    if experiment == "spectrum" and len(cfg.lambda_grid) < 4:
+        diags.append(f"spectrum needs at least 4 lambda.grid values, got {len(cfg.lambda_grid)}")
+    if experiment in ("spectrum", "lq") and not cfg.q_grid:
+        diags.append(f"{experiment} needs at least one q.grid value")
+    if experiment == "laplace" and not cfg.u_grid:
+        diags.append("laplace needs at least one u.grid value")
     if experiment in (None, "spectrum") and any(q >= q_max_m for q in cfg.q_grid):
         diags.append(
             f"q grid exceeds the chaos moment range q < 2d/gamma2 = {q_max_m:g}"
@@ -174,6 +185,7 @@ def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> lis
     if experiment == "scaling" and alpha is not None and any(q >= alpha for q in cfg.q_grid):
         diags.append(f"q grid exceeds the atomic moment threshold q < alpha = {alpha:g}")
     if experiment in ("kpz", "duality"):
+        # the square's covering sums run over C x C, but no d = 2 target is calibrated
         if cfg.dimension != 1:
             diags.append(f"{experiment} covers the Cantor set on [0, 1]: dimension must be 1, "
                          f"got {cfg.dimension}")
@@ -182,10 +194,13 @@ def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> lis
         if 3**cfg.cantor_depth > cfg.resolution or cfg.resolution % 3**cfg.cantor_depth:
             diags.append(
                 f"resolution must be a multiple of 3^cantor.depth = {3**cfg.cantor_depth} "
-                "so covering intervals align with cell boundaries"
+                "so the Cantor boxes align with cell boundaries"
             )
         if len(cfg.s_grid) < 5:
             diags.append("s.grid needs at least 5 values")
+    if experiment == "tail" and not HILL_MIN_K <= cfg.resolved_hill_k() < cfg.replicas:
+        diags.append(f"hill.k must lie in [{HILL_MIN_K}, replicas = {cfg.replicas}), got "
+                     f"{cfg.resolved_hill_k()}{'' if cfg.hill_k else ' (the default)'}")
     if experiment == "lq":
         if cfg.replicas != 1:
             diags.append(f"lq analyses one replica: replicas must be 1, got {cfg.replicas}")

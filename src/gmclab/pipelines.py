@@ -296,7 +296,7 @@ def run_tail(cfg: ExperimentConfig) -> PipelineResult:
     """Hill plateau of the atomic total mass, with synthetic controls."""
     alpha = cfg.alpha()
     totals = _box_masses(cfg, "dual", RngStream(cfg.seed), [1.0])[:, 0]
-    k = cfg.hill_k or max(cfg.replicas // 20, 50)
+    k = cfg.resolved_hill_k()
     hill = analysis.hill_tail_index(totals, k)
     ctrl_rng = np.random.default_rng(cfg.seed)
     pareto = (ctrl_rng.random(cfg.replicas)) ** (-1.0 / alpha)

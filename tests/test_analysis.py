@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from gmclab.analysis import (
     AnalysisError,
+    _cantor_boxes,
     _crossing,
-    _interval_masses,
-    cantor_intervals,
+    _grid_box_masses,
+    _power_sums,
     covering_sums,
     dimension_estimate,
     estimate_spectrum,
@@ -18,6 +19,7 @@ from gmclab.analysis import (
     kpz_solve_dual,
     laplace_rhs_transform,
     lq_conjecture,
+    lq_spectrum,
     ols_slope,
     sample_omega,
     verify_laplace,
@@ -28,6 +30,30 @@ from gmclab.field import Lattice, LayerSampler, RngStream
 from gmclab.kernels import KernelSpec
 
 LN23 = np.log(2.0) / np.log(3.0)
+
+
+def _level_boxes(set_name, g):
+    """Boxes per axis at level g and the indices of the kept ones: the Cantor
+    boxes among 3^g, or all 2^g dyadic intervals, lq_spectrum's boxes."""
+    if set_name == "cantor":
+        return 3**g, _cantor_boxes(g)
+    return 2**g, np.arange(2**g)
+
+
+def _box_masses(measure, set_name, g):
+    """Masses of the kept level-g boxes of a 1-D lattice measure."""
+    n, idx = _level_boxes(set_name, g)
+    return _grid_box_masses(measure, n)[idx]
+
+
+def _box_sums(measure, set_name, levels, s_grid):
+    """covering_sums of the Cantor boxes; the same power sums of the dyadic
+    intervals, as lq_spectrum forms them."""
+    if set_name == "cantor":
+        return covering_sums(measure, "cantor", levels, s_grid).sums
+    if isinstance(measure, AtomicMeasure):
+        measure = measure.cell_masses()
+    return _power_sums([_box_masses(measure, set_name, g) for g in levels], s_grid)
 
 
 class TestRegression:
@@ -151,11 +177,22 @@ class TestOmega:
 
 
 class TestCovering:
-    def test_cantor_interval_count_and_length(self):
-        iv = cantor_intervals(4)
-        assert iv.shape == (16, 2)
-        assert not iv.flags.writeable and cantor_intervals(4) is iv
-        np.testing.assert_allclose(iv[:, 1] - iv[:, 0], 3.0**-4)
+    def test_cantor_boxes_have_digits_0_and_2(self):
+        for g in range(7):
+            idx = _cantor_boxes(g)
+            # every index below 3^g whose g base-3 digits are all 0 or 2
+            want = [i for i in range(3**g) if set(np.base_repr(i, 3).zfill(g)) <= set("02")]
+            assert idx.tolist() == want and len(want) == 2**g
+            assert not idx.flags.writeable and _cantor_boxes(g) is idx
+
+    def test_square_cantor_dust(self):
+        # C x C on the square: 4^g boxes of side 3^-g, each of uniform mass 9^-g
+        lat = Lattice(2, 81)
+        uniform = LatticeMeasure(lat, np.full(lat.n_sites, 1.0 / lat.n_sites))
+        levels = np.arange(1, 5)
+        table = covering_sums(uniform, "cantor", levels, [0.0, 1.0])
+        np.testing.assert_array_equal(table.sums[:, 0], 4.0**levels)
+        np.testing.assert_allclose(table.sums[:, 1], (4.0 / 9.0) ** levels, rtol=1e-12)
 
     def test_lebesgue_control_dimension(self):
         lat = Lattice(1, 729)
@@ -165,15 +202,6 @@ class TestCovering:
         table = covering_sums(uniform, "cantor", levels, s_grid)
         est = dimension_estimate(list(levels), s_grid, table.sums)
         assert est.estimate == pytest.approx(LN23, abs=1e-6)
-
-    def test_interval_control_dimension(self):
-        lat = Lattice(1, 1024)
-        uniform = LatticeMeasure(lat, np.full(1024, lat.spacing))
-        levels = range(1, 6)
-        s_grid = np.linspace(0.8, 1.2, 9)
-        table = covering_sums(uniform, "interval", levels, s_grid)
-        est = dimension_estimate(list(levels), s_grid, table.sums)
-        assert est.estimate == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("n_levels", range(3, 10))
     def test_vectorized_fit_matches_column_loop(self, n_levels):
@@ -215,8 +243,8 @@ class TestCovering:
 
         rng = np.random.default_rng(5)
         lat = Lattice(1, 729 if set_name == "cantor" else 64)
-        edges = np.unique(cantor_intervals(4) if set_name == "cantor"
-                          else np.linspace(0.0, 1.0, 17))
+        n, idx = _level_boxes(set_name, 4)
+        edges = np.unique(np.concatenate([idx, idx + 1]) / n)
         # few atoms, so most fine intervals are empty; some sit in the first
         # cell after an edge
         cells = np.concatenate([rng.integers(0, lat.n_sites, 40),
@@ -226,17 +254,15 @@ class TestCovering:
         measure = AtomicMeasure(lat, cells, masses)
         levels = range(1, 7)
         s_grid = np.array([0.0, 0.3, 0.7, 1.0])
-        table = covering_sums(measure, set_name, levels, s_grid)
+        sums = _box_sums(measure, set_name, levels, s_grid)
         empty = 0
         for li, g in enumerate(levels):
-            grid = np.linspace(0.0, 1.0, 2**g + 1)
-            ivals = (cantor_intervals(g) if set_name == "cantor"
-                     else np.column_stack([grid[:-1], grid[1:]]))
-            mu = loop_masses(x, masses, ivals)
+            n, idx = _level_boxes(set_name, g)
+            mu = loop_masses(x, masses, np.column_stack([idx, idx + 1]) / n)
             empty += np.sum(mu == 0)
             pos = mu[mu > 0]
             ref = [pos.size if s == 0 else np.sum(pos**s) for s in s_grid]
-            np.testing.assert_allclose(table.sums[li], ref, rtol=1e-12)
+            np.testing.assert_allclose(sums[li], ref, rtol=1e-12)
         assert empty > 0
 
     def test_misaligned_lattice_rejected(self):
@@ -244,13 +270,6 @@ class TestCovering:
         uniform = LatticeMeasure(lat, np.full(1000, lat.spacing))
         with pytest.raises(AnalysisError):
             covering_sums(uniform, "cantor", [3], [0.5])
-
-    def test_misaligned_right_end_rejected(self):
-        lat = Lattice(1, 8)
-        uniform = LatticeMeasure(lat, np.full(8, lat.spacing))
-        # the left end sits on a cell boundary, the right end inside a cell
-        with pytest.raises(AnalysisError):
-            _interval_masses(uniform, np.array([[0.25, 0.3]]))
 
 
 def _field(resolution, seed=11):
@@ -280,14 +299,16 @@ def _dual_wide(resolution):
 
 
 def _atomic(resolution):
-    # few atoms, so most fine intervals are empty
+    # few atoms, so most fine boxes are empty
     rng = np.random.default_rng(5)
     return AtomicMeasure(Lattice(1, resolution), rng.integers(0, resolution, 30),
                          10.0 ** rng.uniform(-14, 0, 30))
 
 
 class TestGridAtOnce:
-    """The grid-at-once covering sums equal a per-(level, s) loop bit for bit."""
+    """The grid-at-once power sums equal a per-(level, s) loop bit for bit, and
+    each box mass is its cells' sum: the Cantor boxes of covering_sums and the
+    dyadic intervals of lq_spectrum."""
 
     @pytest.mark.parametrize("build", [_chaos, _dual, _dual_wide, _atomic])
     @pytest.mark.parametrize("set_name, resolution", [("cantor", 729), ("interval", 512)])
@@ -296,17 +317,16 @@ class TestGridAtOnce:
         levels = range(1, 7)
         # 0 takes the count branch; 0.5, 1 and 2 take numpy's scalar power paths
         s_grid = np.array([0.0, 0.3, 0.5, 0.7, 1.0, 2.0])
-        table = covering_sums(measure, set_name, levels, s_grid)
+        sums = _box_sums(measure, set_name, levels, s_grid)
+        if isinstance(measure, AtomicMeasure):
+            measure = measure.cell_masses()
         empty = 0
         for li, g in enumerate(levels):
-            edges = np.linspace(0.0, 1.0, 2**g + 1)
-            ivals = (cantor_intervals(g) if set_name == "cantor"
-                     else np.column_stack([edges[:-1], edges[1:]]))
-            mu = _interval_masses(measure, ivals)
+            mu = _box_masses(measure, set_name, g)
             empty += np.sum(mu == 0)
             pos = mu[mu > 0]
-            ref = np.array([np.sum(pos**s) if s > 0 else pos.size for s in s_grid])
-            assert np.array_equal(table.sums[li], ref), (g, table.sums[li] - ref)
+            ref = np.array([np.sum(pos**s) if s != 0 else pos.size for s in s_grid])
+            assert np.array_equal(sums[li], ref), (g, sums[li] - ref)
         if build is _atomic:
             assert empty > 0
         else:
@@ -314,35 +334,31 @@ class TestGridAtOnce:
 
     @pytest.mark.parametrize("set_name, resolution", [("cantor", 729), ("interval", 512)])
     def test_lattice_interval_masses_match_fsum(self, set_name, resolution):
-        # a difference of prefix sums reads most of these intervals as 0: the
+        # a difference of prefix sums reads most of these boxes as 0: the
         # heavy cells before them swamp their digits
         measure = _dual_wide(resolution)
         for g in range(1, 7):
-            edges = np.linspace(0.0, 1.0, 2**g + 1)
-            ivals = (cantor_intervals(g) if set_name == "cantor"
-                     else np.column_stack([edges[:-1], edges[1:]]))
-            ends = np.rint(ivals * resolution).astype(int)
+            n, idx = _level_boxes(set_name, g)
+            ends = np.column_stack([idx, idx + 1]) * (resolution // n)
             ref = np.array([math.fsum(measure.masses[a:b]) for a, b in ends])
             assert np.all(ref > 0)
             # a direct sum of n <= 729 positive terms errs by at most (n - 1) 2^-53
-            np.testing.assert_allclose(_interval_masses(measure, ivals), ref, rtol=1e-13)
+            np.testing.assert_allclose(_box_masses(measure, set_name, g), ref, rtol=1e-13)
 
     @pytest.mark.parametrize("set_name, resolution", [("cantor", 729), ("interval", 512)])
     def test_atomic_interval_masses_match_fsum(self, set_name, resolution):
         # atoms in random cell order, several per cell, masses over 30 decades:
-        # each interval holds the atoms of its cells
+        # each box holds the atoms of its cells
         rng = np.random.default_rng(8)
         cells = rng.integers(0, resolution, 3000)
         masses = 10.0 ** rng.uniform(-30, 0, cells.size)
-        measure = AtomicMeasure(Lattice(1, resolution), cells, masses)
+        measure = AtomicMeasure(Lattice(1, resolution), cells, masses).cell_masses()
         for g in range(1, 7):
-            edges = np.linspace(0.0, 1.0, 2**g + 1)
-            ivals = (cantor_intervals(g) if set_name == "cantor"
-                     else np.column_stack([edges[:-1], edges[1:]]))
-            ends = np.rint(ivals * resolution).astype(int)
+            n, idx = _level_boxes(set_name, g)
+            ends = np.column_stack([idx, idx + 1]) * (resolution // n)
             ref = np.array([math.fsum(masses[(cells >= a) & (cells < b)]) for a, b in ends])
-            # a cell sum and then an interval sum: at most 3000 terms in all
-            np.testing.assert_allclose(_interval_masses(measure, ivals), ref, rtol=1e-12)
+            # a cell sum and then a box sum: at most 3000 terms in all
+            np.testing.assert_allclose(_box_masses(measure, set_name, g), ref, rtol=1e-12)
 
 
 class TestKpz:
@@ -389,6 +405,37 @@ class TestKpz:
         assert abs(xi(g2, 1, kpz_solve(dim_leb, g2, 1)) - dim_leb) < 1e-12
         root = kpz_solve_dual(dim_leb, g2, 1)
         assert abs(xi_bar(g2, g2 / 2, 1, root) - dim_leb) < 1e-12
+
+
+class TestLqSpectrum:
+    @pytest.mark.parametrize("d", [1, 2], ids=["d1", "d2"])
+    def test_matches_per_q_depth_loop(self, d):
+        def loop(measure, q_grid, depths):
+            # reference: one box sum per (q, depth), then one fit per q
+            log_r = -np.asarray(depths) * np.log(2.0)
+            tau, err = [], []
+            for q in q_grid:
+                logs = []
+                for j in depths:
+                    mu = _grid_box_masses(measure, 2**j).ravel()
+                    pos = mu[mu > 0]
+                    logs.append(np.log(np.sum(pos**q)) if q != 0 else np.log(pos.size))
+                slope, intercept = ols_slope(log_r, np.array(logs))
+                tau.append(slope)
+                err.append(float(np.std(np.array(logs) - (intercept + slope * log_r))))
+            return np.array(tau), np.array(err)
+
+        family, resolution = ("exact1d", 256) if d == 1 else ("exact2d", 32)
+        sampler = LayerSampler(KernelSpec(family=family, T=1.0, d=d), Lattice(d, resolution),
+                               range(1, 5))
+        field = sampler.sample_field(RngStream(4), 0)
+        q_grid = np.array([-1.0, -0.25, 0.0, 0.3, 0.5, 1.0, 2.0])
+        depths = [2, 3, 4, 5] if d == 1 else [1, 2, 3]
+        dual = build_dual_cells(field, 1.0, 0.25 * d, RngStream(4).generator(0, "atoms"))
+        for measure in (build_chaos(field, 0.5 * d), dual):
+            res = lq_spectrum(measure, q_grid, depths)
+            tau, err = loop(measure, q_grid, depths)
+            assert np.array_equal(res.tau_hat, tau) and np.array_equal(res.stderr, err)
 
 
 class TestLqConjecture:

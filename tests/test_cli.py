@@ -164,8 +164,8 @@ class TestCliRuns:
         ("scaling", "gamma2 = 1.0\nresolution = 100\nq.grid = 0.1\nscaling.lambdas = 0.5\n", [],
          "scaling box of side 0.125 spans 12.5 cells; "
          "resolution * scaling.radius * lambda must be a whole number"),
-        # the covering intervals index cells along one axis: on the square
-        # they would measure only the strip x < 1/N
+        # the square's covering sums run over C x C, but their KPZ targets
+        # and tolerances are not calibrated
         ("kpz", SQUARE_CANTOR, [],
          "kpz covers the Cantor set on [0, 1]: dimension must be 1, got 2"),
         ("duality", SQUARE_CANTOR, [],
@@ -177,8 +177,21 @@ class TestCliRuns:
          "scaling.lambdas = 0.5\n", [],
          "perfect scaling requires an exact scale invariant kernel (exact1d or exact2d), "
          "got star"),
+        # each would pass having checked nothing, or fail inside numpy
+        ("laplace", "u.grid =\n", [], "laplace needs at least one u.grid value"),
+        ("spectrum", "q.grid =\n", [], "spectrum needs at least one q.grid value"),
+        ("lq", "resolution = 256\nreplicas = 1\nq.grid =\n", [],
+         "lq needs at least one q.grid value"),
+        ("spectrum", "lambda.grid = 0.5,0.25,0.125\n", [],
+         "spectrum needs at least 4 lambda.grid values, got 3"),
+        # the default k = max(replicas // 20, 50) is 50
+        ("tail", "gamma2 = 1.0\nreplicas = 40\n", [],
+         "hill.k must lie in [30, replicas = 40), got 50 (the default)"),
+        ("tail", "gamma2 = 1.0\nhill.k = 10\n", [],
+         "hill.k must lie in [30, replicas = 1000), got 10"),
     ], ids=["kpz-s-grid", "duality-depth", "lq-replicas", "scaling-cells", "kpz-dim2",
-            "duality-dim2", "lq-depths", "scaling-kernel"])
+            "duality-dim2", "lq-depths", "scaling-kernel", "laplace-u-grid", "spectrum-q-grid",
+            "lq-q-grid", "spectrum-lambdas", "tail-default-k", "tail-small-k"])
     def test_unrunnable_config_is_diagnosed(self, tmp_path, capsys, experiment, text, args,
                                             diag):
         # rejected before any ensemble is built
