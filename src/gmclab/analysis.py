@@ -191,10 +191,12 @@ def verify_laplace(mbar_samples, m_samples, alpha, u_grid, n_boot: int = 400,
         # a transform acts elementwise, so a resample's transform is its rows
         # gathered from the full sample's: computed once per u, and each mean
         # sums the same values in the same order as before
-        rows = [transform(samples, u) for u in u_grid]
-        boot = _bootstrap(rng, n_boot, lambda idx: np.array([row[idx].mean() for row in rows]),
+        rows = np.array([transform(samples, u) for u in u_grid]).reshape(u_grid.size, samples.size)
+        # take, not rows[:, idx]: that comes out column-major and sums its rows in
+        # another order, while take keeps each row's 1-D pairwise sum of row[idx]
+        boot = _bootstrap(rng, n_boot, lambda idx: rows.take(idx, axis=1).mean(axis=1),
                           samples.size)
-        return np.array([row.mean() for row in rows]), _percentile_ci(boot)
+        return rows.mean(axis=1), _percentile_ci(boot)
 
     lhs, lhs_ci = side(mbar, lambda sub, u: np.exp(-u * sub))
     rhs, rhs_ci = side(m, lambda sub, u: laplace_rhs_transform(sub, alpha, u))

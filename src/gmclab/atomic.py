@@ -114,9 +114,11 @@ def auto_z_min(alpha: float) -> float:
 
 
 def _pareto(rng: np.random.Generator, alpha: float, z_min: float, size: int) -> np.ndarray:
-    # P(z > t) = (t/z_min)^(-alpha), t >= z_min
+    # P(z > t) = (t/z_min)^(-alpha), t >= z_min; in place on the uniforms
     u = rng.random(size)
-    return z_min * u ** (-1.0 / alpha)
+    np.power(u, -1.0 / alpha, out=u)
+    u *= z_min
+    return u
 
 
 def _cell_cloud(counts: np.ndarray, alpha: float, z_min: float,
@@ -167,7 +169,8 @@ def build_atomic_direct(field: FieldGrid, gamma2: float, alpha: float,
         raise AtomicError("alpha mismatch between atoms and construction")
     if atoms.lattice != field.lattice:
         raise AtomicError("atoms and field live on different lattices")
-    masses = atoms.sizes * _dual_weights(field, gamma2, alpha)[atoms.cells]
+    masses = _dual_weights(field, gamma2, alpha)[atoms.cells]
+    masses *= atoms.sizes
     # shares the cloud's cells array; no caller writes to either
     return AtomicMeasure(lattice=field.lattice, cells=atoms.cells, masses=masses)
 

@@ -209,6 +209,8 @@ def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> lis
             diags.append(f"lq fits three dyadic depths 2^2, 2^3, 2^4: resolution must be "
                          f"a multiple of 16, got {cfg.resolution}")
     if experiment == "scaling":
+        if not cfg.scaling_lambdas:
+            diags.append("scaling needs at least one scaling.lambdas value")
         if cfg.kernel_family not in ("exact1d", "exact2d"):
             diags.append("perfect scaling requires an exact scale invariant kernel "
                          f"(exact1d or exact2d), got {cfg.kernel_family}")

@@ -182,6 +182,8 @@ class TestCliRuns:
         ("spectrum", "q.grid =\n", [], "spectrum needs at least one q.grid value"),
         ("lq", "resolution = 256\nreplicas = 1\nq.grid =\n", [],
          "lq needs at least one q.grid value"),
+        ("scaling", "gamma2 = 1.0\nresolution = 64\nq.grid = 0.1\nscaling.lambdas =\n", [],
+         "scaling needs at least one scaling.lambdas value"),
         ("spectrum", "lambda.grid = 0.5,0.25,0.125\n", [],
          "spectrum needs at least 4 lambda.grid values, got 3"),
         # the default k = max(replicas // 20, 50) is 50
@@ -191,7 +193,7 @@ class TestCliRuns:
          "hill.k must lie in [30, replicas = 1000), got 10"),
     ], ids=["kpz-s-grid", "duality-depth", "lq-replicas", "scaling-cells", "kpz-dim2",
             "duality-dim2", "lq-depths", "scaling-kernel", "laplace-u-grid", "spectrum-q-grid",
-            "lq-q-grid", "spectrum-lambdas", "tail-default-k", "tail-small-k"])
+            "lq-q-grid", "scaling-lambdas", "spectrum-lambdas", "tail-default-k", "tail-small-k"])
     def test_unrunnable_config_is_diagnosed(self, tmp_path, capsys, experiment, text, args,
                                             diag):
         # rejected before any ensemble is built
