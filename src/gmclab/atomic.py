@@ -114,10 +114,11 @@ def auto_z_min(alpha: float) -> float:
 
 
 def _pareto(rng: np.random.Generator, alpha: float, z_min: float, size: int) -> np.ndarray:
-    # P(z > t) = (t/z_min)^(-alpha), t >= z_min; in place on the uniforms
+    # P(z > t) = (t/z_min)^(-alpha), t >= z_min: z = z_min / u^(1/alpha), in
+    # place on the uniforms (numpy squares for the exponent 2 of alpha = 1/2)
     u = rng.random(size)
-    np.power(u, -1.0 / alpha, out=u)
-    u *= z_min
+    np.power(u, 1.0 / alpha, out=u)
+    np.divide(z_min, u, out=u)
     return u
 
 
