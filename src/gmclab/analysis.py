@@ -188,9 +188,8 @@ def verify_laplace(mbar_samples, m_samples, alpha, u_grid, n_boot: int = 400,
     u_grid = np.asarray(u_grid, dtype=float)
 
     def side(samples, transform):
-        # a transform acts elementwise, so a resample's transform is its rows
-        # gathered from the full sample's: computed once per u, and each mean
-        # sums the same values in the same order as before
+        # a transform acts elementwise, so a resample's transform is its columns
+        # gathered from the full sample's (n_u, n) table, computed once per u
         rows = np.array([transform(samples, u) for u in u_grid]).reshape(u_grid.size, samples.size)
         # take, not rows[:, idx]: that comes out column-major and sums its rows in
         # another order, while take keeps each row's 1-D pairwise sum of row[idx]
