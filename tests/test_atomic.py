@@ -65,17 +65,20 @@ class TestStableAtoms:
         assert atoms.cells.min() >= 0 and atoms.cells.max() < LAT64.n_sites
         assert np.all(np.diff(atoms.cells) >= 0)
 
-    @pytest.mark.parametrize("lat", [Lattice(1, 64), Lattice(2, 16), Lattice(2, 27)],
-                             ids=["d1", "d2", "box"])
-    def test_positions_match_generator_uniform(self, lat):
+    @pytest.mark.parametrize("lat, alpha", [(Lattice(1, 64), 0.5), (Lattice(2, 16), 0.5),
+                                            (Lattice(2, 27), 0.5), (Lattice(1, 64), 0.25),
+                                            (Lattice(1, 64), 0.3)],
+                             ids=["d1", "d2", "box", "d1-alpha0.25", "d1-alpha0.3"])
+    def test_positions_match_generator_uniform(self, lat, alpha):
         # the cloud draws its per-cell counts, then its sizes; positions are
         # (cell + v) h with v the uniforms of their own generator, one row
-        # per atom (box: a 2-D lattice whose spacing 1/27 is no binary fraction)
-        atoms = sample_stable_atoms(lat, 0.5, 1e-3, RngStream(3).generator(0, "atoms"))
+        # per atom (box: a 2-D lattice whose spacing 1/27 is no binary fraction;
+        # at alpha 0.25 and 0.3 the sizes take numpy's general power loop)
+        atoms = sample_stable_atoms(lat, alpha, 1e-3, RngStream(3).generator(0, "atoms"))
         rng = RngStream(3).generator(0, "atoms")
-        counts = rng.poisson(expected_atom_count(1.0 / lat.n_sites, 0.5, 1e-3), lat.n_sites)
+        counts = rng.poisson(expected_atom_count(1.0 / lat.n_sites, alpha, 1e-3), lat.n_sites)
         np.testing.assert_array_equal(atoms.cells, np.repeat(np.arange(lat.n_sites), counts))
-        np.testing.assert_array_equal(atoms.sizes, 1e-3 / rng.random(counts.sum()) ** 2.0)
+        np.testing.assert_array_equal(atoms.sizes, 1e-3 / rng.random(counts.sum()) ** (1.0 / alpha))
         pos = atom_positions(lat, atoms.cells, RngStream(3).generator(0, "positions"))
         v = RngStream(3).generator(0, "positions").random((atoms.count, lat.d))
         index = np.stack(np.unravel_index(atoms.cells, (lat.resolution,) * lat.d), axis=1)
@@ -94,19 +97,6 @@ class TestStableAtoms:
             # SEs of the sample mean and variance of Poisson(lam) counts
             assert abs(counts.mean() - lam) < 4 * np.sqrt(lam / n)
             assert abs(counts.var(ddof=1) - lam) < 4 * np.sqrt((lam + 2 * lam**2) / n)
-
-    @pytest.mark.parametrize("alpha", [0.25, 0.3])
-    def test_sizes_are_z_min_over_uniform_power(self, alpha):
-        # 1/alpha is not 2 here, so the sizes take numpy's general power loop
-        z_min = 1e-8
-        atoms = sample_stable_atoms(LAT64, alpha, z_min, RngStream(5).generator(0, "atoms"))
-        rng = RngStream(5).generator(0, "atoms")
-        counts = rng.poisson(expected_atom_count(1.0 / LAT64.n_sites, alpha, z_min),
-                             LAT64.n_sites)
-        assert atoms.count == counts.sum() > 100
-        np.testing.assert_array_equal(atoms.sizes,
-                                      z_min / rng.random(counts.sum()) ** (1.0 / alpha))
-        assert atoms.sizes.min() >= z_min
 
     def test_pareto_tail_exponent(self):
         rng = np.random.default_rng(11)
