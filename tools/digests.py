@@ -4,7 +4,7 @@ Usage (from the root of a gmclab checkout):
 
     python3 tools/digests.py [--seed N]
 
-Runs each of the fifteen reference configs below through gmclab.cli.main at
+Runs each of the seventeen reference configs below through gmclab.cli.main at
 the given seed (default 7) in a temporary directory and prints one line per
 config with its exit code, then one line per artifact:
 
@@ -131,6 +131,24 @@ CONFIGS = {
         level = 3
         resolution = 16
         replicas = 3
+    """),
+    "laplace-gff": ("laplace", """
+        kernel.family = gff-square
+        dimension = 2
+        gamma2 = 2.0
+        level = 3
+        resolution = 32
+        replicas = 400
+        z_min = 1e-6
+    """),
+    "tail-gff": ("tail", """
+        kernel.family = gff-square
+        dimension = 2
+        gamma2 = 2.0
+        level = 3
+        resolution = 16
+        replicas = 2000
+        z_min = 1e-6
     """),
 }
 
