@@ -1,17 +1,18 @@
 """Experiment pipelines behind the CLI subcommands.
 
 Each pipeline builds the ensembles it needs, runs the matching statistical
-checks, and returns tables plus a pass/fail summary.  Every ensemble comes
-from one replica loop, `_measures(cfg, kind, stream)`: replica r draws its
-field X^n from its block's substream (field, r // 64, 0) and forms the chaos
-M_n ("chaos") or its dual.  The dual's exact cell masses take one
-positive-stable draw per cell on (atoms, r, 0) ("dual"); the atom-level dual
-weights a stable atom cloud drawn on (atoms, r, 0) ("direct") or subordinates
-M_n on (subordinated, r, 0) ("subordinated").  Both clouds draw their atoms
-cell by cell, as (cell, size) pairs; only `atoms` places them inside their
-cells, on (positions, r, 0).  Two reducers turn an ensemble into box masses or
-Cantor covering sums.  So a given (config, seed) pair reproduces
-byte-identical outputs.
+checks, and returns tables plus a pass/fail summary.  Every ensemble comes from
+one replica loop, `_measures(cfg, kinds, stream)`: replica r draws its field
+X^n from its block's substream (field, r // 64, 0) and builds on it each
+measure the pipeline compares, the chaos M_n ("chaos") and its duals; only
+`scaling`'s lambda ensembles, at other levels, draw on seed + j.  The dual's
+exact cell masses take one positive-stable draw per cell on (atoms, r, 0)
+("dual"); the atom-level dual weights a stable atom cloud drawn on
+(atoms, r, 0) ("direct") or subordinates M_n on (subordinated, r, 0)
+("subordinated").  Both clouds draw their atoms cell by cell, as (cell, size)
+pairs; only `atoms` places them inside their cells, on (positions, r, 0).  Two
+reducers turn an ensemble into box masses or Cantor covering sums.  So a given
+(config, seed) pair reproduces byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -62,33 +63,34 @@ def _sampler(cfg: ExperimentConfig, level: int | None = None) -> LayerSampler:
     return LayerSampler(kernel_spec(cfg), lattice_for(cfg), range(1, (level or cfg.level) + 1))
 
 
-def _measures(cfg: ExperimentConfig, kind: str, stream: RngStream,
+def _measures(cfg: ExperimentConfig, kinds: tuple, stream: RngStream,
               level: int | None = None):
-    """Yield (field, atoms, measure) for replicas r < cfg.replicas.
+    """Yield (field, atoms, measures), one measure per kind, on each replica's field.
 
-    kind: "chaos" (the lattice chaos M_n), "dual" (the dual's exact cell
+    kinds: "chaos" (the lattice chaos M_n), "dual" (the dual's exact cell
     masses, a LatticeMeasure), "direct" (a stable atom cloud weighted by the
-    field; atoms is that cloud, None for the other kinds) or "subordinated"
+    field; atoms is that cloud, None without this kind) or "subordinated"
     (atoms drawn from M_n).  Only the atom-level kinds are truncated at z_min.
+    "dual" and "direct" both read (atoms, r, 0), so no pipeline asks for both.
     """
     sampler = _sampler(cfg, level)
-    if kind != "chaos":
+    # decided per call: a chaos-only loop never resolves alpha or z_min
+    need_chaos = "chaos" in kinds or "subordinated" in kinds
+    if set(kinds) - {"chaos"}:
         alpha, z_min = cfg.alpha(), cfg.resolved_z_min()
     for r in range(cfg.replicas):
         field = sampler.sample_field(stream, r)
-        if kind == "dual":
-            yield field, None, build_dual_cells(field, cfg.gamma2, alpha,
-                                                stream.generator(r, "atoms"))
-        elif kind == "direct":
-            atoms = sample_stable_atoms(sampler.lattice, alpha, z_min,
-                                        stream.generator(r, "atoms"))
-            yield field, atoms, build_atomic_direct(field, cfg.gamma2, alpha, atoms)
-        elif kind == "subordinated":
-            m = build_chaos(field, cfg.gamma2)
-            yield field, None, build_subordinated(m, alpha, z_min,
-                                                  stream.generator(r, "subordinated"))
-        else:
-            yield field, None, build_chaos(field, cfg.gamma2)
+        # one chaos serves both the "chaos" kind and the subordinated cloud
+        m = build_chaos(field, cfg.gamma2) if need_chaos else None
+        atoms = (sample_stable_atoms(sampler.lattice, alpha, z_min, stream.generator(r, "atoms"))
+                 if "direct" in kinds else None)
+        yield field, atoms, [
+            m if kind == "chaos"
+            else build_dual_cells(field, cfg.gamma2, alpha, stream.generator(r, "atoms"))
+            if kind == "dual"
+            else build_atomic_direct(field, cfg.gamma2, alpha, atoms) if kind == "direct"
+            else build_subordinated(m, alpha, z_min, stream.generator(r, "subordinated"))
+            for kind in kinds]
 
 
 def _box_masses(cfg: ExperimentConfig, kind: str, stream: RngStream, sides,
@@ -98,14 +100,13 @@ def _box_masses(cfg: ExperimentConfig, kind: str, stream: RngStream, sides,
     lo = np.zeros(cfg.dimension)
     boxes = [np.full(cfg.dimension, side) for side in sides]
     return np.array([[measure_box(m, lo, hi) for hi in boxes]
-                     for _, _, m in _measures(cfg, kind, stream, level)])
+                     for _, _, (m,) in _measures(cfg, (kind,), stream, level)])
 
 
-def _covering_sums(cfg: ExperimentConfig, kind: str, stream: RngStream,
-                   levels, s_grid) -> np.ndarray:
+def _covering_sums(measures, levels, s_grid) -> np.ndarray:
     """Per-replica Cantor covering sums, shape (replicas, len(levels), len(s_grid))."""
     return np.array([analysis.covering_sums(m, "cantor", levels, s_grid).sums
-                     for _, _, m in _measures(cfg, kind, stream)])
+                     for m in measures])
 
 
 # ---------------------------------------------------------------------------
@@ -115,15 +116,12 @@ def _covering_sums(cfg: ExperimentConfig, kind: str, stream: RngStream,
 def run_field(cfg: ExperimentConfig) -> PipelineResult:
     """Covariance fidelity check at random site pairs (3 SE criterion)."""
     spec = kernel_spec(cfg)
-    sampler = _sampler(cfg)
-    lat = sampler.lattice
-    stream = RngStream(cfg.seed)
+    lat = lattice_for(cfg)
     check_rng = np.random.default_rng(cfg.seed)
     n_pairs = 20
     idx = check_rng.integers(0, lat.n_sites, size=(n_pairs, 2))
-    values = np.empty((cfg.replicas, 2 * n_pairs))
-    for r in range(cfg.replicas):
-        values[r] = sampler.sample_field(stream, r).values[idx.ravel()]
+    values = np.array([field.values[idx.ravel()]
+                       for field, _, _ in _measures(cfg, (), RngStream(cfg.seed))])
     pts = lat.centers()
     rows = []
     n_pass = 0
@@ -202,7 +200,7 @@ def run_atoms(cfg: ExperimentConfig) -> PipelineResult:
     corrs = []
     top_atoms = None
     stream = RngStream(cfg.seed)
-    for r, (field, atoms, mbar) in enumerate(_measures(cfg, "direct", stream)):
+    for r, (field, atoms, (mbar,)) in enumerate(_measures(cfg, ("direct",), stream)):
         if mbar.count:
             spans.append(float(np.log10(mbar.masses.max()) - np.log10(mbar.masses.min())))
             if mbar.count >= 3:
@@ -260,13 +258,11 @@ def run_laplace(cfg: ExperimentConfig) -> PipelineResult:
     """Laplace duality on [0,1]: both constructions against the chaos side."""
     alpha = cfg.alpha()
     z_min = cfg.resolved_z_min()
-    m = _box_masses(cfg, "chaos", RngStream(cfg.seed), [1.0])[:, 0]
-    # both constructions place every atom in the unit box, so their mass there
-    # is the total mass: no atom needs testing against the box
-    direct = np.array([mbar.total_mass() for _, _, mbar
-                       in _measures(cfg, "direct", RngStream(cfg.seed + 1))])
-    subord = np.array([mbar.total_mass() for _, _, mbar
-                       in _measures(cfg, "subordinated", RngStream(cfg.seed + 2))])
+    # the three sides of replica r share its field; the unit box holds every
+    # cell and atom, so each side's mass there is its total mass
+    m, direct, subord = np.array([
+        [mu.total_mass() for mu in measures] for _, _, measures
+        in _measures(cfg, ("chaos", "direct", "subordinated"), RngStream(cfg.seed))]).T
     rng = np.random.default_rng(cfg.seed)
     tables = {}
     passed = True
@@ -377,7 +373,8 @@ def run_kpz(cfg: ExperimentConfig) -> PipelineResult:
     d23 = float(np.log(2) / np.log(3))
     levels = list(range(1, cfg.cantor_depth + 1))
     s_grid = np.asarray(cfg.s_grid, dtype=float)
-    sums = _covering_sums(cfg, "chaos", RngStream(cfg.seed), levels, s_grid)
+    sums = _covering_sums((m for _, _, (m,) in _measures(cfg, ("chaos",), RngStream(cfg.seed))),
+                          levels, s_grid)
     est = analysis.dimension_estimate(levels, s_grid, sums,
                                       rng=np.random.default_rng(cfg.seed))
     target = analysis.kpz_solve(d23, cfg.gamma2, cfg.dimension)
@@ -415,13 +412,16 @@ def run_duality(cfg: ExperimentConfig) -> PipelineResult:
     alpha = cfg.alpha()
     levels = list(range(1, cfg.cantor_depth + 1))
     s_grid = np.asarray(cfg.s_grid, dtype=float)
-    sums_m = _covering_sums(cfg, "chaos", RngStream(cfg.seed), levels, s_grid)
+    # M and its dual on each replica's one field; the duals wait for the dual grid
+    chaos, duals = zip(*(ms for _, _, ms in _measures(cfg, ("chaos", "dual"),
+                                                      RngStream(cfg.seed))))
+    sums_m = _covering_sums(chaos, levels, s_grid)
     est_m = analysis.dimension_estimate(levels, s_grid, sums_m,
                                         rng=np.random.default_rng(cfg.seed))
     # dual grid centered on the predicted dual dimension alpha * dim_M
     center = max(alpha * est_m.estimate, 1e-3)
     dual_grid = np.unique(np.clip(np.linspace(0.2, 2.5, 12) * center, 1e-4, 0.999))
-    sums_bar = _covering_sums(cfg, "dual", RngStream(cfg.seed + 1), levels, dual_grid)
+    sums_bar = _covering_sums(duals, levels, dual_grid)
     est_bar = analysis.dimension_estimate(levels, dual_grid, sums_bar,
                                           rng=np.random.default_rng(cfg.seed + 1))
     grid = np.linspace(0.0, 1.0, 100)
@@ -455,9 +455,7 @@ def run_lq(cfg: ExperimentConfig) -> PipelineResult:
     depths = [j for j in range(2, max_depth + 1)
               if cfg.resolution % 2**j == 0][-5:]
     # replica 0 only; both measures see the same field draw on (field, 0, 0)
-    stream = RngStream(cfg.seed)
-    _, _, m = next(_measures(cfg, "chaos", stream))
-    _, _, mbar = next(_measures(cfg, "dual", stream))
+    _, _, (m, mbar) = next(_measures(cfg, ("chaos", "dual"), RngStream(cfg.seed)))
     q_grid = np.asarray(cfg.q_grid, dtype=float)
     res_m = analysis.lq_spectrum(m, q_grid, depths, d=cfg.dimension)
     res_bar = analysis.lq_spectrum(mbar, q_grid, depths, gamma2=cfg.gamma2,

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import gmclab
-from gmclab.atomic import sample_stable_atoms
+from gmclab.atomic import build_dual_cells, sample_stable_atoms
+from gmclab.chaos import build_chaos
 from gmclab.cli import main, write_csv
 from gmclab.config import (
     ConfigError,
@@ -17,6 +18,7 @@ from gmclab.config import (
     validate_config,
 )
 from gmclab.field import PURPOSES, Lattice, RngStream
+from gmclab.pipelines import _measures
 
 BASE_CONFIG = """
 # smoke configuration
@@ -331,3 +333,29 @@ class TestCliRuns:
         code = main(["atoms", "--config", str(path), "--out", out])
         assert code == 0
         assert (tmp_path / "out" / "atoms.svg").read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("text", [
+    "gamma2 = 1.0\nlevel = 3\nresolution = 32\nz_min = 1e-4\nreplicas = 3\nseed = 5\n",
+    "kernel.family = gff-square\ndimension = 2\ngamma2 = 2.0\nlevel = 3\nresolution = 8\n"
+    "z_min = 1e-4\nreplicas = 3\nseed = 5\n",
+], ids=["exact1d", "gff-square"])
+def test_measures_of_one_replica_share_its_field(text):
+    # the chaos and both duals of replica r are built on r's one field draw
+    cfg = parse_config_text(text)
+    alpha, h, d = cfg.alpha(), 1.0 / cfg.resolution, cfg.dimension
+    replicas = list(_measures(cfg, ("chaos", "direct", "subordinated"), RngStream(cfg.seed)))
+    alone = [ms[0] for _, _, ms in _measures(cfg, ("chaos",), RngStream(cfg.seed))]
+    assert len(replicas) == len(alone) == cfg.replicas
+    for (_, atoms, (m, direct, subordinated)), m_alone in zip(replicas, alone):
+        assert direct.count > 0 and subordinated.count > 0
+        np.testing.assert_allclose(
+            direct.masses, (m.masses[atoms.cells] / h**d) ** (1 / alpha) * atoms.sizes,
+            rtol=1e-12)
+        assert np.array_equal(m.masses, m_alone.masses)
+    stream = RngStream(cfg.seed)
+    for r, (field, _, (m, dual)) in enumerate(_measures(cfg, ("chaos", "dual"), stream)):
+        assert np.array_equal(m.masses, alone[r].masses)
+        assert np.array_equal(m.masses, build_chaos(field, cfg.gamma2).masses)
+        expected = build_dual_cells(field, cfg.gamma2, alpha, stream.generator(r, "atoms"))
+        assert np.array_equal(dual.masses, expected.masses)

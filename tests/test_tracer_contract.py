@@ -76,17 +76,20 @@ TRACED_RUNS = {
                     "analysis.covering_intervals": 14 * 2 * 4,
                     # two dimension estimates over four replicas
                     "analysis.bootstrap_resamples": 2 * 200,
-                    "field.layer_draws": 2 * 4 * 3,
+                    # M and its dual share each replica's field
+                    "field.layer_draws": 4 * 3,
                     "pipelines.replicas": 4,
                 }),
     "laplace": ("gamma2 = 1.0\nlevel = 3\nresolution = 32\nz_min = 1e-4\nreplicas = 20\n"
                 "seed = 3\nu.grid = 0.5,1\n", {
                     # two comparisons, each resampling both sides 400 times
                     "analysis.bootstrap_resamples": 2 * 2 * 400,
-                    "field.layer_draws": 3 * 20 * 3,
-                    # one field block for each of three ensembles, plus one atoms
-                    # and one subordinated substream per replica
-                    "field.rng_streams": 3 + 2 * 20,
+                    # the three sides share each replica's field and its chaos
+                    "field.layer_draws": 20 * 3,
+                    "chaos.build_calls": 20,
+                    # one field block, plus one atoms and one subordinated
+                    # substream per replica
+                    "field.rng_streams": 1 + 2 * 20,
                     "pipelines.replicas": 20,
                 }),
 }
