@@ -261,17 +261,20 @@ def verify_perfect_scaling(small_samples, ref_samples, lam: float, gamma2: float
 @dataclass
 class CoveringSumTable:
     levels: np.ndarray
-    sums: np.ndarray   # (n_levels, n_s)
+    sums: np.ndarray   # (n_levels, n_s), or (replicas, n_levels, n_s) for a block
 
 
 def _grid_box_masses(measure: LatticeMeasure, boxes: int) -> np.ndarray:
-    """Masses of the boxes of side 1/boxes, as the (boxes,) * d grid."""
+    """Masses of the boxes of side 1/boxes, as the (boxes,) * d grid; a block
+    of measures, masses (replicas, n_sites), gives one grid per replica."""
     lat = measure.lattice
     if lat.resolution % boxes:
         raise AnalysisError(f"{boxes} boxes do not divide the resolution {lat.resolution}")
-    # axis 2k indexes the boxes along grid axis k, axis 2k + 1 the cells in a box
-    grid = measure.masses.reshape((boxes, lat.resolution // boxes) * lat.d)
-    return grid.sum(axis=tuple(range(1, 2 * lat.d, 2)))
+    lead = measure.masses.shape[:-1]
+    # after the replica axes, axis 2k indexes the boxes along grid axis k and
+    # axis 2k + 1 the cells in a box
+    grid = measure.masses.reshape(lead + (boxes, lat.resolution // boxes) * lat.d)
+    return grid.sum(axis=tuple(range(len(lead) + 1, grid.ndim, 2)))
 
 
 @functools.lru_cache
@@ -288,22 +291,31 @@ def _cantor_boxes(generation: int) -> np.ndarray:
 
 
 def _power_sums(box_sets, exponents) -> np.ndarray:
-    """Sum of mu^s over the boxes of positive mass of each set, shape
-    (n_sets, n_s); s = 0 counts those boxes.
+    """Sum of mu^s over the boxes of positive mass of each set; s = 0 counts
+    those boxes.
 
-    One scalar power pos**s per row keeps numpy's fast paths (s = 0.5 is a
-    sqrt), and one row reduction per set keeps the pairwise order of a 1-D
-    np.sum: every sum is bit-equal to a per-(set, s) loop.
+    box_sets: one array per level, each (..., n_boxes) with the same leading
+    (replica) shape, whose rows are the sets.  Returns (..., n_levels, n_s).
+
+    One table holds every set's positive masses, one scalar power pos**s per
+    row, which keeps numpy's fast paths (s = 0.5 is a sqrt).  Each set keeps
+    its own mu[mu > 0] selection and its own row-slice sum, the pairwise order
+    of a 1-D np.sum: every sum is bit-equal to a per-(set, s) loop.
     """
     exponents = np.asarray(exponents, dtype=float)
-    pos = [mu[mu > 0] for mu in box_sets]
-    ends = np.cumsum([0] + [p.size for p in pos])
-    allpos = np.concatenate(pos)
+    lead = np.shape(box_sets[0])[:-1]
+    rows = [np.reshape(mu, (-1, np.shape(mu)[-1])) for mu in box_sets]
+    keep = [mu > 0 for mu in rows]
+    # a 2-D boolean selection reads row after row: the sets in (level, row) order
+    allpos = np.concatenate([mu[k] for mu, k in zip(rows, keep)])
+    ends = np.cumsum([0, *np.concatenate([k.sum(axis=1) for k in keep])])
     table = np.ones((exponents.size, allpos.size))
     for si, s in enumerate(exponents):
         if s != 0:
             table[si] = allpos**s
-    return np.array([table[:, a:b].sum(axis=1) for a, b in zip(ends[:-1], ends[1:])])
+    sums = np.array([table[:, a:b].sum(axis=1) for a, b in zip(ends[:-1], ends[1:])])
+    sums = np.moveaxis(sums.reshape(len(rows), -1, exponents.size), 0, 1)
+    return sums.reshape(lead + (len(rows), exponents.size))
 
 
 def covering_sums(measure, set_name: str, levels, s_grid) -> CoveringSumTable:
@@ -313,19 +325,22 @@ def covering_sums(measure, set_name: str, levels, s_grid) -> CoveringSumTable:
     index on every axis has base-3 digits 0 and 2 only: the construction
     intervals of the Cantor set C in d = 1, the squares of C x C in d = 2.
     set_name must be 'cantor'.  An atomic measure is summed per cell first.
+    A block of lattice measures, masses (replicas, n_sites), gives sums of
+    shape (replicas, n_levels, n_s), each replica's bit-equal to its own.
     """
     if set_name != "cantor":
         raise AnalysisError(f"unknown set spec {set_name!r}")
     if isinstance(measure, AtomicMeasure):
         measure = measure.cell_masses()
+    d = measure.lattice.d
     levels = np.asarray(levels, dtype=int)
     boxes = []
     for g in levels.tolist():
         grid = _grid_box_masses(measure, 3**g)
-        # C^d: the Cantor boxes along each axis in turn
-        for axis in range(grid.ndim):
+        # C^d: the Cantor boxes along each grid axis in turn
+        for axis in range(grid.ndim - d, grid.ndim):
             grid = grid.take(_cantor_boxes(g), axis=axis)
-        boxes.append(grid.ravel())
+        boxes.append(grid.reshape(grid.shape[:grid.ndim - d] + (-1,)))
     return CoveringSumTable(levels=levels, sums=_power_sums(boxes, s_grid))
 
 

@@ -72,17 +72,26 @@ def _snap_interval(lattice: Lattice, lo: float, hi: float) -> tuple[int, int]:
     return max(i0, 0), min(i1, lattice.resolution)
 
 
-def measure_box(m: LatticeMeasure, lo, hi) -> float:
-    """Mass of the box [lo, hi] (per-axis), snapped to cell boundaries."""
+def measure_box(m: LatticeMeasure, lo, hi) -> float | np.ndarray:
+    """Mass of the box [lo, hi] (per-axis), snapped to cell boundaries.
+
+    A block of measures, masses of shape (replicas, n_sites), gives one mass
+    per replica; each is summed over the box's trailing axes exactly as the
+    replica's own measure would be, so the masses are equal bit for bit.
+    """
     lat = m.lattice
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     if lo.shape != (lat.d,) or hi.shape != (lat.d,):
         raise ChaosError("box bounds must match the lattice dimension")
-    # snapped on Python floats: this runs once per box and replica, where
+    # snapped on Python floats: this runs once per box and block, where
     # numpy scalar arithmetic costs about a microsecond per axis
     slices = tuple([slice(*_snap_interval(lat, a, b)) for a, b in zip(lo.tolist(), hi.tolist())])
     for s in slices:
         if s.stop <= s.start:
             raise ChaosError("box has empty intersection with the domain")
-    return float(m.masses.reshape(lat.shape)[slices].sum())
+    lead = m.masses.shape[:-1]
+    box = m.masses.reshape(lead + lat.shape)[(Ellipsis, *slices)]
+    if not lead:
+        return float(box.sum())
+    return box.sum(axis=tuple(range(len(lead), box.ndim)))

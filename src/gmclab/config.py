@@ -172,8 +172,16 @@ def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> lis
     if len(cfg.lambda_grid) and (min(cfg.lambda_grid) <= 0 or max(cfg.lambda_grid) >= 1):
         diags.append("lambda grid values must lie in (0, 1)")
     q_max_m = xi_moment_range(cfg.gamma2, cfg.dimension)
-    if experiment == "spectrum" and len(cfg.lambda_grid) < 4:
-        diags.append(f"spectrum needs at least 4 lambda.grid values, got {len(cfg.lambda_grid)}")
+    if experiment == "spectrum":
+        if len(cfg.lambda_grid) < 4:
+            diags.append(
+                f"spectrum needs at least 4 lambda.grid values, got {len(cfg.lambda_grid)}")
+        # the fit regresses on the nominal lambda, so each box must be whole cells
+        for lam in cfg.lambda_grid:
+            cells = cfg.resolution * lam
+            if abs(cells - round(cells)) > 1e-9:
+                diags.append(f"spectrum box of side {lam:g} spans {cells:g} cells; "
+                             "resolution * lambda must be a whole number")
     if experiment in ("spectrum", "lq") and not cfg.q_grid:
         diags.append(f"{experiment} needs at least one q.grid value")
     if experiment == "laplace" and not cfg.u_grid:

@@ -11,8 +11,12 @@ exact cell masses take one positive-stable draw per cell on (atoms, r, 0)
 (atoms, r, 0) ("direct") or subordinates M_n on (subordinated, r, 0)
 ("subordinated").  Both clouds draw their atoms cell by cell, as (cell, size)
 pairs; only `atoms` places them inside their cells, on (positions, r, 0).  Two
-reducers turn an ensemble into box masses or Cantor covering sums.  So a given
-(config, seed) pair reproduces byte-identical outputs.
+reducers turn an ensemble into box masses or Cantor covering sums one field
+block at a time: `_blocks` stacks a block's lattice measures, up to 64
+replicas, into one (replicas, n_sites) measure, and measure_box and
+covering_sums reduce it in one numpy call per box side or level set, each
+replica's result bit-equal to its own.  So a given (config, seed) pair
+reproduces byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .atomic import (
 )
 from .chaos import LatticeMeasure, build_chaos, measure_box, xi
 from .config import ExperimentConfig
-from .field import Lattice, LayerSampler, RngStream
+from .field import FIELD_BLOCK, Lattice, LayerSampler, RngStream
 from .kernels import KernelSpec
 
 
@@ -93,20 +97,43 @@ def _measures(cfg: ExperimentConfig, kinds: tuple, stream: RngStream,
             for kind in kinds]
 
 
+def _blocks(cfg: ExperimentConfig, kinds: tuple, stream: RngStream,
+            level: int | None = None):
+    """Yield (start, blocks): for replicas start, start + 1, ... of one field
+    block, one LatticeMeasure per kind whose masses are (replicas, n_sites).
+
+    The kinds must live on the lattice ("chaos" and "dual").  The buffers are
+    reused by the next field block, so each block is reduced before the next.
+    """
+    lat = lattice_for(cfg)
+    buffers = np.empty((len(kinds), min(cfg.replicas, FIELD_BLOCK), lat.n_sites))
+    for r, (_, _, measures) in enumerate(_measures(cfg, kinds, stream, level)):
+        i = r % FIELD_BLOCK
+        for buffer, m in zip(buffers, measures):
+            buffer[i] = m.masses
+        if i == FIELD_BLOCK - 1 or r == cfg.replicas - 1:
+            yield r - i, [LatticeMeasure(lat, buffer[:i + 1]) for buffer in buffers]
+
+
 def _box_masses(cfg: ExperimentConfig, kind: str, stream: RngStream, sides,
                 level: int | None = None) -> np.ndarray:
     """Masses of the boxes [0, side]^d, shape (replicas, len(sides)), for the
-    kinds whose measures live on the lattice ("chaos" and "dual")."""
+    kinds whose measures live on the lattice ("chaos" and "dual"), one
+    measure_box call per side and field block."""
     lo = np.zeros(cfg.dimension)
     boxes = [np.full(cfg.dimension, side) for side in sides]
-    return np.array([[measure_box(m, lo, hi) for hi in boxes]
-                     for _, _, (m,) in _measures(cfg, (kind,), stream, level)])
+    out = np.empty((cfg.replicas, len(boxes)))
+    for start, (block,) in _blocks(cfg, (kind,), stream, level):
+        for j, hi in enumerate(boxes):
+            out[start:start + len(block.masses), j] = measure_box(block, lo, hi)
+    return out
 
 
-def _covering_sums(measures, levels, s_grid) -> np.ndarray:
-    """Per-replica Cantor covering sums, shape (replicas, len(levels), len(s_grid))."""
-    return np.array([analysis.covering_sums(m, "cantor", levels, s_grid).sums
-                     for m in measures])
+def _covering_sums(blocks, levels, s_grid) -> np.ndarray:
+    """Cantor covering sums of blocks of measures, one covering_sums call per
+    block, shape (replicas, len(levels), len(s_grid))."""
+    return np.concatenate([analysis.covering_sums(block, "cantor", levels, s_grid).sums
+                           for block in blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +400,7 @@ def run_kpz(cfg: ExperimentConfig) -> PipelineResult:
     d23 = float(np.log(2) / np.log(3))
     levels = list(range(1, cfg.cantor_depth + 1))
     s_grid = np.asarray(cfg.s_grid, dtype=float)
-    sums = _covering_sums((m for _, _, (m,) in _measures(cfg, ("chaos",), RngStream(cfg.seed))),
+    sums = _covering_sums((m for _, (m,) in _blocks(cfg, ("chaos",), RngStream(cfg.seed))),
                           levels, s_grid)
     est = analysis.dimension_estimate(levels, s_grid, sums,
                                       rng=np.random.default_rng(cfg.seed))
@@ -412,16 +439,23 @@ def run_duality(cfg: ExperimentConfig) -> PipelineResult:
     alpha = cfg.alpha()
     levels = list(range(1, cfg.cantor_depth + 1))
     s_grid = np.asarray(cfg.s_grid, dtype=float)
-    # M and its dual on each replica's one field; the duals wait for the dual grid
-    chaos, duals = zip(*(ms for _, _, ms in _measures(cfg, ("chaos", "dual"),
-                                                      RngStream(cfg.seed))))
-    sums_m = _covering_sums(chaos, levels, s_grid)
+    # M and its dual on each replica's one field; the duals' masses wait for
+    # the dual grid
+    lat = lattice_for(cfg)
+    duals = np.empty((cfg.replicas, lat.n_sites))
+    sums_m = []
+    for start, (m, dual) in _blocks(cfg, ("chaos", "dual"), RngStream(cfg.seed)):
+        sums_m.append(analysis.covering_sums(m, "cantor", levels, s_grid).sums)
+        duals[start:start + len(dual.masses)] = dual.masses
+    sums_m = np.concatenate(sums_m)
     est_m = analysis.dimension_estimate(levels, s_grid, sums_m,
                                         rng=np.random.default_rng(cfg.seed))
     # dual grid centered on the predicted dual dimension alpha * dim_M
     center = max(alpha * est_m.estimate, 1e-3)
     dual_grid = np.unique(np.clip(np.linspace(0.2, 2.5, 12) * center, 1e-4, 0.999))
-    sums_bar = _covering_sums(duals, levels, dual_grid)
+    sums_bar = _covering_sums((LatticeMeasure(lat, duals[start:start + FIELD_BLOCK])
+                               for start in range(0, cfg.replicas, FIELD_BLOCK)),
+                              levels, dual_grid)
     est_bar = analysis.dimension_estimate(levels, dual_grid, sums_bar,
                                           rng=np.random.default_rng(cfg.seed + 1))
     grid = np.linspace(0.0, 1.0, 100)

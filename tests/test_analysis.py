@@ -272,14 +272,15 @@ class TestCovering:
             covering_sums(uniform, "cantor", [3], [0.5])
 
 
-def _field(resolution, seed=11):
-    sampler = LayerSampler(KernelSpec(family="exact1d", T=1.0, d=1),
-                           Lattice(1, resolution), range(1, 10))
+def _field(resolution, seed=11, d=1):
+    family = "exact1d" if d == 1 else "exact2d"
+    sampler = LayerSampler(KernelSpec(family=family, T=1.0, d=d),
+                           Lattice(d, resolution), range(1, 10 if d == 1 else 4))
     return sampler.sample_field(RngStream(seed), 0)
 
 
-def _chaos(resolution):
-    return build_chaos(_field(resolution), 1.0)
+def _chaos(resolution, seed=11, d=1):
+    return build_chaos(_field(resolution, seed, d), 1.0)
 
 
 def _dual(resolution):
@@ -290,19 +291,25 @@ def _dual(resolution):
     return mu
 
 
+def _wide(resolution, seed=11, d=1):
+    """The dual at alpha = 0.04 (gamma2 = 0.08 d)."""
+    return build_dual_cells(_field(resolution, seed, d), 0.08 * d, 0.04,
+                            RngStream(seed).generator(0, "atoms"))
+
+
 def _dual_wide(resolution):
     # alpha = 0.04: the cell masses span more than 100 decades, far more
     # than the 16 digits of a double
-    mu = build_dual_cells(_field(resolution), 0.08, 0.04, RngStream(11).generator(0, "atoms"))
+    mu = _wide(resolution)
     assert np.log10(mu.masses.max() / mu.masses.min()) > 100
     return mu
 
 
-def _atomic(resolution):
+def _atomic(resolution, seed=5, d=1):
     # few atoms, so most fine boxes are empty
-    rng = np.random.default_rng(5)
-    return AtomicMeasure(Lattice(1, resolution), rng.integers(0, resolution, 30),
-                         10.0 ** rng.uniform(-14, 0, 30))
+    rng = np.random.default_rng(seed)
+    lat = Lattice(d, resolution)
+    return AtomicMeasure(lat, rng.integers(0, lat.n_sites, 30), 10.0 ** rng.uniform(-14, 0, 30))
 
 
 class TestGridAtOnce:
@@ -331,6 +338,38 @@ class TestGridAtOnce:
             assert empty > 0
         else:
             assert empty == 0
+
+    @pytest.mark.parametrize("build", [_chaos, _wide, _atomic])
+    @pytest.mark.parametrize("d", [1, 2], ids=["d1", "d2"])
+    def test_block_covering_sums_match_replica_loop(self, build, d):
+        # a block of 20 measures gives (replicas, levels, s), each replica's
+        # table bit-equal to its own.  The alpha = 0.04 duals span more than
+        # 100 decades on the line but none of their boxes is 0 here; the
+        # atomic cell masses leave some boxes empty, so their sets keep
+        # unequal numbers of boxes
+        resolution = 243 if d == 1 else 27
+        measures = [build(resolution, seed=r, d=d) for r in range(20)]
+        measures = [m.cell_masses() if isinstance(m, AtomicMeasure) else m for m in measures]
+        block = LatticeMeasure(measures[0].lattice, np.stack([m.masses for m in measures]))
+        if build is _wide:
+            pos = block.masses[block.masses > 0]
+            assert np.log10(pos.max() / pos.min()) > (100 if d == 1 else 30)
+        levels = range(1, 6 if d == 1 else 4)
+        s_grid = np.array([0.0, 0.3, 0.5, 0.7, 1.0, 2.0])
+        sums = covering_sums(block, "cantor", levels, s_grid).sums
+        ref = np.empty((20, len(levels), s_grid.size))
+        for r, m in enumerate(measures):
+            for li, g in enumerate(levels):
+                # reference: each set's own positives and one 1-D np.sum per s
+                mu = _grid_box_masses(m, 3**g)[np.ix_(*[_cantor_boxes(g)] * d)].ravel()
+                pos = mu[mu > 0]
+                ref[r, li] = [np.sum(pos**s) if s != 0 else pos.size for s in s_grid]
+        assert sums.shape == (20, len(levels), s_grid.size)
+        assert np.array_equal(sums, ref)
+        counts = ref[:, :, 0]
+        # every replica keeps all its boxes, or (atomic) some lose some
+        full = 2.0 ** (d * np.asarray(levels))
+        assert np.all(counts == full) != (build is _atomic)
 
     @pytest.mark.parametrize("set_name, resolution", [("cantor", 729), ("interval", 512)])
     def test_lattice_interval_masses_match_fsum(self, set_name, resolution):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmclab.chaos import ChaosError, build_chaos, measure_box, xi, xi_moment_range
+from gmclab.chaos import ChaosError, LatticeMeasure, build_chaos, measure_box, xi, xi_moment_range
 from gmclab.field import Lattice, LayerSampler, RngStream
 from gmclab.kernels import KernelSpec
 
@@ -124,3 +124,19 @@ class TestMeasureBox:
             for j in range(2)
         )
         assert quads == pytest.approx(m.total_mass(), rel=1e-12)
+
+    @pytest.mark.parametrize("spec, resolution", [
+        (EXACT1D, 256), (KernelSpec(family="exact2d", T=1.0, d=2), 32)], ids=["d1", "d2"])
+    def test_block_matches_replica_loop(self, spec, resolution):
+        # a block of 20 replicas gives each replica's own mass bit for bit,
+        # for whole, snapped and partial boxes
+        lat = Lattice(spec.d, resolution)
+        sampler = LayerSampler(spec, lat, range(1, 5))
+        stream = RngStream(6)
+        measures = [build_chaos(sampler.sample_field(stream, r), 0.5) for r in range(20)]
+        block = LatticeMeasure(lat, np.stack([m.masses for m in measures]))
+        for lo, hi in [(0.0, 1.0), (0.0, 0.3), (0.1, 0.77), (0.5, 0.53)]:
+            lo, hi = np.full(spec.d, lo), np.full(spec.d, hi)
+            got = measure_box(block, lo, hi)
+            assert got.shape == (20,)
+            assert np.array_equal(got, [measure_box(m, lo, hi) for m in measures])

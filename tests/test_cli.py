@@ -10,7 +10,8 @@ import pytest
 
 import gmclab
 from gmclab.atomic import build_dual_cells, sample_stable_atoms
-from gmclab.chaos import build_chaos
+from gmclab.analysis import covering_sums
+from gmclab.chaos import build_chaos, measure_box
 from gmclab.cli import main, write_csv
 from gmclab.config import (
     ConfigError,
@@ -18,7 +19,7 @@ from gmclab.config import (
     validate_config,
 )
 from gmclab.field import PURPOSES, Lattice, RngStream
-from gmclab.pipelines import _measures
+from gmclab.pipelines import _blocks, _box_masses, _covering_sums, _measures
 
 BASE_CONFIG = """
 # smoke configuration
@@ -188,6 +189,11 @@ class TestCliRuns:
          "scaling needs at least one scaling.lambdas value"),
         ("spectrum", "lambda.grid = 0.5,0.25,0.125\n", [],
          "spectrum needs at least 4 lambda.grid values, got 3"),
+        # measure_box would snap the box of side 0.03125 to 2 cells, 0.0417,
+        # while the fit regresses on the nominal side
+        ("spectrum", "resolution = 48\nlambda.grid = 0.5,0.25,0.125,0.0625,0.03125\n", [],
+         "spectrum box of side 0.03125 spans 1.5 cells; "
+         "resolution * lambda must be a whole number"),
         # the default k = max(replicas // 20, 50) is 50
         ("tail", "gamma2 = 1.0\nreplicas = 40\n", [],
          "hill.k must lie in [30, replicas = 40), got 50 (the default)"),
@@ -195,7 +201,8 @@ class TestCliRuns:
          "hill.k must lie in [30, replicas = 1000), got 10"),
     ], ids=["kpz-s-grid", "duality-depth", "lq-replicas", "scaling-cells", "kpz-dim2",
             "duality-dim2", "lq-depths", "scaling-kernel", "laplace-u-grid", "spectrum-q-grid",
-            "lq-q-grid", "scaling-lambdas", "spectrum-lambdas", "tail-default-k", "tail-small-k"])
+            "lq-q-grid", "scaling-lambdas", "spectrum-lambdas", "spectrum-lambda-cells",
+            "tail-default-k", "tail-small-k"])
     def test_unrunnable_config_is_diagnosed(self, tmp_path, capsys, experiment, text, args,
                                             diag):
         # rejected before any ensemble is built
@@ -359,3 +366,22 @@ def test_measures_of_one_replica_share_its_field(text):
         assert np.array_equal(m.masses, build_chaos(field, cfg.gamma2).masses)
         expected = build_dual_cells(field, cfg.gamma2, alpha, stream.generator(r, "atoms"))
         assert np.array_equal(dual.masses, expected.masses)
+
+
+@pytest.mark.parametrize("kind", ["chaos", "dual"])
+def test_block_reducers_match_replica_loop(kind):
+    # 70 replicas: one full field block of 64 and a partial block of 6
+    cfg = parse_config_text("gamma2 = 1.0\nlevel = 5\nresolution = 243\ncantor.depth = 5\n"
+                            "replicas = 70\nseed = 3\n")
+    sides = (1.0, 0.5, 0.25, 0.1, 1 / 3)
+    levels, s_grid = range(1, 6), np.array([0.0, 0.3, 0.5, 0.7, 1.0])
+    loop = [ms[0] for _, _, ms in _measures(cfg, (kind,), RngStream(cfg.seed))]
+    starts = [start for start, _ in _blocks(cfg, (kind,), RngStream(cfg.seed))]
+    assert starts == [0, 64]
+    masses = _box_masses(cfg, kind, RngStream(cfg.seed), sides)
+    ref = np.array([[measure_box(m, [0.0], [side]) for side in sides] for m in loop])
+    assert masses.shape == (70, len(sides)) and np.array_equal(masses, ref)
+    sums = _covering_sums((b for _, (b,) in _blocks(cfg, (kind,), RngStream(cfg.seed))),
+                          levels, s_grid)
+    ref = np.array([covering_sums(m, "cantor", levels, s_grid).sums for m in loop])
+    assert sums.shape == (70, 5, s_grid.size) and np.array_equal(sums, ref)

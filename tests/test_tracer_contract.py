@@ -56,6 +56,9 @@ def test_instrument_patches_and_close_restores(tracer_module, tmp_path):
     metrics = tracer_module.run_metrics(tracer.spans)
     assert metrics["field.embedding_m"] == 64
     assert metrics["field.layer_draws"] == 5 * 3
+    # the unit box and five lambda.grid sides, one measure_box call per side
+    # for the one field block
+    assert metrics["chaos.box_calls"] == 6
     # the five replicas share one field block, so one substream
     assert metrics["field.rng_streams"] == 1
     assert metrics["cli.bytes_written"] > 0
@@ -72,8 +75,9 @@ def test_instrument_patches_and_close_restores(tracer_module, tmp_path):
 TRACED_RUNS = {
     "duality": ("gamma2 = 1.0\nlevel = 3\nresolution = 27\ncantor.depth = 3\nz_min = 1e-6\n"
                 "replicas = 4\nseed = 3\ns.grid = 0.3,0.4,0.5,0.6,0.7,0.8\n", {
-                    # 2 + 4 + 8 Cantor intervals per measure, M and its dual
-                    "analysis.covering_intervals": 14 * 2 * 4,
+                    # 2 + 4 + 8 Cantor intervals per covering_sums call: one
+                    # call per field block, for M and for its dual
+                    "analysis.covering_intervals": 14 * 2,
                     # two dimension estimates over four replicas
                     "analysis.bootstrap_resamples": 2 * 200,
                     # M and its dual share each replica's field
