@@ -37,7 +37,7 @@ from .atomic import (
 )
 from .chaos import LatticeMeasure, build_chaos, measure_box, xi
 from .config import ExperimentConfig
-from .field import FIELD_BLOCK, Lattice, LayerSampler, RngStream
+from .field import CHUNK_BYTES, FIELD_BLOCK, Lattice, LayerSampler, RngStream
 from .kernels import KernelSpec
 
 
@@ -97,43 +97,47 @@ def _measures(cfg: ExperimentConfig, kinds: tuple, stream: RngStream,
             for kind in kinds]
 
 
-def _blocks(cfg: ExperimentConfig, kinds: tuple, stream: RngStream,
-            level: int | None = None):
-    """Yield (start, blocks): for replicas start, start + 1, ... of one field
-    block, one LatticeMeasure per kind whose masses are (replicas, n_sites).
+def _blocks(measures):
+    """Stack a stream of measures on one lattice into blocks of FIELD_BLOCK
+    replicas (fewer where a block would pass CHUNK_BYTES): yield (start,
+    block), block a LatticeMeasure whose masses are (replicas, n_sites).
 
-    The kinds must live on the lattice ("chaos" and "dual").  The buffers are
-    reused by the next field block, so each block is reduced before the next.
+    One buffer serves every block, so each block is reduced before the next.
     """
-    lat = lattice_for(cfg)
-    buffers = np.empty((len(kinds), min(cfg.replicas, FIELD_BLOCK), lat.n_sites))
-    for r, (_, _, measures) in enumerate(_measures(cfg, kinds, stream, level)):
-        i = r % FIELD_BLOCK
-        for buffer, m in zip(buffers, measures):
-            buffer[i] = m.masses
-        if i == FIELD_BLOCK - 1 or r == cfg.replicas - 1:
-            yield r - i, [LatticeMeasure(lat, buffer[:i + 1]) for buffer in buffers]
+    buffer = None
+    n = start = 0
+    for m in measures:
+        if buffer is None:
+            rows = max(1, min(FIELD_BLOCK, CHUNK_BYTES // m.masses.nbytes))
+            buffer = np.empty((rows, m.masses.size))
+        buffer[n] = m.masses
+        n += 1
+        if n == len(buffer):
+            yield start, LatticeMeasure(m.lattice, buffer)
+            start, n = start + n, 0
+    if n:
+        yield start, LatticeMeasure(m.lattice, buffer[:n])
 
 
 def _box_masses(cfg: ExperimentConfig, kind: str, stream: RngStream, sides,
                 level: int | None = None) -> np.ndarray:
     """Masses of the boxes [0, side]^d, shape (replicas, len(sides)), for the
     kinds whose measures live on the lattice ("chaos" and "dual"), one
-    measure_box call per side and field block."""
+    measure_box call per side and block."""
     lo = np.zeros(cfg.dimension)
     boxes = [np.full(cfg.dimension, side) for side in sides]
     out = np.empty((cfg.replicas, len(boxes)))
-    for start, (block,) in _blocks(cfg, (kind,), stream, level):
+    for start, block in _blocks(m for _, _, (m,) in _measures(cfg, (kind,), stream, level)):
         for j, hi in enumerate(boxes):
             out[start:start + len(block.masses), j] = measure_box(block, lo, hi)
     return out
 
 
-def _covering_sums(blocks, levels, s_grid) -> np.ndarray:
-    """Cantor covering sums of blocks of measures, one covering_sums call per
-    block, shape (replicas, len(levels), len(s_grid))."""
+def _covering_sums(measures, levels, s_grid) -> np.ndarray:
+    """Per-replica Cantor covering sums, shape (replicas, len(levels),
+    len(s_grid)), one covering_sums call per block."""
     return np.concatenate([analysis.covering_sums(block, "cantor", levels, s_grid).sums
-                           for block in blocks])
+                           for _, block in _blocks(measures)])
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +404,7 @@ def run_kpz(cfg: ExperimentConfig) -> PipelineResult:
     d23 = float(np.log(2) / np.log(3))
     levels = list(range(1, cfg.cantor_depth + 1))
     s_grid = np.asarray(cfg.s_grid, dtype=float)
-    sums = _covering_sums((m for _, (m,) in _blocks(cfg, ("chaos",), RngStream(cfg.seed))),
+    sums = _covering_sums((m for _, _, (m,) in _measures(cfg, ("chaos",), RngStream(cfg.seed))),
                           levels, s_grid)
     est = analysis.dimension_estimate(levels, s_grid, sums,
                                       rng=np.random.default_rng(cfg.seed))
@@ -439,23 +443,23 @@ def run_duality(cfg: ExperimentConfig) -> PipelineResult:
     alpha = cfg.alpha()
     levels = list(range(1, cfg.cantor_depth + 1))
     s_grid = np.asarray(cfg.s_grid, dtype=float)
-    # M and its dual on each replica's one field; the duals' masses wait for
-    # the dual grid
-    lat = lattice_for(cfg)
-    duals = np.empty((cfg.replicas, lat.n_sites))
-    sums_m = []
-    for start, (m, dual) in _blocks(cfg, ("chaos", "dual"), RngStream(cfg.seed)):
-        sums_m.append(analysis.covering_sums(m, "cantor", levels, s_grid).sums)
-        duals[start:start + len(dual.masses)] = dual.masses
-    sums_m = np.concatenate(sums_m)
+    # M and its dual on each replica's one field.  The duals wait for the dual
+    # grid, kept as drawn: a copy into one (replicas, n_sites) array raised
+    # the peak memory
+    duals = []
+
+    def chaos():
+        for _, _, (m, dual) in _measures(cfg, ("chaos", "dual"), RngStream(cfg.seed)):
+            duals.append(dual)
+            yield m
+
+    sums_m = _covering_sums(chaos(), levels, s_grid)
     est_m = analysis.dimension_estimate(levels, s_grid, sums_m,
                                         rng=np.random.default_rng(cfg.seed))
     # dual grid centered on the predicted dual dimension alpha * dim_M
     center = max(alpha * est_m.estimate, 1e-3)
     dual_grid = np.unique(np.clip(np.linspace(0.2, 2.5, 12) * center, 1e-4, 0.999))
-    sums_bar = _covering_sums((LatticeMeasure(lat, duals[start:start + FIELD_BLOCK])
-                               for start in range(0, cfg.replicas, FIELD_BLOCK)),
-                              levels, dual_grid)
+    sums_bar = _covering_sums(duals, levels, dual_grid)
     est_bar = analysis.dimension_estimate(levels, dual_grid, sums_bar,
                                           rng=np.random.default_rng(cfg.seed + 1))
     grid = np.linspace(0.0, 1.0, 100)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import gmclab
-from gmclab.atomic import build_dual_cells, sample_stable_atoms
+from gmclab import pipelines
 from gmclab.analysis import covering_sums
+from gmclab.atomic import build_dual_cells, sample_stable_atoms
 from gmclab.chaos import build_chaos, measure_box
 from gmclab.cli import main, write_csv
 from gmclab.config import (
@@ -369,19 +370,21 @@ def test_measures_of_one_replica_share_its_field(text):
 
 
 @pytest.mark.parametrize("kind", ["chaos", "dual"])
-def test_block_reducers_match_replica_loop(kind):
+def test_block_reducers_match_replica_loop(kind, monkeypatch):
     # 70 replicas: one full field block of 64 and a partial block of 6
     cfg = parse_config_text("gamma2 = 1.0\nlevel = 5\nresolution = 243\ncantor.depth = 5\n"
                             "replicas = 70\nseed = 3\n")
     sides = (1.0, 0.5, 0.25, 0.1, 1 / 3)
     levels, s_grid = range(1, 6), np.array([0.0, 0.3, 0.5, 0.7, 1.0])
     loop = [ms[0] for _, _, ms in _measures(cfg, (kind,), RngStream(cfg.seed))]
-    starts = [start for start, _ in _blocks(cfg, (kind,), RngStream(cfg.seed))]
-    assert starts == [0, 64]
+    assert [start for start, _ in _blocks(loop)] == [0, 64]
     masses = _box_masses(cfg, kind, RngStream(cfg.seed), sides)
     ref = np.array([[measure_box(m, [0.0], [side]) for side in sides] for m in loop])
     assert masses.shape == (70, len(sides)) and np.array_equal(masses, ref)
-    sums = _covering_sums((b for _, (b,) in _blocks(cfg, (kind,), RngStream(cfg.seed))),
-                          levels, s_grid)
+    sums = _covering_sums(loop, levels, s_grid)
     ref = np.array([covering_sums(m, "cantor", levels, s_grid).sums for m in loop])
     assert sums.shape == (70, 5, s_grid.size) and np.array_equal(sums, ref)
+    # a block that would pass CHUNK_BYTES is cut to fewer replicas
+    monkeypatch.setattr(pipelines, "CHUNK_BYTES", 30 * loop[0].masses.nbytes)
+    assert [start for start, _ in _blocks(loop)] == [0, 30, 60]
+    assert np.array_equal(_covering_sums(loop, levels, s_grid), ref)
