@@ -18,6 +18,8 @@ import sys
 import time
 from dataclasses import replace
 
+import numpy as np
+
 from . import __version__
 from .config import ConfigError, ExperimentConfig, config_to_dict, load_config, validate_config
 from .field import FIELD_BLOCK, PURPOSES
@@ -28,19 +30,16 @@ EXIT_STAT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _fmt(value) -> str:
-    """CSV cell: repr gives the shortest float round-trip form; float() first,
-    since numpy 2 writes a numpy float's repr as np.float64(...)."""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
+def write_csv(path: str, table: dict):
+    """Write a table, column name -> 1-D array or list, in header order.
 
-
-def write_csv(path: str, header, rows):
+    A cell is str of its column's .tolist() element: an int or a label as
+    itself, a float as its shortest round-trip repr.  A column of another
+    length raises ValueError."""
+    columns = [np.asarray(col).tolist() for col in table.values()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(table) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*columns, strict=True))
 
 
 def _sha256(path: str) -> str:
@@ -67,9 +66,9 @@ def write_outputs(result: PipelineResult, cfg: ExperimentConfig,
                   out_dir: str, elapsed: float) -> str:
     os.makedirs(out_dir, exist_ok=True)
     artifacts = []
-    for name, (header, rows) in result.tables.items():
+    for name, table in result.tables.items():
         path = os.path.join(out_dir, f"{name}.csv")
-        write_csv(path, header, rows)
+        write_csv(path, table)
         artifacts.append(path)
     for name, blob in result.extra_files.items():
         path = os.path.join(out_dir, name)

@@ -18,7 +18,7 @@ Example::
     s.grid = 0.3,0.4,0.5,0.6,0.7,0.8
     out = results
 
-Lines starting with '#' are comments.
+Lines starting with '#' are comments; each key may be set once.
 """
 
 from __future__ import annotations
@@ -117,6 +117,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if key not in _KEY_MAP:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         attr, conv = _KEY_MAP[key]
+        if attr in values:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
             values[attr] = conv(val)
         except ConfigError:
@@ -222,6 +224,9 @@ def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> lis
         if cfg.kernel_family not in ("exact1d", "exact2d"):
             diags.append("perfect scaling requires an exact scale invariant kernel "
                          f"(exact1d or exact2d), got {cfg.kernel_family}")
+        # a radius outside (0, 1] snaps to the unit box or to no cell
+        if not 0 < cfg.scaling_radius <= 1:
+            diags.append(f"scaling.radius must lie in (0, 1], got {cfg.scaling_radius}")
         # the dual's box masses are sums of whole cells
         for lam in (1.0, *cfg.scaling_lambdas):
             cells = cfg.resolution * cfg.scaling_radius * lam

@@ -261,13 +261,10 @@ class LayerSampler:
             return _circulant_fields(self._factor[0], self.lattice.resolution, z)
         return dstn(self._factor * z, type=3, axes=(1, 2)).reshape(len(z), -1)
 
-    def _draw_chunk(self, chunk: _Chunk, row: int):
-        """Replace chunk's fields by the next rows of its block, up to at least
-        row.  A chunk takes as many rows as are drawn already, so a block costs
-        about log2 of its rows in transforms and draws at most twice the rows
-        asked for; CHUNK_BYTES and the end of the block cap it."""
-        n = min(max(chunk.stop, row + 1 - chunk.stop, 1),
-                max(1, CHUNK_BYTES // self._row_bytes),
+    def _draw_chunk(self, chunk: _Chunk):
+        """Replace chunk's fields by the next rows of its block: every row left
+        in the block, so one transform per block, unless CHUNK_BYTES caps it."""
+        n = min(max(1, CHUNK_BYTES // self._row_bytes),
                 FIELD_BLOCK // self._per_row - chunk.stop)
         chunk.fields = self._fields(chunk.rng.standard_normal((n,) + self._row_shape))
         chunk.start, chunk.stop = chunk.stop, chunk.stop + n
@@ -282,7 +279,7 @@ class LayerSampler:
             chunk = _Chunk(block, stream.generator(replica, "field"))
             self._chunks[stream] = chunk
         while row >= chunk.stop:
-            self._draw_chunk(chunk, row)
+            self._draw_chunk(chunk)
         k = (row - chunk.start) * self._per_row + i % self._per_row
         return FieldGrid(lattice=self.lattice, values=chunk.fields[k].copy(),
                          variance0=self.variance0)

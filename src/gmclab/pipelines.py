@@ -46,7 +46,8 @@ class PipelineResult:
     name: str
     passed: bool
     summary: dict
-    tables: dict = dc_field(default_factory=dict)  # name -> (header, rows)
+    # name -> {column: 1-D array or list}, in header order; cli.write_csv spells the cells
+    tables: dict = dc_field(default_factory=dict)
     extra_files: dict = dc_field(default_factory=dict)  # name -> bytes
 
 
@@ -154,40 +155,32 @@ def run_field(cfg: ExperimentConfig) -> PipelineResult:
     values = np.array([field.values[idx.ravel()]
                        for field, _, _ in _measures(cfg, (), RngStream(cfg.seed))])
     pts = lat.centers()
-    rows = []
-    n_pass = 0
     # looked up at call time: the benchmark tracer patches it after import
     from .kernels import eval_partial_kernel
 
-    for p in range(n_pairs):
-        a = values[:, 2 * p]
-        b = values[:, 2 * p + 1]
-        emp = float(np.mean(a * b) - a.mean() * b.mean())
-        se = float(np.std(a * b, ddof=1) / np.sqrt(cfg.replicas))
-        theory = float(np.ravel(
-            eval_partial_kernel(spec, cfg.level, pts[idx[p, 0]], pts[idx[p, 1]]))[0])
-        ok = abs(emp - theory) <= 3 * max(se, 1e-12)
-        n_pass += ok
-        rows.append((p, int(idx[p, 0]), int(idx[p, 1]), emp, theory, se, int(ok)))
+    emp, se, theory = np.array([
+        (np.mean(a * b) - a.mean() * b.mean(),
+         np.std(a * b, ddof=1) / np.sqrt(cfg.replicas),
+         np.ravel(eval_partial_kernel(spec, cfg.level, pts[i], pts[j]))[0])
+        for a, b, (i, j) in zip(values[:, 0::2].T, values[:, 1::2].T, idx)]).T
+    ok = np.abs(emp - theory) <= 3 * np.maximum(se, 1e-12)
+    n_pass = int(ok.sum())
     # 3-SE checks at 20 pairs: allow one excursion (95% pointwise criterion)
-    passed = n_pass >= n_pairs - 1
     return PipelineResult(
         name="field",
-        passed=passed,
-        summary={"pairs": n_pairs, "pairs_within_3se": int(n_pass)},
-        tables={"covariance": (
-            ["pair", "i", "j", "empirical", "theory", "se", "pass"], rows)},
+        passed=n_pass >= n_pairs - 1,
+        summary={"pairs": n_pairs, "pairs_within_3se": n_pass},
+        tables={"covariance": {"pair": np.arange(n_pairs), "i": idx[:, 0], "j": idx[:, 1],
+                               "empirical": emp, "theory": theory, "se": se,
+                               "pass": ok.astype(int)}},
     )
 
 
 def run_chaos(cfg: ExperimentConfig) -> PipelineResult:
     """Expectation identity: mean total chaos mass within 3 SE of 1."""
-    masses = _box_masses(cfg, "chaos", RngStream(cfg.seed), (1.0, *cfg.lambda_grid))
-    rows = []
-    for r in range(cfg.replicas):
-        rows.append((r, 0, 1.0, masses[r, 0]))
-        for j, lam in enumerate(cfg.lambda_grid, start=1):
-            rows.append((r, j, lam, masses[r, j]))
+    sides = np.array((1.0, *cfg.lambda_grid))
+    masses = _box_masses(cfg, "chaos", RngStream(cfg.seed), sides)
+    replica, box_id = np.meshgrid(np.arange(cfg.replicas), np.arange(sides.size), indexing="ij")
     total = masses[:, 0]
     se = float(total.std(ddof=1) / np.sqrt(cfg.replicas))
     dev = abs(float(total.mean()) - 1.0)
@@ -197,7 +190,8 @@ def run_chaos(cfg: ExperimentConfig) -> PipelineResult:
         passed=passed,
         summary={"mean_total_mass": float(total.mean()), "se": se,
                  "deviation": dev, "criterion": "within 3 SE of 1"},
-        tables={"masses": (["replica", "box_id", "lambda", "mass"], rows)},
+        tables={"masses": {"replica": replica.ravel(), "box_id": box_id.ravel(),
+                           "lambda": sides[box_id].ravel(), "mass": masses.ravel()}},
     )
 
 
@@ -226,7 +220,7 @@ def run_atoms(cfg: ExperimentConfig) -> PipelineResult:
     lat = lattice_for(cfg)
     alpha = cfg.alpha()
     z_min = cfg.resolved_z_min()
-    rows = []
+    chunks = []  # one per replica: its replica, coordinate, z and mass columns
     spans = []
     corrs = []
     top_atoms = None
@@ -237,9 +231,7 @@ def run_atoms(cfg: ExperimentConfig) -> PipelineResult:
             if mbar.count >= 3:
                 corrs.append(float(spearmanr(field.values[mbar.cells], mbar.masses).statistic))
         positions = atom_positions(lat, mbar.cells, stream.generator(r, "positions"))
-        for i in range(mbar.count):
-            rows.append((r, *map(float, positions[i]), float(atoms.sizes[i]),
-                         float(mbar.masses[i])))
+        chunks.append((np.full(mbar.count, r), *positions.T, atoms.sizes, mbar.masses))
         if r == 0 and mbar.count:
             keep = np.argsort(mbar.masses)[-min(200, mbar.count):]
             top_atoms = (positions[keep], mbar.masses[keep])
@@ -257,7 +249,7 @@ def run_atoms(cfg: ExperimentConfig) -> PipelineResult:
             "expected_atom_count": expected_atom_count(1.0, alpha, z_min),
             "truncation_bound": truncation_bound(1.0, alpha, z_min),
         },
-        tables={"atoms": (header, rows)},
+        tables={"atoms": dict(zip(header, map(np.concatenate, zip(*chunks)), strict=True))},
     )
     if top_atoms is not None:
         result.extra_files["atoms.svg"] = _svg_scatter(*top_atoms)
@@ -270,18 +262,13 @@ def run_spectrum(cfg: ExperimentConfig) -> PipelineResult:
     fit = analysis.estimate_spectrum(cfg.lambda_grid, masses, cfg.q_grid,
                                      rng=np.random.default_rng(cfg.seed))
     theory = xi(cfg.gamma2, cfg.dimension, np.asarray(cfg.q_grid))
-    rows = []
-    ok_all = True
-    for i, q in enumerate(cfg.q_grid):
-        ok = abs(fit.slopes[i] - theory[i]) <= 0.1
-        ok_all &= ok
-        rows.append((q, float(fit.slopes[i]), float(fit.stderr[i]),
-                     float(theory[i]), int(ok)))
+    ok = np.abs(fit.slopes - theory) <= 0.1
     return PipelineResult(
         name="spectrum",
-        passed=ok_all,
+        passed=bool(ok.all()),
         summary={"tolerance": 0.1, "q_grid": list(cfg.q_grid)},
-        tables={"spectrum": (["q", "slope", "stderr", "theory", "pass"], rows)},
+        tables={"spectrum": {"q": cfg.q_grid, "slope": fit.slopes, "stderr": fit.stderr,
+                             "theory": theory, "pass": ok.astype(int)}},
     )
 
 
@@ -299,16 +286,11 @@ def run_laplace(cfg: ExperimentConfig) -> PipelineResult:
     passed = True
     for tag, samples in (("direct", direct), ("subordinated", subord)):
         cmp = analysis.verify_laplace(samples, m, alpha, cfg.u_grid, rng=rng)
-        rows = [
-            (float(u), float(cmp.lhs[i]), float(cmp.rhs[i]),
-             float(cmp.lhs_ci[i, 0]), float(cmp.lhs_ci[i, 1]),
-             float(cmp.rhs_ci[i, 0]), float(cmp.rhs_ci[i, 1]), int(cmp.overlap[i]))
-            for i, u in enumerate(cmp.u_grid)
-        ]
-        tables[f"laplace_{tag}"] = (
-            ["u", "lhs", "rhs", "lhs_ci_lo", "lhs_ci_hi", "rhs_ci_lo", "rhs_ci_hi", "pass"],
-            rows,
-        )
+        tables[f"laplace_{tag}"] = {
+            "u": cmp.u_grid, "lhs": cmp.lhs, "rhs": cmp.rhs,
+            "lhs_ci_lo": cmp.lhs_ci[:, 0], "lhs_ci_hi": cmp.lhs_ci[:, 1],
+            "rhs_ci_lo": cmp.rhs_ci[:, 0], "rhs_ci_hi": cmp.rhs_ci[:, 1],
+            "pass": cmp.overlap.astype(int)}
         passed &= cmp.all_overlap
     return PipelineResult(
         name="laplace",
@@ -330,30 +312,26 @@ def run_tail(cfg: ExperimentConfig) -> PipelineResult:
     hill_p = analysis.hill_tail_index(pareto, k)
     expo = ctrl_rng.exponential(size=cfg.replicas)
     hill_e = analysis.hill_tail_index(expo, k)
-    rows = [
-        ("atomic_total", hill.estimate, hill.ci_lo, hill.ci_hi, hill.k,
-         int(hill.stable), hill.plateau_spread, alpha),
-        ("pareto_control", hill_p.estimate, hill_p.ci_lo, hill_p.ci_hi, hill_p.k,
-         int(hill_p.stable), hill_p.plateau_spread, alpha),
-        ("exponential_control", hill_e.estimate, hill_e.ci_lo, hill_e.ci_hi,
-         hill_e.k, int(hill_e.stable), hill_e.plateau_spread, float("nan")),
-    ]
+    hills = (hill, hill_p, hill_e)
     passed = (
         abs(hill.estimate - alpha) <= 0.05
         and abs(hill_p.estimate - alpha) <= 0.05
         and hill_p.stable
         and not hill_e.stable
     )
-    sweep_rows = [(float(kk), float(a)) for kk, a in hill.k_sweep]
     return PipelineResult(
         name="tail",
         passed=passed,
         summary={"alpha": alpha, "estimate": hill.estimate,
                  "tolerance": 0.05, "k": hill.k},
         tables={
-            "hill": (["series", "estimate", "ci_lo", "ci_hi", "k", "stable",
-                      "plateau_spread", "alpha_target"], rows),
-            "hill_sweep": (["k", "estimate"], sweep_rows),
+            "hill": {"series": ["atomic_total", "pareto_control", "exponential_control"],
+                     **{col: [getattr(h, col) for h in hills]
+                        for col in ("estimate", "ci_lo", "ci_hi", "k")},
+                     "stable": np.array([h.stable for h in hills]).astype(int),
+                     "plateau_spread": [h.plateau_spread for h in hills],
+                     "alpha_target": [alpha, alpha, np.nan]},
+            "hill_sweep": {"k": hill.k_sweep[:, 0], "estimate": hill.k_sweep[:, 1]},
         },
     )
 
@@ -366,21 +344,18 @@ def run_scaling(cfg: ExperimentConfig) -> PipelineResult:
     q_grid = np.asarray([q for q in cfg.q_grid if q < alpha])
     if q_grid.size == 0:
         q_grid = alpha * np.array([0.25, 0.5, 0.75])
-    rows = []
-    passed = True
+    results = []
     rng = np.random.default_rng(cfg.seed)
     for j, lam in enumerate(cfg.scaling_lambdas, start=1):
         # exact self-similarity holds level-matched: scale lambda at level n/lambda
         level_lam = int(round(cfg.level / lam))
         small = _box_masses(cfg, "dual", RngStream(cfg.seed + j), [lam * radius],
                             level=level_lam)[:, 0]
-        res = analysis.verify_perfect_scaling(small, ref, lam, cfg.gamma2, alpha,
-                                              cfg.dimension, q_grid, rng=rng)
-        for i, q in enumerate(q_grid):
-            rows.append((lam, float(q), float(res.ratio[i]),
-                         float(res.ratio_ci[i, 0]), float(res.ratio_ci[i, 1]),
-                         float(res.theory[i]), int(res.pass_per_q[i])))
-        passed &= bool(np.all(res.pass_per_q))
+        results.append(analysis.verify_perfect_scaling(small, ref, lam, cfg.gamma2, alpha,
+                                                       cfg.dimension, q_grid, rng=rng))
+    lams, qs = np.meshgrid(cfg.scaling_lambdas, q_grid, indexing="ij")
+    ci = np.array([res.ratio_ci for res in results])
+    ok = np.array([res.pass_per_q for res in results])
     # Omega MGF self-test at q=0.25, lambda=0.5
     omega = analysis.sample_omega(0.5, cfg.gamma2, 200_000, rng)
     qm = 0.25
@@ -388,14 +363,17 @@ def run_scaling(cfg: ExperimentConfig) -> PipelineResult:
     se = float(np.std(np.exp(qm * omega), ddof=1) / np.sqrt(omega.size))
     th = 0.5 ** (0.5 * cfg.gamma2 * qm - 0.5 * cfg.gamma2 * qm * qm)
     omega_ok = abs(emp - th) <= 3 * se
-    passed &= omega_ok
     return PipelineResult(
         name="scaling",
-        passed=passed,
+        passed=bool(ok.all()) and omega_ok,
         summary={"alpha": alpha, "omega_mgf_empirical": emp,
                  "omega_mgf_theory": th, "omega_ok": omega_ok},
-        tables={"scaling": (
-            ["lambda", "q", "ratio", "ci_lo", "ci_hi", "theory", "pass"], rows)},
+        tables={"scaling": {
+            "lambda": lams.ravel(), "q": qs.ravel(),
+            "ratio": np.ravel([res.ratio for res in results]),
+            "ci_lo": ci[..., 0].ravel(), "ci_hi": ci[..., 1].ravel(),
+            "theory": np.ravel([res.theory for res in results]),
+            "pass": ok.ravel().astype(int)}},
     )
 
 
@@ -415,11 +393,9 @@ def run_kpz(cfg: ExperimentConfig) -> PipelineResult:
     leb_grid = np.linspace(0.5, 0.75, 11)
     leb = analysis.dimension_estimate(
         levels, leb_grid, analysis.covering_sums(uniform, "cantor", levels, leb_grid).sums)
-    rows = []
-    for ri in range(min(sums.shape[0], 50)):
-        for li, g in enumerate(levels):
-            for si, s in enumerate(s_grid):
-                rows.append((ri, float(s), int(g), float(sums[ri, li, si])))
+    # the first 50 replicas' sums, replica by level by s
+    kept = sums[:50]
+    replica, level, s = np.meshgrid(np.arange(len(kept)), levels, s_grid, indexing="ij")
     ok_m = abs(est.estimate - target) <= 0.1
     ok_leb = abs(leb.estimate - d23) <= 0.01
     return PipelineResult(
@@ -434,7 +410,8 @@ def run_kpz(cfg: ExperimentConfig) -> PipelineResult:
             "tolerance_measure": 0.1,
             "tolerance_control": 0.01,
         },
-        tables={"covering": (["replica", "s", "level", "sum"], rows)},
+        tables={"covering": {"replica": replica.ravel(), "s": s.ravel(),
+                             "level": level.ravel(), "sum": kept.ravel()}},
     )
 
 
@@ -498,12 +475,7 @@ def run_lq(cfg: ExperimentConfig) -> PipelineResult:
     res_m = analysis.lq_spectrum(m, q_grid, depths, d=cfg.dimension)
     res_bar = analysis.lq_spectrum(mbar, q_grid, depths, gamma2=cfg.gamma2,
                                    alpha=alpha, d=cfg.dimension)
-    rows = []
-    for i, q in enumerate(q_grid):
-        rows.append(("M", float(q), float(res_m.tau_hat[i]),
-                     float(res_m.stderr[i]), float("nan")))
-        rows.append(("Mbar", float(q), float(res_bar.tau_hat[i]),
-                     float(res_bar.stderr[i]), float(res_bar.conjecture[i])))
+    q, measure = np.meshgrid(q_grid, ["M", "Mbar"], indexing="ij")
     # only the structural anchor tau(0) = -d is checked; the rest is conjecture
     i0 = int(np.argmin(np.abs(q_grid)))
     anchor_ok = abs(q_grid[i0]) > 1e-9 or abs(res_m.tau_hat[i0] + cfg.dimension) <= 0.1
@@ -511,8 +483,12 @@ def run_lq(cfg: ExperimentConfig) -> PipelineResult:
         name="lq",
         passed=bool(anchor_ok),
         summary={"label": "CONJECTURE-COMPARISON", "depths": list(depths)},
-        tables={"lq_spectrum": (
-            ["measure", "q", "tau_hat", "stderr", "conjecture"], rows)},
+        tables={"lq_spectrum": {
+            "measure": measure.ravel(), "q": q.ravel(),
+            "tau_hat": np.column_stack((res_m.tau_hat, res_bar.tau_hat)).ravel(),
+            "stderr": np.column_stack((res_m.stderr, res_bar.stderr)).ravel(),
+            "conjecture": np.column_stack((np.full(q_grid.size, np.nan),
+                                           res_bar.conjecture)).ravel()}},
     )
 
 

@@ -116,6 +116,10 @@ class TestConfigParsing:
     def test_alpha_modes(self, text, alpha):
         assert parse_config_text(text).alpha() == pytest.approx(alpha)
 
+    def test_duplicate_key_raises(self):
+        with pytest.raises(ConfigError, match=r"^line 3: duplicate key 'gamma2'$"):
+            parse_config_text("gamma2 = 0.5\nseed = 4\ngamma2 = 1.5\n")
+
     def test_validate_flags_bad_alpha(self):
         cfg = parse_config_text("gamma2 = 2.5\n")
         assert any("alpha" in d for d in validate_config(cfg))
@@ -130,9 +134,28 @@ class TestCsv:
     def test_float_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"
         value = 0.1 + 0.2
-        write_csv(str(path), ["a", "b"], [(1, value)])
+        write_csv(str(path), {"a": [1], "b": [value]})
         line = path.read_text().splitlines()[1]
         assert float(line.split(",")[1]) == value
+
+    def test_cells_keep_the_row_writer_bytes(self, tmp_path):
+        # the bytes the former per-row writer gave these cells: numpy ints and
+        # floats spelled as Python's, labels as themselves, nan as nan
+        path = tmp_path / "t.csv"
+        write_csv(str(path), {
+            "replica": np.arange(3, dtype=np.int64),
+            "series": ["atomic_total", "pareto_control", "exponential_control"],
+            "mass": np.array([0.1 + 0.2, 1e-300, 1e16]),
+            "target": [0.5, np.float64(0.25), np.nan],
+        })
+        assert path.read_bytes() == (b"replica,series,mass,target\n"
+                                     b"0,atomic_total,0.30000000000000004,0.5\n"
+                                     b"1,pareto_control,1e-300,0.25\n"
+                                     b"2,exponential_control,1e+16,nan\n")
+
+    def test_columns_of_unequal_length_raise(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(str(tmp_path / "t.csv"), {"a": np.arange(3), "b": np.arange(2.0)})
 
 
 class TestCliRuns:
@@ -200,10 +223,15 @@ class TestCliRuns:
          "hill.k must lie in [30, replicas = 40), got 50 (the default)"),
         ("tail", "gamma2 = 1.0\nhill.k = 10\n", [],
          "hill.k must lie in [30, replicas = 1000), got 10"),
+        # a radius above 1 snaps every box to the unit box; 0 leaves no cell
+        ("scaling", "gamma2 = 1.0\nresolution = 128\nq.grid = 0.1\nscaling.radius = 2.0\n", [],
+         "scaling.radius must lie in (0, 1], got 2.0"),
+        ("scaling", "gamma2 = 1.0\nresolution = 128\nq.grid = 0.1\nscaling.radius = 0\n", [],
+         "scaling.radius must lie in (0, 1], got 0.0"),
     ], ids=["kpz-s-grid", "duality-depth", "lq-replicas", "scaling-cells", "kpz-dim2",
             "duality-dim2", "lq-depths", "scaling-kernel", "laplace-u-grid", "spectrum-q-grid",
             "lq-q-grid", "scaling-lambdas", "spectrum-lambdas", "spectrum-lambda-cells",
-            "tail-default-k", "tail-small-k"])
+            "tail-default-k", "tail-small-k", "scaling-radius-2", "scaling-radius-0"])
     def test_unrunnable_config_is_diagnosed(self, tmp_path, capsys, experiment, text, args,
                                             diag):
         # rejected before any ensemble is built

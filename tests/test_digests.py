@@ -27,9 +27,9 @@ def test_seed7_digests_match_expected():
 
 
 def test_reference_csv_cells_parse(tmp_path):
-    # every CSV cell is a number float() reads (ints and nan included) or a
-    # plain label such as a series name; a numpy repr like np.float64(0.5) is
-    # neither
+    # every row has a cell per header column, and every CSV cell is a number
+    # float() reads (ints and nan included) or a plain label such as a series
+    # name; a numpy repr like np.float64(0.5) is neither
     spec = importlib.util.spec_from_file_location("digests", ROOT / "tools" / "digests.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
@@ -38,7 +38,9 @@ def test_reference_csv_cells_parse(tmp_path):
         tool.digests(name, 7, tmp_path)
         for path in sorted((tmp_path / name).glob("*.csv")):
             tables += 1
-            for line in path.read_text().splitlines()[1:]:
+            header, *rows = path.read_text().splitlines()
+            for line in rows:
+                assert line.count(",") == header.count(","), (path.name, line)
                 for cell in line.split(","):
                     try:
                         float(cell)

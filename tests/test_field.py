@@ -310,6 +310,19 @@ class TestFieldBlocks:
         monkeypatch.setattr(gfield, "CHUNK_BYTES", 1)
         np.testing.assert_array_equal(self._sequential(spec, res), seq)
 
+    def test_one_transform_per_block(self, spec_res, monkeypatch):
+        # below the CHUNK_BYTES cap a block's rows are drawn in one chunk
+        spec, res = spec_res
+        sampler = LayerSampler(spec, Lattice(spec.d, res), [1, 2])
+        sizes = []
+        fields = sampler._fields
+        monkeypatch.setattr(sampler, "_fields", lambda z: sizes.append(len(z)) or fields(z))
+        stream = RngStream(5)
+        for r in range(self.REPLICAS):
+            sampler.sample_field(stream, r)
+        rows = FIELD_BLOCK // sampler._per_row
+        assert sizes == [rows, rows, rows]
+
     def test_block_boundary_changes_substream(self, spec_res):
         # replica 63 is the last of block 0, replica 64 the first of block 1
         spec, res = spec_res
