@@ -17,6 +17,7 @@ cells for the outputs that show coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
@@ -154,23 +155,25 @@ def atom_positions(lattice: Lattice, cells: np.ndarray,
     return (index + rng.random((len(cells), lattice.d))) * lattice.spacing
 
 
-def _dual_weights(field: FieldGrid, gamma2: float, alpha: float) -> np.ndarray:
+def _dual_weights(values: np.ndarray, variance0, gamma2: float, alpha: float) -> np.ndarray:
     """Per-cell weight exp((g/a) X - (g^2/2a) Var X) of the direct dual."""
     gamma = np.sqrt(gamma2)
-    return np.exp((gamma / alpha) * field.values - (gamma2 / (2 * alpha)) * field.variance0)
+    return np.exp((gamma / alpha) * values - (gamma2 / (2 * alpha)) * variance0)
 
 
 def build_atomic_direct(field: FieldGrid, gamma2: float, alpha: float,
-                        atoms: StableAtoms) -> AtomicMeasure:
+                        atoms: StableAtoms, row: int | None = None) -> AtomicMeasure:
     """Direct construction: atom mass z * exp((g/a) X(cell) - (g^2/2a) Var X).
 
+    field is the atoms' replica, or a block of replicas whose row `row` is.
     The field and the atom cloud must come from independent RNG substreams.
     """
     if abs(alpha - atoms.alpha) > 1e-12:
         raise AtomicError("alpha mismatch between atoms and construction")
     if atoms.lattice != field.lattice:
         raise AtomicError("atoms and field live on different lattices")
-    masses = _dual_weights(field, gamma2, alpha)[atoms.cells]
+    values = field.values if row is None else field.values[row]
+    masses = _dual_weights(values, field.variance0, gamma2, alpha)[atoms.cells]
     masses *= atoms.sizes
     # shares the cloud's cells array; no caller writes to either
     return AtomicMeasure(lattice=field.lattice, cells=atoms.cells, masses=masses)
@@ -199,18 +202,24 @@ def sample_positive_stable(alpha: float, size: int, rng: np.random.Generator) ->
 
 
 def build_dual_cells(field: FieldGrid, gamma2: float, alpha: float,
-                     rng: np.random.Generator) -> LatticeMeasure:
+                     rng: np.random.Generator | Sequence[np.random.Generator]) -> LatticeMeasure:
     """Exact cell masses of the direct dual: the untruncated stable atoms of
     cell c sum to (h^d Gamma(1-a)/a)^(1/a) S_c, S_c standard positive stable,
     so cell c carries exp((g/a) X_c - (g^2/2a) Var X_c) (h^d Gamma(1-a)/a)^(1/a) S_c.
 
     One positive-stable draw per cell replaces the atom cloud wherever only
-    cell-aligned masses are read.  The field and rng must be independent.
+    cell-aligned masses are read.  rng is one generator for one replica's
+    field, or a sequence of generators, one per replica of a block, each
+    drawing its replica's cells.  The field and rng must be independent.
     """
     lat = field.lattice
     scale = (lat.spacing**lat.d * gamma_fn(1.0 - alpha) / alpha) ** (1.0 / alpha)
-    stable = sample_positive_stable(alpha, lat.n_sites, rng)
-    return LatticeMeasure(lattice=lat, masses=_dual_weights(field, gamma2, alpha) * scale * stable)
+    if field.values.ndim == 1:
+        stable = sample_positive_stable(alpha, lat.n_sites, rng)
+    else:
+        stable = np.stack([sample_positive_stable(alpha, lat.n_sites, g) for g in rng])
+    weights = _dual_weights(field.values, field.variance0, gamma2, alpha)
+    return LatticeMeasure(lattice=lat, masses=weights * scale * stable)
 
 
 def build_subordinated(m: LatticeMeasure, alpha: float, z_min: float,

@@ -21,7 +21,8 @@ class ChaosError(ValueError):
 
 @dataclass
 class LatticeMeasure:
-    """Nonnegative cell masses over a lattice."""
+    """Nonnegative cell masses over a lattice: masses (n_sites,) for one
+    replica, or (replicas, n_sites) for a block of them."""
 
     lattice: Lattice
     masses: np.ndarray
@@ -46,7 +47,9 @@ def xi_moment_range(gamma2: float, d: int) -> float:
 
 
 def build_chaos(field: FieldGrid, gamma2: float) -> LatticeMeasure:
-    """Chaos masses from one field replica; gamma enters only here."""
+    """Chaos masses of a field replica, or of a block of them with masses
+    (replicas, n_sites); gamma enters only here.  FieldGrid has checked the
+    values finite, so this is one exp per call."""
     if gamma2 < 0:
         raise ChaosError("gamma2 must be nonnegative")
     d = field.lattice.d
@@ -56,8 +59,6 @@ def build_chaos(field: FieldGrid, gamma2: float) -> LatticeMeasure:
             "finite-level masses are still well defined",
             stacklevel=2,
         )
-    if not np.all(np.isfinite(field.values)):
-        raise ChaosError("non-finite field values")
     gamma = np.sqrt(gamma2)
     cell = field.lattice.spacing ** d
     masses = cell * np.exp(gamma * field.values - 0.5 * gamma2 * field.variance0)

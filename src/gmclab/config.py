@@ -158,6 +158,12 @@ def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> lis
         diags.append("resolution must be >= 2")
     if cfg.replicas < 1:
         diags.append("replicas must be >= 1")
+    elif (experiment in ("field", "chaos", "spectrum", "laplace", "scaling")
+          and cfg.replicas < 2):
+        # their checks weigh a mean over replicas against its spread, which
+        # one replica leaves undefined
+        diags.append(f"{experiment} measures the spread across replicas: replicas must be "
+                     f">= 2, got {cfg.replicas}")
     alpha = None
     if cfg.alpha_mode not in ("duality", "explicit"):
         diags.append(f"alpha.mode must be duality or explicit, got {cfg.alpha_mode!r}")

@@ -9,9 +9,12 @@ b draws its replicas in order from one RNG substream (field, b, 0), derived
 from a single master seed, with one batched transform per chunk of them.  A
 circulant FFT gives two replicas, its real and its imaginary part.  Replica
 r's field depends only on (seed, r), so every draw is reproducible bit for
-bit.  A field is a flat array over the N^d cells in row-major order: site i
-is the cell np.unravel_index(i, lattice.shape), and every reduction over the
-cell grid reshapes on Lattice.shape.  The dense factorization that tests
+bit.  `LayerSampler.field_blocks` hands the replica loop each chunk whole, a
+FieldGrid of (replicas, n_sites) values, and draws only the rows a partial
+last block needs; `sample_field` is a view of one replica's row in the same
+chunk.  A field is a flat array over the N^d cells in row-major order: site
+i is the cell np.unravel_index(i, lattice.shape), and every reduction over
+the cell grid reshapes on Lattice.shape.  The dense factorization that tests
 compare the circulant embedding against lives with the other reference
 implementations in tests/oracles.py.
 """
@@ -19,7 +22,7 @@ implementations in tests/oracles.py.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.fft import dstn
@@ -125,8 +128,10 @@ class Lattice:
 class FieldGrid:
     """Accumulated field X^n on a lattice, with its variance profile.
 
-    variance0 is the scalar k_n(0) for stationary families, or a per-site
-    array of k_n(x, x) for the nonstationary GFF family.
+    values holds one replica, shape (n_sites,), or a block of replicas, shape
+    (replicas, n_sites).  variance0 is the scalar k_n(0) for stationary
+    families, or a per-site array of k_n(x, x) for the nonstationary GFF
+    family.
     """
 
     lattice: Lattice
@@ -261,16 +266,18 @@ class LayerSampler:
             return _circulant_fields(self._factor[0], self.lattice.resolution, z)
         return dstn(self._factor * z, type=3, axes=(1, 2)).reshape(len(z), -1)
 
-    def _draw_chunk(self, chunk: _Chunk):
-        """Replace chunk's fields by the next rows of its block: every row left
-        in the block, so one transform per block, unless CHUNK_BYTES caps it."""
+    def _draw_chunk(self, chunk: _Chunk, stop: int = FIELD_BLOCK):
+        """Replace chunk's fields by the next rows of its block, through the
+        row of the block's replica stop - 1: one transform for them all, unless
+        CHUNK_BYTES caps it."""
         n = min(max(1, CHUNK_BYTES // self._row_bytes),
-                FIELD_BLOCK // self._per_row - chunk.stop)
+                -(-stop // self._per_row) - chunk.stop)
         chunk.fields = self._fields(chunk.rng.standard_normal((n,) + self._row_shape))
         chunk.start, chunk.stop = chunk.stop, chunk.stop + n
 
-    def sample_field(self, stream: RngStream, replica: int) -> FieldGrid:
-        """One replica of X^n, from the substream (field, replica // FIELD_BLOCK, 0)."""
+    def _chunk(self, stream: RngStream, replica: int, stop: int = FIELD_BLOCK) -> _Chunk:
+        """stream's chunk that holds replica, drawing its block's rows in order
+        through the row of the block's replica stop - 1."""
         block, i = divmod(replica, FIELD_BLOCK)
         row = i // self._per_row
         chunk = self._chunks.get(stream)
@@ -279,10 +286,31 @@ class LayerSampler:
             chunk = _Chunk(block, stream.generator(replica, "field"))
             self._chunks[stream] = chunk
         while row >= chunk.stop:
-            self._draw_chunk(chunk)
-        k = (row - chunk.start) * self._per_row + i % self._per_row
-        return FieldGrid(lattice=self.lattice, values=chunk.fields[k].copy(),
-                         variance0=self.variance0)
+            self._draw_chunk(chunk, stop)
+        return chunk
+
+    def sample_field(self, stream: RngStream, replica: int) -> FieldGrid:
+        """One replica of X^n, from the substream (field, replica // FIELD_BLOCK, 0):
+        a view of its row in the block's chunk."""
+        chunk = self._chunk(stream, replica)
+        k = replica % FIELD_BLOCK - chunk.start * self._per_row
+        return FieldGrid(lattice=self.lattice, values=chunk.fields[k], variance0=self.variance0)
+
+    def field_blocks(self, stream: RngStream, replicas: int) -> Iterator[tuple[int, FieldGrid]]:
+        """Yield (start, fields) over replicas 0..replicas - 1 in order, one
+        chunk at a time: fields holds replicas start, start + 1, ... as
+        (rows, n_sites) values, a view of the chunk.  A partial last block
+        draws only the rows its replicas need."""
+        r = 0
+        while r < replicas:
+            base = r - r % FIELD_BLOCK
+            stop = min(FIELD_BLOCK, replicas - base)
+            chunk = self._chunk(stream, r, stop)
+            k = r - base - chunk.start * self._per_row
+            end = base + min(chunk.stop * self._per_row, stop)
+            yield r, FieldGrid(lattice=self.lattice, values=chunk.fields[k:k + end - r],
+                               variance0=self.variance0)
+            r = end
 
 
 def field_variance0(spec: KernelSpec, levels: Sequence[int],

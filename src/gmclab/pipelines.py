@@ -2,21 +2,22 @@
 
 Each pipeline builds the ensembles it needs, runs the matching statistical
 checks, and returns tables plus a pass/fail summary.  Every ensemble comes from
-one replica loop, `_measures(cfg, kinds, stream)`: replica r draws its field
-X^n from its block's substream (field, r // 64, 0) and builds on it each
+one replica loop, `_measures(cfg, kinds, stream)`, which steps one field
+chunk at a time: replica r's field X^n comes from its block's substream
+(field, r // 64, 0), and on each chunk of fields the loop builds every
 measure the pipeline compares, the chaos M_n ("chaos") and its duals; only
 `scaling`'s lambda ensembles, at other levels, draw on seed + j.  The dual's
 exact cell masses take one positive-stable draw per cell on (atoms, r, 0)
 ("dual"); the atom-level dual weights a stable atom cloud drawn on
 (atoms, r, 0) ("direct") or subordinates M_n on (subordinated, r, 0)
 ("subordinated").  Both clouds draw their atoms cell by cell, as (cell, size)
-pairs; only `atoms` places them inside their cells, on (positions, r, 0).  Two
-reducers turn an ensemble into box masses or Cantor covering sums one field
-block at a time: `_blocks` stacks a block's lattice measures, up to 64
-replicas, into one (replicas, n_sites) measure, and measure_box and
-covering_sums reduce it in one numpy call per box side or level set, each
-replica's result bit-equal to its own.  So a given (config, seed) pair
-reproduces byte-identical outputs.
+pairs; only `atoms` places them inside their cells, on (positions, r, 0).
+The chaos and the dual's cells are (replicas, n_sites) blocks, one exp per
+chunk; the clouds are drawn one replica at a time, each dropped before the
+next.  Two reducers turn the blocks into box masses or Cantor covering sums
+as they come: measure_box and covering_sums reduce a block in one numpy call
+per box side or level set, each replica's result bit-equal to its own.  So a
+given (config, seed) pair reproduces byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .atomic import (
 )
 from .chaos import LatticeMeasure, build_chaos, measure_box, xi
 from .config import ExperimentConfig
-from .field import CHUNK_BYTES, FIELD_BLOCK, Lattice, LayerSampler, RngStream
+from .field import Lattice, LayerSampler, RngStream
 from .kernels import KernelSpec
 
 
@@ -70,75 +71,74 @@ def _sampler(cfg: ExperimentConfig, level: int | None = None) -> LayerSampler:
 
 def _measures(cfg: ExperimentConfig, kinds: tuple, stream: RngStream,
               level: int | None = None):
-    """Yield (field, atoms, measures), one measure per kind, on each replica's field.
+    """Yield (start, field, measures) per field chunk: field holds replicas
+    start, start + 1, ... as (rows, n_sites) values, and measures has one
+    entry per kind, built on those fields.
 
-    kinds: "chaos" (the lattice chaos M_n), "dual" (the dual's exact cell
-    masses, a LatticeMeasure), "direct" (a stable atom cloud weighted by the
-    field; atoms is that cloud, None without this kind) or "subordinated"
-    (atoms drawn from M_n).  Only the atom-level kinds are truncated at z_min.
-    "dual" and "direct" both read (atoms, r, 0), so no pipeline asks for both.
+    kinds: "chaos" (the lattice chaos M_n) and "dual" (the dual's exact cell
+    masses) are LatticeMeasures of the whole chunk, masses (rows, n_sites).
+    "direct" (a stable atom cloud weighted by the field) and "subordinated"
+    (atoms drawn from M_n) are iterators over the chunk's replicas that draw
+    each cloud only when it is read, so one replica's clouds are dropped
+    before the next one's are drawn: "direct" gives (atoms, measure) pairs,
+    atoms the cloud, "subordinated" the measure.  Only the atom-level kinds
+    are truncated at z_min.  "dual" and "direct" both read (atoms, r, 0), so
+    no pipeline asks for both.
     """
     sampler = _sampler(cfg, level)
     # decided per call: a chaos-only loop never resolves alpha or z_min
     need_chaos = "chaos" in kinds or "subordinated" in kinds
     if set(kinds) - {"chaos"}:
         alpha, z_min = cfg.alpha(), cfg.resolved_z_min()
-    for r in range(cfg.replicas):
-        field = sampler.sample_field(stream, r)
-        # one chaos serves both the "chaos" kind and the subordinated cloud
+    for start, field in sampler.field_blocks(stream, cfg.replicas):
+        rows = range(start, start + len(field.values))
+        # one chaos serves both the "chaos" kind and the subordinated clouds
         m = build_chaos(field, cfg.gamma2) if need_chaos else None
-        atoms = (sample_stable_atoms(sampler.lattice, alpha, z_min, stream.generator(r, "atoms"))
-                 if "direct" in kinds else None)
-        yield field, atoms, [
+        yield start, field, [
             m if kind == "chaos"
-            else build_dual_cells(field, cfg.gamma2, alpha, stream.generator(r, "atoms"))
+            else build_dual_cells(field, cfg.gamma2, alpha,
+                                  [stream.generator(r, "atoms") for r in rows])
             if kind == "dual"
-            else build_atomic_direct(field, cfg.gamma2, alpha, atoms) if kind == "direct"
-            else build_subordinated(m, alpha, z_min, stream.generator(r, "subordinated"))
+            else _direct_clouds(field, rows, cfg.gamma2, alpha, z_min, stream)
+            if kind == "direct"
+            else _subordinated_clouds(m, rows, alpha, z_min, stream)
             for kind in kinds]
 
 
-def _blocks(measures):
-    """Stack a stream of measures on one lattice into blocks of FIELD_BLOCK
-    replicas (fewer where a block would pass CHUNK_BYTES): yield (start,
-    block), block a LatticeMeasure whose masses are (replicas, n_sites).
+def _direct_clouds(field, rows, gamma2, alpha, z_min, stream):
+    """(atoms, measure) of each replica r in rows, on row r - rows.start of field."""
+    for i, r in enumerate(rows):
+        atoms = sample_stable_atoms(field.lattice, alpha, z_min, stream.generator(r, "atoms"))
+        yield atoms, build_atomic_direct(field, gamma2, alpha, atoms, i)
 
-    One buffer serves every block, so each block is reduced before the next.
-    """
-    buffer = None
-    n = start = 0
-    for m in measures:
-        if buffer is None:
-            rows = max(1, min(FIELD_BLOCK, CHUNK_BYTES // m.masses.nbytes))
-            buffer = np.empty((rows, m.masses.size))
-        buffer[n] = m.masses
-        n += 1
-        if n == len(buffer):
-            yield start, LatticeMeasure(m.lattice, buffer)
-            start, n = start + n, 0
-    if n:
-        yield start, LatticeMeasure(m.lattice, buffer[:n])
+
+def _subordinated_clouds(m, rows, alpha, z_min, stream):
+    """The subordinated measure of each replica r in rows, on its row of m."""
+    for masses, r in zip(m.masses, rows):
+        yield build_subordinated(LatticeMeasure(m.lattice, masses), alpha, z_min,
+                                 stream.generator(r, "subordinated"))
 
 
 def _box_masses(cfg: ExperimentConfig, kind: str, stream: RngStream, sides,
                 level: int | None = None) -> np.ndarray:
     """Masses of the boxes [0, side]^d, shape (replicas, len(sides)), for the
     kinds whose measures live on the lattice ("chaos" and "dual"), one
-    measure_box call per side and block."""
+    measure_box call per side and field chunk."""
     lo = np.zeros(cfg.dimension)
     boxes = [np.full(cfg.dimension, side) for side in sides]
     out = np.empty((cfg.replicas, len(boxes)))
-    for start, block in _blocks(m for _, _, (m,) in _measures(cfg, (kind,), stream, level)):
+    for start, _, (block,) in _measures(cfg, (kind,), stream, level):
         for j, hi in enumerate(boxes):
             out[start:start + len(block.masses), j] = measure_box(block, lo, hi)
     return out
 
 
-def _covering_sums(measures, levels, s_grid) -> np.ndarray:
-    """Per-replica Cantor covering sums, shape (replicas, len(levels),
-    len(s_grid)), one covering_sums call per block."""
+def _covering_sums(blocks, levels, s_grid) -> np.ndarray:
+    """Per-replica Cantor covering sums of a stream of lattice measure blocks,
+    shape (replicas, len(levels), len(s_grid)), one covering_sums call per
+    block."""
     return np.concatenate([analysis.covering_sums(block, "cantor", levels, s_grid).sums
-                           for _, block in _blocks(measures)])
+                           for block in blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +152,8 @@ def run_field(cfg: ExperimentConfig) -> PipelineResult:
     check_rng = np.random.default_rng(cfg.seed)
     n_pairs = 20
     idx = check_rng.integers(0, lat.n_sites, size=(n_pairs, 2))
-    values = np.array([field.values[idx.ravel()]
-                       for field, _, _ in _measures(cfg, (), RngStream(cfg.seed))])
+    values = np.concatenate([field.values[:, idx.ravel()]
+                             for _, field, _ in _measures(cfg, (), RngStream(cfg.seed))])
     pts = lat.centers()
     # looked up at call time: the benchmark tracer patches it after import
     from .kernels import eval_partial_kernel
@@ -225,16 +225,19 @@ def run_atoms(cfg: ExperimentConfig) -> PipelineResult:
     corrs = []
     top_atoms = None
     stream = RngStream(cfg.seed)
-    for r, (field, atoms, (mbar,)) in enumerate(_measures(cfg, ("direct",), stream)):
-        if mbar.count:
-            spans.append(float(np.log10(mbar.masses.max()) - np.log10(mbar.masses.min())))
-            if mbar.count >= 3:
-                corrs.append(float(spearmanr(field.values[mbar.cells], mbar.masses).statistic))
-        positions = atom_positions(lat, mbar.cells, stream.generator(r, "positions"))
-        chunks.append((np.full(mbar.count, r), *positions.T, atoms.sizes, mbar.masses))
-        if r == 0 and mbar.count:
-            keep = np.argsort(mbar.masses)[-min(200, mbar.count):]
-            top_atoms = (positions[keep], mbar.masses[keep])
+    for start, field, (direct,) in _measures(cfg, ("direct",), stream):
+        for i, (atoms, mbar) in enumerate(direct):
+            r = start + i
+            if mbar.count:
+                spans.append(float(np.log10(mbar.masses.max()) - np.log10(mbar.masses.min())))
+                if mbar.count >= 3:
+                    corrs.append(float(spearmanr(field.values[i, mbar.cells],
+                                                 mbar.masses).statistic))
+            positions = atom_positions(lat, mbar.cells, stream.generator(r, "positions"))
+            chunks.append((np.full(mbar.count, r), *positions.T, atoms.sizes, mbar.masses))
+            if r == 0 and mbar.count:
+                keep = np.argsort(mbar.masses)[-min(200, mbar.count):]
+                top_atoms = (positions[keep], mbar.masses[keep])
     header = ["replica", *"xy"[:lat.d], "z", "mass"]
     span = float(np.median(spans)) if spans else 0.0
     corr = float(np.median(corrs)) if corrs else 0.0
@@ -277,10 +280,15 @@ def run_laplace(cfg: ExperimentConfig) -> PipelineResult:
     alpha = cfg.alpha()
     z_min = cfg.resolved_z_min()
     # the three sides of replica r share its field; the unit box holds every
-    # cell and atom, so each side's mass there is its total mass
-    m, direct, subord = np.array([
-        [mu.total_mass() for mu in measures] for _, _, measures
-        in _measures(cfg, ("chaos", "direct", "subordinated"), RngStream(cfg.seed))]).T
+    # cell and atom, so each side's mass there is its total mass.  A row sum
+    # of the chaos block is the pairwise sum of the replica's own masses
+    chaos, duals = [], []
+    for _, _, (block, direct, subordinated) in _measures(
+            cfg, ("chaos", "direct", "subordinated"), RngStream(cfg.seed)):
+        chaos.append(block.masses.sum(axis=1))
+        duals += [(mu.total_mass(), nu.total_mass()) for (_, mu), nu in zip(direct, subordinated)]
+    m = np.concatenate(chaos)
+    direct, subord = np.array(duals).T
     rng = np.random.default_rng(cfg.seed)
     tables = {}
     passed = True
@@ -420,9 +428,9 @@ def run_duality(cfg: ExperimentConfig) -> PipelineResult:
     alpha = cfg.alpha()
     levels = list(range(1, cfg.cantor_depth + 1))
     s_grid = np.asarray(cfg.s_grid, dtype=float)
-    # M and its dual on each replica's one field.  The duals wait for the dual
-    # grid, kept as drawn: a copy into one (replicas, n_sites) array raised
-    # the peak memory
+    # M and its dual on each replica's one field.  The dual blocks wait for
+    # the dual grid, kept as drawn: a copy into one (replicas, n_sites) array
+    # raised the peak memory
     duals = []
 
     def chaos():
@@ -470,7 +478,8 @@ def run_lq(cfg: ExperimentConfig) -> PipelineResult:
     depths = [j for j in range(2, max_depth + 1)
               if cfg.resolution % 2**j == 0][-5:]
     # replica 0 only; both measures see the same field draw on (field, 0, 0)
-    _, _, (m, mbar) = next(_measures(cfg, ("chaos", "dual"), RngStream(cfg.seed)))
+    _, _, blocks = next(_measures(cfg, ("chaos", "dual"), RngStream(cfg.seed)))
+    m, mbar = (LatticeMeasure(b.lattice, b.masses[0]) for b in blocks)
     q_grid = np.asarray(cfg.q_grid, dtype=float)
     res_m = analysis.lq_spectrum(m, q_grid, depths, d=cfg.dimension)
     res_bar = analysis.lq_spectrum(mbar, q_grid, depths, gamma2=cfg.gamma2,

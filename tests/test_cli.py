@@ -9,18 +9,24 @@ import numpy as np
 import pytest
 
 import gmclab
+import gmclab.field as gfield
 from gmclab import pipelines
 from gmclab.analysis import covering_sums
-from gmclab.atomic import build_dual_cells, sample_stable_atoms
-from gmclab.chaos import build_chaos, measure_box
+from gmclab.atomic import (
+    build_atomic_direct,
+    build_dual_cells,
+    build_subordinated,
+    sample_stable_atoms,
+)
+from gmclab.chaos import LatticeMeasure, build_chaos, measure_box
 from gmclab.cli import main, write_csv
 from gmclab.config import (
     ConfigError,
     parse_config_text,
     validate_config,
 )
-from gmclab.field import PURPOSES, Lattice, RngStream
-from gmclab.pipelines import _blocks, _box_masses, _covering_sums, _measures
+from gmclab.field import PURPOSES, Lattice, LayerSampler, RngStream
+from gmclab.pipelines import _box_masses, _covering_sums, _measures
 
 BASE_CONFIG = """
 # smoke configuration
@@ -228,10 +234,21 @@ class TestCliRuns:
          "scaling.radius must lie in (0, 1], got 2.0"),
         ("scaling", "gamma2 = 1.0\nresolution = 128\nq.grid = 0.1\nscaling.radius = 0\n", [],
          "scaling.radius must lie in (0, 1], got 0.0"),
+        # one replica has no standard error: each ran and failed on a nan
+        *[(experiment, text, args,
+           f"{experiment} measures the spread across replicas: replicas must be >= 2, got 1")
+          for experiment, text, args in [
+              ("field", "replicas = 1\n", []),
+              ("chaos", "", ["--replicas", "1"]),
+              ("spectrum", "replicas = 1\n", []),
+              ("laplace", "gamma2 = 1.0\nreplicas = 1\n", []),
+              ("scaling", "gamma2 = 1.0\nresolution = 128\nq.grid = 0.1\nreplicas = 1\n", [])]],
     ], ids=["kpz-s-grid", "duality-depth", "lq-replicas", "scaling-cells", "kpz-dim2",
             "duality-dim2", "lq-depths", "scaling-kernel", "laplace-u-grid", "spectrum-q-grid",
             "lq-q-grid", "scaling-lambdas", "spectrum-lambdas", "spectrum-lambda-cells",
-            "tail-default-k", "tail-small-k", "scaling-radius-2", "scaling-radius-0"])
+            "tail-default-k", "tail-small-k", "scaling-radius-2", "scaling-radius-0",
+            "field-one-replica", "chaos-one-replica", "spectrum-one-replica",
+            "laplace-one-replica", "scaling-one-replica"])
     def test_unrunnable_config_is_diagnosed(self, tmp_path, capsys, experiment, text, args,
                                             diag):
         # rejected before any ensemble is built
@@ -380,21 +397,74 @@ def test_measures_of_one_replica_share_its_field(text):
     # the chaos and both duals of replica r are built on r's one field draw
     cfg = parse_config_text(text)
     alpha, h, d = cfg.alpha(), 1.0 / cfg.resolution, cfg.dimension
-    replicas = list(_measures(cfg, ("chaos", "direct", "subordinated"), RngStream(cfg.seed)))
-    alone = [ms[0] for _, _, ms in _measures(cfg, ("chaos",), RngStream(cfg.seed))]
+    replicas = [(atoms, m, direct, subordinated)
+                for _, _, (block, clouds, subordinated_clouds)
+                in _measures(cfg, ("chaos", "direct", "subordinated"), RngStream(cfg.seed))
+                for m, (atoms, direct), subordinated
+                in zip(block.masses, clouds, subordinated_clouds)]
+    alone = [m for _, _, (block,) in _measures(cfg, ("chaos",), RngStream(cfg.seed))
+             for m in block.masses]
     assert len(replicas) == len(alone) == cfg.replicas
-    for (_, atoms, (m, direct, subordinated)), m_alone in zip(replicas, alone):
+    for (atoms, m, direct, subordinated), m_alone in zip(replicas, alone):
         assert direct.count > 0 and subordinated.count > 0
         np.testing.assert_allclose(
-            direct.masses, (m.masses[atoms.cells] / h**d) ** (1 / alpha) * atoms.sizes,
+            direct.masses, (m[atoms.cells] / h**d) ** (1 / alpha) * atoms.sizes,
             rtol=1e-12)
-        assert np.array_equal(m.masses, m_alone.masses)
+        assert np.array_equal(m, m_alone)
     stream = RngStream(cfg.seed)
-    for r, (field, _, (m, dual)) in enumerate(_measures(cfg, ("chaos", "dual"), stream)):
-        assert np.array_equal(m.masses, alone[r].masses)
-        assert np.array_equal(m.masses, build_chaos(field, cfg.gamma2).masses)
-        expected = build_dual_cells(field, cfg.gamma2, alpha, stream.generator(r, "atoms"))
-        assert np.array_equal(dual.masses, expected.masses)
+    sampler = pipelines._sampler(cfg)
+    for start, _, (m, dual) in _measures(cfg, ("chaos", "dual"), stream):
+        for i, r in enumerate(range(start, start + len(m.masses))):
+            field = sampler.sample_field(stream, r)
+            assert np.array_equal(m.masses[i], alone[r])
+            assert np.array_equal(m.masses[i], build_chaos(field, cfg.gamma2).masses)
+            expected = build_dual_cells(field, cfg.gamma2, alpha, stream.generator(r, "atoms"))
+            assert np.array_equal(dual.masses[i], expected.masses)
+
+
+@pytest.mark.parametrize("text", [
+    "gamma2 = 1.0\nlevel = 3\nresolution = 32\nz_min = 1e-4\nreplicas = 70\nseed = 4\n",
+    "kernel.family = gff-square\ndimension = 2\ngamma2 = 2.0\nlevel = 3\nresolution = 8\n"
+    "z_min = 1e-4\nreplicas = 70\nseed = 4\n",
+], ids=["exact1d", "gff-square"])
+def test_block_loop_matches_replica_by_replica(text):
+    # 70 replicas: one full field block of 64 and a partial block of 6.  Every
+    # row a block yields is the measure built on that replica's own field, and
+    # every cloud the one drawn replica by replica, bit for bit
+    cfg = parse_config_text(text)
+    alpha, z_min, gamma2 = cfg.alpha(), cfg.resolved_z_min(), cfg.gamma2
+    stream = RngStream(cfg.seed)
+    sampler = pipelines._sampler(cfg)
+    rows = []
+    for start, field, (m, dual) in _measures(cfg, ("chaos", "dual"), stream):
+        assert len(field.values) == len(m.masses) == len(dual.masses)
+        for i, r in enumerate(range(start, start + len(field.values))):
+            f = sampler.sample_field(stream, r)
+            assert np.array_equal(field.values[i], f.values)
+            assert np.array_equal(m.masses[i], build_chaos(f, gamma2).masses)
+            expected = build_dual_cells(f, gamma2, alpha, stream.generator(r, "atoms"))
+            assert np.array_equal(dual.masses[i], expected.masses)
+            rows.append(field.values[i])
+    assert len(rows) == cfg.replicas
+    n = 0
+    for start, _, (direct, subordinated) in _measures(cfg, ("direct", "subordinated"), stream):
+        for r, ((atoms, mu), nu) in enumerate(zip(direct, subordinated), start):
+            f = sampler.sample_field(stream, r)
+            cloud = sample_stable_atoms(f.lattice, alpha, z_min, stream.generator(r, "atoms"))
+            ref_mu = build_atomic_direct(f, gamma2, alpha, cloud)
+            ref_nu = build_subordinated(build_chaos(f, gamma2), alpha, z_min,
+                                        stream.generator(r, "subordinated"))
+            assert np.array_equal(atoms.sizes, cloud.sizes)
+            for got, ref in ((mu, ref_mu), (nu, ref_nu)):
+                assert got.count > 0
+                assert np.array_equal(got.cells, ref.cells)
+                assert np.array_equal(got.masses, ref.masses)
+            n += 1
+    assert n == cfg.replicas
+    # random access reads the same rows
+    fresh = pipelines._sampler(cfg)
+    for r in (69, 3, 64, 0, 63, 65, 3):
+        assert np.array_equal(fresh.sample_field(stream, r).values, rows[r])
 
 
 @pytest.mark.parametrize("kind", ["chaos", "dual"])
@@ -404,15 +474,32 @@ def test_block_reducers_match_replica_loop(kind, monkeypatch):
                             "replicas = 70\nseed = 3\n")
     sides = (1.0, 0.5, 0.25, 0.1, 1 / 3)
     levels, s_grid = range(1, 6), np.array([0.0, 0.3, 0.5, 0.7, 1.0])
-    loop = [ms[0] for _, _, ms in _measures(cfg, (kind,), RngStream(cfg.seed))]
-    assert [start for start, _ in _blocks(loop)] == [0, 64]
+
+    def blocks():
+        return [ms[0] for _, _, ms in _measures(cfg, (kind,), RngStream(cfg.seed))]
+
+    loop = [LatticeMeasure(block.lattice, m) for block in blocks() for m in block.masses]
     masses = _box_masses(cfg, kind, RngStream(cfg.seed), sides)
     ref = np.array([[measure_box(m, [0.0], [side]) for side in sides] for m in loop])
     assert masses.shape == (70, len(sides)) and np.array_equal(masses, ref)
-    sums = _covering_sums(loop, levels, s_grid)
+    sums = _covering_sums(blocks(), levels, s_grid)
     ref = np.array([covering_sums(m, "cantor", levels, s_grid).sums for m in loop])
     assert sums.shape == (70, 5, s_grid.size) and np.array_equal(sums, ref)
-    # a block that would pass CHUNK_BYTES is cut to fewer replicas
-    monkeypatch.setattr(pipelines, "CHUNK_BYTES", 30 * loop[0].masses.nbytes)
-    assert [start for start, _ in _blocks(loop)] == [0, 30, 60]
-    assert np.array_equal(_covering_sums(loop, levels, s_grid), ref)
+    assert [start for start, _, _ in _measures(cfg, (kind,), RngStream(cfg.seed))] == [0, 64]
+    # a transform that would pass CHUNK_BYTES is cut to fewer rows, and each
+    # chunk is reduced on its own
+    rows = 15
+    monkeypatch.setattr(gfield, "CHUNK_BYTES", rows * pipelines._sampler(cfg)._row_bytes)
+    assert [start for start, _, _ in _measures(cfg, (kind,), RngStream(cfg.seed))] == [
+        0, 30, 60, 64]
+    assert np.array_equal(_covering_sums(blocks(), levels, s_grid), ref)
+
+
+def test_lq_draws_only_the_row_it_reads(monkeypatch):
+    # lq reads replica 0: one circulant row, not the 32 rows of its block
+    sizes = []
+    fields = LayerSampler._fields
+    monkeypatch.setattr(LayerSampler, "_fields",
+                        lambda self, z: sizes.append(len(z)) or fields(self, z))
+    assert pipelines.run_lq(parse_config_text(RERUN_CONFIGS["lq"])).passed
+    assert sizes == [1]

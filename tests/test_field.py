@@ -323,6 +323,22 @@ class TestFieldBlocks:
         rows = FIELD_BLOCK // sampler._per_row
         assert sizes == [rows, rows, rows]
 
+    @pytest.mark.parametrize("replicas", [1, 70, REPLICAS])
+    def test_blocks_draw_only_the_rows_they_need(self, spec_res, monkeypatch, replicas):
+        # a partial last block draws ceil(replicas / per_row) rows, in order,
+        # so its fields are the first rows of the full block's
+        spec, res = spec_res
+        sampler = LayerSampler(spec, Lattice(spec.d, res), [1, 2])
+        sizes = []
+        fields = sampler._fields
+        monkeypatch.setattr(sampler, "_fields", lambda z: sizes.append(len(z)) or fields(z))
+        blocks = list(sampler.field_blocks(RngStream(5), replicas))
+        starts = list(range(0, replicas, FIELD_BLOCK))
+        assert [start for start, _ in blocks] == starts
+        assert sizes == [-(-min(FIELD_BLOCK, replicas - b) // sampler._per_row) for b in starts]
+        np.testing.assert_array_equal(np.concatenate([f.values for _, f in blocks]),
+                                      self._sequential(spec, res)[:replicas])
+
     def test_block_boundary_changes_substream(self, spec_res):
         # replica 63 is the last of block 0, replica 64 the first of block 1
         spec, res = spec_res

@@ -55,7 +55,9 @@ def test_instrument_patches_and_close_restores(tracer_module, tmp_path):
         assert _current(owner, attr) is original, attr
     metrics = tracer_module.run_metrics(tracer.spans)
     assert metrics["field.embedding_m"] == 64
-    assert metrics["field.layer_draws"] == 5 * 3
+    # field.draw spans wrap sample_field; the pipelines draw whole field
+    # chunks through field_blocks, which the tracer does not wrap
+    assert metrics["field.layer_draws"] == 0
     # the unit box and five lambda.grid sides, one measure_box call per side
     # for the one field block
     assert metrics["chaos.box_calls"] == 6
@@ -80,17 +82,19 @@ TRACED_RUNS = {
                     "analysis.covering_intervals": 14 * 2,
                     # two dimension estimates over four replicas
                     "analysis.bootstrap_resamples": 2 * 200,
-                    # M and its dual share each replica's field
-                    "field.layer_draws": 4 * 3,
+                    # the field chunks bypass the sample_field spans
+                    "field.layer_draws": 0,
                     "pipelines.replicas": 4,
                 }),
     "laplace": ("gamma2 = 1.0\nlevel = 3\nresolution = 32\nz_min = 1e-4\nreplicas = 20\n"
                 "seed = 3\nu.grid = 0.5,1\n", {
                     # two comparisons, each resampling both sides 400 times
                     "analysis.bootstrap_resamples": 2 * 2 * 400,
-                    # the three sides share each replica's field and its chaos
-                    "field.layer_draws": 20 * 3,
-                    "chaos.build_calls": 20,
+                    # the three sides share each replica's field and its
+                    # chaos: one chaos per field chunk, and the chunks
+                    # bypass the sample_field spans
+                    "field.layer_draws": 0,
+                    "chaos.build_calls": 1,
                     # one field block, plus one atoms and one subordinated
                     # substream per replica
                     "field.rng_streams": 1 + 2 * 20,
