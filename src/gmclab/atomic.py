@@ -8,9 +8,11 @@ Both realize the same law; the Laplace comparison in the analysis module is
 the cross-check.  The moment constant and the fractional moment identity the
 acceptance criteria compare against are reference code in tests/oracles.py.
 
-On the lattice an atom is a (cell, size) pair: every check reads a cloud only
-through the cells its atoms fall in, so both clouds draw their atoms cell by
-cell and no coordinate.  `atom_positions` places atoms uniformly inside their
+On the lattice a cloud is its per-cell counts and its sizes in cell order:
+every check reads a cloud only through the cells its atoms fall in, so both
+clouds draw one Poisson count per cell and then their sizes, and no
+coordinate.  A cloud's per-atom cell index is derived from its counts, for the
+readers that need one; `atom_positions` places atoms uniformly inside their
 cells for the outputs that show coordinates.
 """
 
@@ -33,13 +35,29 @@ class AtomicError(ValueError):
     pass
 
 
+def _check_counts(counts: np.ndarray, lattice: Lattice, n_atoms: int):
+    """Reject per-cell counts that do not describe n_atoms atoms on lattice."""
+    if counts.shape != (lattice.n_sites,):
+        raise AtomicError(f"counts has shape {counts.shape}, not ({lattice.n_sites},)")
+    if int(counts.min()) < 0:
+        raise AtomicError("negative atom count")
+    if int(counts.sum()) != n_atoms:
+        raise AtomicError(f"counts sum to {int(counts.sum())}, not the {n_atoms} atoms")
+
+
+def _cells(counts: np.ndarray) -> np.ndarray:
+    """Flat cell index of each atom of a cloud with counts[c] atoms in cell c."""
+    return np.repeat(np.arange(counts.size), counts)
+
+
 @dataclass
 class StableAtoms:
     """Finite truncation of the Poisson cloud with intensity dx dz/z^(1+alpha)
-    over the lattice's cells: atom i lies in cell cells[i] and has size sizes[i]."""
+    over the lattice's cells: counts[c] atoms lie in cell c, and sizes lists
+    their sizes in cell order."""
 
-    cells: np.ndarray      # (count,) flat cell indices, nondecreasing
-    sizes: np.ndarray      # (count,), all >= z_min
+    counts: np.ndarray     # (n_sites,) atoms per cell
+    sizes: np.ndarray      # (count,) in cell order, all >= z_min
     alpha: float
     z_min: float
     lattice: Lattice
@@ -51,27 +69,40 @@ class StableAtoms:
             raise AtomicError("z_min must be positive")
         if self.sizes.size and float(self.sizes.min()) < self.z_min * (1 - 1e-12):
             raise AtomicError("atom sizes below the truncation level")
+        _check_counts(self.counts, self.lattice, self.sizes.size)
 
     @property
     def count(self) -> int:
         return len(self.sizes)
 
+    @property
+    def cells(self) -> np.ndarray:
+        """(count,) flat cell index of each atom, nondecreasing."""
+        return _cells(self.counts)
+
 
 @dataclass
 class AtomicMeasure:
-    """Purely atomic measure: atoms with positive masses, each in a lattice cell."""
+    """Purely atomic measure: counts[c] atoms in lattice cell c, with positive
+    masses listed in cell order."""
 
     lattice: Lattice
-    cells: np.ndarray
-    masses: np.ndarray
+    counts: np.ndarray     # (n_sites,) atoms per cell
+    masses: np.ndarray     # (count,) in cell order
 
     def __post_init__(self):
         if self.masses.size and float(self.masses.min()) <= 0:
             raise AtomicError("atom masses must be positive")
+        _check_counts(self.counts, self.lattice, self.masses.size)
 
     @property
     def count(self) -> int:
         return len(self.masses)
+
+    @property
+    def cells(self) -> np.ndarray:
+        """(count,) flat cell index of each atom, nondecreasing."""
+        return _cells(self.counts)
 
     def total_mass(self) -> float:
         return float(self.masses.sum())
@@ -123,14 +154,6 @@ def _pareto(rng: np.random.Generator, alpha: float, z_min: float, size: int) -> 
     return u
 
 
-def _cell_cloud(counts: np.ndarray, alpha: float, z_min: float,
-                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Cells and Pareto(alpha, z_min) sizes of a cloud with counts[c] atoms in
-    cell c, in cell order."""
-    cells = np.repeat(np.arange(counts.size), counts)
-    return cells, _pareto(rng, alpha, z_min, cells.size)
-
-
 def sample_stable_atoms(region: Lattice, alpha: float, z_min: float,
                         rng: np.random.Generator) -> StableAtoms:
     """Draw the truncated Poisson cloud cell by cell on the lattice region:
@@ -143,8 +166,9 @@ def sample_stable_atoms(region: Lattice, alpha: float, z_min: float,
     if not (z_min > 0):
         raise AtomicError("z_min must be positive")
     per_cell = expected_atom_count(region.volume / region.n_sites, alpha, z_min)
-    cells, sizes = _cell_cloud(rng.poisson(per_cell, region.n_sites), alpha, z_min, rng)
-    return StableAtoms(cells=cells, sizes=sizes, alpha=alpha, z_min=z_min, lattice=region)
+    counts = rng.poisson(per_cell, region.n_sites)
+    return StableAtoms(counts=counts, sizes=_pareto(rng, alpha, z_min, counts.sum()),
+                       alpha=alpha, z_min=z_min, lattice=region)
 
 
 def atom_positions(lattice: Lattice, cells: np.ndarray,
@@ -173,10 +197,12 @@ def build_atomic_direct(field: FieldGrid, gamma2: float, alpha: float,
     if atoms.lattice != field.lattice:
         raise AtomicError("atoms and field live on different lattices")
     values = field.values if row is None else field.values[row]
-    masses = _dual_weights(values, field.variance0, gamma2, alpha)[atoms.cells]
+    # each cell's weight repeated once per atom: the doubles a gather by
+    # atoms.cells would give, with no per-atom index
+    masses = np.repeat(_dual_weights(values, field.variance0, gamma2, alpha), atoms.counts)
     masses *= atoms.sizes
-    # shares the cloud's cells array; no caller writes to either
-    return AtomicMeasure(lattice=field.lattice, cells=atoms.cells, masses=masses)
+    # shares the cloud's counts array; no caller writes to either
+    return AtomicMeasure(lattice=field.lattice, counts=atoms.counts, masses=masses)
 
 
 def sample_positive_stable(alpha: float, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -230,6 +256,6 @@ def build_subordinated(m: LatticeMeasure, alpha: float, z_min: float,
         raise AtomicError("alpha must lie strictly in (0, 1)")
     if not np.all(np.isfinite(m.masses)):
         raise AtomicError("non-finite cell masses")
-    cells, sizes = _cell_cloud(rng.poisson(m.masses * z_min ** (-alpha) / alpha),
-                               alpha, z_min, rng)
-    return AtomicMeasure(lattice=m.lattice, cells=cells, masses=sizes)
+    counts = rng.poisson(m.masses * z_min ** (-alpha) / alpha)
+    return AtomicMeasure(lattice=m.lattice, counts=counts,
+                         masses=_pareto(rng, alpha, z_min, counts.sum()))

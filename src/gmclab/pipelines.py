@@ -10,8 +10,9 @@ measure the pipeline compares, the chaos M_n ("chaos") and its duals; only
 exact cell masses take one positive-stable draw per cell on (atoms, r, 0)
 ("dual"); the atom-level dual weights a stable atom cloud drawn on
 (atoms, r, 0) ("direct") or subordinates M_n on (subordinated, r, 0)
-("subordinated").  Both clouds draw their atoms cell by cell, as (cell, size)
-pairs; only `atoms` places them inside their cells, on (positions, r, 0).
+("subordinated").  A cloud is its per-cell counts and its sizes in cell
+order: both clouds draw one Poisson count per cell, then their sizes; only
+`atoms` places atoms inside their cells, on (positions, r, 0).
 The chaos and the dual's cells are (replicas, n_sites) blocks, one exp per
 chunk; the clouds are drawn one replica at a time, each dropped before the
 next.  Two reducers turn the blocks into box masses or Cantor covering sums
@@ -158,11 +159,13 @@ def run_field(cfg: ExperimentConfig) -> PipelineResult:
     # looked up at call time: the benchmark tracer patches it after import
     from .kernels import eval_partial_kernel
 
-    emp, se, theory = np.array([
+    emp, se = np.array([
         (np.mean(a * b) - a.mean() * b.mean(),
-         np.std(a * b, ddof=1) / np.sqrt(cfg.replicas),
-         np.ravel(eval_partial_kernel(spec, cfg.level, pts[i], pts[j]))[0])
-        for a, b, (i, j) in zip(values[:, 0::2].T, values[:, 1::2].T, idx)]).T
+         np.std(a * b, ddof=1) / np.sqrt(cfg.replicas))
+        for a, b in zip(values[:, 0::2].T, values[:, 1::2].T)]).T
+    # one call on all pairs, each value bit-equal to its own pair's call; in
+    # d = 1 the points are (pairs, 1), and so is the result
+    theory = np.ravel(eval_partial_kernel(spec, cfg.level, pts[idx[:, 0]], pts[idx[:, 1]]))
     ok = np.abs(emp - theory) <= 3 * np.maximum(se, 1e-12)
     n_pass = int(ok.sum())
     # 3-SE checks at 20 pairs: allow one excursion (95% pointwise criterion)
@@ -228,12 +231,13 @@ def run_atoms(cfg: ExperimentConfig) -> PipelineResult:
     for start, field, (direct,) in _measures(cfg, ("direct",), stream):
         for i, (atoms, mbar) in enumerate(direct):
             r = start + i
+            cells = mbar.cells
             if mbar.count:
                 spans.append(float(np.log10(mbar.masses.max()) - np.log10(mbar.masses.min())))
                 if mbar.count >= 3:
-                    corrs.append(float(spearmanr(field.values[i, mbar.cells],
+                    corrs.append(float(spearmanr(field.values[i, cells],
                                                  mbar.masses).statistic))
-            positions = atom_positions(lat, mbar.cells, stream.generator(r, "positions"))
+            positions = atom_positions(lat, cells, stream.generator(r, "positions"))
             chunks.append((np.full(mbar.count, r), *positions.T, atoms.sizes, mbar.masses))
             if r == 0 and mbar.count:
                 keep = np.argsort(mbar.masses)[-min(200, mbar.count):]

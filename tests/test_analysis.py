@@ -251,7 +251,7 @@ class TestCovering:
                                 np.rint(edges[1:-1:3] * lat.resolution).astype(int)])
         x = (cells + 0.5) * lat.spacing
         masses = 10.0 ** rng.uniform(-14, 0, x.size)
-        measure = AtomicMeasure(lat, cells, masses)
+        measure = _atomic_measure(lat, cells, masses)
         levels = range(1, 7)
         s_grid = np.array([0.0, 0.3, 0.7, 1.0])
         sums = _box_sums(measure, set_name, levels, s_grid)
@@ -270,6 +270,14 @@ class TestCovering:
         uniform = LatticeMeasure(lat, np.full(1000, lat.spacing))
         with pytest.raises(AnalysisError):
             covering_sums(uniform, "cantor", [3], [0.5])
+
+
+def _atomic_measure(lat, cells, masses):
+    """The atomic measure of atoms in the given cells, in any order: a stable
+    sort to cell order keeps each cell's atoms in their order, so its
+    cell_masses() are the per-cell sums of the unsorted atoms, bit for bit."""
+    order = np.argsort(cells, kind="stable")
+    return AtomicMeasure(lat, np.bincount(cells, minlength=lat.n_sites), masses[order])
 
 
 def _field(resolution, seed=11, d=1):
@@ -309,7 +317,7 @@ def _atomic(resolution, seed=5, d=1):
     # few atoms, so most fine boxes are empty
     rng = np.random.default_rng(seed)
     lat = Lattice(d, resolution)
-    return AtomicMeasure(lat, rng.integers(0, lat.n_sites, 30), 10.0 ** rng.uniform(-14, 0, 30))
+    return _atomic_measure(lat, rng.integers(0, lat.n_sites, 30), 10.0 ** rng.uniform(-14, 0, 30))
 
 
 class TestGridAtOnce:
@@ -391,7 +399,7 @@ class TestGridAtOnce:
         rng = np.random.default_rng(8)
         cells = rng.integers(0, resolution, 3000)
         masses = 10.0 ** rng.uniform(-30, 0, cells.size)
-        measure = AtomicMeasure(Lattice(1, resolution), cells, masses).cell_masses()
+        measure = _atomic_measure(Lattice(1, resolution), cells, masses).cell_masses()
         for g in range(1, 7):
             n, idx = _level_boxes(set_name, g)
             ends = np.column_stack([idx, idx + 1]) * (resolution // n)

@@ -5,6 +5,9 @@ from hypothesis import strategies as st
 
 from gmclab.atomic import (
     AtomicError,
+    AtomicMeasure,
+    StableAtoms,
+    _dual_weights,
     atom_positions,
     auto_z_min,
     build_atomic_direct,
@@ -77,6 +80,7 @@ class TestStableAtoms:
         atoms = sample_stable_atoms(lat, alpha, 1e-3, RngStream(3).generator(0, "atoms"))
         rng = RngStream(3).generator(0, "atoms")
         counts = rng.poisson(expected_atom_count(1.0 / lat.n_sites, alpha, 1e-3), lat.n_sites)
+        np.testing.assert_array_equal(atoms.counts, counts)
         np.testing.assert_array_equal(atoms.cells, np.repeat(np.arange(lat.n_sites), counts))
         np.testing.assert_array_equal(atoms.sizes, 1e-3 / rng.random(counts.sum()) ** (1.0 / alpha))
         pos = atom_positions(lat, atoms.cells, RngStream(3).generator(0, "positions"))
@@ -90,8 +94,7 @@ class TestStableAtoms:
             lam = lat.spacing**lat.d * 1e-4 ** -0.5 / 0.5
             stream = RngStream(13)
             counts = np.concatenate([
-                np.bincount(sample_stable_atoms(lat, 0.5, 1e-4, stream.generator(r, "atoms")).cells,
-                            minlength=lat.n_sites)
+                sample_stable_atoms(lat, 0.5, 1e-4, stream.generator(r, "atoms")).counts
                 for r in range(200)])
             n = counts.size
             # SEs of the sample mean and variance of Poisson(lam) counts
@@ -200,6 +203,55 @@ class TestConstructions:
         atoms = sample_stable_atoms(Lattice(1, 32), 0.5, 1e-4, np.random.default_rng(1))
         with pytest.raises(AtomicError):
             build_atomic_direct(make_field(), 1.0, 0.5, atoms)
+
+    @pytest.mark.parametrize("spec, lat", [
+        (EXACT1D, Lattice(1, 64)),
+        (KernelSpec(family="exact2d", T=1.0, d=2), Lattice(2, 16)),
+        (KernelSpec(family="gff-square", T=1.0, d=2), Lattice(2, 8)),
+    ], ids=["exact1d", "exact2d", "gff-square"])
+    def test_direct_masses_match_cell_gather(self, spec, lat):
+        # each cell's weight repeated by its count gives the doubles of a
+        # gather by the atoms' cells, so every mass is bit-equal to it
+        stream = RngStream(6)
+        f = LayerSampler(spec, lat, range(1, 4)).sample_field(stream, 0)
+        atoms = sample_stable_atoms(lat, 0.5, 1e-4, stream.generator(0, "atoms"))
+        mbar = build_atomic_direct(f, 2.0, 0.5, atoms)
+        ref = _dual_weights(f.values, f.variance0, 2.0, 0.5)[atoms.cells] * atoms.sizes
+        assert atoms.count > 0
+        assert np.array_equal(mbar.counts, atoms.counts)
+        assert np.array_equal(mbar.masses, ref)
+
+    def test_cells_derive_from_counts(self):
+        # both clouds keep their per-cell Poisson counts; each atom's cell is
+        # derived from them, in cell order
+        f = make_field()
+        m = build_chaos(f, 1.0)
+        direct = build_atomic_direct(
+            f, 1.0, 0.5, sample_stable_atoms(LAT64, 0.5, 1e-4, np.random.default_rng(1)))
+        subordinated = build_subordinated(m, 0.5, 1e-4, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        counts = rng.poisson(m.masses * 1e-4 ** -0.5 / 0.5)
+        assert np.array_equal(subordinated.counts, counts)
+        np.testing.assert_array_equal(subordinated.masses, 1e-4 / rng.random(counts.sum()) ** 2.0)
+        for cloud in (direct, subordinated):
+            assert cloud.count > 0 and cloud.counts.shape == (LAT64.n_sites,)
+            assert np.array_equal(cloud.cells, np.repeat(np.arange(LAT64.n_sites), cloud.counts))
+
+    @pytest.mark.parametrize("counts, message", [
+        (np.array([1, 1] + [0] * 61), "shape"),
+        (np.array([[1, 1] + [0] * 62]), "shape"),
+        (np.array([3, -1] + [0] * 62), "negative"),
+        (np.array([1, 1, 1] + [0] * 61), "sum to 3"),
+    ], ids=["short", "2-d", "negative", "sum"])
+    @pytest.mark.parametrize("cloud", ["stable", "measure"])
+    def test_mismatched_counts_raise(self, counts, message, cloud):
+        # two atoms on the 64 cells of LAT64
+        sizes = np.full(2, 1e-3)
+        with pytest.raises(AtomicError, match=message):
+            if cloud == "stable":
+                StableAtoms(counts=counts, sizes=sizes, alpha=0.5, z_min=1e-4, lattice=LAT64)
+            else:
+                AtomicMeasure(lattice=LAT64, counts=counts, masses=sizes)
 
     def test_subordinated_positions_in_cells(self):
         m = build_chaos(make_field(), 1.0)

@@ -26,6 +26,7 @@ from gmclab.config import (
     validate_config,
 )
 from gmclab.field import PURPOSES, Lattice, LayerSampler, RngStream
+from gmclab.kernels import eval_partial_kernel
 from gmclab.pipelines import _box_masses, _covering_sums, _measures
 
 BASE_CONFIG = """
@@ -457,7 +458,7 @@ def test_block_loop_matches_replica_by_replica(text):
             assert np.array_equal(atoms.sizes, cloud.sizes)
             for got, ref in ((mu, ref_mu), (nu, ref_nu)):
                 assert got.count > 0
-                assert np.array_equal(got.cells, ref.cells)
+                assert np.array_equal(got.counts, ref.counts)
                 assert np.array_equal(got.masses, ref.masses)
             n += 1
     assert n == cfg.replicas
@@ -465,6 +466,26 @@ def test_block_loop_matches_replica_by_replica(text):
     fresh = pipelines._sampler(cfg)
     for r in (69, 3, 64, 0, 63, 65, 3):
         assert np.array_equal(fresh.sample_field(stream, r).values, rows[r])
+
+
+@pytest.mark.parametrize("text", [
+    "kernel.family = star\ngamma2 = 1.0\nlevel = 3\nresolution = 64\nreplicas = 4\nseed = 3\n",
+    "gamma2 = 1.0\nlevel = 3\nresolution = 64\nreplicas = 4\nseed = 3\n",
+    "kernel.family = exact2d\ndimension = 2\ngamma2 = 2.0\nlevel = 3\nresolution = 16\n"
+    "replicas = 4\nseed = 3\n",
+    "kernel.family = gff-square\ndimension = 2\ngamma2 = 2.0\nlevel = 3\nresolution = 8\n"
+    "replicas = 4\nseed = 3\n",
+], ids=["star", "exact1d", "exact2d", "gff-square"])
+def test_field_theory_is_the_per_pair_kernel(text):
+    # run_field evaluates all 20 pairs in one call; each value is the one
+    # its own pair's call gives, bit for bit
+    cfg = parse_config_text(text)
+    table = pipelines.run_field(cfg).tables["covariance"]
+    spec, pts = pipelines.kernel_spec(cfg), pipelines.lattice_for(cfg).centers()
+    ref = [np.ravel(eval_partial_kernel(spec, cfg.level, pts[i], pts[j]))[0]
+           for i, j in zip(table["i"], table["j"])]
+    assert len(ref) == 20
+    assert np.array_equal(table["theory"], ref)
 
 
 @pytest.mark.parametrize("kind", ["chaos", "dual"])
