@@ -177,8 +177,20 @@ def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> lis
                          f"(gamma2={cfg.gamma2}, d={cfg.dimension})")
     if cfg.z_min != "auto" and not (isinstance(cfg.z_min, float) and cfg.z_min > 0):
         diags.append("z_min must be 'auto' or a positive float")
+    elif experiment in ("atoms", "laplace") and alpha is not None and 0 < alpha < 1:
+        # auto_z_min underflows to 0 as alpha nears 1, and a cloud needs z_min > 0
+        z_min = cfg.resolved_z_min()
+        if not z_min > 0:
+            diags.append(f"z_min = auto resolves to {z_min:g} at alpha = {alpha:g}: "
+                         f"{experiment} needs a positive z_min")
     if len(cfg.lambda_grid) and (min(cfg.lambda_grid) <= 0 or max(cfg.lambda_grid) >= 1):
         diags.append("lambda grid values must lie in (0, 1)")
+    if experiment == "chaos":
+        # measure_box snaps a box of under half a cell to no cell
+        for lam in cfg.lambda_grid:
+            if cfg.resolution * lam < 0.5:
+                diags.append(f"chaos box of side {lam:g} spans {cfg.resolution * lam:g} cells; "
+                             "resolution * lambda must be at least 0.5")
     q_max_m = xi_moment_range(cfg.gamma2, cfg.dimension)
     if experiment == "spectrum":
         if len(cfg.lambda_grid) < 4:
@@ -214,6 +226,10 @@ def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> lis
             )
         if len(cfg.s_grid) < 5:
             diags.append("s.grid needs at least 5 values")
+        # the KPZ root exists for a chaos below its critical gamma2 = 2d only
+        if cfg.gamma2 >= 2 * cfg.dimension:
+            diags.append(f"{experiment} solves the KPZ relation: gamma2 must be below "
+                         f"2d = {2 * cfg.dimension}, got {cfg.gamma2:g}")
     if experiment == "tail" and not HILL_MIN_K <= cfg.resolved_hill_k() < cfg.replicas:
         diags.append(f"hill.k must lie in [{HILL_MIN_K}, replicas = {cfg.replicas}), got "
                      f"{cfg.resolved_hill_k()}{'' if cfg.hill_k else ' (the default)'}")

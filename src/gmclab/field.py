@@ -11,12 +11,13 @@ circulant FFT gives two replicas, its real and its imaginary part.  Replica
 r's field depends only on (seed, r), so every draw is reproducible bit for
 bit.  `LayerSampler.field_blocks` hands the replica loop each chunk whole, a
 FieldGrid of (replicas, n_sites) values, and draws only the rows a partial
-last block needs; `sample_field` is a view of one replica's row in the same
-chunk.  A field is a flat array over the N^d cells in row-major order: site
-i is the cell np.unravel_index(i, lattice.shape), and every reduction over
-the cell grid reshapes on Lattice.shape.  The dense factorization that tests
-compare the circulant embedding against lives with the other reference
-implementations in tests/oracles.py.
+last block needs; `sample_field` draws a replica's block through its row.
+Both take the rows from one stateless block generator, so the sampler keeps
+no draw between calls.  A field is a flat array over the N^d cells in
+row-major order: site i is the cell np.unravel_index(i, lattice.shape), and
+every reduction over the cell grid reshapes on Lattice.shape.  The dense
+factorization that tests compare the circulant embedding against lives with
+the other reference implementations in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -217,18 +218,6 @@ def _prepare_sine(levels: Sequence[int], lattice: Lattice) -> tuple[np.ndarray, 
     return sqrt_w, (s2 @ w @ s2.T).reshape(-1)
 
 
-@dataclass
-class _Chunk:
-    """The current chunk of one stream's field block: rows start..stop - 1 of
-    the block, their fields, and the block's generator positioned at row stop."""
-
-    block: int
-    rng: np.random.Generator
-    start: int = 0
-    stop: int = 0
-    fields: np.ndarray | None = None
-
-
 class LayerSampler:
     """Reusable field sampler over a level set: the covariance summed over the
     levels is prepared once, then each chunk of replicas costs one batch of
@@ -237,8 +226,8 @@ class LayerSampler:
     spectrum and one DST per replica.
 
     A row is one draw of unit normals: two replicas on the circulant path, one
-    on the sine path.  A block's rows are drawn in order; the sampler keeps the
-    current chunk of each stream it served."""
+    on the sine path.  A block's rows are drawn in order from its substream on
+    every call; the sampler keeps no draw between calls."""
 
     def __init__(self, spec: KernelSpec, lattice: Lattice, levels: Sequence[int]):
         self.spec = spec
@@ -258,7 +247,6 @@ class LayerSampler:
             self._per_row = 1
             # normals, the weighted input and the DST output
             self._row_bytes = 24 * self._factor.size
-        self._chunks: dict[RngStream, _Chunk] = {}
 
     def _fields(self, z: np.ndarray) -> np.ndarray:
         """Fields of a batch of unit-normal rows z, one per replica in order."""
@@ -266,51 +254,36 @@ class LayerSampler:
             return _circulant_fields(self._factor[0], self.lattice.resolution, z)
         return dstn(self._factor * z, type=3, axes=(1, 2)).reshape(len(z), -1)
 
-    def _draw_chunk(self, chunk: _Chunk, stop: int = FIELD_BLOCK):
-        """Replace chunk's fields by the next rows of its block, through the
-        row of the block's replica stop - 1: one transform for them all, unless
-        CHUNK_BYTES caps it."""
-        n = min(max(1, CHUNK_BYTES // self._row_bytes),
-                -(-stop // self._per_row) - chunk.stop)
-        chunk.fields = self._fields(chunk.rng.standard_normal((n,) + self._row_shape))
-        chunk.start, chunk.stop = chunk.stop, chunk.stop + n
-
-    def _chunk(self, stream: RngStream, replica: int, stop: int = FIELD_BLOCK) -> _Chunk:
-        """stream's chunk that holds replica, drawing its block's rows in order
-        through the row of the block's replica stop - 1."""
-        block, i = divmod(replica, FIELD_BLOCK)
-        row = i // self._per_row
-        chunk = self._chunks.get(stream)
-        if chunk is None or chunk.block != block or row < chunk.start:
-            # (re)start the block; its rows come from its substream in order
-            chunk = _Chunk(block, stream.generator(replica, "field"))
-            self._chunks[stream] = chunk
-        while row >= chunk.stop:
-            self._draw_chunk(chunk, stop)
-        return chunk
+    def _block(self, stream: RngStream, base: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield (start, fields) through replica base + stop - 1 of the block
+        that starts at replica base: its rows drawn in order from its
+        substream, one transform per chunk of at most CHUNK_BYTES, and fields
+        the chunk's replicas start, start + 1, ... as (rows, n_sites) values."""
+        rng = stream.generator(base, "field")
+        rows = -(-stop // self._per_row)
+        step = max(1, CHUNK_BYTES // self._row_bytes)
+        for row in range(0, rows, step):
+            fields = self._fields(rng.standard_normal((min(step, rows - row),) + self._row_shape))
+            start = row * self._per_row
+            yield base + start, fields[:stop - start]
 
     def sample_field(self, stream: RngStream, replica: int) -> FieldGrid:
         """One replica of X^n, from the substream (field, replica // FIELD_BLOCK, 0):
-        a view of its row in the block's chunk."""
-        chunk = self._chunk(stream, replica)
-        k = replica % FIELD_BLOCK - chunk.start * self._per_row
-        return FieldGrid(lattice=self.lattice, values=chunk.fields[k], variance0=self.variance0)
+        its block is drawn through its row, which is a view of the last chunk."""
+        i = replica % FIELD_BLOCK
+        for _, fields in self._block(stream, replica - i, i + 1):
+            pass
+        return FieldGrid(lattice=self.lattice, values=fields[-1], variance0=self.variance0)
 
     def field_blocks(self, stream: RngStream, replicas: int) -> Iterator[tuple[int, FieldGrid]]:
         """Yield (start, fields) over replicas 0..replicas - 1 in order, one
         chunk at a time: fields holds replicas start, start + 1, ... as
         (rows, n_sites) values, a view of the chunk.  A partial last block
         draws only the rows its replicas need."""
-        r = 0
-        while r < replicas:
-            base = r - r % FIELD_BLOCK
-            stop = min(FIELD_BLOCK, replicas - base)
-            chunk = self._chunk(stream, r, stop)
-            k = r - base - chunk.start * self._per_row
-            end = base + min(chunk.stop * self._per_row, stop)
-            yield r, FieldGrid(lattice=self.lattice, values=chunk.fields[k:k + end - r],
-                               variance0=self.variance0)
-            r = end
+        for base in range(0, replicas, FIELD_BLOCK):
+            for start, fields in self._block(stream, base, min(FIELD_BLOCK, replicas - base)):
+                yield start, FieldGrid(lattice=self.lattice, values=fields,
+                                       variance0=self.variance0)
 
 
 def field_variance0(spec: KernelSpec, levels: Sequence[int],

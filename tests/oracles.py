@@ -4,19 +4,20 @@ No pipeline runs these.  They are the independent oracles the samplers and
 the acceptance criteria are checked against: the dense factor of a level
 covariance (eigendecomposition of the Gram matrix on every site pair), the
 Gamma-function constant of the dual moment relation, and the fractional
-moment identity by quadrature.
+moment identity by quadrature.  replica_fields is the replica-by-replica
+view of a sampler's field blocks that the per-replica reference loops read.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy import integrate
 from scipy.special import gamma as gamma_fn, gammaln
 
 from gmclab.atomic import AtomicError
-from gmclab.field import FieldError, Lattice
+from gmclab.field import FieldError, FieldGrid, Lattice, LayerSampler, RngStream
 from gmclab.kernels import KernelSpec, eval_level_increment, level_increment_radial
 
 DENSE_SITE_LIMIT = 4096
@@ -47,6 +48,14 @@ def dense_factor(spec: KernelSpec, levels: Sequence[int], lattice: Lattice) -> n
     if neg > 1e-8 * np.abs(w).sum():
         raise FieldError(f"level covariance far from positive semidefinite (mass {neg:.3e})")
     return v * np.sqrt(np.maximum(w, 0.0))
+
+
+def replica_fields(sampler: LayerSampler, stream: RngStream, replicas: int) -> Iterator[FieldGrid]:
+    """Replicas 0..replicas - 1 of the sampler's field in order, one FieldGrid
+    each, read off its field blocks."""
+    for _, block in sampler.field_blocks(stream, replicas):
+        for values in block.values:
+            yield FieldGrid(lattice=block.lattice, values=values, variance0=block.variance0)
 
 
 def moment_relation_constant(beta: float, alpha: float) -> float:

@@ -22,6 +22,7 @@ from oracles import (
     dense_factor as _dense_factor,
     fractional_moment_identity_check,
     moment_relation_constant,
+    replica_fields,
 )
 
 EXACT1D = KernelSpec(family="exact1d", T=1.0, d=1)
@@ -50,8 +51,7 @@ def chaos_totals_c1():
     sampler = LayerSampler(EXACT1D, Lattice(1, 1024), range(1, 7))
     stream = RngStream(1001)
     return np.array([
-        build_chaos(sampler.sample_field(stream, r), 0.5).total_mass()
-        for r in range(10_000)
+        build_chaos(f, 0.5).total_mass() for f in replica_fields(sampler, stream, 10_000)
     ])
 
 
@@ -62,8 +62,8 @@ def chaos_boxes_c2():
     sampler = LayerSampler(EXACT1D, Lattice(1, 1024), range(1, 65))
     stream = RngStream(1002)
     out = np.empty((10_000, len(lams)))
-    for r in range(out.shape[0]):
-        m = build_chaos(sampler.sample_field(stream, r), 0.5)
+    for r, f in enumerate(replica_fields(sampler, stream, out.shape[0])):
+        m = build_chaos(f, 0.5)
         out[r] = [measure_box(m, [0.0], [lam]) for lam in lams]
     return np.asarray(lams), out
 
@@ -79,8 +79,7 @@ def dual_ensemble():
     m_tot = np.empty(R)
     direct = np.empty(R)
     subord = np.empty(R)
-    for r in range(R):
-        f = sampler.sample_field(stream, r)
+    for r, f in enumerate(replica_fields(sampler, stream, R)):
         m = build_chaos(f, g2)
         m_tot[r] = m.total_mass()
         atoms = sample_stable_atoms(sampler.lattice, alpha, z_min, stream.generator(r, "atoms"))
@@ -99,10 +98,8 @@ def cantor_ensemble_g2_half():
     levels = list(range(1, 7))
     s_grid = np.linspace(0.35, 0.8, 10)
     sums = np.array([
-        analysis.covering_sums(
-            build_chaos(sampler.sample_field(stream, r), 0.5),
-            "cantor", levels, s_grid).sums
-        for r in range(60)
+        analysis.covering_sums(build_chaos(f, 0.5), "cantor", levels, s_grid).sums
+        for f in replica_fields(sampler, stream, 60)
     ])
     return levels, s_grid, sums
 
@@ -116,8 +113,8 @@ def cantor_ensemble_dual():
     s_m = np.linspace(0.3, 0.75, 10)
     s_bar = np.linspace(0.1, 0.45, 10)
     sums_m, sums_bar = [], []
-    for r in range(60):
-        m = build_chaos(sampler.sample_field(stream, r), 1.0)
+    for r, f in enumerate(replica_fields(sampler, stream, 60)):
+        m = build_chaos(f, 1.0)
         mbar = build_subordinated(m, 0.5, 1e-7, stream.generator(r, "subordinated"))
         sums_m.append(analysis.covering_sums(m, "cantor", levels, s_m).sums)
         sums_bar.append(analysis.covering_sums(mbar, "cantor", levels, s_bar).sums)
@@ -302,8 +299,7 @@ def test_criterion_10_atomic_figure_stats():
         sampler = LayerSampler(EXACT2D, lat, range(1, 6))
         stream = RngStream(1010)
         corrs = []
-        for r in range(40):
-            f = sampler.sample_field(stream, r)
+        for r, f in enumerate(replica_fields(sampler, stream, 40)):
             atoms = sample_stable_atoms(lat, alpha, z_min,
                                         stream.generator(r, "atoms"))
             mbar = build_atomic_direct(f, g2, alpha, atoms)

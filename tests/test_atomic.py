@@ -22,7 +22,7 @@ from gmclab.atomic import (
 from gmclab.chaos import build_chaos, measure_box, xi
 from gmclab.field import Lattice, LayerSampler, RngStream
 from gmclab.kernels import KernelSpec
-from oracles import fractional_moment_identity_check, moment_relation_constant
+from oracles import fractional_moment_identity_check, moment_relation_constant, replica_fields
 
 EXACT1D = KernelSpec(family="exact1d", T=1.0, d=1)
 LAT64 = Lattice(1, 64)
@@ -168,11 +168,10 @@ class TestPositiveStable:
         gamma = np.sqrt(gamma2)
         cell_stream, atom_stream = RngStream(31), RngStream(32)
         cells, atoms, missed = np.empty(R), np.empty(R), np.empty(R)
-        for r in range(R):
-            f = sampler.sample_field(cell_stream, r)
+        for r, (f, g) in enumerate(zip(replica_fields(sampler, cell_stream, R),
+                                       replica_fields(sampler, atom_stream, R))):
             mbar = build_dual_cells(f, gamma2, alpha, cell_stream.generator(r, "atoms"))
             cells[r] = measure_box(mbar, [0.0], [0.25])
-            g = sampler.sample_field(atom_stream, r)
             cloud = sample_stable_atoms(g.lattice, alpha, z_min,
                                         atom_stream.generator(r, "atoms"))
             atoms[r] = build_atomic_direct(g, gamma2, alpha, cloud).box_mass([0.0], [0.25])
@@ -273,8 +272,7 @@ class TestConstructions:
         R = 3000
         direct = np.empty(R)
         subord = np.empty(R)
-        for r in range(R):
-            f = sampler.sample_field(stream, r)
+        for r, f in enumerate(replica_fields(sampler, stream, R)):
             m = build_chaos(f, 1.0)
             atoms = sample_stable_atoms(f.lattice, 0.5, 1e-6,
                                         stream.generator(r, "atoms"))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from gmclab.chaos import ChaosError, LatticeMeasure, build_chaos, measure_box, xi, xi_moment_range
 from gmclab.field import Lattice, LayerSampler, RngStream
 from gmclab.kernels import KernelSpec
+from oracles import replica_fields
 
 EXACT1D = KernelSpec(family="exact1d", T=1.0, d=1)
 
@@ -48,10 +49,7 @@ class TestBuildChaos:
         # E[M_n([0,1])] = 1 exactly at every level
         sampler = LayerSampler(EXACT1D, Lattice(1, 64), range(1, 5))
         stream = RngStream(8)
-        totals = [
-            build_chaos(sampler.sample_field(stream, r), 0.5).total_mass()
-            for r in range(2000)
-        ]
+        totals = [build_chaos(f, 0.5).total_mass() for f in replica_fields(sampler, stream, 2000)]
         totals = np.asarray(totals)
         se = totals.std(ddof=1) / np.sqrt(len(totals))
         assert abs(totals.mean() - 1.0) < 4 * se
@@ -85,11 +83,10 @@ class TestDecompositionIndependence:
         a = np.empty(R)
         b = np.empty(R)
         sa, sb = RngStream(31), RngStream(32)
-        for r in range(R):
-            a[r] = measure_box(build_chaos(exact_sampler.sample_field(sa, r), 0.5),
-                               [0.0], [0.5])
-            b[r] = measure_box(build_chaos(star_sampler.sample_field(sb, r), 0.5),
-                               [0.0], [0.5])
+        for r, (fa, fb) in enumerate(zip(replica_fields(exact_sampler, sa, R),
+                                         replica_fields(star_sampler, sb, R))):
+            a[r] = measure_box(build_chaos(fa, 0.5), [0.0], [0.5])
+            b[r] = measure_box(build_chaos(fb, 0.5), [0.0], [0.5])
         assert ks_2samp(a, b).statistic < 0.05
 
 

@@ -28,6 +28,7 @@ from gmclab.config import (
 from gmclab.field import PURPOSES, Lattice, LayerSampler, RngStream
 from gmclab.kernels import eval_partial_kernel
 from gmclab.pipelines import _box_masses, _covering_sums, _measures
+from oracles import replica_fields
 
 BASE_CONFIG = """
 # smoke configuration
@@ -244,12 +245,23 @@ class TestCliRuns:
               ("spectrum", "replicas = 1\n", []),
               ("laplace", "gamma2 = 1.0\nreplicas = 1\n", []),
               ("scaling", "gamma2 = 1.0\nresolution = 128\nq.grid = 0.1\nreplicas = 1\n", [])]],
+        # each failed after drawing every field: measure_box snapped the box to
+        # no cell, the KPZ solvers rejected gamma2, and the cloud its z_min
+        ("chaos", "kernel.family = exact2d\ndimension = 2\nresolution = 27\n", [],
+         "chaos box of side 0.015625 spans 0.421875 cells; "
+         "resolution * lambda must be at least 0.5"),
+        ("kpz", "resolution = 729\ngamma2 = 2.5\nalpha.mode = explicit\nalpha.value = 0.5\n"
+         "s.grid = 0.3,0.4,0.5,0.6,0.7\n", [],
+         "kpz solves the KPZ relation: gamma2 must be below 2d = 2, got 2.5"),
+        ("atoms", "alpha.mode = explicit\nalpha.value = 0.99\n", [],
+         "z_min = auto resolves to 0 at alpha = 0.99: atoms needs a positive z_min"),
     ], ids=["kpz-s-grid", "duality-depth", "lq-replicas", "scaling-cells", "kpz-dim2",
             "duality-dim2", "lq-depths", "scaling-kernel", "laplace-u-grid", "spectrum-q-grid",
             "lq-q-grid", "scaling-lambdas", "spectrum-lambdas", "spectrum-lambda-cells",
             "tail-default-k", "tail-small-k", "scaling-radius-2", "scaling-radius-0",
             "field-one-replica", "chaos-one-replica", "spectrum-one-replica",
-            "laplace-one-replica", "scaling-one-replica"])
+            "laplace-one-replica", "scaling-one-replica", "chaos-box-no-cell",
+            "kpz-supercritical", "atoms-z-min-underflow"])
     def test_unrunnable_config_is_diagnosed(self, tmp_path, capsys, experiment, text, args,
                                             diag):
         # rejected before any ensemble is built
@@ -435,12 +447,12 @@ def test_block_loop_matches_replica_by_replica(text):
     cfg = parse_config_text(text)
     alpha, z_min, gamma2 = cfg.alpha(), cfg.resolved_z_min(), cfg.gamma2
     stream = RngStream(cfg.seed)
-    sampler = pipelines._sampler(cfg)
+    fields = list(replica_fields(pipelines._sampler(cfg), stream, cfg.replicas))
     rows = []
     for start, field, (m, dual) in _measures(cfg, ("chaos", "dual"), stream):
         assert len(field.values) == len(m.masses) == len(dual.masses)
         for i, r in enumerate(range(start, start + len(field.values))):
-            f = sampler.sample_field(stream, r)
+            f = fields[r]
             assert np.array_equal(field.values[i], f.values)
             assert np.array_equal(m.masses[i], build_chaos(f, gamma2).masses)
             expected = build_dual_cells(f, gamma2, alpha, stream.generator(r, "atoms"))
@@ -450,7 +462,7 @@ def test_block_loop_matches_replica_by_replica(text):
     n = 0
     for start, _, (direct, subordinated) in _measures(cfg, ("direct", "subordinated"), stream):
         for r, ((atoms, mu), nu) in enumerate(zip(direct, subordinated), start):
-            f = sampler.sample_field(stream, r)
+            f = fields[r]
             cloud = sample_stable_atoms(f.lattice, alpha, z_min, stream.generator(r, "atoms"))
             ref_mu = build_atomic_direct(f, gamma2, alpha, cloud)
             ref_nu = build_subordinated(build_chaos(f, gamma2), alpha, z_min,

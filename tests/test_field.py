@@ -29,6 +29,11 @@ EXACT2D = KernelSpec(family="exact2d", T=1.0, d=2)
 GFF = KernelSpec(family="gff-square", T=1.0, d=2)
 
 
+def _draws(sampler, stream, replicas):
+    """Fields of replicas 0..replicas - 1, shape (replicas, n_sites)."""
+    return np.concatenate([f.values for _, f in sampler.field_blocks(stream, replicas)])
+
+
 class TestLattice:
     def test_geometry(self):
         lat = Lattice(1, 8)
@@ -108,7 +113,7 @@ class TestCirculant:
         n = 3
         sampler = LayerSampler(EXACT1D, lat, [n])
         stream = RngStream(9)
-        draws = np.array([sampler.sample_field(stream, r).values for r in range(4000)])
+        draws = _draws(sampler, stream, 4000)
         lag = 5
         emp = np.mean(draws[:, 0] * draws[:, lag])
         theory = float(level_increment_radial(EXACT1D, n, lag * lat.spacing))
@@ -152,7 +157,7 @@ class TestLayerSampler:
         lat = Lattice(spec.d, res)
         sampler = LayerSampler(spec, lat, range(1, level + 1))
         stream = RngStream(31)
-        draws = np.array([sampler.sample_field(stream, r).values for r in range(4000)])
+        draws = _draws(sampler, stream, 4000)
         pts = lat.centers()
         for lag in lags:
             j = int(np.ravel_multi_index(lag, (res,) * spec.d))
@@ -193,7 +198,7 @@ class TestLayerSampler:
         lat = Lattice(2, 8)
         sampler = LayerSampler(GFF, lat, [1, 2])
         stream = RngStream(17)
-        draws = np.array([sampler.sample_field(stream, r).values for r in range(3000)])
+        draws = _draws(sampler, stream, 3000)
         emp = draws.var(axis=0)
         theory = sampler.variance0
         # center site, 4 SE of the chi-square spread
@@ -293,8 +298,7 @@ class TestFieldBlocks:
 
     def _sequential(self, spec, res, seed=5):
         sampler = LayerSampler(spec, Lattice(spec.d, res), [1, 2])
-        stream = RngStream(seed)
-        return np.array([sampler.sample_field(stream, r).values for r in range(self.REPLICAS)])
+        return _draws(sampler, RngStream(seed), self.REPLICAS)
 
     def test_random_access_matches_sequential(self, spec_res):
         spec, res = spec_res
@@ -310,21 +314,9 @@ class TestFieldBlocks:
         monkeypatch.setattr(gfield, "CHUNK_BYTES", 1)
         np.testing.assert_array_equal(self._sequential(spec, res), seq)
 
-    def test_one_transform_per_block(self, spec_res, monkeypatch):
-        # below the CHUNK_BYTES cap a block's rows are drawn in one chunk
-        spec, res = spec_res
-        sampler = LayerSampler(spec, Lattice(spec.d, res), [1, 2])
-        sizes = []
-        fields = sampler._fields
-        monkeypatch.setattr(sampler, "_fields", lambda z: sizes.append(len(z)) or fields(z))
-        stream = RngStream(5)
-        for r in range(self.REPLICAS):
-            sampler.sample_field(stream, r)
-        rows = FIELD_BLOCK // sampler._per_row
-        assert sizes == [rows, rows, rows]
-
     @pytest.mark.parametrize("replicas", [1, 70, REPLICAS])
     def test_blocks_draw_only_the_rows_they_need(self, spec_res, monkeypatch, replicas):
+        # below the CHUNK_BYTES cap a block's rows are drawn in one transform;
         # a partial last block draws ceil(replicas / per_row) rows, in order,
         # so its fields are the first rows of the full block's
         spec, res = spec_res
@@ -356,20 +348,23 @@ class TestFieldBlocks:
         assert not np.allclose(seq[FIELD_BLOCK - 1], seq[FIELD_BLOCK])
 
     def test_interleaved_streams_do_not_redraw(self, spec_res, monkeypatch):
+        # two streams stepped in turn on one sampler give their own sequential
+        # fields, each from one field generator per block
         spec, res = spec_res
         sampler = LayerSampler(spec, Lattice(spec.d, res), [1, 2])
-        a, b = RngStream(5), RngStream(6)
         calls = []
         generator = RngStream.generator
         monkeypatch.setattr(RngStream, "generator",
-                            lambda self, replica, purpose: calls.append(replica)
+                            lambda self, replica, purpose: calls.append((self.master_seed, replica))
                             or generator(self, replica, purpose))
-        fields = [(sampler.sample_field(a, r).values, sampler.sample_field(b, r).values)
-                  for r in range(self.REPLICAS)]
-        # one generator per stream and block
-        assert calls == [0, 0, 64, 64, 128, 128]
-        np.testing.assert_array_equal([fa for fa, _ in fields], self._sequential(spec, res, 5))
-        np.testing.assert_array_equal([fb for _, fb in fields], self._sequential(spec, res, 6))
+        blocks = zip(sampler.field_blocks(RngStream(5), self.REPLICAS),
+                     sampler.field_blocks(RngStream(6), self.REPLICAS))
+        fields = [(fa.values, fb.values) for (_, fa), (_, fb) in blocks]
+        assert calls == [(seed, base) for base in (0, 64, 128) for seed in (5, 6)]
+        np.testing.assert_array_equal(np.concatenate([fa for fa, _ in fields]),
+                                      self._sequential(spec, res, 5))
+        np.testing.assert_array_equal(np.concatenate([fb for _, fb in fields]),
+                                      self._sequential(spec, res, 6))
 
 
 class TestNormality:
@@ -380,7 +375,7 @@ class TestNormality:
         lat = Lattice(1, 32)
         sampler = LayerSampler(EXACT1D, lat, [1, 2, 3])
         stream = RngStream(23)
-        x0 = np.array([sampler.sample_field(stream, r).values[0] for r in range(10_000)])
+        x0 = _draws(sampler, stream, 10_000)[:, 0]
         z = (x0 - x0.mean()) / x0.std(ddof=1)
         assert normaltest(z).pvalue > 1e-3
 
