@@ -29,6 +29,10 @@ from .field import FieldGrid, Lattice
 
 # mean discarded atom mass per unit control mass at z_min = auto
 Z_MIN_REL_TOL = 1e-3
+# most atoms per unit control mass a config may expect: at z_min = auto the
+# count z_min^-alpha / alpha grows from 4.0e6 at alpha = 0.65 to 8.5e10 (636
+# GiB of clouds) at 0.75, so validate_config rejects a cloud above it
+ATOM_BUDGET = 1e7
 
 
 class AtomicError(ValueError):

@@ -2,10 +2,11 @@
 
 Usage: gmclab <subcommand> --config <path> [--seed N] [--out DIR] [--replicas N]
 
-Exit codes: 0 all checks passed, 1 a statistical check failed, 2 usage or
-configuration error.  Every run writes its tables as CSV, a summary.txt, and
-a manifest.json with sha256 digests of all artifacts, so reruns with the same
-config and seed can be verified byte for byte.
+Exit codes: 0 every check passed, 1 a check failed, 2 usage or configuration
+error.  Every run writes its tables as CSV, a summary.txt with one line per
+check after its status, and a manifest.json with the checks under `checks` and
+sha256 digests of all artifacts, so reruns with the same config and seed can be
+verified byte for byte.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, config_to_dict, load_config, validate_config
 from .field import FIELD_BLOCK, PURPOSES
-from .pipelines import PIPELINES, PipelineResult
+from .pipelines import PIPELINES, Check, PipelineResult
 
 EXIT_PASS = 0
 EXIT_STAT_FAIL = 1
@@ -50,15 +51,20 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _check_line(check: Check) -> str:
+    return (f"check {check.name}: {'PASS' if check.passed else 'FAIL'} "
+            f"(statistic {check.statistic}, threshold {check.threshold})")
+
+
 def _summary_text(result: PipelineResult, cfg: ExperimentConfig) -> str:
     lines = [
         f"gmclab {__version__}  experiment={result.name}  "
         f"seed={cfg.seed}  replicas={cfg.replicas}",
         f"status: {'PASS' if result.passed else 'FAIL'}",
+        *map(_check_line, result.checks),
         "",
+        *(f"{key}: {value}" for key, value in result.summary.items()),
     ]
-    for key, value in result.summary.items():
-        lines.append(f"{key}: {value}")
     return "\n".join(lines) + "\n"
 
 
@@ -84,6 +90,7 @@ def write_outputs(result: PipelineResult, cfg: ExperimentConfig,
         "version": __version__,
         "experiment": result.name,
         "passed": result.passed,
+        "checks": [asdict(c) for c in result.checks],
         "config": config_to_dict(cfg),
         "seed_scheme": {
             "bit_generator": {purpose: bg.__name__ for purpose, (_, bg) in PURPOSES.items()},
@@ -158,6 +165,8 @@ def main(argv=None) -> int:
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] {args.experiment}: outputs in {cfg.out_dir} "
           f"({elapsed:.2f} s); manifest {manifest_path}")
+    for line in map(_check_line, result.checks):
+        print(f"  {line}")
     for key, value in result.summary.items():
         print(f"  {key}: {value}")
     return EXIT_PASS if result.passed else EXIT_STAT_FAIL

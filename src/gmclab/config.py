@@ -23,11 +23,12 @@ Lines starting with '#' are comments; each key may be set once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 
-from .analysis import HILL_MIN_K
-from .atomic import auto_z_min
+from .analysis import HILL_MIN_K, kpz_solve
+from .atomic import ATOM_BUDGET, auto_z_min, expected_atom_count
 from .chaos import xi_moment_range
 from .kernels import KernelError, KernelSpec
 
@@ -183,6 +184,9 @@ def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> lis
         if not z_min > 0:
             diags.append(f"z_min = auto resolves to {z_min:g} at alpha = {alpha:g}: "
                          f"{experiment} needs a positive z_min")
+        elif (count := expected_atom_count(1.0, alpha, z_min)) > ATOM_BUDGET:
+            diags.append(f"z_min = {z_min:g} at alpha = {alpha:g} expects {count:.2g} atoms "
+                         f"per unit mass, above the budget of {ATOM_BUDGET:g}: raise z_min")
     if len(cfg.lambda_grid) and (min(cfg.lambda_grid) <= 0 or max(cfg.lambda_grid) >= 1):
         diags.append("lambda grid values must lie in (0, 1)")
     if experiment == "chaos":
@@ -226,6 +230,12 @@ def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> lis
             )
         if len(cfg.s_grid) < 5:
             diags.append("s.grid needs at least 5 values")
+        elif cfg.dimension == 1 and 0 <= cfg.gamma2 < 2:
+            # the dimension estimate is the s grid's zero crossing, near this root
+            root = kpz_solve(math.log(2) / math.log(3), cfg.gamma2, 1)
+            if not min(cfg.s_grid) < root < max(cfg.s_grid):
+                diags.append(f"s.grid [{min(cfg.s_grid):g}, {max(cfg.s_grid):g}] must bracket "
+                             f"the KPZ root {root:.4g} at gamma2 = {cfg.gamma2:g}")
         # the KPZ root exists for a chaos below its critical gamma2 = 2d only
         if cfg.gamma2 >= 2 * cfg.dimension:
             diags.append(f"{experiment} solves the KPZ relation: gamma2 must be below "

@@ -154,7 +154,7 @@ def test_criterion_03_laplace_duality(dual_ensemble):
     for construction in ("direct", "subord"):
         cmp = analysis.verify_laplace(e[construction], e["m"], e["alpha"],
                                       u_grid, rng=rng)
-        ok &= cmp.all_overlap
+        ok &= cmp.overlap.all()
         gaps.append(float(np.max(np.abs(cmp.lhs - cmp.rhs))))
     report("criterion-03 laplace-duality", ok,
            f"95% CI overlap at all u for both constructions; max gaps {gaps}")
@@ -198,9 +198,7 @@ def test_criterion_06_perfect_scaling():
                            scaling_lambdas=(0.5, 0.25, 0.125), scaling_radius=0.25)
     result = run_scaling(cfg)
     report("criterion-06 perfect-scaling", result.passed,
-           f"moment-ratio CIs cover lam^xi_bar(0.25) at lam in (1/2,1/4,1/8); "
-           f"omega MGF emp={result.summary['omega_mgf_empirical']:.5f} "
-           f"theory={result.summary['omega_mgf_theory']:.5f}")
+           "moment-ratio CIs cover lam^xi_bar(0.25) at lam in (1/2,1/4,1/8)")
 
 
 def test_criterion_07_kpz_relation(cantor_ensemble_g2_half):
@@ -258,7 +256,7 @@ def test_criterion_09_structural_self_tests(tmp_path):
     field_res = run_field(ExperimentConfig(gamma2=0.5, level=4, resolution=64,
                                            replicas=4000, seed=1009))
     ok &= field_res.passed
-    notes.append(f"covariance {field_res.summary['pairs_within_3se']}/20 within 3 SE")
+    notes.append(f"covariance {20 - field_res.checks[0].statistic}/20 within 3 SE")
     # fractional moment identity
     resid = max(fractional_moment_identity_check(x, b)
                 for x in (0.5, 2.0) for b in (0.25, 0.5))

@@ -133,13 +133,13 @@ class TestLaplace:
         b = (G(1 - alpha) / alpha) * m
         mbar = b**2 / (2 * n2)
         cmp = verify_laplace(mbar, m, alpha, [0.25, 1.0, 4.0], rng=rng)
-        assert cmp.all_overlap
+        assert cmp.overlap.all()
 
     def test_mismatch_detected(self):
         rng = np.random.default_rng(4)
         m = rng.lognormal(size=4000)
         cmp = verify_laplace(3.0 * m, m, 0.5, [0.25, 1.0, 4.0], rng=rng)
-        assert not cmp.all_overlap
+        assert not cmp.overlap.all()
 
     @pytest.mark.parametrize("n", [20, 37, 500])
     def test_transform_rows_match_resample_loop(self, n):
@@ -483,6 +483,20 @@ class TestLqSpectrum:
             res = lq_spectrum(measure, q_grid, depths)
             tau, err = loop(measure, q_grid, depths)
             assert np.array_equal(res.tau_hat, tau) and np.array_equal(res.stderr, err)
+
+    @pytest.mark.parametrize("d", [1, 2], ids=["d1", "d2"])
+    def test_tau_at_zero_is_minus_d(self, d):
+        # every dyadic box of a chaos or an exact dual has positive mass, so
+        # q = 0 counts the 2^(jd) boxes at depth j and the fit is -d
+        family, resolution = ("exact1d", 256) if d == 1 else ("exact2d", 32)
+        sampler = LayerSampler(KernelSpec(family=family, T=1.0, d=d), Lattice(d, resolution),
+                               range(1, 6))
+        field = sampler.sample_field(RngStream(6), 0)
+        dual = build_dual_cells(field, 1.0 * d, 0.5, RngStream(6).generator(0, "atoms"))
+        depths = [4, 5, 6, 7, 8] if d == 1 else [2, 3, 4, 5]
+        for measure in (build_chaos(field, 1.0 * d), dual):
+            tau = lq_spectrum(measure, [0.0, 0.5], depths).tau_hat
+            assert abs(tau[0] + d) <= 1e-12, tau[0] + d
 
 
 class TestLqConjecture:

@@ -255,13 +255,25 @@ class TestCliRuns:
          "kpz solves the KPZ relation: gamma2 must be below 2d = 2, got 2.5"),
         ("atoms", "alpha.mode = explicit\nalpha.value = 0.99\n", [],
          "z_min = auto resolves to 0 at alpha = 0.99: atoms needs a positive z_min"),
+        # each asked numpy for 636 GiB of atoms and died in a MemoryError
+        # traceback, exit 1, the code of a failed check
+        ("atoms", "gamma2 = 1.5\nlevel = 8\nresolution = 64\nreplicas = 3\n", [],
+         "z_min = 3.90625e-15 at alpha = 0.75 expects 8.5e+10 atoms per unit mass, "
+         "above the budget of 1e+07: raise z_min"),
+        ("laplace", "gamma2 = 1.5\nresolution = 64\nreplicas = 3\n", [],
+         "z_min = 3.90625e-15 at alpha = 0.75 expects 8.5e+10 atoms per unit mass, "
+         "above the budget of 1e+07: raise z_min"),
+        # drew every field, then found no zero crossing in the s grid
+        ("kpz", "resolution = 243\ncantor.depth = 5\ns.grid = 0.65,0.7,0.75,0.8,0.85\n", [],
+         "s.grid [0.65, 0.85] must bracket the KPZ root 0.5696 at gamma2 = 0.5"),
     ], ids=["kpz-s-grid", "duality-depth", "lq-replicas", "scaling-cells", "kpz-dim2",
             "duality-dim2", "lq-depths", "scaling-kernel", "laplace-u-grid", "spectrum-q-grid",
             "lq-q-grid", "scaling-lambdas", "spectrum-lambdas", "spectrum-lambda-cells",
             "tail-default-k", "tail-small-k", "scaling-radius-2", "scaling-radius-0",
             "field-one-replica", "chaos-one-replica", "spectrum-one-replica",
             "laplace-one-replica", "scaling-one-replica", "chaos-box-no-cell",
-            "kpz-supercritical", "atoms-z-min-underflow"])
+            "kpz-supercritical", "atoms-z-min-underflow", "atoms-atom-budget",
+            "laplace-atom-budget", "kpz-s-grid-bracket"])
     def test_unrunnable_config_is_diagnosed(self, tmp_path, capsys, experiment, text, args,
                                             diag):
         # rejected before any ensemble is built
@@ -309,8 +321,8 @@ class TestCliRuns:
         assert len(rows[5]) > 1 and rows[5] == first
 
     def test_duality_at_explicit_alpha(self, tmp_path):
-        # the algebraic-identity gate solves xi_bar at the config's alpha, not
-        # at the duality value gamma2/2d (it read 0.2 at alpha = 0.3 before)
+        # the dual's dimension is held to the config's alpha times the
+        # chaos's, not to the duality value gamma2/2d
         path = tmp_path / "cfg.txt"
         path.write_text(RERUN_CONFIGS["duality"]
                         + "alpha.mode = explicit\nalpha.value = 0.3\n")
@@ -318,7 +330,6 @@ class TestCliRuns:
         assert main(["duality", "--config", str(path), "--out", str(out)]) == 0
         summary = json.loads((out / "manifest.json").read_text())["summary"]
         assert summary["alpha"] == 0.3
-        assert summary["algebraic_identity_max_err"] <= 1e-12
 
     @pytest.mark.parametrize("experiment", sorted(RERUN_CONFIGS))
     def test_rerun_is_byte_identical(self, experiment, tmp_path):
@@ -338,6 +349,28 @@ class TestCliRuns:
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["artifacts"] == {
                 name: hashlib.sha256(blob).hexdigest() for name, blob in first.items()}
+
+    @pytest.mark.parametrize("experiment", sorted(RERUN_CONFIGS))
+    def test_checks_are_the_verdict(self, experiment, tmp_path):
+        # the run passes exactly when each of its check records does, and
+        # summary.txt lists the records in order after its status line
+        path = tmp_path / "cfg.txt"
+        path.write_text(RERUN_CONFIGS[experiment])
+        code = main([experiment, "--config", str(path), "--out", str(tmp_path / "out")])
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        checks = manifest["checks"]
+        assert manifest["passed"] == all(c["passed"] for c in checks)
+        assert code == (0 if manifest["passed"] else 1)
+        names = [c["name"] for c in checks]
+        assert len(set(names)) == len(names)
+        # lq compares with a conjecture and checks nothing; every other
+        # pipeline checks something
+        assert (experiment == "lq") == (not checks)
+        lines = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        assert lines[1] == f"status: {'PASS' if manifest['passed'] else 'FAIL'}"
+        assert lines[2 + len(checks)] == ""
+        assert [line.partition(" (")[0] for line in lines[2:2 + len(checks)]] == [
+            f"check {c['name']}: {'PASS' if c['passed'] else 'FAIL'}" for c in checks]
 
     def test_seed_override_changes_output(self, config_file, tmp_path):
         out1 = str(tmp_path / "a")

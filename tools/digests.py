@@ -6,9 +6,11 @@ Usage (from the root of a gmclab checkout):
 
 Runs each of the seventeen reference configs below through gmclab.cli.main at
 the given seed (default 7) in a temporary directory and prints one line per
-config with its exit code, then one line per artifact:
+config with its exit code, one line per check that failed (read from the
+manifest's `checks`), then one line per artifact:
 
     <config> exit <code>
+    <config> failed <check>
     <config> <artifact> <sha256>
 
 Every artifact but manifest.json (which carries the wall-clock time) is
@@ -154,8 +156,9 @@ CONFIGS = {
 
 
 def digests(name: str, seed: int, work: Path) -> list[str]:
-    """Run one reference config and list its exit code and artifact digests
-    (the sha256 values cli.write_outputs records in manifest.json)."""
+    """Run one reference config and list its exit code, its failed checks and
+    its artifact digests (the sha256 values cli.write_outputs records in
+    manifest.json)."""
     subcommand, source = CONFIGS[name]
     if isinstance(source, Path):
         cfg = source
@@ -165,8 +168,10 @@ def digests(name: str, seed: int, work: Path) -> list[str]:
     out = work / name
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main([subcommand, "--config", str(cfg), "--seed", str(seed), "--out", str(out)])
-    artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
-    return [f"{name} exit {code}"] + [f"{name} {a} {h}" for a, h in sorted(artifacts.items())]
+    manifest = json.loads((out / "manifest.json").read_text())
+    return ([f"{name} exit {code}"]
+            + [f"{name} failed {c['name']}" for c in manifest["checks"] if not c["passed"]]
+            + [f"{name} {a} {h}" for a, h in sorted(manifest["artifacts"].items())])
 
 
 def run(argv=None) -> int:
