@@ -163,7 +163,7 @@ class LaplaceComparison:
     lhs_ci: np.ndarray    # (n_u, 2)
     rhs: np.ndarray
     rhs_ci: np.ndarray
-    overlap: np.ndarray   # bool per u
+    gap: np.ndarray       # per u: signed gap between the CIs, <= 0 where they overlap
 
 
 def laplace_rhs_transform(m_samples: np.ndarray, alpha: float, u: float) -> np.ndarray:
@@ -195,9 +195,9 @@ def verify_laplace(mbar_samples, m_samples, alpha, u_grid, n_boot: int = 400,
 
     lhs, lhs_ci = side(mbar, lambda sub, u: np.exp(-u * sub))
     rhs, rhs_ci = side(m, lambda sub, u: laplace_rhs_transform(sub, alpha, u))
-    overlap = (lhs_ci[:, 0] <= rhs_ci[:, 1]) & (rhs_ci[:, 0] <= lhs_ci[:, 1])
+    gap = np.maximum(lhs_ci[:, 0] - rhs_ci[:, 1], rhs_ci[:, 0] - lhs_ci[:, 1])
     return LaplaceComparison(u_grid=u_grid, lhs=lhs, lhs_ci=lhs_ci,
-                             rhs=rhs, rhs_ci=rhs_ci, overlap=overlap)
+                             rhs=rhs, rhs_ci=rhs_ci, gap=gap)
 
 
 # ---------------------------------------------------------------------------

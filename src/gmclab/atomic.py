@@ -1,19 +1,23 @@
 """Atomic (dual) chaos: stable atom sampling and the two constructions.
 
-The direct construction weights atoms of an alpha-stable scattered measure by
-a non-normalized lognormal factor exp((gamma/alpha) X - (gamma^2/(2 alpha))
+The direct construction weights the atoms of an alpha-stable scattered measure
+by a non-normalized lognormal factor exp((gamma/alpha) X - (gamma^2/(2 alpha))
 Var X).  The subordinated construction draws a conditionally Poisson atom
 cloud with intensity M(dx) dz / z^(1+alpha) from a realized chaos measure.
 Both realize the same law; the Laplace comparison in the analysis module is
 the cross-check.  The moment constant and the fractional moment identity the
 acceptance criteria compare against are reference code in tests/oracles.py.
 
-On the lattice a cloud is its per-cell counts and its sizes in cell order:
-every check reads a cloud only through the cells its atoms fall in, so both
-clouds draw one Poisson count per cell and then their sizes, and no
-coordinate.  A cloud's per-atom cell index is derived from its counts, for the
-readers that need one; `atom_positions` places atoms uniformly inside their
-cells for the outputs that show coordinates.
+Both clouds are truncated Poisson clouds with intensity control(dx) dz /
+z^(1+alpha), the stable one's control being dx: one draw, `_poisson_cloud`,
+makes both, and one record, `AtomicMeasure`, holds both.  The stable cloud,
+`StableAtoms`, is the measure of its sizes plus the alpha and z_min the direct
+construction reads.  On the lattice a cloud is its per-cell counts and its
+masses in cell order: every check reads a cloud only through the cells its
+atoms fall in, so a cloud draws one Poisson count per cell and then its sizes,
+and no coordinate.  A cloud's per-atom cell index is derived from its counts,
+for the readers that need one; `atom_positions` places atoms uniformly inside
+their cells for the outputs that show coordinates.
 """
 
 from __future__ import annotations
@@ -49,40 +53,9 @@ def _check_counts(counts: np.ndarray, lattice: Lattice, n_atoms: int):
         raise AtomicError(f"counts sum to {int(counts.sum())}, not the {n_atoms} atoms")
 
 
-def _cells(counts: np.ndarray) -> np.ndarray:
-    """Flat cell index of each atom of a cloud with counts[c] atoms in cell c."""
-    return np.repeat(np.arange(counts.size), counts)
-
-
-@dataclass
-class StableAtoms:
-    """Finite truncation of the Poisson cloud with intensity dx dz/z^(1+alpha)
-    over the lattice's cells: counts[c] atoms lie in cell c, and sizes lists
-    their sizes in cell order."""
-
-    counts: np.ndarray     # (n_sites,) atoms per cell
-    sizes: np.ndarray      # (count,) in cell order, all >= z_min
-    alpha: float
-    z_min: float
-    lattice: Lattice
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise AtomicError("alpha must lie strictly in (0, 1)")
-        if not (self.z_min > 0):
-            raise AtomicError("z_min must be positive")
-        if self.sizes.size and float(self.sizes.min()) < self.z_min * (1 - 1e-12):
-            raise AtomicError("atom sizes below the truncation level")
-        _check_counts(self.counts, self.lattice, self.sizes.size)
-
-    @property
-    def count(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def cells(self) -> np.ndarray:
-        """(count,) flat cell index of each atom, nondecreasing."""
-        return _cells(self.counts)
+def _check_alpha(alpha: float):
+    if not (0.0 < alpha < 1.0):
+        raise AtomicError("alpha must lie strictly in (0, 1)")
 
 
 @dataclass
@@ -106,7 +79,7 @@ class AtomicMeasure:
     @property
     def cells(self) -> np.ndarray:
         """(count,) flat cell index of each atom, nondecreasing."""
-        return _cells(self.counts)
+        return np.repeat(np.arange(self.counts.size), self.counts)
 
     def total_mass(self) -> float:
         return float(self.masses.sum())
@@ -121,14 +94,32 @@ class AtomicMeasure:
         return measure_box(self.cell_masses(), lo, hi)
 
 
+@dataclass
+class StableAtoms(AtomicMeasure):
+    """Finite truncation of the Poisson cloud with intensity dx dz/z^(1+alpha)
+    over the lattice's cells, as the atomic measure of its atom sizes: masses
+    lists the sizes, all >= z_min, in cell order."""
+
+    alpha: float
+    z_min: float
+
+    def __post_init__(self):
+        # not AtomicMeasure's positivity scan: sizes >= z_min > 0 implies it
+        _check_alpha(self.alpha)
+        if not (self.z_min > 0):
+            raise AtomicError("z_min must be positive")
+        if self.masses.size and float(self.masses.min()) < self.z_min * (1 - 1e-12):
+            raise AtomicError("atom sizes below the truncation level")
+        _check_counts(self.counts, self.lattice, self.masses.size)
+
+
 def xi_bar(gamma2: float, alpha: float, d: int, q) -> float | np.ndarray:
     """Dual spectrum (d/alpha + g2/(2 alpha)) q - (g2/(2 alpha^2)) q^2.
 
     Equals xi(q/alpha); in duality mode (alpha = g2/2d) it is
     (d + gbar^2/2) q - (gbar^2/2) q^2 with gbar = gamma/alpha.
     """
-    if not (0.0 < alpha < 1.0):
-        raise AtomicError("alpha must lie strictly in (0, 1)")
+    _check_alpha(alpha)
     q = np.asarray(q, dtype=float)
     out = (d / alpha + gamma2 / (2 * alpha)) * q - (gamma2 / (2 * alpha**2)) * q * q
     return float(out) if out.ndim == 0 else out
@@ -158,6 +149,18 @@ def _pareto(rng: np.random.Generator, alpha: float, z_min: float, size: int) -> 
     return u
 
 
+def _poisson_cloud(lattice: Lattice, control, alpha: float, z_min: float,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, sizes) of the Poisson cloud control(dx) dz / z^(1+alpha), z >= z_min,
+    on the lattice's cells.  control is the cells' control masses, or one scalar
+    for equal cells: numpy draws a scalar rate faster than an array of it."""
+    _check_alpha(alpha)
+    if not (z_min > 0):
+        raise AtomicError("z_min must be positive")
+    counts = rng.poisson(expected_atom_count(control, alpha, z_min), lattice.n_sites)
+    return counts, _pareto(rng, alpha, z_min, counts.sum())
+
+
 def sample_stable_atoms(region: Lattice, alpha: float, z_min: float,
                         rng: np.random.Generator) -> StableAtoms:
     """Draw the truncated Poisson cloud cell by cell on the lattice region:
@@ -165,14 +168,8 @@ def sample_stable_atoms(region: Lattice, alpha: float, z_min: float,
 
     By Poisson thinning this is the law of one Poisson(z_min^-alpha / alpha)
     count of atoms placed uniformly on the unit box, seen through the cells."""
-    if not (0.0 < alpha < 1.0):
-        raise AtomicError("alpha must lie strictly in (0, 1)")
-    if not (z_min > 0):
-        raise AtomicError("z_min must be positive")
-    per_cell = expected_atom_count(region.volume / region.n_sites, alpha, z_min)
-    counts = rng.poisson(per_cell, region.n_sites)
-    return StableAtoms(counts=counts, sizes=_pareto(rng, alpha, z_min, counts.sum()),
-                       alpha=alpha, z_min=z_min, lattice=region)
+    counts, sizes = _poisson_cloud(region, region.volume / region.n_sites, alpha, z_min, rng)
+    return StableAtoms(lattice=region, counts=counts, masses=sizes, alpha=alpha, z_min=z_min)
 
 
 def atom_positions(lattice: Lattice, cells: np.ndarray,
@@ -189,22 +186,21 @@ def _dual_weights(values: np.ndarray, variance0, gamma2: float, alpha: float) ->
     return np.exp((gamma / alpha) * values - (gamma2 / (2 * alpha)) * variance0)
 
 
-def build_atomic_direct(field: FieldGrid, gamma2: float, alpha: float,
-                        atoms: StableAtoms, row: int | None = None) -> AtomicMeasure:
-    """Direct construction: atom mass z * exp((g/a) X(cell) - (g^2/2a) Var X).
+def build_atomic_direct(field: FieldGrid, gamma2: float, atoms: StableAtoms,
+                        row: int | None = None) -> AtomicMeasure:
+    """Direct construction: atom mass z * exp((g/a) X(cell) - (g^2/2a) Var X), a = atoms.alpha.
 
     field is the atoms' replica, or a block of replicas whose row `row` is.
     The field and the atom cloud must come from independent RNG substreams.
     """
-    if abs(alpha - atoms.alpha) > 1e-12:
-        raise AtomicError("alpha mismatch between atoms and construction")
     if atoms.lattice != field.lattice:
         raise AtomicError("atoms and field live on different lattices")
     values = field.values if row is None else field.values[row]
     # each cell's weight repeated once per atom: the doubles a gather by
     # atoms.cells would give, with no per-atom index
-    masses = np.repeat(_dual_weights(values, field.variance0, gamma2, alpha), atoms.counts)
-    masses *= atoms.sizes
+    masses = np.repeat(_dual_weights(values, field.variance0, gamma2, atoms.alpha),
+                       atoms.counts)
+    masses *= atoms.masses
     # shares the cloud's counts array; no caller writes to either
     return AtomicMeasure(lattice=field.lattice, counts=atoms.counts, masses=masses)
 
@@ -220,8 +216,7 @@ def sample_positive_stable(alpha: float, size: int, rng: np.random.Generator) ->
     clipped to the positive finite doubles, which only the edge draw E = 0
     and the extreme tails reach.
     """
-    if not (0.0 < alpha < 1.0):
-        raise AtomicError("alpha must lie strictly in (0, 1)")
+    _check_alpha(alpha)
     u = np.pi * (1.0 - rng.random(size))
     e = np.maximum(rng.standard_exponential(size), np.finfo(float).tiny)
     sin_au = np.sin(alpha * u)
@@ -256,10 +251,7 @@ def build_subordinated(m: LatticeMeasure, alpha: float, z_min: float,
                        rng: np.random.Generator) -> AtomicMeasure:
     """Subordinated construction: cell-wise conditional Poisson sampling with
     intensity M(cell) z_min^-alpha / alpha and Pareto sizes."""
-    if not (0.0 < alpha < 1.0):
-        raise AtomicError("alpha must lie strictly in (0, 1)")
     if not np.all(np.isfinite(m.masses)):
         raise AtomicError("non-finite cell masses")
-    counts = rng.poisson(m.masses * z_min ** (-alpha) / alpha)
-    return AtomicMeasure(lattice=m.lattice, counts=counts,
-                         masses=_pareto(rng, alpha, z_min, counts.sum()))
+    counts, masses = _poisson_cloud(m.lattice, m.masses, alpha, z_min, rng)
+    return AtomicMeasure(lattice=m.lattice, counts=counts, masses=masses)

@@ -187,6 +187,11 @@ def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> lis
         elif (count := expected_atom_count(1.0, alpha, z_min)) > ATOM_BUDGET:
             diags.append(f"z_min = {z_min:g} at alpha = {alpha:g} expects {count:.2g} atoms "
                          f"per unit mass, above the budget of {ATOM_BUDGET:g}: raise z_min")
+        elif experiment == "atoms" and cfg.replicas * count > ATOM_BUDGET:
+            # atoms writes every atom of every replica to atoms.csv
+            diags.append(f"atoms writes every atom: {cfg.replicas} replicas of {count:.2g} "
+                         f"expected atoms make {cfg.replicas * count:.2g}, above the budget of "
+                         f"{ATOM_BUDGET:g}: raise z_min or lower replicas")
     if len(cfg.lambda_grid) and (min(cfg.lambda_grid) <= 0 or max(cfg.lambda_grid) >= 1):
         diags.append("lambda grid values must lie in (0, 1)")
     if experiment == "chaos":
@@ -269,4 +274,9 @@ def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> lis
     for lam in cfg.scaling_lambdas:
         if not (0 < lam < 1):
             diags.append(f"scaling lambda {lam} outside (0,1)")
+    # each value of these grids names its own checks
+    for key, grid in (("q.grid", cfg.q_grid), ("u.grid", cfg.u_grid),
+                      ("scaling.lambdas", cfg.scaling_lambdas)):
+        for v in sorted({v for v in grid if grid.count(v) > 1}):
+            diags.append(f"{key} repeats the value {v:g}")
     return diags

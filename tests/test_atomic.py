@@ -64,7 +64,7 @@ class TestStableAtoms:
         rng = np.random.default_rng(4)
         atoms = sample_stable_atoms(LAT64, 0.5, 1e-4, rng)
         assert atoms.count > 0
-        assert atoms.sizes.min() >= 1e-4
+        assert atoms.masses.min() >= 1e-4
         assert atoms.cells.min() >= 0 and atoms.cells.max() < LAT64.n_sites
         assert np.all(np.diff(atoms.cells) >= 0)
 
@@ -82,7 +82,7 @@ class TestStableAtoms:
         counts = rng.poisson(expected_atom_count(1.0 / lat.n_sites, alpha, 1e-3), lat.n_sites)
         np.testing.assert_array_equal(atoms.counts, counts)
         np.testing.assert_array_equal(atoms.cells, np.repeat(np.arange(lat.n_sites), counts))
-        np.testing.assert_array_equal(atoms.sizes, 1e-3 / rng.random(counts.sum()) ** (1.0 / alpha))
+        np.testing.assert_array_equal(atoms.masses, 1e-3 / rng.random(counts.sum()) ** (1.0 / alpha))
         pos = atom_positions(lat, atoms.cells, RngStream(3).generator(0, "positions"))
         v = RngStream(3).generator(0, "positions").random((atoms.count, lat.d))
         index = np.stack(np.unravel_index(atoms.cells, (lat.resolution,) * lat.d), axis=1)
@@ -105,7 +105,7 @@ class TestStableAtoms:
         rng = np.random.default_rng(11)
         atoms = sample_stable_atoms(LAT64, 0.5, 1e-6, rng)
         # P(z > t) = (t/z_min)^(-alpha): check the median (~2000 atoms)
-        med = np.median(atoms.sizes)
+        med = np.median(atoms.masses)
         assert med == pytest.approx(1e-6 * 2 ** (1 / 0.5), rel=0.2)
 
     def test_poisson_mean_count(self):
@@ -174,7 +174,7 @@ class TestPositiveStable:
             cells[r] = measure_box(mbar, [0.0], [0.25])
             cloud = sample_stable_atoms(g.lattice, alpha, z_min,
                                         atom_stream.generator(r, "atoms"))
-            atoms[r] = build_atomic_direct(g, gamma2, alpha, cloud).box_mass([0.0], [0.25])
+            atoms[r] = build_atomic_direct(g, gamma2, cloud).box_mass([0.0], [0.25])
             w = np.exp((gamma / alpha) * g.values - (gamma2 / (2 * alpha)) * g.variance0)
             missed[r] = truncation_bound(w[:16].sum() / 64, alpha, z_min)
         for u in (0.5, 2.0, 8.0):
@@ -187,35 +187,31 @@ class TestConstructions:
     def test_direct_masses_positive(self):
         f = make_field()
         atoms = sample_stable_atoms(LAT64, 0.5, 1e-5, np.random.default_rng(1))
-        mbar = build_atomic_direct(f, 1.0, 0.5, atoms)
+        mbar = build_atomic_direct(f, 1.0, atoms)
         assert mbar.count == atoms.count
         assert np.all(mbar.masses > 0)
-
-    def test_direct_alpha_mismatch(self):
-        f = make_field()
-        atoms = sample_stable_atoms(LAT64, 0.5, 1e-4, np.random.default_rng(1))
-        with pytest.raises(AtomicError):
-            build_atomic_direct(f, 1.0, 0.3, atoms)
 
     def test_direct_lattice_mismatch(self):
         # cells of a 32-cell cloud would index the wrong sites of a 64-cell field
         atoms = sample_stable_atoms(Lattice(1, 32), 0.5, 1e-4, np.random.default_rng(1))
         with pytest.raises(AtomicError):
-            build_atomic_direct(make_field(), 1.0, 0.5, atoms)
+            build_atomic_direct(make_field(), 1.0, atoms)
 
-    @pytest.mark.parametrize("spec, lat", [
-        (EXACT1D, Lattice(1, 64)),
-        (KernelSpec(family="exact2d", T=1.0, d=2), Lattice(2, 16)),
-        (KernelSpec(family="gff-square", T=1.0, d=2), Lattice(2, 8)),
-    ], ids=["exact1d", "exact2d", "gff-square"])
-    def test_direct_masses_match_cell_gather(self, spec, lat):
+    @pytest.mark.parametrize("spec, lat, alpha", [
+        (EXACT1D, Lattice(1, 64), 0.5),
+        (KernelSpec(family="exact2d", T=1.0, d=2), Lattice(2, 16), 0.5),
+        (KernelSpec(family="gff-square", T=1.0, d=2), Lattice(2, 8), 0.5),
+        (EXACT1D, Lattice(1, 64), 0.25),
+    ], ids=["exact1d", "exact2d", "gff-square", "exact1d-alpha-0.25"])
+    def test_direct_masses_match_cell_gather(self, spec, lat, alpha):
         # each cell's weight repeated by its count gives the doubles of a
-        # gather by the atoms' cells, so every mass is bit-equal to it
+        # gather by the atoms' cells, so every mass is bit-equal to it; the
+        # weights take the cloud's own alpha
         stream = RngStream(6)
         f = LayerSampler(spec, lat, range(1, 4)).sample_field(stream, 0)
-        atoms = sample_stable_atoms(lat, 0.5, 1e-4, stream.generator(0, "atoms"))
-        mbar = build_atomic_direct(f, 2.0, 0.5, atoms)
-        ref = _dual_weights(f.values, f.variance0, 2.0, 0.5)[atoms.cells] * atoms.sizes
+        atoms = sample_stable_atoms(lat, alpha, 1e-4, stream.generator(0, "atoms"))
+        mbar = build_atomic_direct(f, 2.0, atoms)
+        ref = _dual_weights(f.values, f.variance0, 2.0, atoms.alpha)[atoms.cells] * atoms.masses
         assert atoms.count > 0
         assert np.array_equal(mbar.counts, atoms.counts)
         assert np.array_equal(mbar.masses, ref)
@@ -226,7 +222,7 @@ class TestConstructions:
         f = make_field()
         m = build_chaos(f, 1.0)
         direct = build_atomic_direct(
-            f, 1.0, 0.5, sample_stable_atoms(LAT64, 0.5, 1e-4, np.random.default_rng(1)))
+            f, 1.0, sample_stable_atoms(LAT64, 0.5, 1e-4, np.random.default_rng(1)))
         subordinated = build_subordinated(m, 0.5, 1e-4, np.random.default_rng(3))
         rng = np.random.default_rng(3)
         counts = rng.poisson(m.masses * 1e-4 ** -0.5 / 0.5)
@@ -248,9 +244,18 @@ class TestConstructions:
         sizes = np.full(2, 1e-3)
         with pytest.raises(AtomicError, match=message):
             if cloud == "stable":
-                StableAtoms(counts=counts, sizes=sizes, alpha=0.5, z_min=1e-4, lattice=LAT64)
+                StableAtoms(lattice=LAT64, counts=counts, masses=sizes, alpha=0.5, z_min=1e-4)
             else:
                 AtomicMeasure(lattice=LAT64, counts=counts, masses=sizes)
+
+    def test_stable_cloud_is_the_measure_of_its_sizes(self):
+        # the stable cloud is an AtomicMeasure whose masses are its sizes
+        atoms = sample_stable_atoms(LAT64, 0.5, 1e-5, np.random.default_rng(4))
+        assert isinstance(atoms, AtomicMeasure) and atoms.count > 0
+        sizes, cells = atoms.masses, np.repeat(np.arange(LAT64.n_sites), atoms.counts)
+        assert atoms.total_mass() == float(sizes.sum())
+        assert np.array_equal(atoms.cell_masses().masses,
+                              np.bincount(cells, weights=sizes, minlength=LAT64.n_sites))
 
     def test_subordinated_positions_in_cells(self):
         m = build_chaos(make_field(), 1.0)
@@ -261,7 +266,7 @@ class TestConstructions:
     def test_box_mass_additive(self):
         f = make_field(seed=9)
         atoms = sample_stable_atoms(LAT64, 0.5, 1e-5, np.random.default_rng(5))
-        mbar = build_atomic_direct(f, 1.0, 0.5, atoms)
+        mbar = build_atomic_direct(f, 1.0, atoms)
         halves = mbar.box_mass([0.0], [0.5]) + mbar.box_mass([0.5], [1.0])
         assert halves == pytest.approx(mbar.total_mass(), rel=1e-12)
 
@@ -276,7 +281,7 @@ class TestConstructions:
             m = build_chaos(f, 1.0)
             atoms = sample_stable_atoms(f.lattice, 0.5, 1e-6,
                                         stream.generator(r, "atoms"))
-            direct[r] = build_atomic_direct(f, 1.0, 0.5, atoms).total_mass()
+            direct[r] = build_atomic_direct(f, 1.0, atoms).total_mass()
             subord[r] = build_subordinated(m, 0.5, 1e-6,
                                            stream.generator(r, "subordinated")).total_mass()
         u = 1.0

@@ -266,6 +266,15 @@ class TestCliRuns:
         # drew every field, then found no zero crossing in the s grid
         ("kpz", "resolution = 243\ncantor.depth = 5\ns.grid = 0.65,0.7,0.75,0.8,0.85\n", [],
          "s.grid [0.65, 0.85] must bracket the KPZ root 0.5696 at gamma2 = 0.5"),
+        # each ran and named two checks alike
+        ("spectrum", "q.grid = 0.5,0.5\n", [], "q.grid repeats the value 0.5"),
+        ("laplace", "gamma2 = 1.0\nu.grid = 1,1\n", [], "u.grid repeats the value 1"),
+        ("scaling", "gamma2 = 1.0\nresolution = 128\nq.grid = 0.1\nscaling.lambdas = 0.5,0.5\n",
+         [], "scaling.lambdas repeats the value 0.5"),
+        # inside the budget per unit mass, but about 1.2e7 rows of atoms.csv
+        ("atoms", "gamma2 = 1.3\nlevel = 8\nresolution = 64\nreplicas = 3\n", [],
+         "atoms writes every atom: 3 replicas of 4e+06 expected atoms make 1.2e+07, above "
+         "the budget of 1e+07: raise z_min or lower replicas"),
     ], ids=["kpz-s-grid", "duality-depth", "lq-replicas", "scaling-cells", "kpz-dim2",
             "duality-dim2", "lq-depths", "scaling-kernel", "laplace-u-grid", "spectrum-q-grid",
             "lq-q-grid", "scaling-lambdas", "spectrum-lambdas", "spectrum-lambda-cells",
@@ -273,7 +282,8 @@ class TestCliRuns:
             "field-one-replica", "chaos-one-replica", "spectrum-one-replica",
             "laplace-one-replica", "scaling-one-replica", "chaos-box-no-cell",
             "kpz-supercritical", "atoms-z-min-underflow", "atoms-atom-budget",
-            "laplace-atom-budget", "kpz-s-grid-bracket"])
+            "laplace-atom-budget", "kpz-s-grid-bracket", "spectrum-q-grid-repeat",
+            "laplace-u-grid-repeat", "scaling-lambdas-repeat", "atoms-replica-budget"])
     def test_unrunnable_config_is_diagnosed(self, tmp_path, capsys, experiment, text, args,
                                             diag):
         # rejected before any ensemble is built
@@ -454,7 +464,7 @@ def test_measures_of_one_replica_share_its_field(text):
     for (atoms, m, direct, subordinated), m_alone in zip(replicas, alone):
         assert direct.count > 0 and subordinated.count > 0
         np.testing.assert_allclose(
-            direct.masses, (m[atoms.cells] / h**d) ** (1 / alpha) * atoms.sizes,
+            direct.masses, (m[atoms.cells] / h**d) ** (1 / alpha) * atoms.masses,
             rtol=1e-12)
         assert np.array_equal(m, m_alone)
     stream = RngStream(cfg.seed)
@@ -497,10 +507,10 @@ def test_block_loop_matches_replica_by_replica(text):
         for r, ((atoms, mu), nu) in enumerate(zip(direct, subordinated), start):
             f = fields[r]
             cloud = sample_stable_atoms(f.lattice, alpha, z_min, stream.generator(r, "atoms"))
-            ref_mu = build_atomic_direct(f, gamma2, alpha, cloud)
+            ref_mu = build_atomic_direct(f, gamma2, cloud)
             ref_nu = build_subordinated(build_chaos(f, gamma2), alpha, z_min,
                                         stream.generator(r, "subordinated"))
-            assert np.array_equal(atoms.sizes, cloud.sizes)
+            assert np.array_equal(atoms.masses, cloud.masses)
             for got, ref in ((mu, ref_mu), (nu, ref_nu)):
                 assert got.count > 0
                 assert np.array_equal(got.counts, ref.counts)
