@@ -23,7 +23,6 @@ their cells for the outputs that show coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
@@ -227,22 +226,24 @@ def sample_positive_stable(alpha: float, size: int, rng: np.random.Generator) ->
 
 
 def build_dual_cells(field: FieldGrid, gamma2: float, alpha: float,
-                     rng: np.random.Generator | Sequence[np.random.Generator]) -> LatticeMeasure:
+                     rng: np.random.Generator) -> LatticeMeasure:
     """Exact cell masses of the direct dual: the untruncated stable atoms of
     cell c sum to (h^d Gamma(1-a)/a)^(1/a) S_c, S_c standard positive stable,
     so cell c carries exp((g/a) X_c - (g^2/2a) Var X_c) (h^d Gamma(1-a)/a)^(1/a) S_c.
 
     One positive-stable draw per cell replaces the atom cloud wherever only
-    cell-aligned masses are read.  rng is one generator for one replica's
-    field, or a sequence of generators, one per replica of a block, each
-    drawing its replica's cells.  The field and rng must be independent.
+    cell-aligned masses are read.  field is one replica or a block of
+    replicas, whose rows draw their cells from rng in order, so a block
+    split into chunks draws the same cells.  The field and rng must be
+    independent.
     """
     lat = field.lattice
     scale = (lat.spacing**lat.d * gamma_fn(1.0 - alpha) / alpha) ** (1.0 / alpha)
     if field.values.ndim == 1:
         stable = sample_positive_stable(alpha, lat.n_sites, rng)
     else:
-        stable = np.stack([sample_positive_stable(alpha, lat.n_sites, g) for g in rng])
+        stable = np.stack([sample_positive_stable(alpha, lat.n_sites, rng)
+                           for _ in field.values])
     weights = _dual_weights(field.values, field.variance0, gamma2, alpha)
     return LatticeMeasure(lattice=lat, masses=weights * scale * stable)
 

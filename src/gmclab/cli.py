@@ -6,7 +6,8 @@ Exit codes: 0 every check passed, 1 a check failed, 2 usage or configuration
 error.  Every run writes its tables as CSV, a summary.txt with one line per
 check after its status, and a manifest.json with the checks under `checks` and
 sha256 digests of all artifacts, so reruns with the same config and seed can be
-verified byte for byte.
+verified byte for byte.  Its `diagnostics` (library versions, realised against
+expected atom counts) are kept out of the compared artifacts and `summary`.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 from dataclasses import asdict, replace
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, config_to_dict, load_config, validate_config
@@ -95,7 +98,8 @@ def write_outputs(result: PipelineResult, cfg: ExperimentConfig,
         "seed_scheme": {
             "bit_generator": {purpose: bg.__name__ for purpose, (_, bg) in PURPOSES.items()},
             "field_block": FIELD_BLOCK,
-            "spawn_key": "(purpose, replica, 0), with replica // field_block for the field",
+            "spawn_key": ("(purpose, replica // field_block, 0) for every purpose: one "
+                          "substream per purpose and block, read in replica order"),
             "field": (f"one substream per block of {FIELD_BLOCK} replicas, "
                       f"(field, replica // {FIELD_BLOCK}, 0), drawn in replica order; "
                       "circulant draw k of a block gives replica 2k its real part "
@@ -104,6 +108,9 @@ def write_outputs(result: PipelineResult, cfg: ExperimentConfig,
         },
         "wall_clock_seconds": elapsed,
         "summary": result.summary,
+        "diagnostics": {"versions": {"python": platform.python_version(),
+                                     "numpy": np.__version__, "scipy": scipy.__version__},
+                        **result.diagnostics},
         "artifacts": {os.path.basename(p): _sha256(p) for p in artifacts},
     }
     manifest_path = os.path.join(out_dir, "manifest.json")

@@ -4,12 +4,13 @@ The field X^n = Y^1 + ... + Y^n is a sum of independent Gaussian layers, so it
 is one Gaussian with the summed covariance k_n = q_1 + ... + q_n.  It is drawn
 in one step, with one path per kernel kind: circulant embedding with FFTs for
 the stationary families, and the folded Dirichlet sine spectrum with one
-type-III DST for gff-square.  Replicas come in blocks of FIELD_BLOCK: block
-b draws its replicas in order from one RNG substream (field, b, 0), derived
-from a single master seed, with one batched transform per chunk of them.  A
-circulant FFT gives two replicas, its real and its imaginary part.  Replica
-r's field depends only on (seed, r), so every draw is reproducible bit for
-bit.  `LayerSampler.field_blocks` hands the replica loop each chunk whole, a
+type-III DST for gff-square.  Replicas come in blocks of FIELD_BLOCK, and
+every RNG substream is keyed by block: block b draws its replicas in order
+from one substream (purpose, b, 0) per purpose, derived from a single master
+seed, the field with one batched transform per chunk of them.  A circulant
+FFT gives two replicas, its real and its imaginary part.  Replica r's field
+depends only on (seed, r), so every draw is reproducible bit for bit.
+`LayerSampler.field_blocks` hands the replica loop each chunk whole, a
 FieldGrid of (replicas, n_sites) values, and draws only the rows a partial
 last block needs; `sample_field` draws a replica's block through its row.
 Both take the rows from one stateless block generator, so the sampler keeps
@@ -48,7 +49,8 @@ CHUNK_BYTES = 32 * 2**20
 # RNG substream purposes: a stable code for the spawn key and a bit generator.
 # The atom clouds draw up to ~2e4 uniforms per replica, which SFC64 makes about
 # three times faster than Philox.  "positions" places the direct cloud's atoms
-# inside their cells, for the outputs that show coordinates.
+# inside their cells, for the outputs that show coordinates.  Each purpose has
+# one substream per block of FIELD_BLOCK replicas, read in replica order.
 PURPOSES = {
     "field": (0, np.random.Philox),
     "atoms": (1, np.random.SFC64),
@@ -67,19 +69,25 @@ class EmbeddingError(FieldError):
 
 @dataclass(frozen=True)
 class RngStream:
-    """Deterministic substream factory keyed by (purpose, replica), with field
-    replicas keyed by their block, replica // FIELD_BLOCK."""
+    """Deterministic substream factory: one substream (purpose, block, 0) per
+    purpose and block of FIELD_BLOCK replicas, block = replica // FIELD_BLOCK."""
 
     master_seed: int
 
-    def generator(self, replica: int, purpose: str) -> np.random.Generator:
-        """A fresh generator of the substream that holds replica's draws for
-        purpose; the field replicas of one block share it."""
+    def generator(self, purpose: str, replica: int) -> np.random.Generator:
+        """A fresh generator of purpose's substream for the block that starts
+        at replica, a multiple of FIELD_BLOCK.  The block's replicas draw from
+        it in order, so one generator serves the whole block.  The block is
+        named by its first replica: perfbench's tracer reads this parameter by
+        name as the span's replica."""
         # manifest.json records this key and bit generator as the seed
         # scheme; any other key or generator changes every draw
         code, bit_generator = PURPOSES[purpose]
-        key = replica // FIELD_BLOCK if purpose == "field" else replica
-        ss = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(code, key, 0))
+        # a per-replica call would hand every replica of a block the same draws
+        if replica % FIELD_BLOCK:
+            raise ValueError(f"replica {replica} does not start a block of {FIELD_BLOCK}")
+        ss = np.random.SeedSequence(entropy=self.master_seed,
+                                    spawn_key=(code, replica // FIELD_BLOCK, 0))
         return np.random.Generator(bit_generator(ss))
 
 
@@ -259,7 +267,7 @@ class LayerSampler:
         that starts at replica base: its rows drawn in order from its
         substream, one transform per chunk of at most CHUNK_BYTES, and fields
         the chunk's replicas start, start + 1, ... as (rows, n_sites) values."""
-        rng = stream.generator(base, "field")
+        rng = stream.generator("field", base)
         rows = -(-stop // self._per_row)
         step = max(1, CHUNK_BYTES // self._row_bytes)
         for row in range(0, rows, step):

@@ -3,16 +3,20 @@
 Each pipeline builds the ensembles it needs, runs the matching statistical
 checks, and returns tables, a summary and one `Check` per gate.  Every ensemble comes from
 one replica loop, `_measures(cfg, kinds, stream)`, which steps one field
-chunk at a time: replica r's field X^n comes from its block's substream
-(field, r // 64, 0), and on each chunk of fields the loop builds every
-measure the pipeline compares, the chaos M_n ("chaos") and its duals; only
-`scaling`'s lambda ensembles, at other levels, draw on seed + j.  The dual's
-exact cell masses take one positive-stable draw per cell on (atoms, r, 0)
-("dual"); the atom-level dual weights a stable atom cloud drawn on
-(atoms, r, 0) ("direct") or subordinates M_n on (subordinated, r, 0)
-("subordinated").  A cloud is its per-cell counts and its sizes in cell
-order: both clouds draw one Poisson count per cell, then their sizes; only
-`atoms` places atoms inside their cells, on (positions, r, 0).
+chunk at a time: every draw of replica r comes from its block's substream
+(purpose, b, 0), b = r // 64, one generator per purpose and block that the
+block's replicas read in order, and on each chunk of fields the loop builds
+every measure the pipeline compares, the chaos M_n ("chaos") and its duals;
+only `scaling`'s lambda ensembles, at other levels, draw on seed + j.  The
+field comes from (field, b, 0).  The dual's exact cell masses take one
+positive-stable draw per cell on (atoms, b, 0) ("dual"); the atom-level dual
+weights a stable atom cloud drawn on (atoms, b, 0) ("direct") or
+subordinates M_n on (subordinated, b, 0) ("subordinated").  A cloud is its
+per-cell counts and its sizes in cell order: both clouds draw one Poisson
+count per cell, then their sizes; only `atoms` places atoms inside their
+cells, on (positions, b, 0).  Replica r's draws follow those of the replicas
+before it in its block, so they depend only on (seed, r), not on the
+replica count or the chunk size.
 The chaos and the dual's cells are (replicas, n_sites) blocks, one exp per
 chunk; the clouds are drawn one replica at a time, each dropped before the
 next.  Two reducers turn the blocks into box masses or Cantor covering sums
@@ -39,7 +43,7 @@ from .atomic import (
 )
 from .chaos import LatticeMeasure, build_chaos, measure_box, xi
 from .config import ExperimentConfig
-from .field import Lattice, LayerSampler, RngStream
+from .field import FIELD_BLOCK, Lattice, LayerSampler, RngStream
 from .kernels import KernelSpec
 
 
@@ -65,6 +69,8 @@ class PipelineResult:
     # name -> {column: 1-D array or list}, in header order; cli.write_csv spells the cells
     tables: dict = dc_field(default_factory=dict)
     extra_files: dict = dc_field(default_factory=dict)  # name -> bytes
+    # manifest.json's diagnostics: observations that no check or artifact reads
+    diagnostics: dict = dc_field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -88,6 +94,10 @@ def _sampler(cfg: ExperimentConfig, level: int | None = None) -> LayerSampler:
     return LayerSampler(kernel_spec(cfg), lattice_for(cfg), range(1, (level or cfg.level) + 1))
 
 
+# the RNG purpose each dual kind draws on
+_PURPOSE = {"dual": "atoms", "direct": "atoms", "subordinated": "subordinated"}
+
+
 def _measures(cfg: ExperimentConfig, kinds: tuple, stream: RngStream,
               level: int | None = None):
     """Yield (start, field, measures) per field chunk: field holds replicas
@@ -101,8 +111,13 @@ def _measures(cfg: ExperimentConfig, kinds: tuple, stream: RngStream,
     each cloud only when it is read, so one replica's clouds are dropped
     before the next one's are drawn: "direct" gives (atoms, measure) pairs,
     atoms the cloud, "subordinated" the measure.  Only the atom-level kinds
-    are truncated at z_min.  "dual" and "direct" both read (atoms, r, 0), so
-    no pipeline asks for both.
+    are truncated at z_min.
+
+    Each dual kind draws on its purpose's block substream, opened at the
+    block's first chunk and read in replica order across its chunks, so a
+    chunk's clouds must be read through before the next chunk is asked for.
+    "dual" and "direct" both read (atoms, block, 0), so no pipeline asks for
+    both.
     """
     sampler = _sampler(cfg, level)
     # decided per call: a chaos-only loop never resolves alpha or z_min
@@ -110,32 +125,36 @@ def _measures(cfg: ExperimentConfig, kinds: tuple, stream: RngStream,
     if set(kinds) - {"chaos"}:
         alpha, z_min = cfg.alpha(), cfg.resolved_z_min()
     for start, field in sampler.field_blocks(stream, cfg.replicas):
-        rows = range(start, start + len(field.values))
+        if start % FIELD_BLOCK == 0:
+            rngs = {kind: stream.generator(_PURPOSE[kind], start)
+                    for kind in kinds if kind in _PURPOSE}
         # one chaos serves both the "chaos" kind and the subordinated clouds
         m = build_chaos(field, cfg.gamma2) if need_chaos else None
         yield start, field, [
             m if kind == "chaos"
-            else build_dual_cells(field, cfg.gamma2, alpha,
-                                  [stream.generator(r, "atoms") for r in rows])
-            if kind == "dual"
-            else _direct_clouds(field, rows, cfg.gamma2, alpha, z_min, stream)
+            else build_dual_cells(field, cfg.gamma2, alpha, rngs[kind]) if kind == "dual"
+            else _direct_clouds(field, cfg.gamma2, alpha, z_min, rngs[kind])
             if kind == "direct"
-            else _subordinated_clouds(m, rows, alpha, z_min, stream)
+            else _subordinated_clouds(m, alpha, z_min, rngs[kind])
             for kind in kinds]
 
 
-def _direct_clouds(field, rows, gamma2, alpha, z_min, stream):
-    """(atoms, measure) of each replica r in rows, on row r - rows.start of field."""
-    for i, r in enumerate(rows):
-        atoms = sample_stable_atoms(field.lattice, alpha, z_min, stream.generator(r, "atoms"))
+def _direct_clouds(field, gamma2, alpha, z_min, rng):
+    """(atoms, measure) of each replica of field in order, its cloud drawn from rng."""
+    for i in range(len(field.values)):
+        atoms = sample_stable_atoms(field.lattice, alpha, z_min, rng)
         yield atoms, build_atomic_direct(field, gamma2, atoms, i)
 
 
-def _subordinated_clouds(m, rows, alpha, z_min, stream):
-    """The subordinated measure of each replica r in rows, on its row of m."""
-    for masses, r in zip(m.masses, rows):
-        yield build_subordinated(LatticeMeasure(m.lattice, masses), alpha, z_min,
-                                 stream.generator(r, "subordinated"))
+def _subordinated_clouds(m, alpha, z_min, rng):
+    """The subordinated measure of each row of m in order, drawn from rng."""
+    for masses in m.masses:
+        yield build_subordinated(LatticeMeasure(m.lattice, masses), alpha, z_min, rng)
+
+
+def _atom_counts(realized_mean, expected) -> dict:
+    """A cloud's mean realised atom count per replica beside its expected count."""
+    return {"realized_mean": float(realized_mean), "expected": float(expected)}
 
 
 def _box_masses(cfg: ExperimentConfig, kind: str, stream: RngStream, sides,
@@ -244,6 +263,8 @@ def run_atoms(cfg: ExperimentConfig) -> PipelineResult:
     top_atoms = None
     stream = RngStream(cfg.seed)
     for start, field, (direct,) in _measures(cfg, ("direct",), stream):
+        if start % FIELD_BLOCK == 0:
+            positions_rng = stream.generator("positions", start)
         for i, (atoms, mbar) in enumerate(direct):
             r = start + i
             cells = mbar.cells
@@ -252,14 +273,16 @@ def run_atoms(cfg: ExperimentConfig) -> PipelineResult:
                 if mbar.count >= 3:
                     corrs.append(float(spearmanr(field.values[i, cells],
                                                  mbar.masses).statistic))
-            positions = atom_positions(lat, cells, stream.generator(r, "positions"))
+            positions = atom_positions(lat, cells, positions_rng)
             chunks.append((np.full(mbar.count, r), *positions.T, atoms.masses, mbar.masses))
             if r == 0 and mbar.count:
                 keep = np.argsort(mbar.masses)[-min(200, mbar.count):]
                 top_atoms = (positions[keep], mbar.masses[keep])
     header = ["replica", *"xy"[:lat.d], "z", "mass"]
+    table = dict(zip(header, map(np.concatenate, zip(*chunks)), strict=True))
     span = float(np.median(spans)) if spans else 0.0
     corr = float(np.median(corrs)) if corrs else 0.0
+    expected = expected_atom_count(1.0, alpha, z_min)
     result = PipelineResult(
         name="atoms",
         # passes when some replica's cloud holds an atom
@@ -269,10 +292,12 @@ def run_atoms(cfg: ExperimentConfig) -> PipelineResult:
             "z_min": z_min,
             "median_log10_mass_span": span,
             "median_field_mass_spearman": corr,
-            "expected_atom_count": expected_atom_count(1.0, alpha, z_min),
+            "expected_atom_count": expected,
             "truncation_bound": truncation_bound(1.0, alpha, z_min),
         },
-        tables={"atoms": dict(zip(header, map(np.concatenate, zip(*chunks)), strict=True))},
+        tables={"atoms": table},
+        diagnostics={"atoms_per_replica": {
+            "direct": _atom_counts(len(table["z"]) / cfg.replicas, expected)}},
     )
     if top_atoms is not None:
         result.extra_files["atoms.svg"] = _svg_scatter(*top_atoms)
@@ -307,9 +332,10 @@ def run_laplace(cfg: ExperimentConfig) -> PipelineResult:
     for _, _, (block, direct, subordinated) in _measures(
             cfg, ("chaos", "direct", "subordinated"), RngStream(cfg.seed)):
         chaos.append(block.masses.sum(axis=1))
-        duals += [(mu.total_mass(), nu.total_mass()) for (_, mu), nu in zip(direct, subordinated)]
+        duals += [(mu.total_mass(), nu.total_mass(), mu.count, nu.count)
+                  for (_, mu), nu in zip(direct, subordinated)]
     m = np.concatenate(chaos)
-    direct, subord = np.array(duals).T
+    direct, subord, n_direct, n_subord = np.array(duals).T
     rng = np.random.default_rng(cfg.seed)
     tables, checks = {}, []
     for tag, samples in (("direct", direct), ("subordinated", subord)):
@@ -328,6 +354,11 @@ def run_laplace(cfg: ExperimentConfig) -> PipelineResult:
         summary={"alpha": alpha, "z_min": z_min,
                  "truncation_bound": truncation_bound(1.0, alpha, z_min)},
         tables=tables,
+        # the subordinated cloud expects z_min^-alpha / alpha atoms per unit chaos mass
+        diagnostics={"atoms_per_replica": {
+            "direct": _atom_counts(n_direct.mean(), expected_atom_count(1.0, alpha, z_min)),
+            "subordinated": _atom_counts(n_subord.mean(),
+                                         expected_atom_count(m.mean(), alpha, z_min))}},
     )
 
 

@@ -5,7 +5,8 @@ the acceptance criteria are checked against: the dense factor of a level
 covariance (eigendecomposition of the Gram matrix on every site pair), the
 Gamma-function constant of the dual moment relation, and the fractional
 moment identity by quadrature.  replica_fields is the replica-by-replica
-view of a sampler's field blocks that the per-replica reference loops read.
+view of a sampler's field blocks that the per-replica reference loops read,
+and replica_generators the matching view of a purpose's block substreams.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from scipy import integrate
 from scipy.special import gamma as gamma_fn, gammaln
 
 from gmclab.atomic import AtomicError
-from gmclab.field import FieldError, FieldGrid, Lattice, LayerSampler, RngStream
+from gmclab.field import FIELD_BLOCK, FieldError, FieldGrid, Lattice, LayerSampler, RngStream
 from gmclab.kernels import KernelSpec, eval_level_increment, level_increment_radial
 
 DENSE_SITE_LIMIT = 4096
@@ -56,6 +57,17 @@ def replica_fields(sampler: LayerSampler, stream: RngStream, replicas: int) -> I
     for _, block in sampler.field_blocks(stream, replicas):
         for values in block.values:
             yield FieldGrid(lattice=block.lattice, values=values, variance0=block.variance0)
+
+
+def replica_generators(stream: RngStream, purpose: str,
+                       replicas: int) -> Iterator[np.random.Generator]:
+    """The generator replicas 0..replicas - 1 draw purpose's values from, in
+    order: each block's one substream, opened at its first replica, so a
+    loop that draws replica r's values at step r reads the block in order."""
+    for r in range(replicas):
+        if r % FIELD_BLOCK == 0:
+            rng = stream.generator(purpose, r)
+        yield rng
 
 
 def moment_relation_constant(beta: float, alpha: float) -> float:

@@ -23,6 +23,7 @@ from oracles import (
     fractional_moment_identity_check,
     moment_relation_constant,
     replica_fields,
+    replica_generators,
 )
 
 EXACT1D = KernelSpec(family="exact1d", T=1.0, d=1)
@@ -79,13 +80,15 @@ def dual_ensemble():
     m_tot = np.empty(R)
     direct = np.empty(R)
     subord = np.empty(R)
-    for r, f in enumerate(replica_fields(sampler, stream, R)):
+    # each block's replicas draw in order from its atoms and subordinated substreams
+    for r, (f, atom_rng, subordinated_rng) in enumerate(zip(
+            replica_fields(sampler, stream, R), replica_generators(stream, "atoms", R),
+            replica_generators(stream, "subordinated", R))):
         m = build_chaos(f, g2)
         m_tot[r] = m.total_mass()
-        atoms = sample_stable_atoms(sampler.lattice, alpha, z_min, stream.generator(r, "atoms"))
+        atoms = sample_stable_atoms(sampler.lattice, alpha, z_min, atom_rng)
         direct[r] = build_atomic_direct(f, g2, atoms).total_mass()
-        subord[r] = build_subordinated(m, alpha, z_min,
-                                       stream.generator(r, "subordinated")).total_mass()
+        subord[r] = build_subordinated(m, alpha, z_min, subordinated_rng).total_mass()
     return {"m": m_tot, "direct": direct, "subord": subord,
             "alpha": alpha, "gamma2": g2, "z_min": z_min}
 
@@ -113,9 +116,10 @@ def cantor_ensemble_dual():
     s_m = np.linspace(0.3, 0.75, 10)
     s_bar = np.linspace(0.1, 0.45, 10)
     sums_m, sums_bar = [], []
-    for r, f in enumerate(replica_fields(sampler, stream, 60)):
+    for f, rng in zip(replica_fields(sampler, stream, 60),
+                      replica_generators(stream, "subordinated", 60)):
         m = build_chaos(f, 1.0)
-        mbar = build_subordinated(m, 0.5, 1e-7, stream.generator(r, "subordinated"))
+        mbar = build_subordinated(m, 0.5, 1e-7, rng)
         sums_m.append(analysis.covering_sums(m, "cantor", levels, s_m).sums)
         sums_bar.append(analysis.covering_sums(mbar, "cantor", levels, s_bar).sums)
     return levels, s_m, np.array(sums_m), s_bar, np.array(sums_bar)
@@ -297,9 +301,9 @@ def test_criterion_10_atomic_figure_stats():
         sampler = LayerSampler(EXACT2D, lat, range(1, 6))
         stream = RngStream(1010)
         corrs = []
-        for r, f in enumerate(replica_fields(sampler, stream, 40)):
-            atoms = sample_stable_atoms(lat, alpha, z_min,
-                                        stream.generator(r, "atoms"))
+        for f, rng in zip(replica_fields(sampler, stream, 40),
+                          replica_generators(stream, "atoms", 40)):
+            atoms = sample_stable_atoms(lat, alpha, z_min, rng)
             mbar = build_atomic_direct(f, g2, atoms)
             if mbar.count < 3:
                 continue

@@ -294,7 +294,7 @@ def _chaos(resolution, seed=11, d=1):
 def _dual(resolution):
     # the duality workload's alpha = 0.5: the cell masses span several
     # decades and every interval carries mass
-    mu = build_dual_cells(_field(resolution), 1.0, 0.5, RngStream(11).generator(0, "atoms"))
+    mu = build_dual_cells(_field(resolution), 1.0, 0.5, RngStream(11).generator("atoms", 0))
     assert np.log10(mu.masses.max() / mu.masses.min()) > 5
     return mu
 
@@ -302,7 +302,7 @@ def _dual(resolution):
 def _wide(resolution, seed=11, d=1):
     """The dual at alpha = 0.04 (gamma2 = 0.08 d)."""
     return build_dual_cells(_field(resolution, seed, d), 0.08 * d, 0.04,
-                            RngStream(seed).generator(0, "atoms"))
+                            RngStream(seed).generator("atoms", 0))
 
 
 def _dual_wide(resolution):
@@ -478,7 +478,7 @@ class TestLqSpectrum:
         field = sampler.sample_field(RngStream(4), 0)
         q_grid = np.array([-1.0, -0.25, 0.0, 0.3, 0.5, 1.0, 2.0])
         depths = [2, 3, 4, 5] if d == 1 else [1, 2, 3]
-        dual = build_dual_cells(field, 1.0, 0.25 * d, RngStream(4).generator(0, "atoms"))
+        dual = build_dual_cells(field, 1.0, 0.25 * d, RngStream(4).generator("atoms", 0))
         for measure in (build_chaos(field, 0.5 * d), dual):
             res = lq_spectrum(measure, q_grid, depths)
             tau, err = loop(measure, q_grid, depths)
@@ -492,7 +492,7 @@ class TestLqSpectrum:
         sampler = LayerSampler(KernelSpec(family=family, T=1.0, d=d), Lattice(d, resolution),
                                range(1, 6))
         field = sampler.sample_field(RngStream(6), 0)
-        dual = build_dual_cells(field, 1.0 * d, 0.5, RngStream(6).generator(0, "atoms"))
+        dual = build_dual_cells(field, 1.0 * d, 0.5, RngStream(6).generator("atoms", 0))
         depths = [4, 5, 6, 7, 8] if d == 1 else [2, 3, 4, 5]
         for measure in (build_chaos(field, 1.0 * d), dual):
             tau = lq_spectrum(measure, [0.0, 0.5], depths).tau_hat

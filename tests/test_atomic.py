@@ -22,7 +22,12 @@ from gmclab.atomic import (
 from gmclab.chaos import build_chaos, measure_box, xi
 from gmclab.field import Lattice, LayerSampler, RngStream
 from gmclab.kernels import KernelSpec
-from oracles import fractional_moment_identity_check, moment_relation_constant, replica_fields
+from oracles import (
+    fractional_moment_identity_check,
+    moment_relation_constant,
+    replica_fields,
+    replica_generators,
+)
 
 EXACT1D = KernelSpec(family="exact1d", T=1.0, d=1)
 LAT64 = Lattice(1, 64)
@@ -77,14 +82,14 @@ class TestStableAtoms:
         # (cell + v) h with v the uniforms of their own generator, one row
         # per atom (box: a 2-D lattice whose spacing 1/27 is no binary fraction;
         # at alpha 0.25 and 0.3 the sizes take numpy's general power loop)
-        atoms = sample_stable_atoms(lat, alpha, 1e-3, RngStream(3).generator(0, "atoms"))
-        rng = RngStream(3).generator(0, "atoms")
+        atoms = sample_stable_atoms(lat, alpha, 1e-3, RngStream(3).generator("atoms", 0))
+        rng = RngStream(3).generator("atoms", 0)
         counts = rng.poisson(expected_atom_count(1.0 / lat.n_sites, alpha, 1e-3), lat.n_sites)
         np.testing.assert_array_equal(atoms.counts, counts)
         np.testing.assert_array_equal(atoms.cells, np.repeat(np.arange(lat.n_sites), counts))
         np.testing.assert_array_equal(atoms.masses, 1e-3 / rng.random(counts.sum()) ** (1.0 / alpha))
-        pos = atom_positions(lat, atoms.cells, RngStream(3).generator(0, "positions"))
-        v = RngStream(3).generator(0, "positions").random((atoms.count, lat.d))
+        pos = atom_positions(lat, atoms.cells, RngStream(3).generator("positions", 0))
+        v = RngStream(3).generator("positions", 0).random((atoms.count, lat.d))
         index = np.stack(np.unravel_index(atoms.cells, (lat.resolution,) * lat.d), axis=1)
         np.testing.assert_array_equal(pos, (index + v) * lat.spacing)
 
@@ -92,10 +97,9 @@ class TestStableAtoms:
         # every cell's count is Poisson(h^d z_min^-alpha / alpha)
         for lat in (Lattice(1, 64), Lattice(2, 16)):
             lam = lat.spacing**lat.d * 1e-4 ** -0.5 / 0.5
-            stream = RngStream(13)
             counts = np.concatenate([
-                sample_stable_atoms(lat, 0.5, 1e-4, stream.generator(r, "atoms")).counts
-                for r in range(200)])
+                sample_stable_atoms(lat, 0.5, 1e-4, rng).counts
+                for rng in replica_generators(RngStream(13), "atoms", 200)])
             n = counts.size
             # SEs of the sample mean and variance of Poisson(lam) counts
             assert abs(counts.mean() - lam) < 4 * np.sqrt(lam / n)
@@ -143,10 +147,10 @@ class TestPositiveStable:
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
     def test_laplace_transform_on_atoms_streams(self, alpha):
-        # as build_dual_cells draws: one cell's worth per replica substream
-        stream = RngStream(19)
-        s = np.concatenate([sample_positive_stable(alpha, 1000, stream.generator(r, "atoms"))
-                            for r in range(100)])
+        # as build_dual_cells draws: one cell's worth per replica, each block's
+        # replicas in order from its substream
+        s = np.concatenate([sample_positive_stable(alpha, 1000, rng)
+                            for rng in replica_generators(RngStream(19), "atoms", 100)])
         for u in (0.5, 2.0, 8.0, 32.0):
             t = np.exp(-u * s)
             se = t.std(ddof=1) / np.sqrt(t.size)
@@ -168,12 +172,13 @@ class TestPositiveStable:
         gamma = np.sqrt(gamma2)
         cell_stream, atom_stream = RngStream(31), RngStream(32)
         cells, atoms, missed = np.empty(R), np.empty(R), np.empty(R)
-        for r, (f, g) in enumerate(zip(replica_fields(sampler, cell_stream, R),
-                                       replica_fields(sampler, atom_stream, R))):
-            mbar = build_dual_cells(f, gamma2, alpha, cell_stream.generator(r, "atoms"))
+        for r, (f, g, cell_rng, atom_rng) in enumerate(zip(
+                replica_fields(sampler, cell_stream, R), replica_fields(sampler, atom_stream, R),
+                replica_generators(cell_stream, "atoms", R),
+                replica_generators(atom_stream, "atoms", R))):
+            mbar = build_dual_cells(f, gamma2, alpha, cell_rng)
             cells[r] = measure_box(mbar, [0.0], [0.25])
-            cloud = sample_stable_atoms(g.lattice, alpha, z_min,
-                                        atom_stream.generator(r, "atoms"))
+            cloud = sample_stable_atoms(g.lattice, alpha, z_min, atom_rng)
             atoms[r] = build_atomic_direct(g, gamma2, cloud).box_mass([0.0], [0.25])
             w = np.exp((gamma / alpha) * g.values - (gamma2 / (2 * alpha)) * g.variance0)
             missed[r] = truncation_bound(w[:16].sum() / 64, alpha, z_min)
@@ -209,7 +214,7 @@ class TestConstructions:
         # weights take the cloud's own alpha
         stream = RngStream(6)
         f = LayerSampler(spec, lat, range(1, 4)).sample_field(stream, 0)
-        atoms = sample_stable_atoms(lat, alpha, 1e-4, stream.generator(0, "atoms"))
+        atoms = sample_stable_atoms(lat, alpha, 1e-4, stream.generator("atoms", 0))
         mbar = build_atomic_direct(f, 2.0, atoms)
         ref = _dual_weights(f.values, f.variance0, 2.0, atoms.alpha)[atoms.cells] * atoms.masses
         assert atoms.count > 0
@@ -277,13 +282,13 @@ class TestConstructions:
         R = 3000
         direct = np.empty(R)
         subord = np.empty(R)
-        for r, f in enumerate(replica_fields(sampler, stream, R)):
+        for r, (f, atom_rng, subordinated_rng) in enumerate(zip(
+                replica_fields(sampler, stream, R), replica_generators(stream, "atoms", R),
+                replica_generators(stream, "subordinated", R))):
             m = build_chaos(f, 1.0)
-            atoms = sample_stable_atoms(f.lattice, 0.5, 1e-6,
-                                        stream.generator(r, "atoms"))
+            atoms = sample_stable_atoms(f.lattice, 0.5, 1e-6, atom_rng)
             direct[r] = build_atomic_direct(f, 1.0, atoms).total_mass()
-            subord[r] = build_subordinated(m, 0.5, 1e-6,
-                                           stream.generator(r, "subordinated")).total_mass()
+            subord[r] = build_subordinated(m, 0.5, 1e-6, subordinated_rng).total_mass()
         u = 1.0
         a = np.exp(-u * direct)
         b = np.exp(-u * subord)

@@ -7,12 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import gmclab
 import gmclab.field as gfield
 from gmclab import pipelines
 from gmclab.analysis import covering_sums
 from gmclab.atomic import (
+    atom_positions,
     build_atomic_direct,
     build_dual_cells,
     build_subordinated,
@@ -28,7 +30,7 @@ from gmclab.config import (
 from gmclab.field import PURPOSES, Lattice, LayerSampler, RngStream
 from gmclab.kernels import eval_partial_kernel
 from gmclab.pipelines import _box_masses, _covering_sums, _measures
-from oracles import replica_fields
+from oracles import replica_fields, replica_generators
 
 BASE_CONFIG = """
 # smoke configuration
@@ -310,14 +312,41 @@ class TestCliRuns:
         main(["chaos", "--config", config_file, "--out", str(tmp_path / "out")])
         scheme = json.loads((tmp_path / "out" / "manifest.json").read_text())["seed_scheme"]
         assert scheme["bit_generator"] == {
-            purpose: type(RngStream(0).generator(0, purpose).bit_generator).__name__
+            purpose: type(RngStream(0).generator(purpose, 0).bit_generator).__name__
             for purpose in PURPOSES}
         assert scheme["purposes"] == list(PURPOSES)
-        # the field draws its replicas in blocks of 64, the atom clouds one each
+        # every purpose draws its replicas in blocks of 64
         assert scheme["field_block"] == 64
-        assert scheme["spawn_key"] == "(purpose, replica, 0), with replica // field_block for the field"
+        assert scheme["spawn_key"] == ("(purpose, replica // field_block, 0) for every purpose: "
+                                       "one substream per purpose and block, read in replica order")
         assert "(field, replica // 64, 0)" in scheme["field"]
         assert "real part" in scheme["field"] and "imaginary part" in scheme["field"]
+
+    @pytest.mark.parametrize("experiment,clouds", [
+        ("chaos", ()), ("atoms", ("direct",)), ("laplace", ("direct", "subordinated"))],
+        ids=["chaos", "atoms", "laplace"])
+    def test_manifest_diagnostics(self, tmp_path, experiment, clouds):
+        # versions for every run, and each cloud's mean realised atom count
+        # beside its expected count, kept out of summary.txt and `summary`
+        path = tmp_path / "cfg.txt"
+        path.write_text(RERUN_CONFIGS[experiment])
+        out = tmp_path / "out"
+        assert main([experiment, "--config", str(path), "--out", str(out)]) in (0, 1)
+        manifest = json.loads((out / "manifest.json").read_text())
+        diagnostics = manifest["diagnostics"]
+        assert diagnostics["versions"] == {"python": sys.version.split()[0],
+                                           "numpy": np.__version__,
+                                           "scipy": scipy.__version__}
+        counts = diagnostics.get("atoms_per_replica", {})
+        assert sorted(counts) == sorted(clouds)
+        for cloud in counts.values():
+            assert cloud["expected"] > 100
+            assert cloud["realized_mean"] == pytest.approx(cloud["expected"], rel=0.05)
+        if experiment == "atoms":
+            assert counts["direct"]["expected"] == manifest["summary"]["expected_atom_count"]
+        text = (out / "summary.txt").read_text()
+        for key in ("diagnostics", "versions", "atoms_per_replica", "realized_mean"):
+            assert key not in manifest["summary"] and key not in text
 
     def test_replica_count_leaves_earlier_replicas(self, config_file, tmp_path):
         # replica r's field depends only on (seed, r): 5 replicas are the first
@@ -409,8 +438,9 @@ class TestCliRuns:
         "seed = 2\n",
     ], ids=["d1", "d2"])
     def test_atoms_coordinates_lie_in_their_cells(self, tmp_path, text):
-        # row i of replica r is atom i of the replica's cloud on (atoms, r, 0);
-        # its coordinates come from (positions, r, 0), so 3 replicas are the
+        # row i of replica r is atom i of the replica's cloud, drawn after the
+        # clouds of replicas 0..r - 1 on (atoms, 0, 0); its coordinates come
+        # from (positions, 0, 0) in the same order, so 3 replicas are the
         # first rows of 5
         path = tmp_path / "cfg.txt"
         path.write_text(text)
@@ -425,9 +455,8 @@ class TestCliRuns:
         cfg = parse_config_text(text)
         lat = Lattice(cfg.dimension, cfg.resolution)
         table = np.array([[float(v) for v in line.split(",")] for line in rows[5][1:]])
-        for r in range(5):
-            cells = sample_stable_atoms(lat, cfg.alpha(), cfg.resolved_z_min(),
-                                        RngStream(2).generator(r, "atoms")).cells
+        for r, rng in enumerate(replica_generators(RngStream(2), "atoms", 5)):
+            cells = sample_stable_atoms(lat, cfg.alpha(), cfg.resolved_z_min(), rng).cells
             coords = table[table[:, 0] == r, 1:1 + lat.d]
             index = np.stack(np.unravel_index(cells, (lat.resolution,) * lat.d), axis=1)
             assert len(coords) == len(cells) > 0
@@ -469,12 +498,13 @@ def test_measures_of_one_replica_share_its_field(text):
         assert np.array_equal(m, m_alone)
     stream = RngStream(cfg.seed)
     sampler = pipelines._sampler(cfg)
+    atom_rngs = replica_generators(stream, "atoms", cfg.replicas)
     for start, _, (m, dual) in _measures(cfg, ("chaos", "dual"), stream):
-        for i, r in enumerate(range(start, start + len(m.masses))):
+        for i, (r, rng) in enumerate(zip(range(start, start + len(m.masses)), atom_rngs)):
             field = sampler.sample_field(stream, r)
             assert np.array_equal(m.masses[i], alone[r])
             assert np.array_equal(m.masses[i], build_chaos(field, cfg.gamma2).masses)
-            expected = build_dual_cells(field, cfg.gamma2, alpha, stream.generator(r, "atoms"))
+            expected = build_dual_cells(field, cfg.gamma2, alpha, rng)
             assert np.array_equal(dual.masses[i], expected.masses)
 
 
@@ -486,30 +516,34 @@ def test_measures_of_one_replica_share_its_field(text):
 def test_block_loop_matches_replica_by_replica(text):
     # 70 replicas: one full field block of 64 and a partial block of 6.  Every
     # row a block yields is the measure built on that replica's own field, and
-    # every cloud the one drawn replica by replica, bit for bit
+    # every cloud the one drawn replica by replica, each block's replicas in
+    # order from its substream, bit for bit
     cfg = parse_config_text(text)
     alpha, z_min, gamma2 = cfg.alpha(), cfg.resolved_z_min(), cfg.gamma2
     stream = RngStream(cfg.seed)
     fields = list(replica_fields(pipelines._sampler(cfg), stream, cfg.replicas))
     rows = []
+    atom_rngs = replica_generators(stream, "atoms", cfg.replicas)
     for start, field, (m, dual) in _measures(cfg, ("chaos", "dual"), stream):
         assert len(field.values) == len(m.masses) == len(dual.masses)
-        for i, r in enumerate(range(start, start + len(field.values))):
+        for i, (r, rng) in enumerate(zip(range(start, start + len(field.values)), atom_rngs)):
             f = fields[r]
             assert np.array_equal(field.values[i], f.values)
             assert np.array_equal(m.masses[i], build_chaos(f, gamma2).masses)
-            expected = build_dual_cells(f, gamma2, alpha, stream.generator(r, "atoms"))
+            expected = build_dual_cells(f, gamma2, alpha, rng)
             assert np.array_equal(dual.masses[i], expected.masses)
             rows.append(field.values[i])
     assert len(rows) == cfg.replicas
     n = 0
+    rngs = zip(replica_generators(stream, "atoms", cfg.replicas),
+               replica_generators(stream, "subordinated", cfg.replicas))
     for start, _, (direct, subordinated) in _measures(cfg, ("direct", "subordinated"), stream):
-        for r, ((atoms, mu), nu) in enumerate(zip(direct, subordinated), start):
+        for r, ((atoms, mu), nu, (atom_rng, subordinated_rng)) in enumerate(
+                zip(direct, subordinated, rngs), start):
             f = fields[r]
-            cloud = sample_stable_atoms(f.lattice, alpha, z_min, stream.generator(r, "atoms"))
+            cloud = sample_stable_atoms(f.lattice, alpha, z_min, atom_rng)
             ref_mu = build_atomic_direct(f, gamma2, cloud)
-            ref_nu = build_subordinated(build_chaos(f, gamma2), alpha, z_min,
-                                        stream.generator(r, "subordinated"))
+            ref_nu = build_subordinated(build_chaos(f, gamma2), alpha, z_min, subordinated_rng)
             assert np.array_equal(atoms.masses, cloud.masses)
             for got, ref in ((mu, ref_mu), (nu, ref_nu)):
                 assert got.count > 0
@@ -521,6 +555,93 @@ def test_block_loop_matches_replica_by_replica(text):
     fresh = pipelines._sampler(cfg)
     for r in (69, 3, 64, 0, 63, 65, 3):
         assert np.array_equal(fresh.sample_field(stream, r).values, rows[r])
+
+
+def test_replicas_of_one_block_draw_their_own_clouds():
+    # replicas 0 and 1 share each purpose's block substream, and replica 1
+    # draws after replica 0: a generator opened afresh for replica 1 would
+    # hand it replica 0's draws, the cloud, cells and positions checked here
+    text = "gamma2 = 1.0\nlevel = 3\nresolution = 32\nz_min = 1e-4\nreplicas = 2\nseed = 5\n"
+    cfg = parse_config_text(text)
+    alpha, z_min, gamma2 = cfg.alpha(), cfg.resolved_z_min(), cfg.gamma2
+    lat = pipelines.lattice_for(cfg)
+
+    def fresh(purpose):
+        return RngStream(cfg.seed).generator(purpose, 0)
+
+    ((_, field, (m, direct, subordinated)),) = _measures(
+        cfg, ("chaos", "direct", "subordinated"), RngStream(cfg.seed))
+    for r, ((atoms, _), nu) in enumerate(zip(direct, subordinated)):
+        first = sample_stable_atoms(lat, alpha, z_min, fresh("atoms"))
+        assert np.array_equal(atoms.masses, first.masses) == (r == 0)
+        first = build_subordinated(LatticeMeasure(lat, m.masses[r]), alpha, z_min,
+                                   fresh("subordinated"))
+        assert np.array_equal(nu.masses, first.masses) == (r == 0)
+    ((_, _, (dual,)),) = _measures(cfg, ("dual",), RngStream(cfg.seed))
+    for r in range(2):
+        row = gfield.FieldGrid(lat, field.values[r], field.variance0)
+        first = build_dual_cells(row, gamma2, alpha, fresh("atoms"))
+        assert np.array_equal(dual.masses[r], first.masses) == (r == 0)
+    table = pipelines.run_atoms(cfg).tables["atoms"]
+    for r in range(2):
+        coords = table["x"][table["replica"] == r, None]
+        cells = np.floor(coords[:, 0] / lat.spacing).astype(int)
+        first = atom_positions(lat, cells, fresh("positions"))
+        assert len(coords) > 0
+        assert np.array_equal(coords, first) == (r == 0)
+
+
+def _replica_draws(cfg):
+    """Per replica: its dual cells, its direct cloud's sizes and masses and
+    its subordinated cloud's counts and masses, all through _measures, and
+    the chunk starts."""
+    starts, draws = [], []
+    for start, _, (dual,) in _measures(cfg, ("dual",), RngStream(cfg.seed)):
+        starts.append(start)
+        draws += [[row] for row in dual.masses]
+    for start, _, (direct, subordinated) in _measures(cfg, ("direct", "subordinated"),
+                                                      RngStream(cfg.seed)):
+        for r, ((atoms, mu), nu) in enumerate(zip(direct, subordinated), start):
+            draws[r] += [atoms.masses, mu.masses, nu.counts, nu.masses]
+    return starts, draws
+
+
+@pytest.mark.parametrize("text", [
+    "gamma2 = 1.0\nlevel = 3\nresolution = 32\nz_min = 1e-4\nreplicas = 70\nseed = 4\n",
+    "kernel.family = gff-square\ndimension = 2\ngamma2 = 2.0\nlevel = 3\nresolution = 8\n"
+    "z_min = 1e-4\nreplicas = 70\nseed = 4\n",
+], ids=["exact1d", "gff-square"])
+def test_chunk_size_leaves_every_draw(text, monkeypatch):
+    # a 64-replica block cut into several chunks reads each purpose's block
+    # substream on across its chunks: every dual cell and cloud is bit-equal
+    # to the one-chunk run's
+    cfg = parse_config_text(text)
+    starts, draws = _replica_draws(cfg)
+    assert starts == [0, 64]
+    monkeypatch.setattr(gfield, "CHUNK_BYTES", 15 * pipelines._sampler(cfg)._row_bytes)
+    chunked_starts, chunked = _replica_draws(cfg)
+    assert len(chunked_starts) > 3 and chunked_starts[-1] == 64
+    assert len(chunked) == len(draws) == cfg.replicas
+    for r, (a, b) in enumerate(zip(draws, chunked)):
+        assert len(a) == len(b) == 5
+        assert all(np.array_equal(x, y) for x, y in zip(a, b)), r
+
+
+def test_atoms_rows_do_not_depend_on_the_replica_count(tmp_path):
+    # replica r's cloud and positions depend only on (seed, r): the rows of
+    # replicas 0..65 are the same at 66 replicas, where the second block
+    # holds two, and at 70, where it holds six
+    path = tmp_path / "cfg.txt"
+    path.write_text("gamma2 = 1.0\nlevel = 3\nresolution = 32\nz_min = 1e-4\nseed = 6\n")
+    rows = {}
+    for n in (66, 70):
+        out = tmp_path / str(n)
+        assert main(["atoms", "--config", str(path), "--out", str(out),
+                     "--replicas", str(n)]) == 0
+        rows[n] = (out / "atoms.csv").read_text().splitlines()
+    kept = {"replica", *map(str, range(66))}
+    assert {line.split(",")[0] for line in rows[66]} == kept
+    assert rows[66] == [line for line in rows[70] if line.split(",")[0] in kept]
 
 
 @pytest.mark.parametrize("text", [

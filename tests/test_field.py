@@ -64,38 +64,50 @@ class TestLattice:
 
 class TestRngStream:
     def test_streams_are_independent_keys(self):
-        # field replicas share one substream per block; atom clouds have one each
+        # every purpose has one substream per block of FIELD_BLOCK replicas
         s = RngStream(42)
-        a = s.generator(0, "field").standard_normal(4)
-        c = s.generator(FIELD_BLOCK, "field").standard_normal(4)
-        assert not np.allclose(a, c)
-        a = s.generator(0, "atoms").standard_normal(4)
-        c = s.generator(1, "atoms").standard_normal(4)
+        for purpose in PURPOSES:
+            a = s.generator(purpose, 0).standard_normal(4)
+            c = s.generator(purpose, FIELD_BLOCK).standard_normal(4)
+            assert not np.allclose(a, c)
+        a = s.generator("atoms", 0).standard_normal(4)
+        c = s.generator("subordinated", 0).standard_normal(4)
         assert not np.allclose(a, c)
 
     def test_reproducible(self):
         s = RngStream(7)
-        a = s.generator(3, "atoms").standard_normal(8)
-        b = RngStream(7).generator(3, "atoms").standard_normal(8)
+        a = s.generator("atoms", FIELD_BLOCK).standard_normal(8)
+        b = RngStream(7).generator("atoms", FIELD_BLOCK).standard_normal(8)
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("purpose,code,bit_generator", [
         ("field", 0, np.random.Philox),
         ("atoms", 1, np.random.SFC64),
         ("subordinated", 2, np.random.SFC64),
+        ("positions", 3, np.random.SFC64),
     ])
     def test_bit_generator_per_purpose(self, purpose, code, bit_generator):
         # the field stays on Philox, the atom clouds draw on SFC64; every
-        # substream is keyed SeedSequence(master, spawn_key=(code, key, 0)),
-        # where key is the replica's block of 64 for the field and the
-        # replica itself for the atoms
+        # substream is keyed SeedSequence(master, spawn_key=(code, block, 0)),
+        # block the replica's block of 64 for every purpose
         assert PURPOSES[purpose] == (code, bit_generator)
-        for replica in (3, 64, 130):
-            key = replica // FIELD_BLOCK if purpose == "field" else replica
-            ss = np.random.SeedSequence(entropy=7, spawn_key=(code, key, 0))
+        for replica in (0, 64, 128):
+            ss = np.random.SeedSequence(entropy=7, spawn_key=(code, replica // FIELD_BLOCK, 0))
             expected = np.random.Generator(bit_generator(ss)).random(8)
-            np.testing.assert_array_equal(RngStream(7).generator(replica, purpose).random(8),
+            np.testing.assert_array_equal(RngStream(7).generator(purpose, replica).random(8),
                                           expected)
+
+    @pytest.mark.parametrize("purpose", list(PURPOSES))
+    def test_per_replica_call_is_rejected(self, purpose):
+        # a generator opened for a replica inside a block would hand every
+        # replica of the block the same draws; the old (replica, purpose)
+        # argument order names no purpose
+        for replica in (1, 3, 63, 65, 130):
+            with pytest.raises(ValueError, match="does not start a block"):
+                RngStream(7).generator(purpose, replica)
+        for replica in (0, 5):
+            with pytest.raises(KeyError):
+                RngStream(7).generator(replica, purpose)
 
 
 class TestCirculant:
@@ -355,8 +367,8 @@ class TestFieldBlocks:
         calls = []
         generator = RngStream.generator
         monkeypatch.setattr(RngStream, "generator",
-                            lambda self, replica, purpose: calls.append((self.master_seed, replica))
-                            or generator(self, replica, purpose))
+                            lambda self, purpose, replica: calls.append((self.master_seed, replica))
+                            or generator(self, purpose, replica))
         blocks = zip(sampler.field_blocks(RngStream(5), self.REPLICAS),
                      sampler.field_blocks(RngStream(6), self.REPLICAS))
         fields = [(fa.values, fb.values) for (_, fa), (_, fb) in blocks]

@@ -95,9 +95,9 @@ TRACED_RUNS = {
                     # bypass the sample_field spans
                     "field.layer_draws": 0,
                     "chaos.build_calls": 1,
-                    # one field block, plus one atoms and one subordinated
-                    # substream per replica
-                    "field.rng_streams": 1 + 2 * 20,
+                    # one block: its field, atoms and subordinated
+                    # substreams, one generator each
+                    "field.rng_streams": 3,
                     "pipelines.replicas": 20,
                 }),
 }
