@@ -1,4 +1,10 @@
-"""gmclab: Gaussian multiplicative chaos, atomic dual chaos, and KPZ duality."""
+"""gmclab: Gaussian multiplicative chaos, atomic dual chaos, and KPZ duality.
+
+Each scipy name is imported in the function that calls it, so importing
+gmclab loads numpy and no scipy module: scipy.special alone would nearly
+triple the time of `import gmclab.cli`, and a run on an exact kernel never
+calls it.
+"""
 
 from .kernels import KernelSpec, eval_partial_kernel, eval_level_increment
 from .field import Lattice, FieldGrid, RngStream, LayerSampler

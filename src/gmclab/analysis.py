@@ -11,7 +11,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .atomic import AtomicMeasure, xi_bar
 from .chaos import LatticeMeasure
@@ -168,6 +167,8 @@ class LaplaceComparison:
 
 def laplace_rhs_transform(m_samples: np.ndarray, alpha: float, u: float) -> np.ndarray:
     """exp(-(Gamma(1-alpha)/alpha) u^alpha M) pointwise over chaos samples."""
+    from scipy.special import gamma as gamma_fn  # imported here: see the package docstring
+
     c = gamma_fn(1.0 - alpha) / alpha
     return np.exp(-c * u**alpha * np.asarray(m_samples, dtype=float))
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .chaos import LatticeMeasure, measure_box
 from .field import FieldGrid, Lattice
@@ -237,6 +236,8 @@ def build_dual_cells(field: FieldGrid, gamma2: float, alpha: float,
     split into chunks draws the same cells.  The field and rng must be
     independent.
     """
+    from scipy.special import gamma as gamma_fn  # imported here: see the package docstring
+
     lat = field.lattice
     scale = (lat.spacing**lat.d * gamma_fn(1.0 - alpha) / alpha) ** (1.0 / alpha)
     if field.values.ndim == 1:

@@ -22,7 +22,6 @@ import time
 from dataclasses import asdict, replace
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, config_to_dict, load_config, validate_config
@@ -73,6 +72,8 @@ def _summary_text(result: PipelineResult, cfg: ExperimentConfig) -> str:
 
 def write_outputs(result: PipelineResult, cfg: ExperimentConfig,
                   out_dir: str, elapsed: float) -> str:
+    import scipy  # for its version alone, imported here: see the package docstring
+
     os.makedirs(out_dir, exist_ok=True)
     artifacts = []
     for name, table in result.tables.items():

@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 from .analysis import HILL_MIN_K, kpz_solve
 from .atomic import ATOM_BUDGET, auto_z_min, expected_atom_count
 from .chaos import xi_moment_range
-from .kernels import KernelError, KernelSpec
+from .kernels import GFF_MODE_BUDGET, KernelError, KernelSpec, gff_mode_count
 
 
 class ConfigError(ValueError):
@@ -155,6 +155,11 @@ def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> lis
         diags.append("gamma2 must be nonnegative")
     if cfg.level < 1:
         diags.append("level must be >= 1")
+    elif (cfg.kernel_family == "gff-square"
+          and (modes := gff_mode_count(cfg.level)) > GFF_MODE_BUDGET):
+        # the sampler's spectral weights cost O(modes^2)
+        diags.append(f"gff-square at level = {cfg.level} sums {modes} sine modes per axis, "
+                     f"above the budget of {GFF_MODE_BUDGET}: lower level")
     if cfg.resolution < 2:
         diags.append("resolution must be >= 2")
     if cfg.replicas < 1:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.fft import dstn
 
 from .kernels import (
     KernelSpec,
@@ -260,6 +259,8 @@ class LayerSampler:
         """Fields of a batch of unit-normal rows z, one per replica in order."""
         if self.spec.stationary:
             return _circulant_fields(self._factor[0], self.lattice.resolution, z)
+        from scipy.fft import dstn  # imported here: see the package docstring
+
         return dstn(self._factor * z, type=3, axes=(1, 2)).reshape(len(z), -1)
 
     def _block(self, stream: RngStream, base: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:

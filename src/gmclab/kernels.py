@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import exp1
 
 FAMILIES = ("exact1d", "exact2d", "star", "gff-square")
 
@@ -26,6 +25,10 @@ _GFF_RATIO = 4.0
 # also the truncation of the folded sine spectrum
 _GFF_EIGEN_TOL = 1e-12
 _GFF_IMAGE_K = 3
+# most sine modes per axis a gff-square config may sum: the spectral weights
+# cost O(modes^2): at N = 16, 1.5 s at level 14's 10 155 modes and 4.9 s at
+# level 15's 18 616.  validate_config rejects a config above it
+GFF_MODE_BUDGET = 15_000
 
 
 class KernelError(ValueError):
@@ -109,6 +112,8 @@ def _kn_exact(r: np.ndarray, n: int, T: float, d: int) -> np.ndarray:
 
 def _star_slice_gaussian(r: np.ndarray, a: float, b: float) -> np.ndarray:
     """int_a^b exp(-(r u)^2)/u du, closed form via the exponential integral."""
+    from scipy.special import exp1  # imported here: see the package docstring
+
     r = np.asarray(r, dtype=float)
     out = np.empty_like(r)
     zero = r == 0
@@ -168,6 +173,8 @@ def _gff_band(x: np.ndarray, y: np.ndarray, a: float, b: float) -> np.ndarray:
     Each image pair contributes a term s*(1/(2 pi t)) exp(-c/(2t)); the time
     integral is (s/2)(E1(c/(2b)) - E1(c/(2a))), with the log form at c=0.
     """
+    from scipy.special import exp1  # imported here: see the package docstring
+
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     k = np.arange(-_GFF_IMAGE_K, _GFF_IMAGE_K + 1)
@@ -221,6 +228,34 @@ def _fold_sine_modes(w: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _gff_lam(j, m):
+    """Dirichlet eigenvalue (j^2 + m^2) pi^2 / 2 of mode (j, m)."""
+    return (j * j + m * m) * np.pi**2 / 2.0
+
+
+def gff_mode_count(level: int) -> int:
+    """Sine modes per axis that gff_spectral_weights sums for levels up to
+    level: the last j >= 2 with e^{-lam(j, 1) a} / lam(j, 1) >= _GFF_EIGEN_TOL
+    at a = _gff_slice_lo(level), else 1.  The term falls with j, so the last
+    one kept is found by doubling and bisection.  The count nearly doubles
+    per level, 10 155 at level 14, and stays near 4.5e5 from level 23 on,
+    where e^{-lam a} is near 1."""
+    _check_level(level)
+    a = _gff_slice_lo(level)
+
+    def kept(j):
+        return np.exp(-_gff_lam(j, 1) * a) / _gff_lam(j, 1) >= _GFF_EIGEN_TOL
+
+    lo, hi = 1, 2
+    while kept(hi):
+        lo, hi = hi, 2 * hi
+    # kept(lo) unless lo == 1, and not kept(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if kept(mid) else (lo, mid)
+    return lo
+
+
 def gff_spectral_weights(levels: Sequence[int], resolution: int) -> np.ndarray:
     """Folded Dirichlet sine spectrum of the gff-square covariance summed over
     the given levels, on the cell centres of a resolution^2 grid.
@@ -229,9 +264,8 @@ def gff_spectral_weights(levels: Sequence[int], resolution: int) -> np.ndarray:
     sum_{j,m} W[j-1, m-1] phi_jm(x) phi_jm(y) at cell centres, phi_jm(x) = sin(j pi x_1) sin(m pi x_2), j, m = 1..N.
     Mode (j', m') carries 4 pi (e^{-lam a} - e^{-lam b}) / lam per level, with
     lam = (j'^2 + m'^2) pi^2 / 2 and the level's time slice [a, b) (b = inf
-    for the head level).  Modes run up to the last j' with
-    e^{-lam(j', 1) a_min} / lam(j', 1) >= _GFF_EIGEN_TOL and are folded in
-    blocks of 2N rows, so memory stays O(N J).
+    for the head level).  Modes run up to j' = gff_mode_count(max(levels))
+    and are folded in blocks of 2N rows, so memory stays O(N J).
     """
     for n in levels:
         _check_level(n)
@@ -243,15 +277,8 @@ def gff_spectral_weights(levels: Sequence[int], resolution: int) -> np.ndarray:
         if n > 1:
             coef[_gff_slice_lo(n - 1)] -= 1
     terms = [(t, c) for t, c in coef.items() if c]
-    a_min = _gff_slice_lo(max(levels))
-
-    def lam(j, m):
-        return (j * j + m * m) * np.pi**2 / 2.0
-
-    n_modes = 1
-    while np.exp(-lam(n_modes + 1, 1) * a_min) / lam(n_modes + 1, 1) >= _GFF_EIGEN_TOL:
-        n_modes += 1
-    lam_axis = lam(np.arange(1, n_modes + 1), 0)
+    n_modes = gff_mode_count(max(levels))
+    lam_axis = _gff_lam(np.arange(1, n_modes + 1), 0)
     # e^{-lam t} factorizes over the two axes
     decay = [(c, np.exp(-lam_axis * t)) for t, c in terms]
     period = 2 * resolution

@@ -81,17 +81,35 @@ def config_file(tmp_path):
     return str(path)
 
 
-def test_cli_import_loads_no_stats_or_integrate():
-    # a fresh interpreter: scipy.stats alone costs about half a second of
-    # every CLI start-up, and only the atoms pipeline imports it, when it runs
+def _fresh_interpreter(code: str) -> str:
+    """stdout of code run in a new interpreter that imports this gmclab."""
     src = str(Path(gmclab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    probe = ("import sys, gmclab.cli; "
-             "print(*[m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
-    run = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, check=True)
-    assert run.stdout.split() == []
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.special alone would nearly triple the import every CLI start-up
+    # pays, and scipy.stats costs more; each is imported where it is called
+    out = _fresh_interpreter(
+        "import sys, gmclab.cli; "
+        "print(*[m for m in sys.modules if m.partition('.')[0] == 'scipy'])")
+    assert out.split() == []
+
+
+def test_exact_chaos_run_loads_no_special_or_fft(tmp_path):
+    # an exact kernel's chaos reads no exp1, gamma or dstn: the run ends
+    # with neither module loaded, which keeps its peak memory down
+    path = tmp_path / "cfg.txt"
+    path.write_text(BASE_CONFIG)
+    out = _fresh_interpreter(
+        "import sys, gmclab.cli; "
+        f"code = gmclab.cli.main(['chaos', '--config', {str(path)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]); "
+        "print('exit', code, *[m for m in ('scipy.special', 'scipy.fft') if m in sys.modules])")
+    assert out.splitlines()[-1] == "exit 0"
 
 
 class TestConfigParsing:
@@ -138,6 +156,13 @@ class TestConfigParsing:
         cfg = parse_config_text("resolution = 1000\ncantor.depth = 6\n"
                                 "s.grid = 0.3,0.4,0.5,0.6,0.7\n")
         assert any("3^cantor" in d for d in validate_config(cfg, "kpz"))
+
+    @pytest.mark.parametrize("level,rejected", [(14, False), (15, True)])
+    def test_gff_mode_budget_boundary(self, level, rejected):
+        # level 14 sums 10 155 sine modes per axis, level 15 sums 18 616
+        cfg = parse_config_text(f"kernel.family = gff-square\ndimension = 2\nlevel = {level}\n"
+                                "resolution = 8\n")
+        assert bool(validate_config(cfg, "field")) == rejected
 
 
 class TestCsv:
@@ -277,6 +302,10 @@ class TestCliRuns:
         ("atoms", "gamma2 = 1.3\nlevel = 8\nresolution = 64\nreplicas = 3\n", [],
          "atoms writes every atom: 3 replicas of 4e+06 expected atoms make 1.2e+07, above "
          "the budget of 1e+07: raise z_min or lower replicas"),
+        # summed 4.5e5 sine modes per axis in a scalar loop and never finished
+        ("field", "kernel.family = gff-square\ndimension = 2\nlevel = 40\nresolution = 8\n", [],
+         "gff-square at level = 40 sums 450158 sine modes per axis, above the budget of "
+         "15000: lower level"),
     ], ids=["kpz-s-grid", "duality-depth", "lq-replicas", "scaling-cells", "kpz-dim2",
             "duality-dim2", "lq-depths", "scaling-kernel", "laplace-u-grid", "spectrum-q-grid",
             "lq-q-grid", "scaling-lambdas", "spectrum-lambdas", "spectrum-lambda-cells",
@@ -285,7 +314,8 @@ class TestCliRuns:
             "laplace-one-replica", "scaling-one-replica", "chaos-box-no-cell",
             "kpz-supercritical", "atoms-z-min-underflow", "atoms-atom-budget",
             "laplace-atom-budget", "kpz-s-grid-bracket", "spectrum-q-grid-repeat",
-            "laplace-u-grid-repeat", "scaling-lambdas-repeat", "atoms-replica-budget"])
+            "laplace-u-grid-repeat", "scaling-lambdas-repeat", "atoms-replica-budget",
+            "field-gff-mode-budget"])
     def test_unrunnable_config_is_diagnosed(self, tmp_path, capsys, experiment, text, args,
                                             diag):
         # rejected before any ensemble is built

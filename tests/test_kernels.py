@@ -7,6 +7,7 @@ from gmclab.kernels import (
     KernelSpec,
     eval_level_increment,
     eval_partial_kernel,
+    gff_mode_count,
     level_increment_radial,
     partial_kernel_radial,
 )
@@ -110,6 +111,20 @@ class TestGFFSquare:
         x = np.array([[0.0, 0.5]])
         with pytest.raises(KernelError):
             eval_level_increment(GFF, 1, x, x)
+
+    def test_mode_count_is_the_scalar_scan(self):
+        # one step per mode: n grows while mode (n + 1, 1)'s weight e^{-lam a} / lam
+        # at the level's slice end a is at least 1e-12
+        for level in range(1, 17):
+            a = 4.0 ** (1 - level)
+            n = 1
+            while True:
+                lam = ((n + 1) ** 2 + 1) * np.pi**2 / 2.0
+                if np.exp(-lam * a) / lam < 1e-12:
+                    break
+                n += 1
+            assert gff_mode_count(level) == n, level
+        assert [gff_mode_count(n) for n in (12, 14, 15, 40)] == [2925, 10155, 18616, 450158]
 
 
 class TestSpecValidation:
