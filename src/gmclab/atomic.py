@@ -18,6 +18,13 @@ atoms fall in, so a cloud draws one Poisson count per cell and then its sizes,
 and no coordinate.  A cloud's per-atom cell index is derived from its counts,
 for the readers that need one; `atom_positions` places atoms uniformly inside
 their cells for the outputs that show coordinates.
+
+Where only cell masses are read, neither dual needs a cloud.  Untruncated, a
+cell's atoms sum to a scaled standard positive alpha-stable draw S_c: the
+direct dual's cell c carries w_c (h^d Gamma(1-a)/a)^(1/a) S_c
+(`build_dual_cells`) and, given M, the subordinated dual's carries
+(Gamma(1-a) M_c/a)^(1/a) S_c (`build_subordinated_cells`).  Both draw their
+S_c through one row-ordered sampler, `_stable_cells`, with no z_min.
 """
 
 from __future__ import annotations
@@ -224,6 +231,15 @@ def sample_positive_stable(alpha: float, size: int, rng: np.random.Generator) ->
     return np.exp(np.clip(log_s, *bounds))
 
 
+def _stable_cells(alpha: float, shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    """Standard positive alpha-stable cell draws of shape (n_sites,) or
+    (rows, n_sites), the rows drawn from rng one after another, so a block
+    split into chunks draws the same cells."""
+    if len(shape) == 1:
+        return sample_positive_stable(alpha, shape[0], rng)
+    return np.stack([sample_positive_stable(alpha, shape[1], rng) for _ in range(shape[0])])
+
+
 def build_dual_cells(field: FieldGrid, gamma2: float, alpha: float,
                      rng: np.random.Generator) -> LatticeMeasure:
     """Exact cell masses of the direct dual: the untruncated stable atoms of
@@ -232,21 +248,37 @@ def build_dual_cells(field: FieldGrid, gamma2: float, alpha: float,
 
     One positive-stable draw per cell replaces the atom cloud wherever only
     cell-aligned masses are read.  field is one replica or a block of
-    replicas, whose rows draw their cells from rng in order, so a block
-    split into chunks draws the same cells.  The field and rng must be
-    independent.
+    replicas, whose rows draw their cells from rng in order.  The field and
+    rng must be independent.
     """
     from scipy.special import gamma as gamma_fn  # imported here: see the package docstring
 
     lat = field.lattice
     scale = (lat.spacing**lat.d * gamma_fn(1.0 - alpha) / alpha) ** (1.0 / alpha)
-    if field.values.ndim == 1:
-        stable = sample_positive_stable(alpha, lat.n_sites, rng)
-    else:
-        stable = np.stack([sample_positive_stable(alpha, lat.n_sites, rng)
-                           for _ in field.values])
+    stable = _stable_cells(alpha, field.values.shape, rng)
     weights = _dual_weights(field.values, field.variance0, gamma2, alpha)
     return LatticeMeasure(lattice=lat, masses=weights * scale * stable)
+
+
+def build_subordinated_cells(m: LatticeMeasure, alpha: float,
+                             rng: np.random.Generator) -> LatticeMeasure:
+    """Exact cell masses of the subordinated dual given the chaos m: cell c's
+    atoms, Poisson with intensity M_c dz / z^(1+a) and untruncated, sum to
+    (Gamma(1-a) M_c / a)^(1/a) S_c, S_c standard positive stable, since
+    E exp(-u N_a(M_c)) = exp(-M_c u^a Gamma(1-a)/a).
+
+    m is one replica's measure or a block of them, whose rows draw their
+    cells from rng in order, as build_dual_cells does.  m and rng must be
+    independent.
+    """
+    from scipy.special import gamma as gamma_fn  # imported here: see the package docstring
+
+    if not np.all(np.isfinite(m.masses)):
+        raise AtomicError("non-finite cell masses")
+    stable = _stable_cells(alpha, m.masses.shape, rng)
+    return LatticeMeasure(lattice=m.lattice,
+                          masses=(gamma_fn(1.0 - alpha) / alpha * m.masses) ** (1.0 / alpha)
+                          * stable)
 
 
 def build_subordinated(m: LatticeMeasure, alpha: float, z_min: float,

@@ -183,16 +183,17 @@ def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> lis
                          f"(gamma2={cfg.gamma2}, d={cfg.dimension})")
     if cfg.z_min != "auto" and not (isinstance(cfg.z_min, float) and cfg.z_min > 0):
         diags.append("z_min must be 'auto' or a positive float")
-    elif experiment in ("atoms", "laplace") and alpha is not None and 0 < alpha < 1:
-        # auto_z_min underflows to 0 as alpha nears 1, and a cloud needs z_min > 0
+    elif experiment == "atoms" and alpha is not None and 0 < alpha < 1:
+        # only atoms draws atom clouds: auto_z_min underflows to 0 as alpha
+        # nears 1, and a cloud needs z_min > 0
         z_min = cfg.resolved_z_min()
         if not z_min > 0:
             diags.append(f"z_min = auto resolves to {z_min:g} at alpha = {alpha:g}: "
-                         f"{experiment} needs a positive z_min")
+                         "atoms needs a positive z_min")
         elif (count := expected_atom_count(1.0, alpha, z_min)) > ATOM_BUDGET:
             diags.append(f"z_min = {z_min:g} at alpha = {alpha:g} expects {count:.2g} atoms "
                          f"per unit mass, above the budget of {ATOM_BUDGET:g}: raise z_min")
-        elif experiment == "atoms" and cfg.replicas * count > ATOM_BUDGET:
+        elif cfg.replicas * count > ATOM_BUDGET:
             # atoms writes every atom of every replica to atoms.csv
             diags.append(f"atoms writes every atom: {cfg.replicas} replicas of {count:.2g} "
                          f"expected atoms make {cfg.replicas * count:.2g}, above the budget of "

@@ -8,16 +8,16 @@ chunk at a time: every draw of replica r comes from its block's substream
 block's replicas read in order, and on each chunk of fields the loop builds
 every measure the pipeline compares, the chaos M_n ("chaos") and its duals;
 only `scaling`'s lambda ensembles, at other levels, draw on seed + j.  The
-field comes from (field, b, 0).  The dual's exact cell masses take one
-positive-stable draw per cell on (atoms, b, 0) ("dual"); the atom-level dual
-weights a stable atom cloud drawn on (atoms, b, 0) ("direct") or
-subordinates M_n on (subordinated, b, 0) ("subordinated").  A cloud is its
-per-cell counts and its sizes in cell order: both clouds draw one Poisson
-count per cell, then their sizes; only `atoms` places atoms inside their
-cells, on (positions, b, 0).  Replica r's draws follow those of the replicas
-before it in its block, so they depend only on (seed, r), not on the
-replica count or the chunk size.
-The chaos and the dual's cells are (replicas, n_sites) blocks, one exp per
+field comes from (field, b, 0).  Both duals have exact cell laws, one
+positive-stable draw per cell and no truncation: the direct dual's cells
+weight the field on (atoms, b, 0) ("dual"), and the subordinated dual's
+cells are read off M_n on (subordinated, b, 0) ("subordinated").  Only
+`atoms` reads atoms: its direct dual weights a stable atom cloud drawn on
+(atoms, b, 0) ("direct"), its per-cell counts and then its sizes in cell
+order, and places the atoms inside their cells on (positions, b, 0).
+Replica r's draws follow those of the replicas before it in its block, so
+they depend only on (seed, r), not on the replica count or the chunk size.
+The chaos and both duals' cells are (replicas, n_sites) blocks, one exp per
 chunk; the clouds are drawn one replica at a time, each dropped before the
 next.  Two reducers turn the blocks into box masses or Cantor covering sums
 as they come: measure_box and covering_sums reduce a block in one numpy call
@@ -36,7 +36,10 @@ from .atomic import (
     atom_positions,
     build_atomic_direct,
     build_dual_cells,
+    # no pipeline builds the subordinated cloud; the benchmark tracer
+    # (perfbench/tracer.py) wraps this name after import
     build_subordinated,
+    build_subordinated_cells,
     expected_atom_count,
     sample_stable_atoms,
     truncation_bound,
@@ -104,14 +107,14 @@ def _measures(cfg: ExperimentConfig, kinds: tuple, stream: RngStream,
     start, start + 1, ... as (rows, n_sites) values, and measures has one
     entry per kind, built on those fields.
 
-    kinds: "chaos" (the lattice chaos M_n) and "dual" (the dual's exact cell
-    masses) are LatticeMeasures of the whole chunk, masses (rows, n_sites).
-    "direct" (a stable atom cloud weighted by the field) and "subordinated"
-    (atoms drawn from M_n) are iterators over the chunk's replicas that draw
-    each cloud only when it is read, so one replica's clouds are dropped
-    before the next one's are drawn: "direct" gives (atoms, measure) pairs,
-    atoms the cloud, "subordinated" the measure.  Only the atom-level kinds
-    are truncated at z_min.
+    kinds: "chaos" (the lattice chaos M_n), "dual" (the direct dual's exact
+    cell masses) and "subordinated" (the subordinated dual's exact cell
+    masses, given M_n) are LatticeMeasures of the whole chunk, masses
+    (rows, n_sites).  "direct" (a stable atom cloud weighted by the field)
+    is an iterator over the chunk's replicas that draws each cloud only when
+    it is read, so one replica's cloud is dropped before the next one's is
+    drawn; it gives (atoms, measure) pairs, atoms the cloud.  Only "direct"
+    is truncated at z_min.
 
     Each dual kind draws on its purpose's block substream, opened at the
     block's first chunk and read in replica order across its chunks, so a
@@ -120,22 +123,24 @@ def _measures(cfg: ExperimentConfig, kinds: tuple, stream: RngStream,
     both.
     """
     sampler = _sampler(cfg, level)
-    # decided per call: a chaos-only loop never resolves alpha or z_min
+    # decided per call: a chaos-only loop never resolves alpha, and only
+    # the clouds resolve z_min
     need_chaos = "chaos" in kinds or "subordinated" in kinds
     if set(kinds) - {"chaos"}:
-        alpha, z_min = cfg.alpha(), cfg.resolved_z_min()
+        alpha = cfg.alpha()
+    if "direct" in kinds:
+        z_min = cfg.resolved_z_min()
     for start, field in sampler.field_blocks(stream, cfg.replicas):
         if start % FIELD_BLOCK == 0:
             rngs = {kind: stream.generator(_PURPOSE[kind], start)
                     for kind in kinds if kind in _PURPOSE}
-        # one chaos serves both the "chaos" kind and the subordinated clouds
+        # one chaos serves both the "chaos" kind and the subordinated cells
         m = build_chaos(field, cfg.gamma2) if need_chaos else None
         yield start, field, [
             m if kind == "chaos"
             else build_dual_cells(field, cfg.gamma2, alpha, rngs[kind]) if kind == "dual"
+            else build_subordinated_cells(m, alpha, rngs[kind]) if kind == "subordinated"
             else _direct_clouds(field, cfg.gamma2, alpha, z_min, rngs[kind])
-            if kind == "direct"
-            else _subordinated_clouds(m, alpha, z_min, rngs[kind])
             for kind in kinds]
 
 
@@ -146,21 +151,10 @@ def _direct_clouds(field, gamma2, alpha, z_min, rng):
         yield atoms, build_atomic_direct(field, gamma2, atoms, i)
 
 
-def _subordinated_clouds(m, alpha, z_min, rng):
-    """The subordinated measure of each row of m in order, drawn from rng."""
-    for masses in m.masses:
-        yield build_subordinated(LatticeMeasure(m.lattice, masses), alpha, z_min, rng)
-
-
-def _atom_counts(realized_mean, expected) -> dict:
-    """A cloud's mean realised atom count per replica beside its expected count."""
-    return {"realized_mean": float(realized_mean), "expected": float(expected)}
-
-
 def _box_masses(cfg: ExperimentConfig, kind: str, stream: RngStream, sides,
                 level: int | None = None) -> np.ndarray:
     """Masses of the boxes [0, side]^d, shape (replicas, len(sides)), for the
-    kinds whose measures live on the lattice ("chaos" and "dual"), one
+    kinds whose measures live on the lattice (all but "direct"), one
     measure_box call per side and field chunk."""
     lo = np.zeros(cfg.dimension)
     boxes = [np.full(cfg.dimension, side) for side in sides]
@@ -297,8 +291,9 @@ def run_atoms(cfg: ExperimentConfig) -> PipelineResult:
             "truncation_bound": truncation_bound(1.0, alpha, z_min),
         },
         tables={"atoms": table},
-        diagnostics={"atoms_per_replica": {
-            "direct": _atom_counts(len(table["z"]) / cfg.replicas, expected)}},
+        # the cloud's mean realised atom count per replica beside its expected count
+        diagnostics={"atoms_per_replica": {"direct": {
+            "realized_mean": len(table["z"]) / cfg.replicas, "expected": expected}}},
     )
     if top_atoms is not None:
         result.extra_files["atoms.svg"] = _svg_scatter(*top_atoms)
@@ -323,20 +318,17 @@ def run_spectrum(cfg: ExperimentConfig) -> PipelineResult:
 
 
 def run_laplace(cfg: ExperimentConfig) -> PipelineResult:
-    """Laplace duality on [0,1]: both constructions against the chaos side."""
+    """Laplace duality on [0,1]: both duals' exact cells against the chaos side."""
     alpha = cfg.alpha()
-    z_min = cfg.resolved_z_min()
-    # the three sides of replica r share its field; the unit box holds every
-    # cell and atom, so each side's mass there is its total mass.  A row sum
-    # of the chaos block is the pairwise sum of the replica's own masses
-    chaos, duals = [], []
-    for _, _, (block, direct, subordinated) in _measures(
-            cfg, ("chaos", "direct", "subordinated"), RngStream(cfg.seed)):
-        chaos.append(block.masses.sum(axis=1))
-        duals += [(mu.total_mass(), nu.total_mass(), mu.count, nu.count)
-                  for (_, mu), nu in zip(direct, subordinated)]
-    m = np.concatenate(chaos)
-    direct, subord, n_direct, n_subord = np.array(duals).T
+    # the three sides of replica r share its field, the subordinated side
+    # its chaos too; the unit box holds every cell, so each side's mass there
+    # is its row sum, the pairwise sum of the replica's own cell masses
+    totals = ([], [], [])
+    for _, _, blocks in _measures(cfg, ("chaos", "dual", "subordinated"),
+                                  RngStream(cfg.seed)):
+        for sums, block in zip(totals, blocks):
+            sums.append(block.masses.sum(axis=1))
+    m, direct, subord = map(np.concatenate, totals)
     rng = np.random.default_rng(cfg.seed)
     tables, checks = {}, []
     for tag, samples in (("direct", direct), ("subordinated", subord)):
@@ -352,14 +344,8 @@ def run_laplace(cfg: ExperimentConfig) -> PipelineResult:
     return PipelineResult(
         name="laplace",
         checks=checks,
-        summary={"alpha": alpha, "z_min": z_min,
-                 "truncation_bound": truncation_bound(1.0, alpha, z_min)},
+        summary={"alpha": alpha},
         tables=tables,
-        # the subordinated cloud expects z_min^-alpha / alpha atoms per unit chaos mass
-        diagnostics={"atoms_per_replica": {
-            "direct": _atom_counts(n_direct.mean(), expected_atom_count(1.0, alpha, z_min)),
-            "subordinated": _atom_counts(n_subord.mean(),
-                                         expected_atom_count(m.mean(), alpha, z_min))}},
     )
 
 

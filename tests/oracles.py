@@ -3,8 +3,9 @@
 No pipeline runs these.  They are the independent oracles the samplers and
 the acceptance criteria are checked against: the dense factor of a level
 covariance (eigendecomposition of the Gram matrix on every site pair), the
-Gamma-function constant of the dual moment relation, and the fractional
-moment identity by quadrature.  replica_fields is the replica-by-replica
+Gamma-function constant of the dual moment relation, the fractional
+moment identity by quadrature, and the exponent of a truncated atom cloud's
+conditional Laplace transform.  replica_fields is the replica-by-replica
 view of a sampler's field blocks that the per-replica reference loops read,
 and replica_generators the matching view of a purpose's block substreams.
 """
@@ -15,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gamma as gamma_fn, gammaln
+from scipy.special import gamma as gamma_fn, gammaincc, gammaln
 
 from gmclab.atomic import AtomicError
 from gmclab.field import FIELD_BLOCK, FieldError, FieldGrid, Lattice, LayerSampler, RngStream
@@ -109,3 +110,15 @@ def fractional_moment_identity_check(x: float, beta: float) -> float:
         raise AtomicError("quadrature failure in fractional moment identity")
     rhs = beta / gamma_fn(1.0 - beta) * val
     return abs(x**beta - rhs)
+
+
+def truncated_cloud_exponent(v, alpha: float, z_min: float) -> np.ndarray:
+    """psi(v) = int_{z_min}^inf (1 - e^(-v z)) z^(-1-alpha) dz, so a Poisson
+    cloud of intensity c dz / z^(1+alpha) on z >= z_min has
+    E exp(-v sum z) = exp(-c psi(v)).  With x = v z_min and the regularised
+    upper incomplete gamma Q, integrating by parts gives
+    psi(v) = v^alpha [(1 - e^(-x)) x^(-alpha) / alpha + Gamma(1-alpha) Q(1-alpha, x) / alpha]."""
+    v = np.asarray(v, dtype=float)
+    x = v * z_min
+    return v**alpha * (-np.expm1(-x) * x ** -alpha / alpha
+                       + gamma_fn(1.0 - alpha) * gammaincc(1.0 - alpha, x) / alpha)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
+from scipy.special import gamma as gamma_fn
 
 from gmclab.atomic import (
     AtomicError,
@@ -13,13 +15,14 @@ from gmclab.atomic import (
     build_atomic_direct,
     build_dual_cells,
     build_subordinated,
+    build_subordinated_cells,
     expected_atom_count,
     sample_positive_stable,
     sample_stable_atoms,
     truncation_bound,
     xi_bar,
 )
-from gmclab.chaos import build_chaos, measure_box, xi
+from gmclab.chaos import LatticeMeasure, build_chaos, measure_box, xi
 from gmclab.field import Lattice, LayerSampler, RngStream
 from gmclab.kernels import KernelSpec
 from oracles import (
@@ -27,6 +30,7 @@ from oracles import (
     moment_relation_constant,
     replica_fields,
     replica_generators,
+    truncated_cloud_exponent,
 )
 
 EXACT1D = KernelSpec(family="exact1d", T=1.0, d=1)
@@ -268,6 +272,27 @@ class TestConstructions:
         assert mbar.cells.min() >= 0 and mbar.cells.max() < m.lattice.n_sites
         assert np.all(mbar.masses >= 1e-4)
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.75])
+    def test_subordinated_cells_laplace_transform(self, alpha):
+        # given M, the untruncated subordinated mass has the exact transform
+        # E[exp(-u Mbar) | M] = exp(-(Gamma(1-a)/a) u^a M([0,1])): 4000 rows
+        # of one chaos, drawn as one block
+        m = build_chaos(make_field(level=3, res=32, seed=41), 2 * alpha)
+        R = 4000
+        block = LatticeMeasure(m.lattice, np.tile(m.masses, (R, 1)))
+        totals = build_subordinated_cells(block, alpha, np.random.default_rng(47)).masses.sum(1)
+        for u in (0.25, 1.0, 4.0):
+            t = np.exp(-u * totals)
+            target = np.exp(-gamma_fn(1 - alpha) / alpha * u**alpha * m.total_mass())
+            assert abs(t.mean() - target) <= 4 * t.std(ddof=1) / np.sqrt(R), u
+
+    def test_subordinated_cells_reject_non_finite_masses(self):
+        masses = np.full(LAT64.n_sites, 1.0 / 64)
+        masses[3] = np.inf
+        with pytest.raises(AtomicError, match="non-finite"):
+            build_subordinated_cells(LatticeMeasure(LAT64, masses), 0.5,
+                                     np.random.default_rng(1))
+
     def test_box_mass_additive(self):
         f = make_field(seed=9)
         atoms = sample_stable_atoms(LAT64, 0.5, 1e-5, np.random.default_rng(5))
@@ -294,6 +319,50 @@ class TestConstructions:
         b = np.exp(-u * subord)
         se = np.sqrt(a.var(ddof=1) / R + b.var(ddof=1) / R)
         assert abs(a.mean() - b.mean()) < 4 * se
+
+
+class TestCloudLaplaceTransform:
+    """Given the field, each truncated cloud's total mass has an exact
+    Laplace transform: with psi = truncated_cloud_exponent, the subordinated
+    cloud's is exp(-M([0,1]^d) psi(u)) and the direct cloud's
+    exp(-h^d sum_c psi(u w_c)), w_c the dual weight of cell c."""
+
+    @pytest.mark.parametrize("cloud", ["direct", "subordinated"])
+    def test_conditional_transform(self, cloud):
+        alpha, z_min, gamma2, R = 0.5, 1e-4, 1.0, 4000
+        f = make_field(level=3, res=32, seed=41)
+        lat = f.lattice
+        rng = np.random.default_rng(43)
+        if cloud == "direct":
+            w = _dual_weights(f.values, f.variance0, gamma2, alpha)
+            totals = np.array([
+                build_atomic_direct(f, gamma2, sample_stable_atoms(lat, alpha, z_min, rng))
+                .total_mass() for _ in range(R)])
+
+            def exponent(u):
+                return lat.spacing**lat.d * truncated_cloud_exponent(u * w, alpha, z_min).sum()
+        else:
+            m = build_chaos(f, gamma2)
+            totals = np.array([build_subordinated(m, alpha, z_min, rng).total_mass()
+                               for _ in range(R)])
+
+            def exponent(u):
+                return m.total_mass() * truncated_cloud_exponent(u, alpha, z_min)
+        for u in (0.25, 1.0, 4.0):
+            t = np.exp(-u * totals)
+            z = (t.mean() - np.exp(-exponent(u))) / (t.std(ddof=1) / np.sqrt(R))
+            assert abs(z) <= 4, (u, z)
+
+    @pytest.mark.parametrize("v, alpha, z_min", [(1.0, 0.5, 1e-4), (4.0, 0.3, 1e-3),
+                                                 (0.25, 0.75, 1e-2)])
+    def test_exponent_matches_quadrature(self, v, alpha, z_min):
+        def integrand(z):
+            return -np.expm1(-v * z) * z ** (-1.0 - alpha)
+
+        # split at the 1/v knee, as the fractional moment identity's quadrature is
+        ref = (integrate.quad(integrand, z_min, 1.0 / v, limit=200)[0]
+               + integrate.quad(integrand, 1.0 / v, np.inf, limit=200)[0])
+        assert truncated_cloud_exponent(v, alpha, z_min) == pytest.approx(ref, rel=1e-10)
 
 
 class TestMomentConstants:

@@ -8,16 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from scipy.special import gamma as gamma_fn
 
 import gmclab
 import gmclab.field as gfield
 from gmclab import pipelines
 from gmclab.analysis import covering_sums
 from gmclab.atomic import (
+    _dual_weights,
     atom_positions,
     build_atomic_direct,
     build_dual_cells,
-    build_subordinated,
+    build_subordinated_cells,
     sample_stable_atoms,
 )
 from gmclab.chaos import LatticeMeasure, build_chaos, measure_box
@@ -27,7 +29,7 @@ from gmclab.config import (
     parse_config_text,
     validate_config,
 )
-from gmclab.field import PURPOSES, Lattice, LayerSampler, RngStream
+from gmclab.field import FIELD_BLOCK, PURPOSES, Lattice, LayerSampler, RngStream
 from gmclab.kernels import eval_partial_kernel
 from gmclab.pipelines import _box_masses, _covering_sums, _measures
 from oracles import replica_fields, replica_generators
@@ -287,9 +289,6 @@ class TestCliRuns:
         ("atoms", "gamma2 = 1.5\nlevel = 8\nresolution = 64\nreplicas = 3\n", [],
          "z_min = 3.90625e-15 at alpha = 0.75 expects 8.5e+10 atoms per unit mass, "
          "above the budget of 1e+07: raise z_min"),
-        ("laplace", "gamma2 = 1.5\nresolution = 64\nreplicas = 3\n", [],
-         "z_min = 3.90625e-15 at alpha = 0.75 expects 8.5e+10 atoms per unit mass, "
-         "above the budget of 1e+07: raise z_min"),
         # drew every field, then found no zero crossing in the s grid
         ("kpz", "resolution = 243\ncantor.depth = 5\ns.grid = 0.65,0.7,0.75,0.8,0.85\n", [],
          "s.grid [0.65, 0.85] must bracket the KPZ root 0.5696 at gamma2 = 0.5"),
@@ -313,7 +312,7 @@ class TestCliRuns:
             "field-one-replica", "chaos-one-replica", "spectrum-one-replica",
             "laplace-one-replica", "scaling-one-replica", "chaos-box-no-cell",
             "kpz-supercritical", "atoms-z-min-underflow", "atoms-atom-budget",
-            "laplace-atom-budget", "kpz-s-grid-bracket", "spectrum-q-grid-repeat",
+            "kpz-s-grid-bracket", "spectrum-q-grid-repeat",
             "laplace-u-grid-repeat", "scaling-lambdas-repeat", "atoms-replica-budget",
             "field-gff-mode-budget"])
     def test_unrunnable_config_is_diagnosed(self, tmp_path, capsys, experiment, text, args,
@@ -325,6 +324,24 @@ class TestCliRuns:
                      *args]) == 2
         assert capsys.readouterr().err == f"gmclab: config error: {diag}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("gamma2", [1.5, 1.8], ids=["alpha-0.75", "alpha-0.9"])
+    def test_laplace_runs_above_the_atom_budget(self, tmp_path, gamma2):
+        # laplace reads exact cells and no atom cloud, so z_min = auto, which
+        # expects 8.5e10 atoms per unit mass at alpha = 0.75 and underflows
+        # to 1e-40 at 0.9, bounds only atoms
+        text = f"gamma2 = {gamma2}\nlevel = 3\nresolution = 64\nreplicas = 100\nseed = 7\n"
+        cfg = parse_config_text(text)
+        assert validate_config(cfg, "laplace") == []
+        assert "above the budget" in validate_config(cfg, "atoms")[0]
+        path = tmp_path / "cfg.txt"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["laplace", "--config", str(path), "--out", str(out)]) in (0, 1)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["summary"] == {"alpha": gamma2 / 2}
+        assert len(manifest["checks"]) == 2 * len(cfg.u_grid)
+        assert all(np.isfinite(c["statistic"]) for c in manifest["checks"])
 
     def test_chaos_run_and_artifacts(self, config_file, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -353,7 +370,7 @@ class TestCliRuns:
         assert "real part" in scheme["field"] and "imaginary part" in scheme["field"]
 
     @pytest.mark.parametrize("experiment,clouds", [
-        ("chaos", ()), ("atoms", ("direct",)), ("laplace", ("direct", "subordinated"))],
+        ("chaos", ()), ("atoms", ("direct",)), ("laplace", ())],
         ids=["chaos", "atoms", "laplace"])
     def test_manifest_diagnostics(self, tmp_path, experiment, clouds):
         # versions for every run, and each cloud's mean realised atom count
@@ -509,33 +526,49 @@ class TestCliRuns:
     "z_min = 1e-4\nreplicas = 3\nseed = 5\n",
 ], ids=["exact1d", "gff-square"])
 def test_measures_of_one_replica_share_its_field(text):
-    # the chaos and both duals of replica r are built on r's one field draw
+    # the chaos and every dual of replica r are built on r's one field draw
     cfg = parse_config_text(text)
-    alpha, h, d = cfg.alpha(), 1.0 / cfg.resolution, cfg.dimension
-    replicas = [(atoms, m, direct, subordinated)
-                for _, _, (block, clouds, subordinated_clouds)
-                in _measures(cfg, ("chaos", "direct", "subordinated"), RngStream(cfg.seed))
-                for m, (atoms, direct), subordinated
-                in zip(block.masses, clouds, subordinated_clouds)]
+    alpha, gamma2, h, d = cfg.alpha(), cfg.gamma2, 1.0 / cfg.resolution, cfg.dimension
+    replicas = [(atoms, m, direct)
+                for _, _, (block, clouds) in _measures(cfg, ("chaos", "direct"),
+                                                       RngStream(cfg.seed))
+                for m, (atoms, direct) in zip(block.masses, clouds)]
     alone = [m for _, _, (block,) in _measures(cfg, ("chaos",), RngStream(cfg.seed))
              for m in block.masses]
     assert len(replicas) == len(alone) == cfg.replicas
-    for (atoms, m, direct, subordinated), m_alone in zip(replicas, alone):
-        assert direct.count > 0 and subordinated.count > 0
+    for (atoms, m, direct), m_alone in zip(replicas, alone):
+        assert direct.count > 0
         np.testing.assert_allclose(
             direct.masses, (m[atoms.cells] / h**d) ** (1 / alpha) * atoms.masses,
             rtol=1e-12)
         assert np.array_equal(m, m_alone)
     stream = RngStream(cfg.seed)
     sampler = pipelines._sampler(cfg)
-    atom_rngs = replica_generators(stream, "atoms", cfg.replicas)
-    for start, _, (m, dual) in _measures(cfg, ("chaos", "dual"), stream):
-        for i, (r, rng) in enumerate(zip(range(start, start + len(m.masses)), atom_rngs)):
+    rngs = zip(replica_generators(stream, "atoms", cfg.replicas),
+               replica_generators(stream, "subordinated", cfg.replicas))
+    gamma_1a = gamma_fn(1 - alpha)
+    for start, _, (m, dual, subordinated) in _measures(cfg, ("chaos", "dual", "subordinated"),
+                                                        stream):
+        for i, (r, (atom_rng, subordinated_rng)) in enumerate(
+                zip(range(start, start + len(m.masses)), rngs)):
             field = sampler.sample_field(stream, r)
             assert np.array_equal(m.masses[i], alone[r])
-            assert np.array_equal(m.masses[i], build_chaos(field, cfg.gamma2).masses)
-            expected = build_dual_cells(field, cfg.gamma2, alpha, rng)
+            assert np.array_equal(m.masses[i], build_chaos(field, gamma2).masses)
+            expected = build_dual_cells(field, gamma2, alpha, atom_rng)
             assert np.array_equal(dual.masses[i], expected.masses)
+            row = LatticeMeasure(field.lattice, m.masses[i])
+            expected = build_subordinated_cells(row, alpha, subordinated_rng)
+            assert np.array_equal(subordinated.masses[i], expected.masses)
+            # given the field both duals scale S_c alike: (Gamma(1-a) M_c/a)^(1/a)
+            # = (h^d Gamma(1-a)/a)^(1/a) w_c, so like stable draws give like cells
+            np.testing.assert_allclose(
+                (gamma_1a * m.masses[i] / alpha) ** (1 / alpha),
+                (h**d * gamma_1a / alpha) ** (1 / alpha)
+                * _dual_weights(field.values, field.variance0, gamma2, alpha), rtol=1e-12)
+            np.testing.assert_allclose(
+                build_subordinated_cells(row, alpha, np.random.default_rng(r)).masses,
+                build_dual_cells(field, gamma2, alpha, np.random.default_rng(r)).masses,
+                rtol=1e-12)
 
 
 @pytest.mark.parametrize("text", [
@@ -546,45 +579,55 @@ def test_measures_of_one_replica_share_its_field(text):
 def test_block_loop_matches_replica_by_replica(text):
     # 70 replicas: one full field block of 64 and a partial block of 6.  Every
     # row a block yields is the measure built on that replica's own field, and
-    # every cloud the one drawn replica by replica, each block's replicas in
-    # order from its substream, bit for bit
+    # every dual cell and cloud the one drawn replica by replica, each block's
+    # replicas in order from its substream, bit for bit
     cfg = parse_config_text(text)
     alpha, z_min, gamma2 = cfg.alpha(), cfg.resolved_z_min(), cfg.gamma2
     stream = RngStream(cfg.seed)
     fields = list(replica_fields(pipelines._sampler(cfg), stream, cfg.replicas))
-    rows = []
-    atom_rngs = replica_generators(stream, "atoms", cfg.replicas)
-    for start, field, (m, dual) in _measures(cfg, ("chaos", "dual"), stream):
-        assert len(field.values) == len(m.masses) == len(dual.masses)
-        for i, (r, rng) in enumerate(zip(range(start, start + len(field.values)), atom_rngs)):
+    rows, subordinated_rows = [], []
+    rngs = zip(replica_generators(stream, "atoms", cfg.replicas),
+               replica_generators(stream, "subordinated", cfg.replicas))
+    for start, field, (m, dual, subordinated) in _measures(
+            cfg, ("chaos", "dual", "subordinated"), stream):
+        assert len(field.values) == len(m.masses) == len(dual.masses) == len(subordinated.masses)
+        for i, (r, (atom_rng, subordinated_rng)) in enumerate(
+                zip(range(start, start + len(field.values)), rngs)):
             f = fields[r]
             assert np.array_equal(field.values[i], f.values)
             assert np.array_equal(m.masses[i], build_chaos(f, gamma2).masses)
-            expected = build_dual_cells(f, gamma2, alpha, rng)
+            expected = build_dual_cells(f, gamma2, alpha, atom_rng)
             assert np.array_equal(dual.masses[i], expected.masses)
+            expected = build_subordinated_cells(build_chaos(f, gamma2), alpha, subordinated_rng)
+            assert np.array_equal(subordinated.masses[i], expected.masses)
             rows.append(field.values[i])
+            subordinated_rows.append(subordinated.masses[i])
     assert len(rows) == cfg.replicas
     n = 0
-    rngs = zip(replica_generators(stream, "atoms", cfg.replicas),
-               replica_generators(stream, "subordinated", cfg.replicas))
-    for start, _, (direct, subordinated) in _measures(cfg, ("direct", "subordinated"), stream):
-        for r, ((atoms, mu), nu, (atom_rng, subordinated_rng)) in enumerate(
-                zip(direct, subordinated, rngs), start):
+    atom_rngs = replica_generators(stream, "atoms", cfg.replicas)
+    for start, _, (direct,) in _measures(cfg, ("direct",), stream):
+        for r, ((atoms, mu), atom_rng) in enumerate(zip(direct, atom_rngs), start):
             f = fields[r]
             cloud = sample_stable_atoms(f.lattice, alpha, z_min, atom_rng)
-            ref_mu = build_atomic_direct(f, gamma2, cloud)
-            ref_nu = build_subordinated(build_chaos(f, gamma2), alpha, z_min, subordinated_rng)
+            ref = build_atomic_direct(f, gamma2, cloud)
             assert np.array_equal(atoms.masses, cloud.masses)
-            for got, ref in ((mu, ref_mu), (nu, ref_nu)):
-                assert got.count > 0
-                assert np.array_equal(got.counts, ref.counts)
-                assert np.array_equal(got.masses, ref.masses)
+            assert mu.count > 0
+            assert np.array_equal(mu.counts, ref.counts)
+            assert np.array_equal(mu.masses, ref.masses)
             n += 1
     assert n == cfg.replicas
-    # random access reads the same rows
+    # random access reads the same rows: replica r's field alone, and its
+    # subordinated cells as the last row of its block's rows up to r
     fresh = pipelines._sampler(cfg)
     for r in (69, 3, 64, 0, 63, 65, 3):
         assert np.array_equal(fresh.sample_field(stream, r).values, rows[r])
+        first = r - r % FIELD_BLOCK
+        prefix = [fresh.sample_field(stream, q) for q in range(first, r + 1)]
+        block = gfield.FieldGrid(prefix[0].lattice, np.stack([f.values for f in prefix]),
+                                 prefix[0].variance0)
+        cells = build_subordinated_cells(build_chaos(block, gamma2), alpha,
+                                         stream.generator("subordinated", first))
+        assert np.array_equal(cells.masses[-1], subordinated_rows[r])
 
 
 def test_replicas_of_one_block_draw_their_own_clouds():
@@ -601,12 +644,12 @@ def test_replicas_of_one_block_draw_their_own_clouds():
 
     ((_, field, (m, direct, subordinated)),) = _measures(
         cfg, ("chaos", "direct", "subordinated"), RngStream(cfg.seed))
-    for r, ((atoms, _), nu) in enumerate(zip(direct, subordinated)):
+    for r, (atoms, _) in enumerate(direct):
         first = sample_stable_atoms(lat, alpha, z_min, fresh("atoms"))
         assert np.array_equal(atoms.masses, first.masses) == (r == 0)
-        first = build_subordinated(LatticeMeasure(lat, m.masses[r]), alpha, z_min,
-                                   fresh("subordinated"))
-        assert np.array_equal(nu.masses, first.masses) == (r == 0)
+        first = build_subordinated_cells(LatticeMeasure(lat, m.masses[r]), alpha,
+                                         fresh("subordinated"))
+        assert np.array_equal(subordinated.masses[r], first.masses) == (r == 0)
     ((_, _, (dual,)),) = _measures(cfg, ("dual",), RngStream(cfg.seed))
     for r in range(2):
         row = gfield.FieldGrid(lat, field.values[r], field.variance0)
@@ -622,17 +665,16 @@ def test_replicas_of_one_block_draw_their_own_clouds():
 
 
 def _replica_draws(cfg):
-    """Per replica: its dual cells, its direct cloud's sizes and masses and
-    its subordinated cloud's counts and masses, all through _measures, and
-    the chunk starts."""
+    """Per replica: both duals' cells and its direct cloud's sizes and
+    masses, all through _measures, and the chunk starts."""
     starts, draws = [], []
-    for start, _, (dual,) in _measures(cfg, ("dual",), RngStream(cfg.seed)):
+    for start, _, (dual, subordinated) in _measures(cfg, ("dual", "subordinated"),
+                                                    RngStream(cfg.seed)):
         starts.append(start)
-        draws += [[row] for row in dual.masses]
-    for start, _, (direct, subordinated) in _measures(cfg, ("direct", "subordinated"),
-                                                      RngStream(cfg.seed)):
-        for r, ((atoms, mu), nu) in enumerate(zip(direct, subordinated), start):
-            draws[r] += [atoms.masses, mu.masses, nu.counts, nu.masses]
+        draws += [list(rows) for rows in zip(dual.masses, subordinated.masses)]
+    for start, _, (direct,) in _measures(cfg, ("direct",), RngStream(cfg.seed)):
+        for r, (atoms, mu) in enumerate(direct, start):
+            draws[r] += [atoms.masses, mu.masses]
     return starts, draws
 
 
@@ -653,7 +695,7 @@ def test_chunk_size_leaves_every_draw(text, monkeypatch):
     assert len(chunked_starts) > 3 and chunked_starts[-1] == 64
     assert len(chunked) == len(draws) == cfg.replicas
     for r, (a, b) in enumerate(zip(draws, chunked)):
-        assert len(a) == len(b) == 5
+        assert len(a) == len(b) == 4
         assert all(np.array_equal(x, y) for x, y in zip(a, b)), r
 
 

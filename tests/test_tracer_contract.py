@@ -73,7 +73,7 @@ def test_instrument_patches_and_close_restores(tracer_module, tmp_path):
 
 # runs the chaos run above does not reach: the counters read covering_sums'
 # levels, dimension_estimate's sums, sample_stable_atoms' region, alpha and
-# z_min, the subordinated measure's count and each bootstrap's n_boot
+# z_min, and each bootstrap's n_boot
 TRACED_RUNS = {
     "duality": ("gamma2 = 1.0\nlevel = 3\nresolution = 27\ncantor.depth = 3\nz_min = 1e-6\n"
                 "replicas = 4\nseed = 3\ns.grid = 0.3,0.4,0.5,0.6,0.7,0.8\n", {
@@ -98,8 +98,17 @@ TRACED_RUNS = {
                     # one block: its field, atoms and subordinated
                     # substreams, one generator each
                     "field.rng_streams": 3,
+                    # both duals are exact cells: no atom cloud is drawn
+                    "atomic.atoms_sampled": 0,
+                    "atomic.subordinated_atoms": 0,
                     "pipelines.replicas": 20,
                 }),
+    "atoms": ("gamma2 = 1.0\nlevel = 3\nresolution = 32\nz_min = 1e-4\nreplicas = 20\n"
+              "seed = 3\n", {
+                  # one block: its field, atoms and positions substreams
+                  "field.rng_streams": 3,
+                  "pipelines.replicas": 20,
+              }),
 }
 
 
@@ -116,8 +125,6 @@ def test_traced_run_feeds_counters(tracer_module, tmp_path, experiment):
         tracer.close()
     metrics = tracer_module.run_metrics(tracer.spans)
     assert {name: metrics[name] for name in expected} == expected
-    if experiment == "laplace":
+    if experiment == "atoms":
         # about 200 atoms per replica at z_min = 1e-4, alpha = 1/2
         assert abs(metrics["atomic.atom_count_ratio"] - 1.0) < 0.1
-        assert metrics["atomic.subordinated_atoms"] > 0
-
