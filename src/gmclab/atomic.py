@@ -42,6 +42,10 @@ Z_MIN_REL_TOL = 1e-3
 # count z_min^-alpha / alpha grows from 4.0e6 at alpha = 0.65 to 8.5e10 (636
 # GiB of clouds) at 0.75, so validate_config rejects a cloud above it
 ATOM_BUDGET = 1e7
+# Kanter's formula floors an exponential draw at the smallest normal double
+# and clips its log-result to the positive finite doubles
+_TINY = np.finfo(float).tiny
+_LOG_BOUNDS = np.log([_TINY, np.finfo(float).max])
 
 
 class AtomicError(ValueError):
@@ -56,6 +60,11 @@ def _check_counts(counts: np.ndarray, lattice: Lattice, n_atoms: int):
         raise AtomicError("negative atom count")
     if int(counts.sum()) != n_atoms:
         raise AtomicError(f"counts sum to {int(counts.sum())}, not the {n_atoms} atoms")
+
+
+def _check_positive(masses: np.ndarray):
+    if masses.size and float(masses.min()) <= 0:
+        raise AtomicError("atom masses must be positive")
 
 
 def _check_alpha(alpha: float):
@@ -73,8 +82,7 @@ class AtomicMeasure:
     masses: np.ndarray     # (count,) in cell order
 
     def __post_init__(self):
-        if self.masses.size and float(self.masses.min()) <= 0:
-            raise AtomicError("atom masses must be positive")
+        _check_positive(self.masses)
         _check_counts(self.counts, self.lattice, self.masses.size)
 
     @property
@@ -116,6 +124,15 @@ class StableAtoms(AtomicMeasure):
         if self.masses.size and float(self.masses.min()) < self.z_min * (1 - 1e-12):
             raise AtomicError("atom sizes below the truncation level")
         _check_counts(self.counts, self.lattice, self.masses.size)
+
+
+class _DirectAtoms(AtomicMeasure):
+    """The direct construction on a stable cloud: one mass per atom of the
+    cloud, on the cloud's counts array, which StableAtoms has already checked
+    against that many atoms.  Only the masses' positivity is checked."""
+
+    def __post_init__(self):
+        _check_positive(self.masses)
 
 
 def xi_bar(gamma2: float, alpha: float, d: int, q) -> float | np.ndarray:
@@ -207,7 +224,34 @@ def build_atomic_direct(field: FieldGrid, gamma2: float, atoms: StableAtoms,
                        atoms.counts)
     masses *= atoms.masses
     # shares the cloud's counts array; no caller writes to either
-    return AtomicMeasure(lattice=field.lattice, counts=atoms.counts, masses=masses)
+    return _DirectAtoms(lattice=field.lattice, counts=atoms.counts, masses=masses)
+
+
+def _kanter(alpha: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Kanter's formula, as sample_positive_stable states it, elementwise on
+    rng.random() uniforms u and standard exponentials e of one shape.
+
+    Both arrays are overwritten and the draws come back in u's buffer.  In
+    place, a (rows, n_sites) block allocates only two more arrays of its
+    shape, so evaluating whole blocks adds nothing to peak memory.
+    """
+    np.multiply(np.pi, np.subtract(1.0, u, out=u), out=u)      # U in (0, pi)
+    np.log(np.maximum(e, _TINY, out=e), out=e)
+    sin_au = np.sin(alpha * u)
+    # ((1-a)/a) (log(sin((1-a)U) / sin(aU)) - log E)
+    tail = np.multiply(1.0 - alpha, u)
+    np.sin(tail, out=tail)
+    np.divide(tail, sin_au, out=tail)
+    np.log(tail, out=tail)
+    np.subtract(tail, e, out=tail)
+    np.multiply((1.0 - alpha) / alpha, tail, out=tail)
+    # + log(sin(aU) / sin U) / a
+    np.sin(u, out=u)
+    np.divide(sin_au, u, out=u)
+    np.log(u, out=u)
+    np.divide(u, alpha, out=u)
+    np.add(u, tail, out=u)
+    return np.exp(np.clip(u, *_LOG_BOUNDS, out=u), out=u)
 
 
 def sample_positive_stable(alpha: float, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -220,24 +264,34 @@ def sample_positive_stable(alpha: float, size: int, rng: np.random.Generator) ->
     reaches 0, and the float pi lies below pi, so sin U > 0.  The result is
     clipped to the positive finite doubles, which only the edge draw E = 0
     and the extreme tails reach.
+
+    Draw order: rng.random(size), then rng.standard_exponential(size).
+    _stable_cells draws a block's rows in this order and evaluates the same
+    formula on the whole block, so each of its rows equals this function's
+    draw bit for bit.
     """
     _check_alpha(alpha)
-    u = np.pi * (1.0 - rng.random(size))
-    e = np.maximum(rng.standard_exponential(size), np.finfo(float).tiny)
-    sin_au = np.sin(alpha * u)
-    log_s = (np.log(sin_au / np.sin(u)) / alpha
-             + (1.0 - alpha) / alpha * (np.log(np.sin((1.0 - alpha) * u) / sin_au) - np.log(e)))
-    bounds = np.log([np.finfo(float).tiny, np.finfo(float).max])
-    return np.exp(np.clip(log_s, *bounds))
+    return _kanter(alpha, rng.random(size), rng.standard_exponential(size))
 
 
 def _stable_cells(alpha: float, shape: tuple, rng: np.random.Generator) -> np.ndarray:
     """Standard positive alpha-stable cell draws of shape (n_sites,) or
-    (rows, n_sites), the rows drawn from rng one after another, so a block
-    split into chunks draws the same cells."""
-    if len(shape) == 1:
-        return sample_positive_stable(alpha, shape[0], rng)
-    return np.stack([sample_positive_stable(alpha, shape[1], rng) for _ in range(shape[0])])
+    (rows, n_sites).
+
+    Row by row, rng draws the row's n_sites uniforms and then its n_sites
+    exponentials, as sample_positive_stable(alpha, n_sites, rng) does; Kanter's
+    formula then runs once on the whole (rows, n_sites) block.  So row r
+    equals the r-th of consecutive sample_positive_stable calls bit for bit,
+    and a block split into chunks of rows draws the same cells.
+    """
+    _check_alpha(alpha)
+    n = shape[-1]
+    uniforms = np.empty(shape).reshape(-1, n)
+    exponentials = np.empty_like(uniforms)
+    for row in range(len(uniforms)):
+        uniforms[row] = rng.random(n)
+        exponentials[row] = rng.standard_exponential(n)
+    return _kanter(alpha, uniforms, exponentials).reshape(shape)
 
 
 def build_dual_cells(field: FieldGrid, gamma2: float, alpha: float,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmclab import analysis
 from gmclab.analysis import (
     AnalysisError,
     _cantor_boxes,
@@ -141,8 +142,8 @@ class TestLaplace:
         cmp = verify_laplace(3.0 * m, m, 0.5, [0.25, 1.0, 4.0], rng=rng)
         assert not (cmp.gap <= 0).all()
 
-    @pytest.mark.parametrize("n", [20, 37, 500])
-    def test_transform_rows_match_resample_loop(self, n):
+    @pytest.mark.parametrize("n", [1, 20, 37, 500, 30_000])
+    def test_transform_rows_match_resample_loop(self, n, monkeypatch):
         # reference: transform each resample afresh, as one loop per resample
         def loop(mbar, m, alpha, u_grid, n_boot, rng):
             def side(samples, transform):
@@ -155,14 +156,31 @@ class TestLaplace:
             rhs = side(m, lambda sub, u: laplace_rhs_transform(sub, alpha, u))
             return (*lhs, *rhs)
 
+        # the batches verify_laplace asks for, two sides per call
+        batches, real = [], analysis._bootstrap
+
+        def bootstrap(*args, batch):
+            batches.append(batch)
+            return real(*args, batch=batch)
+
+        monkeypatch.setattr(analysis, "_bootstrap", bootstrap)
         data = np.random.default_rng(6)
         m = data.lognormal(size=n)
         mbar = data.pareto(0.5, size=n)
         u_grid = [0.1, 0.5, 1.0, 2.0, 8.0]
-        cmp = verify_laplace(mbar, m, 0.5, u_grid, n_boot=100, rng=np.random.default_rng(9))
-        ref = loop(mbar, m, 0.5, np.asarray(u_grid), 100, np.random.default_rng(9))
-        for got, want in zip((cmp.lhs, cmp.lhs_ci, cmp.rhs, cmp.rhs_ci), ref):
-            assert np.array_equal(got, want)
+        # 37 resamples are no whole number of batches at n = 500
+        for n_boot in (100, 37):
+            cmp = verify_laplace(mbar, m, 0.5, u_grid, n_boot=n_boot,
+                                 rng=np.random.default_rng(9))
+            ref = loop(mbar, m, 0.5, np.asarray(u_grid), n_boot, np.random.default_rng(9))
+            for got, want in zip((cmp.lhs, cmp.lhs_ci, cmp.rhs, cmp.rhs_ci), ref):
+                assert np.array_equal(got, want)
+        # one resample per batch at n = 30 000, several at n = 500, where
+        # 37 resamples leave a part batch
+        if n == 30_000:
+            assert set(batches) == {1}
+        if n == 500:
+            assert 1 < batches[0] < 37
 
 
 class TestOmega:

@@ -10,6 +10,7 @@ from gmclab.atomic import (
     AtomicMeasure,
     StableAtoms,
     _dual_weights,
+    _stable_cells,
     atom_positions,
     auto_z_min,
     build_atomic_direct,
@@ -23,7 +24,7 @@ from gmclab.atomic import (
     xi_bar,
 )
 from gmclab.chaos import LatticeMeasure, build_chaos, measure_box, xi
-from gmclab.field import Lattice, LayerSampler, RngStream
+from gmclab.field import FieldGrid, Lattice, LayerSampler, RngStream
 from gmclab.kernels import KernelSpec
 from oracles import (
     fractional_moment_identity_check,
@@ -163,9 +164,25 @@ class TestPositiveStable:
     @pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.75, 0.95])
     @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53], ids=["u0", "u1"])
     def test_edge_draws_finite_and_positive(self, alpha, u):
-        # E = 0 together with either end of the uniform grid
-        s = sample_positive_stable(alpha, 3, _EdgeDraws(u))
-        assert np.all(np.isfinite(s)) and np.all(s > 0)
+        # E = 0 together with either end of the uniform grid, one row and a block
+        for s in (sample_positive_stable(alpha, 3, _EdgeDraws(u)),
+                  _stable_cells(alpha, (2, 3), _EdgeDraws(u))):
+            assert np.all(np.isfinite(s)) and np.all(s > 0)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("shape", [(7,), (1, 7), (3, 7), (64, 256)])
+    def test_block_matches_row_by_row(self, alpha, shape):
+        # reference: one sample_positive_stable call per row, in row order
+        rng = np.random.default_rng(41)
+        ref = np.stack([sample_positive_stable(alpha, shape[-1], rng)
+                        for _ in range(int(np.prod(shape[:-1])))]).reshape(shape)
+        assert np.array_equal(_stable_cells(alpha, shape, np.random.default_rng(41)), ref)
+
+    def test_block_split_into_chunks_draws_the_same_cells(self):
+        rng = np.random.default_rng(43)
+        split = np.concatenate([_stable_cells(0.5, (20, 256), rng),
+                                _stable_cells(0.5, (44, 256), rng)])
+        assert np.array_equal(split, _stable_cells(0.5, (64, 256), np.random.default_rng(43)))
 
     def test_cell_law_matches_atoms(self):
         # box [0, 1/4) at N = 64: the exact cell masses against the truncated
@@ -199,6 +216,15 @@ class TestConstructions:
         mbar = build_atomic_direct(f, 1.0, atoms)
         assert mbar.count == atoms.count
         assert np.all(mbar.masses > 0)
+
+    def test_direct_rejects_underflowed_masses(self):
+        # the direct measure re-checks only its masses: a weight that
+        # underflows to 0 must still be refused
+        f = make_field()
+        f = FieldGrid(f.lattice, np.full(f.lattice.n_sites, -1e4), f.variance0)
+        atoms = sample_stable_atoms(LAT64, 0.5, 1e-5, np.random.default_rng(1))
+        with pytest.raises(AtomicError, match="positive"):
+            build_atomic_direct(f, 1.0, atoms)
 
     def test_direct_lattice_mismatch(self):
         # cells of a 32-cell cloud would index the wrong sites of a 64-cell field
