@@ -22,6 +22,7 @@ HILL_STABILITY_RTOL = 0.25
 # doubles, b at least 1: 6 resamples at n = 500 and five u values, 1 at
 # n = 1e5.  Batches of 13 and 32 resamples at n = 500 raised peak RSS over
 # 300 laplace-dual-1d calls by 0.3-0.5 MB and saved under 1 ms per call.
+# Unbatched bootstraps keep each block of (b, n) int64 indices within it.
 _GATHER_BYTES = 2**17
 
 
@@ -49,26 +50,33 @@ def _bootstrap(rng: np.random.Generator, n_boot: int, stat, *sizes,
                batch: int | None = None) -> np.ndarray:
     """stat(*idx) on each of n_boot resamples, stacked along axis 0.
 
-    A resample draws one index array rng.integers(0, n, size=n) per sample
-    size n, in the order given, and the resamples draw one after another.
+    Stream contract: the indices are those of n_boot resamples drawn one
+    after another, each drawing rng.integers(0, n, size=n) per sample size
+    n, in the order given.  With one sample size a block of b resamples
+    draws its (b, n) indices in one rng.integers(0, n, size=(b, n)) call,
+    which gives the same indices and leaves rng in the same state as b
+    size=n calls (numpy's bit generators keep the spare half of a 64-bit
+    draw in their state; test_analysis pins this).  With several sizes the
+    resamples interleave their arrays, so each resample draws its own.
 
     Unbatched, stat gets one resample's (n,) index arrays and returns its
-    statistic; only the statistics are kept, never all the indices at once.
-    With a batch, stat gets up to `batch` consecutive resamples' index arrays
-    stacked as (b, n) and returns their b statistics stacked along axis 0.
-    The draws are the same either way.  The caller sizes the batch so that
-    what stat builds from a (b, n) block stays small: verify_laplace keeps
-    its gathered (n_u, b, n) doubles within _GATHER_BYTES (128 KiB).
+    statistic; a block's (b, n) indices stay within _GATHER_BYTES (128 KiB),
+    at least one resample, so all n_boot are never held at once.  With a
+    batch (one sample size only), stat gets up to `batch` consecutive
+    resamples' indices as one (b, n) block and returns their b statistics
+    stacked along axis 0.  The caller sizes the batch so that what stat
+    builds from the block stays small: verify_laplace keeps its gathered
+    (n_u, b, n) doubles within _GATHER_BYTES.
     """
-    def draw():
-        return [rng.integers(0, n, size=n) for n in sizes]
-
-    if batch is None:
-        return np.array([stat(*draw()) for _ in range(n_boot)])
+    if len(sizes) > 1:
+        return np.array([stat(*[rng.integers(0, n, size=n) for n in sizes])
+                         for _ in range(n_boot)])
+    n, = sizes
+    block = batch or max(1, _GATHER_BYTES // (8 * n))
     stats = []
-    for start in range(0, n_boot, batch):
-        drawn = [draw() for _ in range(min(batch, n_boot - start))]
-        stats.append(stat(*[np.stack(idx) for idx in zip(*drawn)]))
+    for start in range(0, n_boot, block):
+        idx = rng.integers(0, n, size=(min(block, n_boot - start), n))
+        stats.append(stat(idx) if batch else np.array([stat(i) for i in idx]))
     return np.concatenate(stats)
 
 
@@ -104,18 +112,23 @@ def estimate_spectrum(lambda_grid, mass_samples: np.ndarray, q_grid,
     if rng is None:
         rng = np.random.default_rng(0)
     log_lam = np.log(lambda_grid)
+    # a power acts elementwise, so a resample's powers are rows gathered from
+    # the full sample's powers, computed once per q; take gathers a C-ordered
+    # (n, n_lambda) block, as samples[idx]**q is, so each mean sums alike
+    powers = [samples**q for q in q_grid]
 
-    def slopes_for(sub):
+    def slopes_for(tables):
         out = np.empty(q_grid.size)
-        for i, q in enumerate(q_grid):
-            moments = np.mean(sub**q, axis=0)
+        for i, (q, table) in enumerate(zip(q_grid, tables)):
+            moments = np.mean(table, axis=0)
             if not np.all(np.isfinite(moments)) or np.any(moments <= 0):
                 raise AnalysisError(f"non-finite empirical moment at q={q}")
             out[i] = ols_slope(log_lam, np.log(moments))[0]
         return out
 
-    slopes = slopes_for(samples)
-    boots = _bootstrap(rng, n_boot, lambda idx: slopes_for(samples[idx]), samples.shape[0])
+    slopes = slopes_for(powers)
+    boots = _bootstrap(rng, n_boot, lambda idx: slopes_for(p.take(idx, axis=0) for p in powers),
+                       samples.shape[0])
     return SpectrumFit(slopes=slopes, stderr=boots.std(axis=0, ddof=1))
 
 
@@ -263,12 +276,17 @@ def verify_perfect_scaling(small_samples, ref_samples, lam: float, gamma2: float
         rng = np.random.default_rng(2)
     theory = lam ** xi_bar(gamma2, alpha, d, q_grid)
 
-    def ratios(s, r):
-        return np.array([np.mean(s**q) / np.mean(r**q) for q in q_grid])
+    # a power acts elementwise, so a resample's powers are columns gathered
+    # from the full sample's (n_q, n) table, computed once per q; take gathers
+    # C-ordered rows, so each mean is still the 1-D pairwise sum of s[i]**q
+    small_q = np.array([small**q for q in q_grid])
+    ref_q = np.array([ref**q for q in q_grid])
 
-    point = ratios(small, ref)
-    ci = _percentile_ci(_bootstrap(rng, n_boot, lambda i, j: ratios(small[i], ref[j]),
-                                   small.size, ref.size))
+    def ratios(i, j):
+        return small_q.take(i, axis=1).mean(axis=1) / ref_q.take(j, axis=1).mean(axis=1)
+
+    point = small_q.mean(axis=1) / ref_q.mean(axis=1)
+    ci = _percentile_ci(_bootstrap(rng, n_boot, ratios, small.size, ref.size))
     return ScalingCheckResult(ratio=point, ratio_ci=ci, theory=theory)
 
 

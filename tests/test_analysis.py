@@ -24,6 +24,7 @@ from gmclab.analysis import (
     ols_slope,
     sample_omega,
     verify_laplace,
+    verify_perfect_scaling,
 )
 from gmclab.atomic import AtomicMeasure, build_dual_cells, xi_bar
 from gmclab.chaos import LatticeMeasure, build_chaos, xi
@@ -69,6 +70,40 @@ class TestRegression:
             ols_slope(np.ones(5), np.arange(5.0))
 
 
+class _IntegersSpy:
+    """A generator that records the size of every integers call it passes on."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def integers(self, low, high, size):
+        self.sizes.append(size)
+        return self.rng.integers(low, high, size=size)
+
+
+class TestBootstrapStream:
+    # _bootstrap draws a block of b resamples in one integers call and relies
+    # on it drawing what b one-resample calls draw: the bit generators keep
+    # the spare 32-bit half of a 64-bit draw in their state, not in the call
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.SFC64,
+                                               np.random.Philox])
+    @pytest.mark.parametrize("n", [1, 2, 37, 500, 30_000, 2**32 + 5])
+    def test_block_call_draws_consecutive_calls(self, bit_generator, n):
+        m = n if n <= 30_000 else 37
+        for b in (1, 6, 7):
+            for primed in (False, True):
+                block, rows = (np.random.Generator(bit_generator(11)) for _ in range(2))
+                if primed:
+                    # one 32-bit draw first leaves a spare half in the state
+                    for rng in (block, rows):
+                        rng.integers(0, 3)
+                got = block.integers(0, n, size=(b, m))
+                want = np.array([rows.integers(0, n, size=m) for _ in range(b)])
+                assert np.array_equal(got, want)
+                assert block.random() == rows.random()
+
+
 class TestSpectrum:
     def test_recovers_power_law(self):
         rng = np.random.default_rng(0)
@@ -92,6 +127,39 @@ class TestSpectrum:
     def test_needs_enough_lambdas(self):
         with pytest.raises(AnalysisError):
             estimate_spectrum([0.5, 0.25], np.ones((10, 2)), [1.0])
+
+    @pytest.mark.parametrize("replicas", [20, 100, 1000])
+    def test_bootstrap_matches_resample_loop(self, replicas):
+        def loop_stderr(log_lam, samples, q_grid, rng):
+            # reference: one index draw and one slope fit per resample
+            def slopes_for(sub):
+                return np.array([ols_slope(log_lam, np.log(np.mean(sub**q, axis=0)))[0]
+                                 for q in q_grid])
+
+            n = samples.shape[0]
+            boots = np.array([slopes_for(samples[rng.integers(0, n, size=n)])
+                              for _ in range(200)])
+            return slopes_for(samples), boots.std(axis=0, ddof=1)
+
+        lams = np.array([0.5, 0.25, 0.125, 0.0625, 0.03125])
+        q_grid = np.array([-0.5, 0.5, 1.0, 2.0])
+        data = np.random.default_rng(8)
+        samples = lams[None, :] ** 1.3 * data.lognormal(sigma=0.7, size=(replicas, lams.size))
+        # a Fortran-ordered sample sums its point moments column by column,
+        # but its resamples are gathered C-ordered either way
+        for table in (samples, np.asfortranarray(samples)):
+            slopes, stderr = loop_stderr(np.log(lams), table, q_grid, np.random.default_rng(5))
+            spy = _IntegersSpy(5)
+            fit = estimate_spectrum(lams, table, q_grid, rng=spy)
+            assert np.array_equal(fit.slopes, slopes)
+            assert np.array_equal(fit.stderr, stderr)
+        # one integers call per 128 KiB block of indices: 20 replicas draw all
+        # 200 resamples at once, 100 and 1000 split them and leave a part block
+        blocks = [rows for rows, _ in spy.sizes]
+        assert sum(blocks) == 200 and {n for _, n in spy.sizes} == {replicas}
+        assert max(blocks) * replicas * 8 <= analysis._GATHER_BYTES
+        if replicas > 20:
+            assert len(blocks) > 1 and blocks[-1] < blocks[0]
 
 
 class TestHill:
@@ -194,6 +262,31 @@ class TestOmega:
         assert abs(emp - theory) < 4 * se
 
 
+class TestPerfectScaling:
+    @pytest.mark.parametrize("sizes", [(1, 1), (37, 20), (500, 400), (3000, 2000)])
+    def test_power_tables_match_resample_loop(self, sizes):
+        def loop(small, ref, q_grid, n_boot, rng):
+            # reference: raise each resample to every q afresh
+            def ratios(s, r):
+                return np.array([np.mean(s**q) / np.mean(r**q) for q in q_grid])
+
+            boot = np.array([ratios(small[rng.integers(0, small.size, size=small.size)],
+                                    ref[rng.integers(0, ref.size, size=ref.size)])
+                             for _ in range(n_boot)])
+            return ratios(small, ref), np.percentile(boot, [2.5, 97.5], axis=0).T
+
+        data = np.random.default_rng(12)
+        small = data.pareto(0.7, size=sizes[0]) + 1e-3
+        ref = data.lognormal(size=sizes[1])
+        # -1 and 0.5 take numpy's reciprocal and square-root fast paths
+        q_grid = np.array([-1.0, -0.3, 0.0, 0.25, 0.5, 0.6])
+        got = verify_perfect_scaling(small, ref, 0.25, 1.0, 0.7, 1, q_grid, n_boot=60,
+                                     rng=np.random.default_rng(4))
+        ratio, ci = loop(small, ref, q_grid, 60, np.random.default_rng(4))
+        assert np.array_equal(got.ratio, ratio)
+        assert np.array_equal(got.ratio_ci, ci)
+
+
 class TestCovering:
     def test_cantor_boxes_have_digits_0_and_2(self):
         for g in range(7):
@@ -238,10 +331,11 @@ class TestCovering:
 
         levels = np.arange(1.0, n_levels + 1)
         s_grid = np.linspace(0.3, 0.9, 10)
-        for seed in range(3):
+        # 100 replicas split the 200 resamples' indices into 128 KiB blocks
+        for seed, replicas in [(0, 20), (1, 20), (2, 20), (3, 100)]:
             rng = np.random.default_rng(seed)
             rate = levels[:, None] * (np.log(2.0) - s_grid * np.log(3.0))
-            sums = np.exp(rate + rng.normal(0.0, 0.5, (20, n_levels, s_grid.size)))
+            sums = np.exp(rate + rng.normal(0.0, 0.5, (replicas, n_levels, s_grid.size)))
             est = dimension_estimate(levels, s_grid, sums, rng=np.random.default_rng(seed))
             got = (est.slopes, est.estimate, est.ci_lo, est.ci_hi)
             ref = loop_estimate(levels, s_grid, sums, np.random.default_rng(seed))
