@@ -22,7 +22,7 @@ HILL_STABILITY_RTOL = 0.25
 # doubles, b at least 1: 6 resamples at n = 500 and five u values, 1 at
 # n = 1e5.  Batches of 13 and 32 resamples at n = 500 raised peak RSS over
 # 300 laplace-dual-1d calls by 0.3-0.5 MB and saved under 1 ms per call.
-# Unbatched bootstraps keep each block of (b, n) int64 indices within it.
+# Other bootstraps keep their (b, n) int64 index blocks and gathers within it.
 _GATHER_BYTES = 2**17
 
 
@@ -48,36 +48,45 @@ def ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 def _bootstrap(rng: np.random.Generator, n_boot: int, stat, *sizes,
                batch: int | None = None) -> np.ndarray:
-    """stat(*idx) on each of n_boot resamples, stacked along axis 0.
+    """stat's statistics of n_boot resamples, stacked along axis 0.
 
     Stream contract: the indices are those of n_boot resamples drawn one
     after another, each drawing rng.integers(0, n, size=n) per sample size
-    n, in the order given.  With one sample size a block of b resamples
-    draws its (b, n) indices in one rng.integers(0, n, size=(b, n)) call,
-    which gives the same indices and leaves rng in the same state as b
-    size=n calls (numpy's bit generators keep the spare half of a 64-bit
-    draw in their state; test_analysis pins this).  With several sizes the
-    resamples interleave their arrays, so each resample draws its own.
-
-    Unbatched, stat gets one resample's (n,) index arrays and returns its
-    statistic; a block's (b, n) indices stay within _GATHER_BYTES (128 KiB),
-    at least one resample, so all n_boot are never held at once.  With a
-    batch (one sample size only), stat gets up to `batch` consecutive
-    resamples' indices as one (b, n) block and returns their b statistics
-    stacked along axis 0.  The caller sizes the batch so that what stat
-    builds from the block stays small: verify_laplace keeps its gathered
-    (n_u, b, n) doubles within _GATHER_BYTES.
+    n, in the order given.  With several sizes the resamples interleave
+    their arrays, so each draws its own and stat gets its (n,) index arrays.
+    With one size, stat gets a (b, n) block of b consecutive resamples and
+    returns their b statistics.  The block's one rng.integers(0, n,
+    size=(b, n)) call gives the same indices and rng state as b size=n
+    calls (numpy's bit generators keep the spare half of a 64-bit draw in
+    their state; test_analysis pins this).  b is `batch`, or as many as keep
+    the int64 indices within _GATHER_BYTES, at least one; verify_laplace
+    passes a batch that keeps its gathered (n_u, b, n) doubles within it.
     """
     if len(sizes) > 1:
         return np.array([stat(*[rng.integers(0, n, size=n) for n in sizes])
                          for _ in range(n_boot)])
     n, = sizes
     block = batch or max(1, _GATHER_BYTES // (8 * n))
-    stats = []
-    for start in range(0, n_boot, block):
-        idx = rng.integers(0, n, size=(min(block, n_boot - start), n))
-        stats.append(stat(idx) if batch else np.array([stat(i) for i in idx]))
-    return np.concatenate(stats)
+    return np.concatenate([stat(rng.integers(0, n, size=(min(block, n_boot - start), n)))
+                           for start in range(0, n_boot, block)])
+
+
+def _resample_means(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """table[i].mean(axis=0) for each row i of a (b, n) index block: (b, ...).
+
+    Each step gathers the rows at the next index positions, within
+    _GATHER_BYTES, and sums them onto the running sum along an axis that is
+    not the last.  numpy sums such an axis one element after another, as its
+    axis-0 mean of a C-ordered gather does when a row holds several numbers,
+    so every mean is bit-equal to the per-resample one."""
+    b, n = idx.shape
+    step = max(1, _GATHER_BYTES // (b * table[0].nbytes))
+    acc = table[idx[:, 0]]
+    for start in range(1, n, step):
+        rows = table[idx.T[start:start + step]]
+        rows[0] += acc
+        acc = rows[0] if len(rows) == 1 else rows.sum(axis=0)
+    return acc / n
 
 
 def _percentile_ci(boot: np.ndarray) -> np.ndarray:
@@ -112,22 +121,28 @@ def estimate_spectrum(lambda_grid, mass_samples: np.ndarray, q_grid,
     if rng is None:
         rng = np.random.default_rng(0)
     log_lam = np.log(lambda_grid)
+    dx = log_lam - log_lam.mean()
+    sxx = np.sum(dx**2)
+    if sxx == 0:
+        raise AnalysisError("degenerate abscissa in regression")
     # a power acts elementwise, so a resample's powers are rows gathered from
-    # the full sample's powers, computed once per q; take gathers a C-ordered
-    # (n, n_lambda) block, as samples[idx]**q is, so each mean sums alike
+    # the full sample's powers, computed once per q
     powers = [samples**q for q in q_grid]
 
-    def slopes_for(tables):
-        out = np.empty(q_grid.size)
-        for i, (q, table) in enumerate(zip(q_grid, tables)):
-            moments = np.mean(table, axis=0)
-            if not np.all(np.isfinite(moments)) or np.any(moments <= 0):
-                raise AnalysisError(f"non-finite empirical moment at q={q}")
-            out[i] = ols_slope(log_lam, np.log(moments))[0]
-        return out
+    def slopes_for(moments):
+        # ols_slope over lambda of every (..., q) row at once: each row sum
+        # is the pairwise sum of one contiguous row, as a 1-D sum is
+        bad = ~np.all(np.isfinite(moments) & (moments > 0), axis=-1)
+        if bad.any():
+            raise AnalysisError("non-finite empirical moment at "
+                                f"q={q_grid[np.argmax(bad.ravel()) % q_grid.size]}")
+        y = np.log(moments)
+        return np.sum(dx * (y - y.mean(axis=-1, keepdims=True)), axis=-1) / sxx
 
-    slopes = slopes_for(powers)
-    boots = _bootstrap(rng, n_boot, lambda idx: slopes_for(p.take(idx, axis=0) for p in powers),
+    slopes = slopes_for(np.array([np.mean(p, axis=0) for p in powers]))
+    # C-ordered: a gather keeps its rows' layout, and the fit sums along rows
+    table = np.ascontiguousarray(np.stack(powers, axis=1))
+    boots = _bootstrap(rng, n_boot, lambda idx: slopes_for(_resample_means(table, idx)),
                        samples.shape[0])
     return SpectrumFit(slopes=slopes, stderr=boots.std(axis=0, ddof=1))
 
@@ -388,17 +403,21 @@ class DimensionEstimate:
     slopes: np.ndarray
 
 
-def _crossing(s_grid: np.ndarray, slopes: np.ndarray) -> float:
-    """s where the log-covering-sum growth rate crosses zero (decreasing in s)."""
+def _crossing(s_grid: np.ndarray, slopes: np.ndarray):
+    """s where the log-covering-sum growth rate crosses zero (decreasing in s):
+    a float for (n_s,) slopes, and a (b,) array for a (b, n_s) block, row by
+    row.  The crossing is interpolated between the first pair of nodes whose
+    signs differ or touch 0; a first slope <= 0 gives s_grid[0], and else a
+    last slope >= 0 gives s_grid[-1]."""
     sign = np.sign(slopes)
-    if slopes[0] <= 0:
-        return float(s_grid[0])
-    if slopes[-1] >= 0:
-        return float(s_grid[-1])
-    i = int(np.where(sign[:-1] * sign[1:] <= 0)[0][0])
+    i = np.argmax(sign[..., :-1] * sign[..., 1:] <= 0, axis=-1)[..., None]
     s0, s1 = s_grid[i], s_grid[i + 1]
-    y0, y1 = slopes[i], slopes[i + 1]
-    return float(s0 - y0 * (s1 - s0) / (y1 - y0))
+    y0, y1 = (np.take_along_axis(slopes, k, axis=-1) for k in (i, i + 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = (s0 - y0 * (s1 - s0) / (y1 - y0))[..., 0]
+    s = np.where(slopes[..., 0] <= 0, s_grid[0],
+                 np.where(slopes[..., -1] >= 0, s_grid[-1], cross))
+    return float(s) if s.ndim == 0 else s
 
 
 def dimension_estimate(levels, s_grid, sums: np.ndarray, n_boot: int = 200,
@@ -415,25 +434,32 @@ def dimension_estimate(levels, s_grid, sums: np.ndarray, n_boot: int = 200,
         sums = sums[None, :, :]
     if levels.size < 3 or s_grid.size < 5:
         raise AnalysisError("need >= 3 levels and >= 5 s values")
+    bad = np.argwhere(~np.isfinite(sums))
+    if bad.size:
+        r, g, k = bad[0]
+        raise AnalysisError(f"non-finite covering sum {sums[r, g, k]} at replica {r}, "
+                            f"level {levels[g]:g}, s = {s_grid[k]:g}")
     if rng is None:
         rng = np.random.default_rng(3)
     log_sums = np.log(np.maximum(sums, 1e-300))
     dx = levels - levels.mean()
     sxx = np.sum(dx**2)
 
-    def slopes_of(logs):
-        # ols_slope of each s column at once, with its summation order
-        mean_log = logs.mean(axis=0)
-        return np.sum(dx[:, None] * (mean_log - mean_log.mean(axis=0)), axis=0) / sxx
+    def slopes_of(mean_log):
+        # ols_slope of each s column at once, of (n_levels, n_s) or a
+        # (b, n_levels, n_s) block, each with its summation order
+        centred = mean_log - mean_log.mean(axis=-2, keepdims=True)
+        return np.sum(dx[:, None] * centred, axis=-2) / sxx
 
-    slopes = slopes_of(log_sums)
+    slopes = slopes_of(log_sums.mean(axis=0))
     if slopes[0] <= 0 or slopes[-1] >= 0:
         raise AnalysisError("s grid does not bracket the zero crossing")
     est = _crossing(s_grid, slopes)
     n_rep = sums.shape[0]
     if n_rep > 1:
         lo, hi = _percentile_ci(_bootstrap(
-            rng, n_boot, lambda idx: _crossing(s_grid, slopes_of(log_sums[idx])), n_rep))
+            rng, n_boot,
+            lambda idx: _crossing(s_grid, slopes_of(_resample_means(log_sums, idx))), n_rep))
     else:
         lo = hi = est
     return DimensionEstimate(estimate=est, ci_lo=float(lo), ci_hi=float(hi), slopes=slopes)

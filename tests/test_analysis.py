@@ -82,6 +82,36 @@ class _IntegersSpy:
         return self.rng.integers(low, high, size=size)
 
 
+def _spy_on_stat(monkeypatch):
+    """Record the index block and the statistics of every stat call that
+    _bootstrap makes."""
+    calls, real = [], analysis._bootstrap
+
+    def bootstrap(rng, n_boot, stat, *sizes, **kwargs):
+        def spied(*idx):
+            out = stat(*idx)
+            calls.append((idx[0].shape, out))
+            return out
+        return real(rng, n_boot, spied, *sizes, **kwargs)
+
+    monkeypatch.setattr(analysis, "_bootstrap", bootstrap)
+    return calls
+
+
+def _assert_one_stat_call_per_block(spy, calls, n_boot, replicas):
+    """One integers call and one stat call per index block of at most 128
+    KiB: 20 replicas draw all resamples at once, 100 and 1000 split them and
+    leave a part block."""
+    assert [shape for shape, _ in calls] == spy.sizes
+    blocks = [rows for rows, _ in spy.sizes]
+    assert sum(blocks) == n_boot and {n for _, n in spy.sizes} == {replicas}
+    assert max(blocks) * replicas * 8 <= analysis._GATHER_BYTES
+    if replicas > 20:
+        assert len(blocks) > 1 and blocks[-1] < blocks[0]
+    else:
+        assert len(blocks) == 1
+
+
 class TestBootstrapStream:
     # _bootstrap draws a block of b resamples in one integers call and relies
     # on it drawing what b one-resample calls draw: the bit generators keep
@@ -129,7 +159,7 @@ class TestSpectrum:
             estimate_spectrum([0.5, 0.25], np.ones((10, 2)), [1.0])
 
     @pytest.mark.parametrize("replicas", [20, 100, 1000])
-    def test_bootstrap_matches_resample_loop(self, replicas):
+    def test_bootstrap_matches_resample_loop(self, replicas, monkeypatch):
         def loop_stderr(log_lam, samples, q_grid, rng):
             # reference: one index draw and one slope fit per resample
             def slopes_for(sub):
@@ -139,27 +169,36 @@ class TestSpectrum:
             n = samples.shape[0]
             boots = np.array([slopes_for(samples[rng.integers(0, n, size=n)])
                               for _ in range(200)])
-            return slopes_for(samples), boots.std(axis=0, ddof=1)
+            return slopes_for(samples), boots, boots.std(axis=0, ddof=1)
 
-        lams = np.array([0.5, 0.25, 0.125, 0.0625, 0.03125])
+        calls = _spy_on_stat(monkeypatch)
         q_grid = np.array([-0.5, 0.5, 1.0, 2.0])
         data = np.random.default_rng(8)
-        samples = lams[None, :] ** 1.3 * data.lognormal(sigma=0.7, size=(replicas, lams.size))
-        # a Fortran-ordered sample sums its point moments column by column,
-        # but its resamples are gathered C-ordered either way
-        for table in (samples, np.asfortranarray(samples)):
-            slopes, stderr = loop_stderr(np.log(lams), table, q_grid, np.random.default_rng(5))
-            spy = _IntegersSpy(5)
-            fit = estimate_spectrum(lams, table, q_grid, rng=spy)
-            assert np.array_equal(fit.slopes, slopes)
-            assert np.array_equal(fit.stderr, stderr)
-        # one integers call per 128 KiB block of indices: 20 replicas draw all
-        # 200 resamples at once, 100 and 1000 split them and leave a part block
-        blocks = [rows for rows, _ in spy.sizes]
-        assert sum(blocks) == 200 and {n for _, n in spy.sizes} == {replicas}
-        assert max(blocks) * replicas * 8 <= analysis._GATHER_BYTES
-        if replicas > 20:
-            assert len(blocks) > 1 and blocks[-1] < blocks[0]
+        # ols_slope sums 9 lambdas pairwise, and so does the row-wise fit
+        for lams in (2.0 ** -np.arange(1, 6), 2.0 ** -np.arange(1, 10)):
+            samples = lams[None, :] ** 1.3 * data.lognormal(sigma=0.7,
+                                                             size=(replicas, lams.size))
+            # a Fortran-ordered sample sums its point moments column by column,
+            # but its resamples are gathered C-ordered either way
+            for table in (samples, np.asfortranarray(samples)):
+                slopes, boots, stderr = loop_stderr(np.log(lams), table, q_grid,
+                                                    np.random.default_rng(5))
+                spy = _IntegersSpy(5)
+                calls.clear()
+                fit = estimate_spectrum(lams, table, q_grid, rng=spy)
+                assert np.array_equal(fit.slopes, slopes)
+                assert np.array_equal(np.concatenate([out for _, out in calls]), boots)
+                assert np.array_equal(fit.stderr, stderr)
+                _assert_one_stat_call_per_block(spy, calls, 200, replicas)
+
+    def test_zero_resample_moment_names_its_q(self):
+        # every point moment is positive, but a resample of only row 1 has a
+        # zero moment at q = 1 and none at q = 0
+        lams = np.array([0.5, 0.25, 0.125, 0.0625])
+        samples = np.ones((2, 4))
+        samples[1, 2] = 0.0
+        with pytest.raises(AnalysisError, match=r"q=1\.0"):
+            estimate_spectrum(lams, samples, [0.0, 1.0], rng=np.random.default_rng(0))
 
 
 class TestHill:
@@ -347,6 +386,63 @@ class TestCovering:
                     # numpy's 1-D sum goes pairwise from 8 terms on
                     np.testing.assert_allclose(g, r, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("replicas", [20, 100, 1000])
+    def test_bootstrap_matches_resample_loop(self, replicas, monkeypatch):
+        def loop_estimate(levels, s_grid, sums, rng):
+            # reference: one index draw, one axis-0 mean of the gathered logs
+            # and one scalar crossing per resample
+            log_sums = np.log(np.maximum(sums, 1e-300))
+            dx = levels - levels.mean()
+
+            def slopes_of(logs):
+                mean_log = logs.mean(axis=0)
+                return np.sum(dx[:, None] * (mean_log - mean_log.mean(axis=0)),
+                              axis=0) / np.sum(dx**2)
+
+            n = sums.shape[0]
+            boots = [_scalar_crossing(s_grid, slopes_of(log_sums[rng.integers(0, n, size=n)]))
+                     for _ in range(200)]
+            slopes = slopes_of(log_sums)
+            return (slopes, _scalar_crossing(s_grid, slopes), *np.percentile(boots, [2.5, 97.5]),
+                    np.array(boots))
+
+        calls = _spy_on_stat(monkeypatch)
+        s_grid = np.linspace(0.3, 0.9, 10)
+        # the level sums go one level after another, also at 9 levels, where
+        # a 1-D sum would go pairwise
+        for n_levels in (6, 9):
+            levels = np.arange(1.0, n_levels + 1)
+            rng = np.random.default_rng(n_levels)
+            rate = levels[:, None] * (np.log(2.0) - s_grid * np.log(3.0))
+            sums = np.exp(rate + rng.normal(0.0, 0.5, (replicas, n_levels, s_grid.size)))
+            # covering_sums returns a block with the level axis outermost in
+            # memory; a gather keeps its rows' layout
+            by_level = np.moveaxis(np.ascontiguousarray(np.moveaxis(sums, 1, 0)), 0, 1)
+            for table in (sums, by_level, np.asfortranarray(sums)):
+                spy = _IntegersSpy(7)
+                calls.clear()
+                est = dimension_estimate(levels, s_grid, table, rng=spy)
+                boots = np.concatenate([out for _, out in calls])
+                ref = loop_estimate(levels, s_grid, table, np.random.default_rng(7))
+                got = (est.slopes, est.estimate, est.ci_lo, est.ci_hi, boots)
+                for g, want in zip(got, ref):
+                    assert np.array_equal(g, want)
+                _assert_one_stat_call_per_block(spy, calls, 200, replicas)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_sums_rejected(self, value):
+        # one bad entry used to give a number (its s column's slope is NaN,
+        # and the crossing search skipped it) or an IndexError
+        levels = np.arange(1, 7)
+        s_grid = np.linspace(0.5, 0.75, 11)
+        rate = levels[:, None] * (np.log(2.0) - s_grid * np.log(3.0))
+        for seed in range(3):
+            sums = np.exp(rate + np.random.default_rng(seed).normal(0.0, 0.05, (5, 6, 11)))
+            sums[2, 4, 4] = value
+            sums[3, 1, 0] = value
+            with pytest.raises(AnalysisError, match=r"replica 2, level 5, s = 0\.6$"):
+                dimension_estimate(levels, s_grid, sums)
+
     @pytest.mark.parametrize("set_name", ["cantor", "interval"])
     def test_atomic_sums_match_interval_loop(self, set_name):
         def loop_masses(x, masses, intervals):
@@ -382,6 +478,49 @@ class TestCovering:
         uniform = LatticeMeasure(lat, np.full(1000, lat.spacing))
         with pytest.raises(AnalysisError):
             covering_sums(uniform, "cantor", [3], [0.5])
+
+
+def _scalar_crossing(s_grid, slopes):
+    """Reference: the one-row crossing search that _crossing vectorises."""
+    sign = np.sign(slopes)
+    if slopes[0] <= 0:
+        return float(s_grid[0])
+    if slopes[-1] >= 0:
+        return float(s_grid[-1])
+    i = int(np.where(sign[:-1] * sign[1:] <= 0)[0][0])
+    s0, s1 = s_grid[i], s_grid[i + 1]
+    y0, y1 = slopes[i], slopes[i + 1]
+    return float(s0 - y0 * (s1 - s0) / (y1 - y0))
+
+
+class TestCrossing:
+    S_GRID = np.linspace(0.3, 0.7, 5)
+    CASES = {
+        "first-negative": [-0.1, -0.2, -0.3, -0.4, -0.5],
+        "first-zero": [0.0, 0.2, -0.1, -0.2, -0.3],
+        "last-positive": [0.5, 0.4, 0.3, 0.2, 0.1],
+        "last-zero": [0.5, 0.4, 0.3, 0.2, 0.0],
+        "interior-zero": [0.3, 0.1, 0.0, -0.1, -0.2],
+        "two-changes": [0.3, -0.1, 0.2, -0.3, -0.4],
+        "one-change": [0.31, 0.17, 0.02, -0.09, -0.23],
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_row_matches_scalar_form(self, name):
+        slopes = np.array(self.CASES[name])
+        got = _crossing(self.S_GRID, slopes)
+        assert type(got) is float and got == _scalar_crossing(self.S_GRID, slopes)
+
+    def test_block_matches_scalar_form_row_by_row(self):
+        rows = np.array(list(self.CASES.values()))
+        # and random rows that take every branch
+        rows = np.vstack([rows, np.random.default_rng(2).normal(0.0, 1.0, (200, 5))])
+        want = np.array([_scalar_crossing(self.S_GRID, r) for r in rows])
+        got = _crossing(self.S_GRID, rows)
+        assert got.shape == (len(rows),) and np.array_equal(got, want)
+        # the first sign change wins over a later one
+        two = list(self.CASES).index("two-changes")
+        assert got[two] == _crossing(self.S_GRID[:2], rows[two, :2])
 
 
 def _atomic_measure(lat, cells, masses):

@@ -178,6 +178,22 @@ class TestPositiveStable:
                         for _ in range(int(np.prod(shape[:-1])))]).reshape(shape)
         assert np.array_equal(_stable_cells(alpha, shape, np.random.default_rng(41)), ref)
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_log_moments(self, alpha):
+        # log S has cumulant generating function log G(1 - t/a) - log G(1 - t),
+        # from E S^t = G(1 - t/a) / G(1 - t): kappa_k = psi^(k-1)(1) (-1)^k
+        # (a^-k - 1), so E log S = gamma_E (1/a - 1), Var log S =
+        # (pi^2/6)(1/a^2 - 1) and kappa_4 = (pi^4/15)(1/a^4 - 1).  Two-sided
+        # z-tests at |z| <= 4, a level of 6.3e-5 each, on one block of cells
+        log_s = np.log(_stable_cells(alpha, (64, 4096), np.random.default_rng(29))).ravel()
+        n = log_s.size
+        k2 = np.pi**2 / 6 * (1 / alpha**2 - 1)
+        k4 = np.pi**4 / 15 * (1 / alpha**4 - 1)
+        z_mean = (log_s.mean() - np.euler_gamma * (1 / alpha - 1)) / np.sqrt(k2 / n)
+        # Var of the sample variance: kappa_4 / n + 2 kappa_2^2 / (n - 1)
+        z_var = (log_s.var(ddof=1) - k2) / np.sqrt(k4 / n + 2 * k2**2 / (n - 1))
+        assert abs(z_mean) <= 4 and abs(z_var) <= 4, (z_mean, z_var)
+
     def test_block_split_into_chunks_draws_the_same_cells(self):
         rng = np.random.default_rng(43)
         split = np.concatenate([_stable_cells(0.5, (20, 256), rng),
