@@ -114,7 +114,7 @@ def estimate_spectrum(lambda_grid, mass_samples: np.ndarray, q_grid,
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     q_grid = np.asarray(q_grid, dtype=float)
     samples = np.asarray(mass_samples, dtype=float)
-    if lambda_grid.size < 4:
+    if np.unique(lambda_grid).size < 4:
         raise AnalysisError("need at least 4 distinct lambda values")
     if samples.ndim != 2 or samples.shape[1] != lambda_grid.size:
         raise AnalysisError("mass_samples must be (replicas, n_lambda)")
@@ -439,9 +439,15 @@ def dimension_estimate(levels, s_grid, sums: np.ndarray, n_boot: int = 200,
         r, g, k = bad[0]
         raise AnalysisError(f"non-finite covering sum {sums[r, g, k]} at replica {r}, "
                             f"level {levels[g]:g}, s = {s_grid[k]:g}")
+    # an empty level's log is -inf: one such replica would swamp the mean
+    bad = np.argwhere(sums <= 0)
+    if bad.size:
+        r, g, k = bad[0]
+        raise AnalysisError(f"covering sum {sums[r, g, k]:g} is not positive at replica {r}, "
+                            f"level {levels[g]:g}, s = {s_grid[k]:g}")
     if rng is None:
         rng = np.random.default_rng(3)
-    log_sums = np.log(np.maximum(sums, 1e-300))
+    log_sums = np.log(sums)
     dx = levels - levels.mean()
     sxx = np.sum(dx**2)
 

@@ -33,16 +33,31 @@ EXIT_STAT_FAIL = 1
 EXIT_USAGE = 2
 
 
+def _spelled(col) -> list[str]:
+    """str of each .tolist() element of a column.  A 1-D column of 8-byte ints
+    or floats spells each distinct 64-bit pattern once, so 0.0 and -0.0 stay
+    apart; repr is str for a Python int or float."""
+    a = np.asarray(col)
+    if a.ndim != 1 or a.dtype.kind not in "iuf" or a.dtype.itemsize != 8:
+        return list(map(str, a.tolist()))
+    bits = a.view(np.int64).tolist()
+    distinct = dict.fromkeys(bits)
+    if len(distinct) == len(bits):
+        return list(map(repr, a.tolist()))
+    values = np.array(list(distinct), dtype=np.int64).view(a.dtype).tolist()
+    return list(map(dict(zip(distinct, map(repr, values))).__getitem__, bits))
+
+
 def write_csv(path: str, table: dict):
     """Write a table, column name -> 1-D array or list, in header order.
 
     A cell is str of its column's .tolist() element: an int or a label as
     itself, a float as its shortest round-trip repr.  A column of another
     length raises ValueError."""
-    columns = [np.asarray(col).tolist() for col in table.values()]
+    rows = zip(*map(_spelled, table.values()), strict=True)
+    text = "\n".join([",".join(table), *map(",".join, rows)]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(table) + "\n")
-        fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*columns, strict=True))
+        fh.write(text)
 
 
 def _sha256(path: str) -> str:
@@ -124,16 +139,17 @@ def write_outputs(result: PipelineResult, cfg: ExperimentConfig,
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gmclab",
+        usage="%(prog)s [-h] [--version] subcommand --config CONFIG [--seed SEED] "
+              "[--out OUT] [--replicas REPLICAS]",
         description="Multiplicative chaos simulation and verification pipelines.",
     )
     parser.add_argument("--version", action="version", version=f"gmclab {__version__}")
-    sub = parser.add_subparsers(dest="experiment", metavar="subcommand")
-    for name in PIPELINES:
-        p = sub.add_parser(name, help=f"run the {name} pipeline")
-        p.add_argument("--config", required=True, help="path to a key=value config file")
-        p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--replicas", type=int, default=None, help="override the replica count")
+    parser.add_argument("experiment", nargs="?", choices=PIPELINES, metavar="subcommand",
+                        help=f"the pipeline to run, one of: {', '.join(PIPELINES)}")
+    parser.add_argument("--config", help="path to a key=value config file (required)")
+    parser.add_argument("--seed", type=int, default=None, help="override the master seed")
+    parser.add_argument("--out", default=None, help="override the output directory")
+    parser.add_argument("--replicas", type=int, default=None, help="override the replica count")
     return parser
 
 
@@ -143,6 +159,8 @@ def main(argv=None) -> int:
     if args.experiment is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
+    if args.config is None:
+        parser.error("the following arguments are required: --config")
     try:
         cfg = load_config(args.config)
     except (OSError, ConfigError) as exc:

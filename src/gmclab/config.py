@@ -280,9 +280,10 @@ def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> lis
     for lam in cfg.scaling_lambdas:
         if not (0 < lam < 1):
             diags.append(f"scaling lambda {lam} outside (0,1)")
-    # each value of these grids names its own checks
-    for key, grid in (("q.grid", cfg.q_grid), ("u.grid", cfg.u_grid),
-                      ("scaling.lambdas", cfg.scaling_lambdas)):
+    # each value of the last three grids names its own checks, and a repeated
+    # lambda is a repeated abscissa of the spectrum fit
+    for key, grid in (("lambda.grid", cfg.lambda_grid), ("q.grid", cfg.q_grid),
+                      ("u.grid", cfg.u_grid), ("scaling.lambdas", cfg.scaling_lambdas)):
         for v in sorted({v for v in grid if grid.count(v) > 1}):
             diags.append(f"{key} repeats the value {v:g}")
     return diags

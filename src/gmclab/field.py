@@ -151,11 +151,25 @@ class FieldGrid:
             raise FieldError("field values must be finite")
 
 
+def _summed_radial(spec: KernelSpec, levels: Sequence[int], r):
+    """Covariance summed over levels, in their order, at distances r.
+
+    Levels 1..n take one partial-kernel call, bit-equal to the running sum
+    of the increments: for the exact families consecutive partials k_{n-1}
+    and k_n lie within a factor 2 of each other, so each increment q_n = k_n -
+    k_{n-1} is an exact subtraction, and star's partial kernel is that
+    running sum.  Any other level set sums its increments.
+    """
+    levels = list(levels)
+    if levels == list(range(1, len(levels) + 1)):
+        return partial_kernel_radial(spec, len(levels), r)
+    return sum(level_increment_radial(spec, n, r) for n in levels)
+
+
 def _circulant_eigs(spec: KernelSpec, levels: Sequence[int], lattice: Lattice, m: int) -> np.ndarray:
     lag = np.minimum(np.arange(m), m - np.arange(m)) * lattice.spacing
     r = np.hypot.reduce(np.meshgrid(*[lag] * lattice.d, indexing="ij"))
-    c = sum(level_increment_radial(spec, n, r) for n in levels)
-    return np.fft.fftn(c).real
+    return np.fft.fftn(_summed_radial(spec, levels, r)).real
 
 
 def prepare_circulant(spec: KernelSpec, levels: Sequence[int],
@@ -311,6 +325,4 @@ def field_variance0(spec: KernelSpec, levels: Sequence[int],
         for n in levels:
             out = out + eval_level_increment(spec, n, pts, pts)
         return out
-    if levels == list(range(1, levels[-1] + 1)):
-        return float(partial_kernel_radial(spec, levels[-1], 0.0))
-    return float(sum(level_increment_radial(spec, n, 0.0) for n in levels))
+    return float(_summed_radial(spec, levels, 0.0))

@@ -158,6 +158,13 @@ class TestSpectrum:
         with pytest.raises(AnalysisError):
             estimate_spectrum([0.5, 0.25], np.ones((10, 2)), [1.0])
 
+    def test_repeated_lambdas_do_not_count(self):
+        # four lambdas but three abscissae: the count alone let this fit
+        lams = [0.5, 0.5, 0.25, 0.125]
+        samples = np.random.default_rng(4).lognormal(size=(10, 4)) * np.square(lams)
+        with pytest.raises(AnalysisError, match="need at least 4 distinct lambda values"):
+            estimate_spectrum(lams, samples, [1.0])
+
     @pytest.mark.parametrize("replicas", [20, 100, 1000])
     def test_bootstrap_matches_resample_loop(self, replicas, monkeypatch):
         def loop_stderr(log_lam, samples, q_grid, rng):
@@ -442,6 +449,23 @@ class TestCovering:
             sums[3, 1, 0] = value
             with pytest.raises(AnalysisError, match=r"replica 2, level 5, s = 0\.6$"):
                 dimension_estimate(levels, s_grid, sums)
+
+    def test_empty_level_rejected(self):
+        # a zero sum used to read as log(1e-300) = -690.8 and swamp the mean,
+        # and the call then blamed the s grid for missing the zero crossing
+        levels = np.arange(1, 7)
+        s_grid = np.linspace(0.5, 0.75, 11)
+        rate = levels[:, None] * (np.log(2.0) - s_grid * np.log(3.0))
+        sums = np.exp(rate + np.random.default_rng(0).normal(0.0, 0.05, (5, 6, 11)))
+        assert 0.6 < dimension_estimate(levels, s_grid, sums).estimate < 0.66
+        sums[2, 5, :] = 0.0
+        with pytest.raises(AnalysisError, match=r"covering sum 0 is not positive at replica 2, "
+                                                r"level 6, s = 0\.5$"):
+            dimension_estimate(levels, s_grid, sums)
+        sums[2, 5, :] = 1.0
+        sums[1, 3, 7] = -1e-3
+        with pytest.raises(AnalysisError, match=r"replica 1, level 4, s = 0\.675$"):
+            dimension_estimate(levels, s_grid, sums)
 
     @pytest.mark.parametrize("set_name", ["cantor", "interval"])
     def test_atomic_sums_match_interval_loop(self, set_name):

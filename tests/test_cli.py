@@ -190,14 +190,83 @@ class TestCsv:
                                      b"1,pareto_control,1e-300,0.25\n"
                                      b"2,exponential_control,1e+16,nan\n")
 
+    @staticmethod
+    def _row_writer(path, table):
+        # the former writer, one str per cell, kept as the byte reference
+        columns = [np.asarray(col).tolist() for col in table.values()]
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(table) + "\n")
+            fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*columns, strict=True))
+
+    @pytest.mark.parametrize("table", [
+        {
+            "zero": [0.0, -0.0, 0.0, -0.0, 1.0, 0.0, -0.0, 2.0],
+            "special": [np.nan, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e16, 1e-5],
+            "repeated": np.tile([0.5, 0.1 + 0.2], 4),
+            "distinct": np.random.default_rng(5).lognormal(size=8),
+            "int": np.array([3, -1, 3, 2**62, -2**63, 0, 3, -1]),
+            "flag": np.array([True, False, True, True, False, False, True, False]),
+            "label": ["chaos", "dual", "chaos", "direct", "dual", "chaos", "x", "y"],
+        },
+        {
+            "uint": np.array([2**64 - 1, 0, 2**64 - 1], dtype=np.uint64),
+            "big_endian": np.array([-0.0, 0.25, 0.25], dtype=">f8"),
+            "single": np.array([0.1, 0.1, -0.0], dtype=np.float32),
+            "int32": np.array([7, 7, -7], dtype=np.int32),
+            "strided": np.arange(6.0)[::2],
+            "mixed": [1, 2.5, 1],
+        },
+        {"side": np.array([]), "mass": [], "replica": np.array([], dtype=np.int64)},
+        {},
+    ], ids=["values", "dtypes", "header-only", "no-columns"])
+    def test_cells_match_the_row_writer(self, tmp_path, table):
+        # each distinct value is spelled once and placed in every row it
+        # fills; the bytes are the former writer's
+        write_csv(str(tmp_path / "new.csv"), table)
+        self._row_writer(str(tmp_path / "old.csv"), table)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_signed_zeros_stay_apart(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(str(path), {"x": [0.0, -0.0, -0.0, 0.0]})
+        assert path.read_bytes() == b"x\n0.0\n-0.0\n-0.0\n0.0\n"
+
     def test_columns_of_unequal_length_raise(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv(str(tmp_path / "t.csv"), {"a": np.arange(3), "b": np.arange(2.0)})
+        with pytest.raises(ValueError):
+            write_csv(str(tmp_path / "t.csv"), {"a": [0.5, 0.5], "b": ["x", "y", "z"]})
 
 
 class TestCliRuns:
     def test_usage_error_without_subcommand(self):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("argv", [["bogus", "--config", "x.txt"], ["chaos"],
+                                      ["chaos", "--config", "x.txt", "--bogus", "1"]],
+                             ids=["unknown-subcommand", "no-config", "unknown-option"])
+    def test_usage_errors_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: gmclab")
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"gmclab {gmclab.__version__}\n"
+
+    def test_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert len(pipelines.PIPELINES) == 10
+        for name in pipelines.PIPELINES:
+            assert f" {name}," in out or f" {name}\n" in out, name
+        for option in ("--config", "--seed", "--out", "--replicas"):
+            assert option in out, option
 
     def test_missing_config(self, tmp_path):
         assert main(["chaos", "--config", str(tmp_path / "none.txt")]) == 2
@@ -294,6 +363,9 @@ class TestCliRuns:
          "s.grid [0.65, 0.85] must bracket the KPZ root 0.5696 at gamma2 = 0.5"),
         # each ran and named two checks alike
         ("spectrum", "q.grid = 0.5,0.5\n", [], "q.grid repeats the value 0.5"),
+        # four values but three abscissae of the spectrum fit
+        ("spectrum", "lambda.grid = 0.5,0.5,0.25,0.125\n", [],
+         "lambda.grid repeats the value 0.5"),
         ("laplace", "gamma2 = 1.0\nu.grid = 1,1\n", [], "u.grid repeats the value 1"),
         ("scaling", "gamma2 = 1.0\nresolution = 128\nq.grid = 0.1\nscaling.lambdas = 0.5,0.5\n",
          [], "scaling.lambdas repeats the value 0.5"),
@@ -312,7 +384,7 @@ class TestCliRuns:
             "field-one-replica", "chaos-one-replica", "spectrum-one-replica",
             "laplace-one-replica", "scaling-one-replica", "chaos-box-no-cell",
             "kpz-supercritical", "atoms-z-min-underflow", "atoms-atom-budget",
-            "kpz-s-grid-bracket", "spectrum-q-grid-repeat",
+            "kpz-s-grid-bracket", "spectrum-q-grid-repeat", "spectrum-lambda-grid-repeat",
             "laplace-u-grid-repeat", "scaling-lambdas-repeat", "atoms-replica-budget",
             "field-gff-mode-budget"])
     def test_unrunnable_config_is_diagnosed(self, tmp_path, capsys, experiment, text, args,

@@ -119,6 +119,30 @@ class TestCirculant:
             assert np.all(sqrt_lam >= 0)
             assert m >= 2 * res
 
+    @pytest.mark.parametrize("spec,res,top", [
+        (EXACT1D, 243, 729),
+        (EXACT1D, 2916, 729),
+        (EXACT2D, 32, 64),
+        (STAR1D, 64, 6),
+    ], ids=["exact1d-243", "exact1d-2916", "exact2d-32", "star"])
+    def test_summed_covariance_is_the_running_increment_sum(self, spec, res, top):
+        # levels 1..n take one partial-kernel call; the running sum of the
+        # increments q_1 + ... + q_n that it replaces lands on the same bits,
+        # on the embedding's lag grid and at lag 0 (field_variance0)
+        m = 2 * res
+        lag = np.minimum(np.arange(m), m - np.arange(m)) / res
+        r = np.hypot.reduce(np.meshgrid(*[lag] * spec.d, indexing="ij"))
+        running, running0 = 0, 0
+        for n in range(1, top + 1):
+            running = running + level_increment_radial(spec, n, r)
+            running0 = running0 + level_increment_radial(spec, n, 0.0)
+            assert np.array_equal(gfield._summed_radial(spec, range(1, n + 1), r), running), n
+            assert field_variance0(spec, range(1, n + 1)) == float(running0), n
+        # any other level set still sums its increments, in its order
+        band = [2, top // 2, top]
+        assert np.array_equal(gfield._summed_radial(spec, band, r),
+                              sum(level_increment_radial(spec, n, r) for n in band))
+
     def test_layer_covariance_matches_kernel(self):
         # Monte Carlo covariance at a fixed lag within 4 standard errors
         lat = Lattice(1, 128)
