@@ -36,7 +36,8 @@ EXIT_USAGE = 2
 def _spelled(col) -> list[str]:
     """str of each .tolist() element of a column.  A 1-D column of 8-byte ints
     or floats spells each distinct 64-bit pattern once, so 0.0 and -0.0 stay
-    apart; repr is str for a Python int or float."""
+    apart, and a column whose patterns are all distinct skips the dict; repr
+    is str for a Python int or float."""
     a = np.asarray(col)
     if a.ndim != 1 or a.dtype.kind not in "iuf" or a.dtype.itemsize != 8:
         return list(map(str, a.tolist()))
@@ -139,8 +140,6 @@ def write_outputs(result: PipelineResult, cfg: ExperimentConfig,
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gmclab",
-        usage="%(prog)s [-h] [--version] subcommand --config CONFIG [--seed SEED] "
-              "[--out OUT] [--replicas REPLICAS]",
         description="Multiplicative chaos simulation and verification pipelines.",
     )
     parser.add_argument("--version", action="version", version=f"gmclab {__version__}")
