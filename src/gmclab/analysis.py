@@ -315,9 +315,13 @@ class CoveringSumTable:
     sums: np.ndarray   # (n_levels, n_s), or (replicas, n_levels, n_s) for a block
 
 
-def _grid_box_masses(measure: LatticeMeasure, boxes: int) -> np.ndarray:
+def _grid_box_masses(measure: LatticeMeasure, boxes: int, keep=None) -> np.ndarray:
     """Masses of the boxes of side 1/boxes, as the (boxes,) * d grid; a block
-    of measures, masses (replicas, n_sites), gives one grid per replica."""
+    of measures, masses (replicas, n_sites), gives one grid per replica.
+
+    keep, an index among the boxes, keeps only those boxes on every axis:
+    their cells are taken before the sum, so each kept box is still the sum
+    of its own cells, in the order of the full grid's."""
     lat = measure.lattice
     if lat.resolution % boxes:
         raise AnalysisError(f"{boxes} boxes do not divide the resolution {lat.resolution}")
@@ -325,6 +329,9 @@ def _grid_box_masses(measure: LatticeMeasure, boxes: int) -> np.ndarray:
     # after the replica axes, axis 2k indexes the boxes along grid axis k and
     # axis 2k + 1 the cells in a box
     grid = measure.masses.reshape(lead + (boxes, lat.resolution // boxes) * lat.d)
+    if keep is not None:
+        for axis in range(len(lead), grid.ndim, 2):
+            grid = grid.take(keep, axis=axis)
     return grid.sum(axis=tuple(range(len(lead) + 1, grid.ndim, 2)))
 
 
@@ -349,9 +356,11 @@ def _power_sums(box_sets, exponents) -> np.ndarray:
     (replica) shape, whose rows are the sets.  Returns (..., n_levels, n_s).
 
     One table holds every set's positive masses, one scalar power pos**s per
-    row, which keeps numpy's fast paths (s = 0.5 is a sqrt).  Each set keeps
-    its own mu[mu > 0] selection and its own row-slice sum, the pairwise order
-    of a 1-D np.sum: every sum is bit-equal to a per-(set, s) loop.
+    row, which keeps numpy's fast paths (s = 0.5 is a sqrt).  The sets with
+    the same count c of positive boxes are reduced in one call: take gathers
+    their runs of the table as one C-ordered (n_s, sets, c) block, and each
+    row is still the 1-D pairwise sum of one set's run.  Every sum is
+    bit-equal to a per-(set, s) loop.
     """
     exponents = np.asarray(exponents, dtype=float)
     lead = np.shape(box_sets[0])[:-1]
@@ -359,12 +368,17 @@ def _power_sums(box_sets, exponents) -> np.ndarray:
     keep = [mu > 0 for mu in rows]
     # a 2-D boolean selection reads row after row: the sets in (level, row) order
     allpos = np.concatenate([mu[k] for mu, k in zip(rows, keep)])
-    ends = np.cumsum([0, *np.concatenate([k.sum(axis=1) for k in keep])])
+    counts = np.concatenate([k.sum(axis=1) for k in keep])
+    starts = np.cumsum(counts) - counts
     table = np.ones((exponents.size, allpos.size))
     for si, s in enumerate(exponents):
         if s != 0:
             table[si] = allpos**s
-    sums = np.array([table[:, a:b].sum(axis=1) for a, b in zip(ends[:-1], ends[1:])])
+    sums = np.empty((counts.size, exponents.size))
+    for c in np.unique(counts).tolist():
+        sets = np.flatnonzero(counts == c)
+        runs = starts[sets, None] + np.arange(c)
+        sums[sets] = table.take(runs, axis=1).sum(axis=-1).T
     sums = np.moveaxis(sums.reshape(len(rows), -1, exponents.size), 0, 1)
     return sums.reshape(lead + (len(rows), exponents.size))
 
@@ -376,8 +390,11 @@ def covering_sums(measure, set_name: str, levels, s_grid) -> CoveringSumTable:
     index on every axis has base-3 digits 0 and 2 only: the construction
     intervals of the Cantor set C in d = 1, the squares of C x C in d = 2.
     set_name must be 'cantor'.  An atomic measure is summed per cell first.
-    A block of lattice measures, masses (replicas, n_sites), gives sums of
-    shape (replicas, n_levels, n_s), each replica's bit-equal to its own.
+    Only the cells of the (2^g)^d Cantor boxes are summed, not all (3^g)^d
+    boxes, and the sets with equal counts of positive boxes are reduced in
+    one call (_power_sums).  A block of lattice measures, masses
+    (replicas, n_sites), gives sums of shape (replicas, n_levels, n_s), each
+    replica's bit-equal to its own.
     """
     if set_name != "cantor":
         raise AnalysisError(f"unknown set spec {set_name!r}")
@@ -387,10 +404,8 @@ def covering_sums(measure, set_name: str, levels, s_grid) -> CoveringSumTable:
     levels = np.asarray(levels, dtype=int)
     boxes = []
     for g in levels.tolist():
-        grid = _grid_box_masses(measure, 3**g)
-        # C^d: the Cantor boxes along each grid axis in turn
-        for axis in range(grid.ndim - d, grid.ndim):
-            grid = grid.take(_cantor_boxes(g), axis=axis)
+        # C^d: only the Cantor boxes' cells are summed
+        grid = _grid_box_masses(measure, 3**g, _cantor_boxes(g))
         boxes.append(grid.reshape(grid.shape[:grid.ndim - d] + (-1,)))
     return CoveringSumTable(levels=levels, sums=_power_sums(boxes, s_grid))
 
@@ -426,6 +441,7 @@ def dimension_estimate(levels, s_grid, sums: np.ndarray, n_boot: int = 200,
 
     sums: (replicas, n_levels, n_s); replicate axis is bootstrapped for the CI.
     A single deterministic table may be passed as shape (n_levels, n_s).
+    s_grid must increase strictly.
     """
     levels = np.asarray(levels, dtype=float)
     s_grid = np.asarray(s_grid, dtype=float)
@@ -434,6 +450,12 @@ def dimension_estimate(levels, s_grid, sums: np.ndarray, n_boot: int = 200,
         sums = sums[None, :, :]
     if levels.size < 3 or s_grid.size < 5:
         raise AnalysisError("need >= 3 levels and >= 5 s values")
+    # the crossing is interpolated between neighbouring s values
+    bad = np.flatnonzero(~(s_grid[:-1] < s_grid[1:]))
+    if bad.size:
+        i = bad[0]
+        raise AnalysisError(f"s grid must increase strictly, but {s_grid[i]:g} "
+                            f"is followed by {s_grid[i + 1]:g}")
     bad = np.argwhere(~np.isfinite(sums))
     if bad.size:
         r, g, k = bad[0]

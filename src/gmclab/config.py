@@ -239,6 +239,12 @@ def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> lis
                 f"resolution must be a multiple of 3^cantor.depth = {3**cfg.cantor_depth} "
                 "so the Cantor boxes align with cell boundaries"
             )
+        # the zero crossing is interpolated between neighbouring values, and
+        # each value is one covering.csv row
+        for a, b in zip(cfg.s_grid, cfg.s_grid[1:]):
+            if not a < b:
+                diags.append(f"s.grid must increase strictly, but {a:g} is followed by {b:g}")
+                break
         if len(cfg.s_grid) < 5:
             diags.append("s.grid needs at least 5 values")
         elif cfg.dimension == 1 and 0 <= cfg.gamma2 < 2:

@@ -467,6 +467,21 @@ class TestCovering:
         with pytest.raises(AnalysisError, match=r"replica 1, level 4, s = 0\.675$"):
             dimension_estimate(levels, s_grid, sums)
 
+    @pytest.mark.parametrize("s_grid, pair", [
+        (np.linspace(0.75, 0.5, 11), "0.75 is followed by 0.725"),
+        ([0.5, 0.75, 0.525, 0.7, 0.55, 0.675], "0.75 is followed by 0.525"),
+        ([0.5, 0.55, 0.6, 0.6, 0.65, 0.7], "0.6 is followed by 0.6"),
+    ], ids=["descending", "interleaved", "repeated"])
+    def test_unordered_s_grid_rejected(self, s_grid, pair):
+        # the crossing is interpolated between neighbours: an unordered grid
+        # used to pass or to be blamed for missing the zero crossing
+        levels = np.arange(1, 7)
+        s_grid = np.asarray(s_grid)
+        rate = levels[:, None] * (np.log(2.0) - s_grid * np.log(3.0))
+        sums = np.exp(rate + np.random.default_rng(0).normal(0.0, 0.05, (5, 6, s_grid.size)))
+        with pytest.raises(AnalysisError, match=rf"^s grid must increase strictly, but {pair}$"):
+            dimension_estimate(levels, s_grid, sums)
+
     @pytest.mark.parametrize("set_name", ["cantor", "interval"])
     def test_atomic_sums_match_interval_loop(self, set_name):
         def loop_masses(x, masses, intervals):
@@ -595,6 +610,19 @@ def _atomic(resolution, seed=5, d=1):
     return _atomic_measure(lat, rng.integers(0, lat.n_sites, 30), 10.0 ** rng.uniform(-14, 0, 30))
 
 
+def _set_loop(measures, levels, s_grid):
+    """Reference covering sums: each replica's Cantor boxes picked from the
+    full (3^g)^d grid of box masses, its own positives and one 1-D np.sum per
+    (level, s)."""
+    ref = np.empty((len(measures), len(levels), len(s_grid)))
+    for r, m in enumerate(measures):
+        for li, g in enumerate(levels):
+            mu = _grid_box_masses(m, 3**g)[np.ix_(*[_cantor_boxes(g)] * m.lattice.d)].ravel()
+            pos = mu[mu > 0]
+            ref[r, li] = [np.sum(pos**s) if s != 0 else pos.size for s in s_grid]
+    return ref
+
+
 class TestGridAtOnce:
     """The grid-at-once power sums equal a per-(level, s) loop bit for bit, and
     each box mass is its cells' sum: the Cantor boxes of covering_sums and the
@@ -640,19 +668,44 @@ class TestGridAtOnce:
         levels = range(1, 6 if d == 1 else 4)
         s_grid = np.array([0.0, 0.3, 0.5, 0.7, 1.0, 2.0])
         sums = covering_sums(block, "cantor", levels, s_grid).sums
-        ref = np.empty((20, len(levels), s_grid.size))
-        for r, m in enumerate(measures):
-            for li, g in enumerate(levels):
-                # reference: each set's own positives and one 1-D np.sum per s
-                mu = _grid_box_masses(m, 3**g)[np.ix_(*[_cantor_boxes(g)] * d)].ravel()
-                pos = mu[mu > 0]
-                ref[r, li] = [np.sum(pos**s) if s != 0 else pos.size for s in s_grid]
+        ref = _set_loop(measures, levels, s_grid)
         assert sums.shape == (20, len(levels), s_grid.size)
         assert np.array_equal(sums, ref)
         counts = ref[:, :, 0]
         # every replica keeps all its boxes, or (atomic) some lose some
         full = 2.0 ** (d * np.asarray(levels))
         assert np.all(counts == full) != (build is _atomic)
+
+    def test_ragged_counts_match_set_loop(self):
+        # at level 3 the rows keep 8, 6, 3, 1 and 0 of their 8 Cantor boxes:
+        # five distinct counts, each reduced in its own call, and an empty
+        # set sums to 0
+        resolution, cells = 729, 729 // 27
+        masses = np.stack([_chaos(resolution, seed=r).masses for r in range(5)])
+        for row, kept in zip(masses, [8, 6, 3, 1, 0]):
+            for b in _cantor_boxes(3)[kept:]:
+                row[b * cells:(b + 1) * cells] = 0.0
+        lat = Lattice(1, resolution)
+        block = LatticeMeasure(lat, masses)
+        levels = range(1, 7)
+        s_grid = np.array([0.0, 0.3, 0.5, 0.7, 1.0, 2.0])
+        sums = covering_sums(block, "cantor", levels, s_grid).sums
+        ref = _set_loop([LatticeMeasure(lat, row) for row in masses], levels, s_grid)
+        assert ref[:, 2, 0].tolist() == [8, 6, 3, 1, 0]
+        assert np.array_equal(sums, ref)
+
+    def test_square_block_at_81_matches_set_loop(self):
+        # C x C at N = 81, levels 1-4: boxes of 27^2 cells down to one cell,
+        # of chaos measures and of atomic cell masses that leave boxes empty
+        measures = ([_chaos(81, seed=r, d=2) for r in range(3)]
+                    + [_atomic(81, seed=r, d=2).cell_masses() for r in range(3)])
+        block = LatticeMeasure(measures[0].lattice, np.stack([m.masses for m in measures]))
+        levels = range(1, 5)
+        s_grid = np.array([0.0, 0.3, 0.5, 0.7, 1.0, 2.0])
+        sums = covering_sums(block, "cantor", levels, s_grid).sums
+        ref = _set_loop(measures, levels, s_grid)
+        assert len(np.unique(ref[:, -1, 0])) >= 3
+        assert np.array_equal(sums, ref)
 
     @pytest.mark.parametrize("set_name, resolution", [("cantor", 729), ("interval", 512)])
     def test_lattice_interval_masses_match_fsum(self, set_name, resolution):
@@ -754,7 +807,11 @@ class TestLqSpectrum:
         q_grid = np.array([-1.0, -0.25, 0.0, 0.3, 0.5, 1.0, 2.0])
         depths = [2, 3, 4, 5] if d == 1 else [1, 2, 3]
         dual = build_dual_cells(field, 1.0, 0.25 * d, RngStream(4).generator("atoms", 0))
-        for measure in (build_chaos(field, 0.5 * d), dual):
+        # few atoms leave some boxes empty: each depth's sets keep ragged
+        # counts, and a negative q reads only the positive boxes
+        sparse = _atomic(resolution, d=d).cell_masses()
+        assert np.any(_grid_box_masses(sparse, 2 ** depths[-1]) == 0)
+        for measure in (build_chaos(field, 0.5 * d), dual, sparse):
             res = lq_spectrum(measure, q_grid, depths)
             tau, err = loop(measure, q_grid, depths)
             assert np.array_equal(res.tau_hat, tau) and np.array_equal(res.stderr, err)

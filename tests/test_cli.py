@@ -360,6 +360,17 @@ class TestCliRuns:
         # drew every field, then found no zero crossing in the s grid
         ("kpz", "resolution = 243\ncantor.depth = 5\ns.grid = 0.65,0.7,0.75,0.8,0.85\n", [],
          "s.grid [0.65, 0.85] must bracket the KPZ root 0.5696 at gamma2 = 0.5"),
+        # each brackets the root, drew every field and then blamed the bracket;
+        # a repeated value wrote two covering.csv rows alike
+        ("duality", "gamma2 = 1.0\nresolution = 729\ncantor.depth = 6\n"
+         "s.grid = 0.75,0.7,0.65,0.6,0.55,0.5,0.45,0.4,0.35,0.3\n", [],
+         "s.grid must increase strictly, but 0.75 is followed by 0.7"),
+        ("duality", "gamma2 = 1.0\nresolution = 729\ncantor.depth = 6\n"
+         "s.grid = 0.3,0.75,0.35,0.7,0.4,0.65,0.45,0.6,0.5,0.55\n", [],
+         "s.grid must increase strictly, but 0.75 is followed by 0.35"),
+        ("kpz", "gamma2 = 1.0\nresolution = 729\ncantor.depth = 6\n"
+         "s.grid = 0.3,0.4,0.4,0.5,0.6,0.7\n", [],
+         "s.grid must increase strictly, but 0.4 is followed by 0.4"),
         # each ran and named two checks alike
         ("spectrum", "q.grid = 0.5,0.5\n", [], "q.grid repeats the value 0.5"),
         # four values but three abscissae of the spectrum fit
@@ -383,7 +394,8 @@ class TestCliRuns:
             "field-one-replica", "chaos-one-replica", "spectrum-one-replica",
             "laplace-one-replica", "scaling-one-replica", "chaos-box-no-cell",
             "kpz-supercritical", "atoms-z-min-underflow", "atoms-atom-budget",
-            "kpz-s-grid-bracket", "spectrum-q-grid-repeat", "spectrum-lambda-grid-repeat",
+            "kpz-s-grid-bracket", "duality-s-grid-descending",
+            "duality-s-grid-interleaved", "kpz-s-grid-repeat", "spectrum-q-grid-repeat", "spectrum-lambda-grid-repeat",
             "laplace-u-grid-repeat", "scaling-lambdas-repeat", "atoms-replica-budget",
             "field-gff-mode-budget"])
     def test_unrunnable_config_is_diagnosed(self, tmp_path, capsys, experiment, text, args,

@@ -58,6 +58,24 @@ class TestExactKernels:
             rhs = partial_kernel_radial(EXACT1D, n, x) + np.log(2.0)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
+    @pytest.mark.parametrize("spec, n, resolution, gens", [
+        (EXACT1D, 243, 729, range(1, 6)),
+        (KernelSpec(family="exact2d", T=1.5, d=2), 27, 81, range(1, 4)),
+    ], ids=["exact1d", "exact2d"])
+    def test_triadic_scale_identity(self, spec, n, resolution, gens):
+        # k_n(r) = g ln 3 + k_{n/3^g}(3^g r) wherever 3^g r <= T: the exact
+        # identity behind a level-g Cantor box's chaos mass
+        lag = np.arange(resolution)
+        if spec.d == 1:
+            r = lag / resolution
+        else:
+            r = np.hypot(*np.meshgrid(lag, lag)).ravel() / resolution
+        for g in gens:
+            near = r[3**g * r <= spec.T]
+            lhs = partial_kernel_radial(spec, n, near)
+            rhs = g * np.log(3.0) + partial_kernel_radial(spec, n // 3**g, 3**g * near)
+            np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-14)
+
     def test_exhaustion_equality_outside_core(self):
         # k_n equals the limit kernel exactly once r >= T/n
         for n in (4, 16, 64):
