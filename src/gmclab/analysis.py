@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import AtomicMeasure, xi_bar
+from .atomic import xi_bar
 from .chaos import LatticeMeasure
 
 HILL_MIN_K = 30
@@ -322,6 +322,9 @@ def _grid_box_masses(measure: LatticeMeasure, boxes: int, keep=None) -> np.ndarr
     keep, an index among the boxes, keeps only those boxes on every axis:
     their cells are taken before the sum, so each kept box is still the sum
     of its own cells, in the order of the full grid's."""
+    if not isinstance(measure, LatticeMeasure):
+        raise AnalysisError(f"box masses need a LatticeMeasure, not a {type(measure).__name__}; "
+                            "pass an atomic measure's cell_masses()")
     lat = measure.lattice
     if lat.resolution % boxes:
         raise AnalysisError(f"{boxes} boxes do not divide the resolution {lat.resolution}")
@@ -383,23 +386,19 @@ def _power_sums(box_sets, exponents) -> np.ndarray:
     return sums.reshape(lead + (len(rows), exponents.size))
 
 
-def covering_sums(measure, set_name: str, levels, s_grid) -> CoveringSumTable:
+def covering_sums(measure: LatticeMeasure, levels, s_grid) -> CoveringSumTable:
     """S_g(s) = sum over the level-g Cantor boxes B of mu(B)^s.
 
     The level-g boxes are the cells of the grid of 3^g boxes per axis whose
     index on every axis has base-3 digits 0 and 2 only: the construction
     intervals of the Cantor set C in d = 1, the squares of C x C in d = 2.
-    set_name must be 'cantor'.  An atomic measure is summed per cell first.
-    Only the cells of the (2^g)^d Cantor boxes are summed, not all (3^g)^d
-    boxes, and the sets with equal counts of positive boxes are reduced in
-    one call (_power_sums).  A block of lattice measures, masses
+    The measure is a lattice measure; an atomic one is passed as its
+    cell_masses().  Only the cells of the (2^g)^d Cantor boxes are summed, not
+    all (3^g)^d boxes, and the sets with equal counts of positive boxes are
+    reduced in one call (_power_sums).  A block of lattice measures, masses
     (replicas, n_sites), gives sums of shape (replicas, n_levels, n_s), each
     replica's bit-equal to its own.
     """
-    if set_name != "cantor":
-        raise AnalysisError(f"unknown set spec {set_name!r}")
-    if isinstance(measure, AtomicMeasure):
-        measure = measure.cell_masses()
     d = measure.lattice.d
     levels = np.asarray(levels, dtype=int)
     boxes = []

@@ -24,7 +24,8 @@ cell's atoms sum to a scaled standard positive alpha-stable draw S_c: the
 direct dual's cell c carries w_c (h^d Gamma(1-a)/a)^(1/a) S_c
 (`build_dual_cells`) and, given M, the subordinated dual's carries
 (Gamma(1-a) M_c/a)^(1/a) S_c (`build_subordinated_cells`).  Both draw their
-S_c through one row-ordered sampler, `_stable_cells`, with no z_min.
+S_c from the module's one sampler of that law, `sample_positive_stable(alpha,
+shape, rng)`, a row of cells at a time and with no z_min.
 """
 
 from __future__ import annotations
@@ -254,8 +255,9 @@ def _kanter(alpha: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.exp(np.clip(u, *_LOG_BOUNDS, out=u), out=u)
 
 
-def sample_positive_stable(alpha: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Standard positive alpha-stable draws, E exp(-u S) = exp(-u^alpha).
+def sample_positive_stable(alpha: float, shape, rng: np.random.Generator) -> np.ndarray:
+    """Standard positive alpha-stable draws, E exp(-u S) = exp(-u^alpha), of
+    shape n (an int), (n,) or (rows, n).
 
     Kanter's representation: with U uniform on (0, pi) and E ~ Exp(1),
     S = sin(aU)/sin(U)^(1/a) * (sin((1-a)U)/E)^((1-a)/a).  It is evaluated in
@@ -265,33 +267,19 @@ def sample_positive_stable(alpha: float, size: int, rng: np.random.Generator) ->
     clipped to the positive finite doubles, which only the edge draw E = 0
     and the extreme tails reach.
 
-    Draw order: rng.random(size), then rng.standard_exponential(size).
-    _stable_cells draws a block's rows in this order and evaluates the same
-    formula on the whole block, so each of its rows equals this function's
-    draw bit for bit.
+    Draw order: row by row, rng.random(n) and then rng.standard_exponential(n);
+    Kanter's formula then runs once on the whole block.  So row r equals the
+    r-th of consecutive one-row calls bit for bit, and a block split into
+    chunks of rows draws the same cells.
     """
     _check_alpha(alpha)
-    return _kanter(alpha, rng.random(size), rng.standard_exponential(size))
-
-
-def _stable_cells(alpha: float, shape: tuple, rng: np.random.Generator) -> np.ndarray:
-    """Standard positive alpha-stable cell draws of shape (n_sites,) or
-    (rows, n_sites).
-
-    Row by row, rng draws the row's n_sites uniforms and then its n_sites
-    exponentials, as sample_positive_stable(alpha, n_sites, rng) does; Kanter's
-    formula then runs once on the whole (rows, n_sites) block.  So row r
-    equals the r-th of consecutive sample_positive_stable calls bit for bit,
-    and a block split into chunks of rows draws the same cells.
-    """
-    _check_alpha(alpha)
-    n = shape[-1]
-    uniforms = np.empty(shape).reshape(-1, n)
+    uniforms = np.empty(shape)
     exponentials = np.empty_like(uniforms)
-    for row in range(len(uniforms)):
+    n = uniforms.shape[-1]
+    for row in np.ndindex(uniforms.shape[:-1]):
         uniforms[row] = rng.random(n)
         exponentials[row] = rng.standard_exponential(n)
-    return _kanter(alpha, uniforms, exponentials).reshape(shape)
+    return _kanter(alpha, uniforms, exponentials)
 
 
 def build_dual_cells(field: FieldGrid, gamma2: float, alpha: float,
@@ -309,7 +297,7 @@ def build_dual_cells(field: FieldGrid, gamma2: float, alpha: float,
 
     lat = field.lattice
     scale = (lat.spacing**lat.d * gamma_fn(1.0 - alpha) / alpha) ** (1.0 / alpha)
-    stable = _stable_cells(alpha, field.values.shape, rng)
+    stable = sample_positive_stable(alpha, field.values.shape, rng)
     weights = _dual_weights(field.values, field.variance0, gamma2, alpha)
     return LatticeMeasure(lattice=lat, masses=weights * scale * stable)
 
@@ -329,7 +317,7 @@ def build_subordinated_cells(m: LatticeMeasure, alpha: float,
 
     if not np.all(np.isfinite(m.masses)):
         raise AtomicError("non-finite cell masses")
-    stable = _stable_cells(alpha, m.masses.shape, rng)
+    stable = sample_positive_stable(alpha, m.masses.shape, rng)
     return LatticeMeasure(lattice=m.lattice,
                           masses=(gamma_fn(1.0 - alpha) / alpha * m.masses) ** (1.0 / alpha)
                           * stable)

@@ -144,7 +144,19 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> list[str]:
     """Itemized diagnostics; empty list means the config is runnable."""
-    diags = []
+    diags = [] if cfg.seed >= 0 else [f"seed must be >= 0, got {cfg.seed}"]
+    # a nan passes or fails the comparisons below at random and round()
+    # raises on it, and an inf degenerates the run (kernel.T = inf makes each
+    # field constant) or fails it late: no other rule reads a non-finite value
+    nonfinite = []
+    for key, (attr, _) in _KEY_MAP.items():
+        value = getattr(cfg, attr)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                nonfinite.append(f"{key} must be finite, got {v}")
+                break
+    if nonfinite:
+        return diags + nonfinite
     if cfg.dimension not in (1, 2):
         diags.append(f"dimension must be 1 or 2, got {cfg.dimension}")
     try:

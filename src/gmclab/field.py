@@ -30,6 +30,8 @@ import numpy as np
 
 from .kernels import (
     KernelSpec,
+    # no field code calls it; the benchmark tracer (perfbench/tracer.py)
+    # wraps this name after import
     eval_level_increment,
     gff_spectral_weights,
     level_increment_radial,
@@ -256,7 +258,7 @@ class LayerSampler:
         self.levels = list(levels)
         if spec.stationary:
             self._factor = prepare_circulant(spec, self.levels, lattice)
-            self.variance0 = field_variance0(spec, self.levels, lattice)
+            self.variance0 = field_variance0(spec, self.levels)
             m = self._factor[1]
             self._row_shape = (2,) + (m,) * lattice.d
             self._per_row = 2
@@ -309,20 +311,7 @@ class LayerSampler:
                                        variance0=self.variance0)
 
 
-def field_variance0(spec: KernelSpec, levels: Sequence[int],
-                    lattice: Lattice | None = None) -> float | np.ndarray:
-    """Sum of q_n(x, x) over the sampled levels (k_n(0) for levels 1..n).
-
-    Stationary families give a scalar; gff-square gives a per-site array and
-    therefore requires the lattice.
-    """
-    levels = sorted(levels)
-    if spec.family == "gff-square":
-        if lattice is None:
-            raise FieldError("gff-square variance profile requires the lattice")
-        pts = lattice.centers()
-        out = np.zeros(len(pts))
-        for n in levels:
-            out = out + eval_level_increment(spec, n, pts, pts)
-        return out
-    return float(_summed_radial(spec, levels, 0.0))
+def field_variance0(spec: KernelSpec, levels: Sequence[int]) -> float:
+    """Sum of q_n(x, x) over the sampled levels (k_n(0) for levels 1..n) of a
+    stationary family.  gff-square's per-site variance comes from _prepare_sine."""
+    return float(_summed_radial(spec, sorted(levels), 0.0))

@@ -11,18 +11,20 @@ only `scaling`'s lambda ensembles, at other levels, draw on seed + j.  The
 field comes from (field, b, 0).  Both duals have exact cell laws, one
 positive-stable draw per cell and no truncation: the direct dual's cells
 weight the field on (atoms, b, 0) ("dual"), and the subordinated dual's
-cells are read off M_n on (subordinated, b, 0) ("subordinated").  Only
-`atoms` reads atoms: its direct dual weights a stable atom cloud drawn on
-(atoms, b, 0) ("direct"), its per-cell counts and then its sizes in cell
-order, and places the atoms inside their cells on (positions, b, 0).
-Replica r's draws follow those of the replicas before it in its block, so
-they depend only on (seed, r), not on the replica count or the chunk size.
-The chaos and both duals' cells are (replicas, n_sites) blocks, one exp per
-chunk; the clouds are drawn one replica at a time, each dropped before the
-next.  Two reducers turn the blocks into box masses or Cantor covering sums
-as they come: measure_box and covering_sums reduce a block in one numpy call
-per box side or level set, each replica's result bit-equal to its own.  So a
-given (config, seed) pair reproduces byte-identical outputs.
+cells are read off M_n on (subordinated, b, 0) ("subordinated").  The
+loop yields these lattice blocks only.  `atoms` is the one reader of atom
+clouds, and draws them in its own loop over each chunk's fields: its direct
+dual weights a stable atom cloud drawn on (atoms, b, 0), its per-cell counts
+and then its sizes in cell order, and places the atoms inside their cells on
+(positions, b, 0).  Replica r's draws follow those of the replicas before it
+in its block, so they depend only on (seed, r), not on the replica count or
+the chunk size.  The chaos and both duals' cells are (replicas, n_sites)
+blocks, one exp per chunk; the clouds are drawn one replica at a time, each
+dropped before the next.  Two reducers turn the blocks into box masses or
+Cantor covering sums as they come: measure_box and covering_sums reduce a
+block in one numpy call per box side or level set, each replica's result
+bit-equal to its own.  So a given (config, seed) pair reproduces
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def _sampler(cfg: ExperimentConfig, level: int | None = None) -> LayerSampler:
 
 
 # the RNG purpose each dual kind draws on
-_PURPOSE = {"dual": "atoms", "direct": "atoms", "subordinated": "subordinated"}
+_PURPOSE = {"dual": "atoms", "subordinated": "subordinated"}
 
 
 def _measures(cfg: ExperimentConfig, kinds: tuple, stream: RngStream,
@@ -109,27 +111,17 @@ def _measures(cfg: ExperimentConfig, kinds: tuple, stream: RngStream,
 
     kinds: "chaos" (the lattice chaos M_n), "dual" (the direct dual's exact
     cell masses) and "subordinated" (the subordinated dual's exact cell
-    masses, given M_n) are LatticeMeasures of the whole chunk, masses
-    (rows, n_sites).  "direct" (a stable atom cloud weighted by the field)
-    is an iterator over the chunk's replicas that draws each cloud only when
-    it is read, so one replica's cloud is dropped before the next one's is
-    drawn; it gives (atoms, measure) pairs, atoms the cloud.  Only "direct"
-    is truncated at z_min.
+    masses, given M_n), each a LatticeMeasure of the whole chunk, masses
+    (rows, n_sites).
 
     Each dual kind draws on its purpose's block substream, opened at the
-    block's first chunk and read in replica order across its chunks, so a
-    chunk's clouds must be read through before the next chunk is asked for.
-    "dual" and "direct" both read (atoms, block, 0), so no pipeline asks for
-    both.
+    block's first chunk and read in replica order across its chunks.
     """
     sampler = _sampler(cfg, level)
-    # decided per call: a chaos-only loop never resolves alpha, and only
-    # the clouds resolve z_min
+    # decided per call: a chaos-only loop never resolves alpha
     need_chaos = "chaos" in kinds or "subordinated" in kinds
     if set(kinds) - {"chaos"}:
         alpha = cfg.alpha()
-    if "direct" in kinds:
-        z_min = cfg.resolved_z_min()
     for start, field in sampler.field_blocks(stream, cfg.replicas):
         if start % FIELD_BLOCK == 0:
             rngs = {kind: stream.generator(_PURPOSE[kind], start)
@@ -139,23 +131,14 @@ def _measures(cfg: ExperimentConfig, kinds: tuple, stream: RngStream,
         yield start, field, [
             m if kind == "chaos"
             else build_dual_cells(field, cfg.gamma2, alpha, rngs[kind]) if kind == "dual"
-            else build_subordinated_cells(m, alpha, rngs[kind]) if kind == "subordinated"
-            else _direct_clouds(field, cfg.gamma2, alpha, z_min, rngs[kind])
+            else build_subordinated_cells(m, alpha, rngs[kind])
             for kind in kinds]
-
-
-def _direct_clouds(field, gamma2, alpha, z_min, rng):
-    """(atoms, measure) of each replica of field in order, its cloud drawn from rng."""
-    for i in range(len(field.values)):
-        atoms = sample_stable_atoms(field.lattice, alpha, z_min, rng)
-        yield atoms, build_atomic_direct(field, gamma2, atoms, i)
 
 
 def _box_masses(cfg: ExperimentConfig, kind: str, stream: RngStream, sides,
                 level: int | None = None) -> np.ndarray:
-    """Masses of the boxes [0, side]^d, shape (replicas, len(sides)), for the
-    kinds whose measures live on the lattice (all but "direct"), one
-    measure_box call per side and field chunk."""
+    """Masses of the boxes [0, side]^d, shape (replicas, len(sides)), of one
+    kind of _measures, one measure_box call per side and field chunk."""
     lo = np.zeros(cfg.dimension)
     boxes = [np.full(cfg.dimension, side) for side in sides]
     out = np.empty((cfg.replicas, len(boxes)))
@@ -169,7 +152,7 @@ def _covering_sums(blocks, levels, s_grid) -> np.ndarray:
     """Per-replica Cantor covering sums of a stream of lattice measure blocks,
     shape (replicas, len(levels), len(s_grid)), one covering_sums call per
     block."""
-    return np.concatenate([analysis.covering_sums(block, "cantor", levels, s_grid).sums
+    return np.concatenate([analysis.covering_sums(block, levels, s_grid).sums
                            for block in blocks])
 
 
@@ -257,11 +240,15 @@ def run_atoms(cfg: ExperimentConfig) -> PipelineResult:
     corrs = []
     top_atoms = None
     stream = RngStream(cfg.seed)
-    for start, field, (direct,) in _measures(cfg, ("direct",), stream):
+    for start, field, _ in _measures(cfg, (), stream):
         if start % FIELD_BLOCK == 0:
+            atoms_rng = stream.generator("atoms", start)
             positions_rng = stream.generator("positions", start)
-        for i, (atoms, mbar) in enumerate(direct):
+        # one replica's cloud at a time, each dropped before the next is drawn
+        for i in range(len(field.values)):
             r = start + i
+            atoms = sample_stable_atoms(lat, alpha, z_min, atoms_rng)
+            mbar = build_atomic_direct(field, cfg.gamma2, atoms, i)
             cells = mbar.cells
             if mbar.count:
                 spans.append(float(np.log10(mbar.masses.max()) - np.log10(mbar.masses.min())))
@@ -434,7 +421,7 @@ def run_kpz(cfg: ExperimentConfig) -> PipelineResult:
     uniform = LatticeMeasure(lat, np.full(lat.n_sites, lat.spacing**lat.d))
     leb_grid = np.linspace(0.5, 0.75, 11)
     leb = analysis.dimension_estimate(
-        levels, leb_grid, analysis.covering_sums(uniform, "cantor", levels, leb_grid).sums)
+        levels, leb_grid, analysis.covering_sums(uniform, levels, leb_grid).sums)
     # the first 50 replicas' sums, replica by level by s
     kept = sums[:50]
     replica, level, s = np.meshgrid(np.arange(len(kept)), levels, s_grid, indexing="ij")

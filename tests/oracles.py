@@ -3,7 +3,9 @@
 No pipeline runs these.  They are the independent oracles the samplers and
 the acceptance criteria are checked against: the dense factor of a level
 covariance (eigendecomposition of the Gram matrix on every site pair), the
-Gamma-function constant of the dual moment relation, the fractional
+gff-square per-site variance summed pointwise from the image-sum kernel
+(the sampler reads it off its sine spectrum instead), the Gamma-function
+constant of the dual moment relation, the fractional
 moment identity by quadrature, and the exponent of a truncated atom cloud's
 conditional Laplace transform.  replica_fields is the replica-by-replica
 view of a sampler's field blocks that the per-replica reference loops read,
@@ -50,6 +52,17 @@ def dense_factor(spec: KernelSpec, levels: Sequence[int], lattice: Lattice) -> n
     if neg > 1e-8 * np.abs(w).sum():
         raise FieldError(f"level covariance far from positive semidefinite (mass {neg:.3e})")
     return v * np.sqrt(np.maximum(w, 0.0))
+
+
+def gff_variance0(levels: Sequence[int], lattice: Lattice) -> np.ndarray:
+    """gff-square's variance at each cell center, summed over the given
+    levels: q_n(x, x) of the image-sum kernel, one site at a time."""
+    spec = KernelSpec(family="gff-square", T=1.0, d=2)
+    pts = lattice.centers()
+    out = np.zeros(len(pts))
+    for n in sorted(levels):
+        out = out + eval_level_increment(spec, n, pts, pts)
+    return out
 
 
 def replica_fields(sampler: LayerSampler, stream: RngStream, replicas: int) -> Iterator[FieldGrid]:

@@ -101,7 +101,7 @@ def cantor_ensemble_g2_half():
     levels = list(range(1, 7))
     s_grid = np.linspace(0.35, 0.8, 10)
     sums = np.array([
-        analysis.covering_sums(build_chaos(f, 0.5), "cantor", levels, s_grid).sums
+        analysis.covering_sums(build_chaos(f, 0.5), levels, s_grid).sums
         for f in replica_fields(sampler, stream, 60)
     ])
     return levels, s_grid, sums
@@ -119,9 +119,9 @@ def cantor_ensemble_dual():
     for f, rng in zip(replica_fields(sampler, stream, 60),
                       replica_generators(stream, "subordinated", 60)):
         m = build_chaos(f, 1.0)
-        mbar = build_subordinated(m, 0.5, 1e-7, rng)
-        sums_m.append(analysis.covering_sums(m, "cantor", levels, s_m).sums)
-        sums_bar.append(analysis.covering_sums(mbar, "cantor", levels, s_bar).sums)
+        mbar = build_subordinated(m, 0.5, 1e-7, rng).cell_masses()
+        sums_m.append(analysis.covering_sums(m, levels, s_m).sums)
+        sums_bar.append(analysis.covering_sums(mbar, levels, s_bar).sums)
     return levels, s_m, np.array(sums_m), s_bar, np.array(sums_bar)
 
 
@@ -217,7 +217,7 @@ def test_criterion_07_kpz_relation(cantor_ensemble_g2_half):
 
     uniform = LatticeMeasure(lat, np.full(lat.n_sites, lat.spacing))
     ctrl_grid = np.linspace(0.5, 0.75, 11)
-    table = analysis.covering_sums(uniform, "cantor", levels, ctrl_grid)
+    table = analysis.covering_sums(uniform, levels, ctrl_grid)
     leb = analysis.dimension_estimate(levels, ctrl_grid, table.sums)
     ok = abs(est.estimate - target) <= 0.1 and abs(leb.estimate - LN23) <= 0.01
     report("criterion-07 kpz-relation", ok,

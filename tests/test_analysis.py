@@ -52,9 +52,7 @@ def _box_sums(measure, set_name, levels, s_grid):
     """covering_sums of the Cantor boxes; the same power sums of the dyadic
     intervals, as lq_spectrum forms them."""
     if set_name == "cantor":
-        return covering_sums(measure, "cantor", levels, s_grid).sums
-    if isinstance(measure, AtomicMeasure):
-        measure = measure.cell_masses()
+        return covering_sums(measure, levels, s_grid).sums
     return _power_sums([_box_masses(measure, set_name, g) for g in levels], s_grid)
 
 
@@ -347,7 +345,7 @@ class TestCovering:
         lat = Lattice(2, 81)
         uniform = LatticeMeasure(lat, np.full(lat.n_sites, 1.0 / lat.n_sites))
         levels = np.arange(1, 5)
-        table = covering_sums(uniform, "cantor", levels, [0.0, 1.0])
+        table = covering_sums(uniform, levels, [0.0, 1.0])
         np.testing.assert_array_equal(table.sums[:, 0], 4.0**levels)
         np.testing.assert_allclose(table.sums[:, 1], (4.0 / 9.0) ** levels, rtol=1e-12)
 
@@ -356,7 +354,7 @@ class TestCovering:
         uniform = LatticeMeasure(lat, np.full(729, lat.spacing))
         levels = range(1, 7)
         s_grid = np.linspace(0.5, 0.75, 11)
-        table = covering_sums(uniform, "cantor", levels, s_grid)
+        table = covering_sums(uniform, levels, s_grid)
         est = dimension_estimate(list(levels), s_grid, table.sums)
         assert est.estimate == pytest.approx(LN23, abs=1e-6)
 
@@ -498,7 +496,7 @@ class TestCovering:
                                 np.rint(edges[1:-1:3] * lat.resolution).astype(int)])
         x = (cells + 0.5) * lat.spacing
         masses = 10.0 ** rng.uniform(-14, 0, x.size)
-        measure = _atomic_measure(lat, cells, masses)
+        measure = _atomic_measure(lat, cells, masses).cell_masses()
         levels = range(1, 7)
         s_grid = np.array([0.0, 0.3, 0.7, 1.0])
         sums = _box_sums(measure, set_name, levels, s_grid)
@@ -516,7 +514,14 @@ class TestCovering:
         lat = Lattice(1, 1000)  # not a multiple of 3^g
         uniform = LatticeMeasure(lat, np.full(1000, lat.spacing))
         with pytest.raises(AnalysisError):
-            covering_sums(uniform, "cantor", [3], [0.5])
+            covering_sums(uniform, [3], [0.5])
+
+    def test_atomic_measure_rejected(self):
+        # one atom per cell: as many masses as cells, so only the type tells
+        lat = Lattice(1, 27)
+        atoms = AtomicMeasure(lat, np.ones(27, dtype=int), np.full(27, 1 / 27))
+        with pytest.raises(AnalysisError, match="cell_masses"):
+            covering_sums(atoms, [2], [0.5])
 
 
 def _scalar_crossing(s_grid, slopes):
@@ -632,12 +637,12 @@ class TestGridAtOnce:
     @pytest.mark.parametrize("set_name, resolution", [("cantor", 729), ("interval", 512)])
     def test_covering_sums_match_loop(self, build, set_name, resolution):
         measure = build(resolution)
+        if isinstance(measure, AtomicMeasure):
+            measure = measure.cell_masses()
         levels = range(1, 7)
         # 0 takes the count branch; 0.5, 1 and 2 take numpy's scalar power paths
         s_grid = np.array([0.0, 0.3, 0.5, 0.7, 1.0, 2.0])
         sums = _box_sums(measure, set_name, levels, s_grid)
-        if isinstance(measure, AtomicMeasure):
-            measure = measure.cell_masses()
         empty = 0
         for li, g in enumerate(levels):
             mu = _box_masses(measure, set_name, g)
@@ -667,7 +672,7 @@ class TestGridAtOnce:
             assert np.log10(pos.max() / pos.min()) > (100 if d == 1 else 30)
         levels = range(1, 6 if d == 1 else 4)
         s_grid = np.array([0.0, 0.3, 0.5, 0.7, 1.0, 2.0])
-        sums = covering_sums(block, "cantor", levels, s_grid).sums
+        sums = covering_sums(block, levels, s_grid).sums
         ref = _set_loop(measures, levels, s_grid)
         assert sums.shape == (20, len(levels), s_grid.size)
         assert np.array_equal(sums, ref)
@@ -689,7 +694,7 @@ class TestGridAtOnce:
         block = LatticeMeasure(lat, masses)
         levels = range(1, 7)
         s_grid = np.array([0.0, 0.3, 0.5, 0.7, 1.0, 2.0])
-        sums = covering_sums(block, "cantor", levels, s_grid).sums
+        sums = covering_sums(block, levels, s_grid).sums
         ref = _set_loop([LatticeMeasure(lat, row) for row in masses], levels, s_grid)
         assert ref[:, 2, 0].tolist() == [8, 6, 3, 1, 0]
         assert np.array_equal(sums, ref)
@@ -702,7 +707,7 @@ class TestGridAtOnce:
         block = LatticeMeasure(measures[0].lattice, np.stack([m.masses for m in measures]))
         levels = range(1, 5)
         s_grid = np.array([0.0, 0.3, 0.5, 0.7, 1.0, 2.0])
-        sums = covering_sums(block, "cantor", levels, s_grid).sums
+        sums = covering_sums(block, levels, s_grid).sums
         ref = _set_loop(measures, levels, s_grid)
         assert len(np.unique(ref[:, -1, 0])) >= 3
         assert np.array_equal(sums, ref)

@@ -10,7 +10,7 @@ from gmclab.atomic import (
     AtomicMeasure,
     StableAtoms,
     _dual_weights,
-    _stable_cells,
+    _kanter,
     atom_positions,
     auto_z_min,
     build_atomic_direct,
@@ -166,17 +166,25 @@ class TestPositiveStable:
     def test_edge_draws_finite_and_positive(self, alpha, u):
         # E = 0 together with either end of the uniform grid, one row and a block
         for s in (sample_positive_stable(alpha, 3, _EdgeDraws(u)),
-                  _stable_cells(alpha, (2, 3), _EdgeDraws(u))):
+                  sample_positive_stable(alpha, (2, 3), _EdgeDraws(u))):
             assert np.all(np.isfinite(s)) and np.all(s > 0)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
-    @pytest.mark.parametrize("shape", [(7,), (1, 7), (3, 7), (64, 256)])
+    @pytest.mark.parametrize("shape", [(7,), (1, 7), (3, 7), (64, 256), 7])
     def test_block_matches_row_by_row(self, alpha, shape):
-        # reference: one sample_positive_stable call per row, in row order
+        # reference: each row's n uniforms and then its n exponentials, in row
+        # order, each row through Kanter's formula on its own
+        dims = (shape,) if isinstance(shape, int) else shape
+        n, rows = dims[-1], int(np.prod(dims[:-1]))
         rng = np.random.default_rng(41)
-        ref = np.stack([sample_positive_stable(alpha, shape[-1], rng)
-                        for _ in range(int(np.prod(shape[:-1])))]).reshape(shape)
-        assert np.array_equal(_stable_cells(alpha, shape, np.random.default_rng(41)), ref)
+        ref = [_kanter(alpha, rng.random(n), rng.standard_exponential(n)) for _ in range(rows)]
+        ref = np.reshape(ref, dims)
+        block = sample_positive_stable(alpha, shape, np.random.default_rng(41))
+        assert block.shape == ref.shape and np.array_equal(block, ref)
+        # an int n is one row: consecutive one-row calls give the block's rows
+        rng = np.random.default_rng(41)
+        one_row = [sample_positive_stable(alpha, n, rng) for _ in range(rows)]
+        assert np.array_equal(np.reshape(one_row, dims), ref)
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
     def test_log_moments(self, alpha):
@@ -185,7 +193,8 @@ class TestPositiveStable:
         # (a^-k - 1), so E log S = gamma_E (1/a - 1), Var log S =
         # (pi^2/6)(1/a^2 - 1) and kappa_4 = (pi^4/15)(1/a^4 - 1).  Two-sided
         # z-tests at |z| <= 4, a level of 6.3e-5 each, on one block of cells
-        log_s = np.log(_stable_cells(alpha, (64, 4096), np.random.default_rng(29))).ravel()
+        log_s = np.log(sample_positive_stable(alpha, (64, 4096),
+                                              np.random.default_rng(29))).ravel()
         n = log_s.size
         k2 = np.pi**2 / 6 * (1 / alpha**2 - 1)
         k4 = np.pi**4 / 15 * (1 / alpha**4 - 1)
@@ -196,9 +205,10 @@ class TestPositiveStable:
 
     def test_block_split_into_chunks_draws_the_same_cells(self):
         rng = np.random.default_rng(43)
-        split = np.concatenate([_stable_cells(0.5, (20, 256), rng),
-                                _stable_cells(0.5, (44, 256), rng)])
-        assert np.array_equal(split, _stable_cells(0.5, (64, 256), np.random.default_rng(43)))
+        split = np.concatenate([sample_positive_stable(0.5, (20, 256), rng),
+                                sample_positive_stable(0.5, (44, 256), rng)])
+        assert np.array_equal(split, sample_positive_stable(0.5, (64, 256),
+                                                            np.random.default_rng(43)))
 
     def test_cell_law_matches_atoms(self):
         # box [0, 1/4) at N = 64: the exact cell masses against the truncated

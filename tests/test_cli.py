@@ -387,6 +387,22 @@ class TestCliRuns:
         ("field", "kernel.family = gff-square\ndimension = 2\nlevel = 40\nresolution = 8\n", [],
          "gff-square at level = 40 sums 450158 sine modes per axis, above the budget of "
          "15000: lower level"),
+        # a nan gamma2 failed the gate on a nan statistic (exit 1); kernel.T =
+        # inf made each field constant and passed; a nan in lambda.grid or
+        # q.grid failed late (exit 2), in u.grid failed a gate; z_min = inf
+        # drew empty clouds; a nan radius raised inside validate_config
+        ("chaos", "gamma2 = nan\nalpha.mode = explicit\nalpha.value = 0.5\n", [],
+         "gamma2 must be finite, got nan"),
+        ("chaos", "kernel.T = inf\n", [], "kernel.T must be finite, got inf"),
+        ("chaos", "lambda.grid = nan,0.5\n", [], "lambda.grid must be finite, got nan"),
+        ("spectrum", "q.grid = nan,1.0\n", [], "q.grid must be finite, got nan"),
+        ("laplace", "gamma2 = 1.0\nu.grid = nan,1.0\n", [], "u.grid must be finite, got nan"),
+        ("atoms", "z_min = inf\n", [], "z_min must be finite, got inf"),
+        ("scaling", "gamma2 = 1.0\nresolution = 128\nq.grid = 0.1\nscaling.radius = nan\n", [],
+         "scaling.radius must be finite, got nan"),
+        # numpy rejected the seed with a message that named no key
+        ("chaos", "seed = -1\n", [], "seed must be >= 0, got -1"),
+        ("chaos", "", ["--seed", "-3"], "seed must be >= 0, got -3"),
     ], ids=["kpz-s-grid", "duality-depth", "lq-replicas", "scaling-cells", "kpz-dim2",
             "duality-dim2", "lq-depths", "scaling-kernel", "laplace-u-grid", "spectrum-q-grid",
             "lq-q-grid", "scaling-lambdas", "spectrum-lambdas", "spectrum-lambda-cells",
@@ -397,7 +413,10 @@ class TestCliRuns:
             "kpz-s-grid-bracket", "duality-s-grid-descending",
             "duality-s-grid-interleaved", "kpz-s-grid-repeat", "spectrum-q-grid-repeat", "spectrum-lambda-grid-repeat",
             "laplace-u-grid-repeat", "scaling-lambdas-repeat", "atoms-replica-budget",
-            "field-gff-mode-budget"])
+            "field-gff-mode-budget", "chaos-gamma2-nan", "chaos-kernel-T-inf",
+            "chaos-lambda-grid-nan", "spectrum-q-grid-nan", "laplace-u-grid-nan",
+            "atoms-z-min-inf", "scaling-radius-nan", "chaos-seed-negative",
+            "chaos-seed-option-negative"])
     def test_unrunnable_config_is_diagnosed(self, tmp_path, capsys, experiment, text, args,
                                             diag):
         # rejected before any ensemble is built
@@ -603,6 +622,14 @@ class TestCliRuns:
         assert (tmp_path / "out" / "atoms.svg").read_text().startswith("<svg")
 
 
+def _atom_rows(table, lat, r):
+    """Replica r's atoms in run_atoms' table: their sizes z, their masses and
+    the flat cell index each atom's coordinates fall in."""
+    rows = table["replica"] == r
+    index = [np.floor(table[axis][rows] / lat.spacing).astype(int) for axis in "xy"[:lat.d]]
+    return table["z"][rows], table["mass"][rows], np.ravel_multi_index(index, lat.shape)
+
+
 @pytest.mark.parametrize("text", [
     "gamma2 = 1.0\nlevel = 3\nresolution = 32\nz_min = 1e-4\nreplicas = 3\nseed = 5\n",
     "kernel.family = gff-square\ndimension = 2\ngamma2 = 2.0\nlevel = 3\nresolution = 8\n"
@@ -612,19 +639,21 @@ def test_measures_of_one_replica_share_its_field(text):
     # the chaos and every dual of replica r are built on r's one field draw
     cfg = parse_config_text(text)
     alpha, gamma2, h, d = cfg.alpha(), cfg.gamma2, 1.0 / cfg.resolution, cfg.dimension
-    replicas = [(atoms, m, direct)
-                for _, _, (block, clouds) in _measures(cfg, ("chaos", "direct"),
-                                                       RngStream(cfg.seed))
-                for m, (atoms, direct) in zip(block.masses, clouds)]
+    lat = pipelines.lattice_for(cfg)
     alone = [m for _, _, (block,) in _measures(cfg, ("chaos",), RngStream(cfg.seed))
              for m in block.masses]
-    assert len(replicas) == len(alone) == cfg.replicas
-    for (atoms, m, direct), m_alone in zip(replicas, alone):
-        assert direct.count > 0
-        np.testing.assert_allclose(
-            direct.masses, (m[atoms.cells] / h**d) ** (1 / alpha) * atoms.masses,
-            rtol=1e-12)
-        assert np.array_equal(m, m_alone)
+    assert len(alone) == cfg.replicas
+    # atoms' direct dual weights replica r's cloud by r's chaos: each atom's
+    # mass is its size times (M(cell) / h^d)^(1/alpha)
+    table = pipelines.run_atoms(cfg).tables["atoms"]
+    clouds = [sample_stable_atoms(lat, alpha, cfg.resolved_z_min(), rng)
+              for rng in replica_generators(RngStream(cfg.seed), "atoms", cfg.replicas)]
+    for r, (atoms, m) in enumerate(zip(clouds, alone)):
+        z, masses, cells = _atom_rows(table, lat, r)
+        assert len(z) > 0
+        assert np.array_equal(z, atoms.masses) and np.array_equal(cells, atoms.cells)
+        np.testing.assert_allclose(masses, (m[atoms.cells] / h**d) ** (1 / alpha) * z,
+                                   rtol=1e-12)
     stream = RngStream(cfg.seed)
     sampler = pipelines._sampler(cfg)
     rngs = zip(replica_generators(stream, "atoms", cfg.replicas),
@@ -686,19 +715,18 @@ def test_block_loop_matches_replica_by_replica(text):
             rows.append(field.values[i])
             subordinated_rows.append(subordinated.masses[i])
     assert len(rows) == cfg.replicas
-    n = 0
-    atom_rngs = replica_generators(stream, "atoms", cfg.replicas)
-    for start, _, (direct,) in _measures(cfg, ("direct",), stream):
-        for r, ((atoms, mu), atom_rng) in enumerate(zip(direct, atom_rngs), start):
-            f = fields[r]
-            cloud = sample_stable_atoms(f.lattice, alpha, z_min, atom_rng)
-            ref = build_atomic_direct(f, gamma2, cloud)
-            assert np.array_equal(atoms.masses, cloud.masses)
-            assert mu.count > 0
-            assert np.array_equal(mu.counts, ref.counts)
-            assert np.array_equal(mu.masses, ref.masses)
-            n += 1
-    assert n == cfg.replicas
+    # atoms' clouds and direct masses, against each replica's own cloud
+    table = pipelines.run_atoms(cfg).tables["atoms"]
+    assert np.array_equal(np.unique(table["replica"]), np.arange(cfg.replicas))
+    for r, (f, atom_rng) in enumerate(zip(fields, replica_generators(stream, "atoms",
+                                                                     cfg.replicas))):
+        cloud = sample_stable_atoms(f.lattice, alpha, z_min, atom_rng)
+        ref = build_atomic_direct(f, gamma2, cloud)
+        z, masses, cells = _atom_rows(table, f.lattice, r)
+        assert np.array_equal(z, cloud.masses)
+        assert ref.count > 0
+        assert np.array_equal(np.bincount(cells, minlength=f.lattice.n_sites), ref.counts)
+        assert np.array_equal(masses, ref.masses)
     # random access reads the same rows: replica r's field alone, and its
     # subordinated cells as the last row of its block's rows up to r
     fresh = pipelines._sampler(cfg)
@@ -725,11 +753,12 @@ def test_replicas_of_one_block_draw_their_own_clouds():
     def fresh(purpose):
         return RngStream(cfg.seed).generator(purpose, 0)
 
-    ((_, field, (m, direct, subordinated)),) = _measures(
-        cfg, ("chaos", "direct", "subordinated"), RngStream(cfg.seed))
-    for r, (atoms, _) in enumerate(direct):
+    ((_, field, (m, subordinated)),) = _measures(cfg, ("chaos", "subordinated"),
+                                                 RngStream(cfg.seed))
+    table = pipelines.run_atoms(cfg).tables["atoms"]
+    for r in range(2):
         first = sample_stable_atoms(lat, alpha, z_min, fresh("atoms"))
-        assert np.array_equal(atoms.masses, first.masses) == (r == 0)
+        assert np.array_equal(_atom_rows(table, lat, r)[0], first.masses) == (r == 0)
         first = build_subordinated_cells(LatticeMeasure(lat, m.masses[r]), alpha,
                                          fresh("subordinated"))
         assert np.array_equal(subordinated.masses[r], first.masses) == (r == 0)
@@ -738,7 +767,6 @@ def test_replicas_of_one_block_draw_their_own_clouds():
         row = gfield.FieldGrid(lat, field.values[r], field.variance0)
         first = build_dual_cells(row, gamma2, alpha, fresh("atoms"))
         assert np.array_equal(dual.masses[r], first.masses) == (r == 0)
-    table = pipelines.run_atoms(cfg).tables["atoms"]
     for r in range(2):
         coords = table["x"][table["replica"] == r, None]
         cells = np.floor(coords[:, 0] / lat.spacing).astype(int)
@@ -748,16 +776,16 @@ def test_replicas_of_one_block_draw_their_own_clouds():
 
 
 def _replica_draws(cfg):
-    """Per replica: both duals' cells and its direct cloud's sizes and
-    masses, all through _measures, and the chunk starts."""
+    """Per replica: both duals' cells, through _measures, and its direct
+    cloud's sizes and masses, through run_atoms; and the chunk starts."""
     starts, draws = [], []
     for start, _, (dual, subordinated) in _measures(cfg, ("dual", "subordinated"),
                                                     RngStream(cfg.seed)):
         starts.append(start)
         draws += [list(rows) for rows in zip(dual.masses, subordinated.masses)]
-    for start, _, (direct,) in _measures(cfg, ("direct",), RngStream(cfg.seed)):
-        for r, (atoms, mu) in enumerate(direct, start):
-            draws[r] += [atoms.masses, mu.masses]
+    table, lat = pipelines.run_atoms(cfg).tables["atoms"], pipelines.lattice_for(cfg)
+    for r in range(cfg.replicas):
+        draws[r] += _atom_rows(table, lat, r)[:2]
     return starts, draws
 
 
@@ -835,7 +863,7 @@ def test_block_reducers_match_replica_loop(kind, monkeypatch):
     ref = np.array([[measure_box(m, [0.0], [side]) for side in sides] for m in loop])
     assert masses.shape == (70, len(sides)) and np.array_equal(masses, ref)
     sums = _covering_sums(blocks(), levels, s_grid)
-    ref = np.array([covering_sums(m, "cantor", levels, s_grid).sums for m in loop])
+    ref = np.array([covering_sums(m, levels, s_grid).sums for m in loop])
     assert sums.shape == (70, 5, s_grid.size) and np.array_equal(sums, ref)
     assert [start for start, _, _ in _measures(cfg, (kind,), RngStream(cfg.seed))] == [0, 64]
     # a transform that would pass CHUNK_BYTES is cut to fewer rows, and each

@@ -21,7 +21,7 @@ from gmclab.kernels import (
     level_increment_radial,
 )
 from gmclab.pipelines import run_field
-from oracles import DENSE_JITTER, DENSE_SITE_LIMIT, dense_factor
+from oracles import DENSE_JITTER, DENSE_SITE_LIMIT, dense_factor, gff_variance0
 
 EXACT1D = KernelSpec(family="exact1d", T=1.0, d=1)
 STAR1D = KernelSpec(family="star", T=1.0, d=1)
@@ -224,7 +224,7 @@ class TestLayerSampler:
 
     def test_gff_variance_profile_is_nonstationary(self):
         lat = Lattice(2, 12)
-        var = field_variance0(GFF, [1, 2], lat)
+        var = LayerSampler(GFF, lat, [1, 2]).variance0
         assert isinstance(var, np.ndarray)
         grid = var.reshape(12, 12)
         # variance drops toward the absorbing boundary
@@ -282,7 +282,7 @@ class TestGffSpectral:
         # at 8^2 the finer level sets fold modes above 8 onto the grid
         lat = Lattice(2, 8)
         np.testing.assert_allclose(LayerSampler(GFF, lat, levels).variance0,
-                                   field_variance0(GFF, levels, lat), rtol=0, atol=1e-10)
+                                   gff_variance0(levels, lat), rtol=0, atol=1e-10)
 
     def test_run_field_above_dense_limit(self):
         assert 72 * 72 > DENSE_SITE_LIMIT
