@@ -233,19 +233,31 @@ def _kanter(alpha: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:
     rng.random() uniforms u and standard exponentials e of one shape.
 
     Both arrays are overwritten and the draws come back in u's buffer.  In
-    place, a (rows, n_sites) block allocates only two more arrays of its
-    shape, so evaluating whole blocks adds nothing to peak memory.
+    place, a (rows, n_sites) block allocates only one more array of its
+    shape, and a second one unless alpha = 1/2, so evaluating whole blocks
+    adds nothing to peak memory.
+
+    At alpha = 1/2 (the duality point gamma^2 = d), 1 - a == a as floats, so
+    sin((1-a)U) and sin(aU) are the same sine bit for bit: the log of their
+    ratio is exactly 0 and (1-a)/a exactly 1, and the tail term is -log E,
+    negated in place with no third sine.  Where E = 1 it is -0.0 rather
+    than +0.0; the sum with log(sin(aU)/sin U)/a, never -0.0, makes them
+    the same bits.
     """
     np.multiply(np.pi, np.subtract(1.0, u, out=u), out=u)      # U in (0, pi)
     np.log(np.maximum(e, _TINY, out=e), out=e)
-    sin_au = np.sin(alpha * u)
-    # ((1-a)/a) (log(sin((1-a)U) / sin(aU)) - log E)
-    tail = np.multiply(1.0 - alpha, u)
-    np.sin(tail, out=tail)
-    np.divide(tail, sin_au, out=tail)
-    np.log(tail, out=tail)
-    np.subtract(tail, e, out=tail)
-    np.multiply((1.0 - alpha) / alpha, tail, out=tail)
+    sin_au = np.multiply(alpha, u)
+    np.sin(sin_au, out=sin_au)
+    if 1.0 - alpha == alpha:
+        tail = np.negative(e, out=e)
+    else:
+        # ((1-a)/a) (log(sin((1-a)U) / sin(aU)) - log E)
+        tail = np.multiply(1.0 - alpha, u)
+        np.sin(tail, out=tail)
+        np.divide(tail, sin_au, out=tail)
+        np.log(tail, out=tail)
+        np.subtract(tail, e, out=tail)
+        np.multiply((1.0 - alpha) / alpha, tail, out=tail)
     # + log(sin(aU) / sin U) / a
     np.sin(u, out=u)
     np.divide(sin_au, u, out=u)
@@ -262,23 +274,24 @@ def sample_positive_stable(alpha: float, shape, rng: np.random.Generator) -> np.
     Kanter's representation: with U uniform on (0, pi) and E ~ Exp(1),
     S = sin(aU)/sin(U)^(1/a) * (sin((1-a)U)/E)^((1-a)/a).  It is evaluated in
     logs as (sin(aU)/sin U)^(1/a) (sin((1-a)U)/(sin(aU) E))^((1-a)/a), whose
-    ratios stay finite as U -> 0.  U = pi (1 - u) for u = rng.random() never
-    reaches 0, and the float pi lies below pi, so sin U > 0.  The result is
-    clipped to the positive finite doubles, which only the edge draw E = 0
-    and the extreme tails reach.
+    ratios stay finite as U -> 0, and at alpha = 1/2, where the second
+    factor is 1/E, with two sines in place of three.  U = pi (1 - u) for
+    u = rng.random() never reaches 0, and the float pi lies below pi, so
+    sin U > 0.  The result is clipped to the positive finite doubles, which
+    only the edge draw E = 0 and the extreme tails reach.
 
-    Draw order: row by row, rng.random(n) and then rng.standard_exponential(n);
-    Kanter's formula then runs once on the whole block.  So row r equals the
-    r-th of consecutive one-row calls bit for bit, and a block split into
-    chunks of rows draws the same cells.
+    Draw order: row by row, rng.random(n) and then rng.standard_exponential(n),
+    each drawn straight into its row of the block; Kanter's formula then runs
+    once on the whole block.  So row r equals the r-th of consecutive one-row
+    calls bit for bit, and a block split into chunks of rows draws the same
+    cells.
     """
     _check_alpha(alpha)
     uniforms = np.empty(shape)
     exponentials = np.empty_like(uniforms)
-    n = uniforms.shape[-1]
     for row in np.ndindex(uniforms.shape[:-1]):
-        uniforms[row] = rng.random(n)
-        exponentials[row] = rng.standard_exponential(n)
+        rng.random(out=uniforms[row])
+        rng.standard_exponential(out=exponentials[row])
     return _kanter(alpha, uniforms, exponentials)
 
 

@@ -205,6 +205,10 @@ def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> lis
         elif (count := expected_atom_count(1.0, alpha, z_min)) > ATOM_BUDGET:
             diags.append(f"z_min = {z_min:g} at alpha = {alpha:g} expects {count:.2g} atoms "
                          f"per unit mass, above the budget of {ATOM_BUDGET:g}: raise z_min")
+        elif count < 1:
+            # a cloud expecting under one atom per unit mass is mostly empty
+            diags.append(f"z_min = {z_min:g} at alpha = {alpha:g} expects {count:.3g} atoms "
+                         "per unit mass, below 1: lower z_min")
         elif cfg.replicas * count > ATOM_BUDGET:
             # atoms writes every atom of every replica to atoms.csv
             diags.append(f"atoms writes every atom: {cfg.replicas} replicas of {count:.2g} "

@@ -6,10 +6,13 @@ covariance (eigendecomposition of the Gram matrix on every site pair), the
 gff-square per-site variance summed pointwise from the image-sum kernel
 (the sampler reads it off its sine spectrum instead), the Gamma-function
 constant of the dual moment relation, the fractional
-moment identity by quadrature, and the exponent of a truncated atom cloud's
-conditional Laplace transform.  replica_fields is the replica-by-replica
-view of a sampler's field blocks that the per-replica reference loops read,
-and replica_generators the matching view of a purpose's block substreams.
+moment identity by quadrature, the exponent of a truncated atom cloud's
+conditional Laplace transform, Kanter's formula in its general form for
+every alpha (the sampler takes a shorter path at alpha = 1/2), and the
+positive-stable distribution function by quadrature.  replica_fields is
+the replica-by-replica view of a sampler's field blocks that the
+per-replica reference loops read, and replica_generators the matching view
+of a purpose's block substreams.
 """
 
 from __future__ import annotations
@@ -135,3 +138,65 @@ def truncated_cloud_exponent(v, alpha: float, z_min: float) -> np.ndarray:
     x = v * z_min
     return v**alpha * (-np.expm1(-x) * x ** -alpha / alpha
                        + gamma_fn(1.0 - alpha) * gammaincc(1.0 - alpha, x) / alpha)
+
+
+# Kanter's formula floors an exponential draw at the smallest normal double
+# and clips its log-result to the positive finite doubles
+_TINY = np.finfo(float).tiny
+_LOG_BOUNDS = np.log([_TINY, np.finfo(float).max])
+
+
+def kanter(alpha: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Kanter's formula with its three sines at every alpha, elementwise on
+    rng.random() uniforms u and standard exponentials e of one shape: the
+    reference gmclab.atomic.sample_positive_stable must match bit for bit.
+
+    Both arrays are overwritten and the draws come back in u's buffer.
+    """
+    np.multiply(np.pi, np.subtract(1.0, u, out=u), out=u)      # U in (0, pi)
+    np.log(np.maximum(e, _TINY, out=e), out=e)
+    sin_au = np.sin(alpha * u)
+    # ((1-a)/a) (log(sin((1-a)U) / sin(aU)) - log E)
+    tail = np.multiply(1.0 - alpha, u)
+    np.sin(tail, out=tail)
+    np.divide(tail, sin_au, out=tail)
+    np.log(tail, out=tail)
+    np.subtract(tail, e, out=tail)
+    np.multiply((1.0 - alpha) / alpha, tail, out=tail)
+    # + log(sin(aU) / sin U) / a
+    np.sin(u, out=u)
+    np.divide(sin_au, u, out=u)
+    np.log(u, out=u)
+    np.divide(u, alpha, out=u)
+    np.add(u, tail, out=u)
+    return np.exp(np.clip(u, *_LOG_BOUNDS, out=u), out=u)
+
+
+STABLE_CDF_NODES = 200
+# points of x per quadrature pass: a (4096, 200) table is 6.6 MB
+_CDF_CHUNK = 4096
+
+
+def stable_cdf(alpha: float, x) -> np.ndarray:
+    """P(S <= x) for S standard positive alpha-stable, E exp(-u S) = exp(-u^alpha).
+
+    Kanter's representation S = (A(U) / E)^((1-a)/a), with U uniform on
+    (0, pi), E ~ Exp(1) and A(t) = (sin(a t)^a sin((1-a) t)^(1-a) / sin t)^(1/(1-a)),
+    gives P(S <= x) = (1/pi) int_0^pi exp(-x^(-a/(1-a)) A(t)) dt, here by a
+    STABLE_CDF_NODES-point Gauss-Legendre rule.  A is finite at t = 0 and
+    grows without bound at t = pi, where the integrand falls to 0 steeply
+    once x is large; that end sets the error.
+    """
+    t, w = np.polynomial.legendre.leggauss(STABLE_CDF_NODES)
+    theta = np.pi / 2 * (t + 1.0)
+    a = alpha
+    kanter_a = np.exp((a * np.log(np.sin(a * theta))
+                       + (1.0 - a) * np.log(np.sin((1.0 - a) * theta))
+                       - np.log(np.sin(theta))) / (1.0 - a))
+    x = np.asarray(x, dtype=float)
+    scale = x.ravel() ** (-a / (1.0 - a))
+    out = np.empty(scale.shape)
+    for lo in range(0, scale.size, _CDF_CHUNK):
+        s = scale[lo:lo + _CDF_CHUNK, None]
+        out[lo:lo + _CDF_CHUNK] = np.exp(-s * kanter_a) @ w / 2.0
+    return out.reshape(x.shape)

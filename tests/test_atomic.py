@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
-from scipy.special import gamma as gamma_fn
+from scipy import integrate, stats
+from scipy.special import erfc, gamma as gamma_fn
 
 from gmclab.atomic import (
     AtomicError,
     AtomicMeasure,
     StableAtoms,
     _dual_weights,
-    _kanter,
     atom_positions,
     auto_z_min,
     build_atomic_direct,
@@ -28,9 +27,11 @@ from gmclab.field import FieldGrid, Lattice, LayerSampler, RngStream
 from gmclab.kernels import KernelSpec
 from oracles import (
     fractional_moment_identity_check,
+    kanter,
     moment_relation_constant,
     replica_fields,
     replica_generators,
+    stable_cdf,
     truncated_cloud_exponent,
 )
 
@@ -129,16 +130,19 @@ class TestStableAtoms:
 
 
 class _EdgeDraws:
-    """Generator stand-in whose uniform and exponential draws are fixed."""
+    """Generator stand-in whose uniform and exponential draws are fixed, in
+    the out= form sample_positive_stable draws each row with."""
 
-    def __init__(self, u):
-        self.u = u
+    def __init__(self, u, e=0.0):
+        self.u, self.e = u, e
 
-    def random(self, size):
-        return np.full(size, self.u)
+    def random(self, out):
+        out.fill(self.u)
+        return out
 
-    def standard_exponential(self, size):
-        return np.zeros(size)
+    def standard_exponential(self, out):
+        out.fill(self.e)
+        return out
 
 
 class TestPositiveStable:
@@ -173,11 +177,11 @@ class TestPositiveStable:
     @pytest.mark.parametrize("shape", [(7,), (1, 7), (3, 7), (64, 256), 7])
     def test_block_matches_row_by_row(self, alpha, shape):
         # reference: each row's n uniforms and then its n exponentials, in row
-        # order, each row through Kanter's formula on its own
+        # order, each row through Kanter's formula with its three sines
         dims = (shape,) if isinstance(shape, int) else shape
         n, rows = dims[-1], int(np.prod(dims[:-1]))
         rng = np.random.default_rng(41)
-        ref = [_kanter(alpha, rng.random(n), rng.standard_exponential(n)) for _ in range(rows)]
+        ref = [kanter(alpha, rng.random(n), rng.standard_exponential(n)) for _ in range(rows)]
         ref = np.reshape(ref, dims)
         block = sample_positive_stable(alpha, shape, np.random.default_rng(41))
         assert block.shape == ref.shape and np.array_equal(block, ref)
@@ -185,6 +189,19 @@ class TestPositiveStable:
         rng = np.random.default_rng(41)
         one_row = [sample_positive_stable(alpha, n, rng) for _ in range(rows)]
         assert np.array_equal(np.reshape(one_row, dims), ref)
+
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53, np.nextafter(1.0 / 3.0, 1.0), 0.5],
+                             ids=["u0", "u1", "u-third", "u-half"])
+    @pytest.mark.parametrize("e", [0.0, 1.0, 0.75], ids=["e0", "e1", "e-mid"])
+    def test_two_sine_path_at_half_matches_reference_bits(self, u, e):
+        # alpha = 1/2 drops the sine of (1-a)U: its bits, signs of zero
+        # included, against the three-sine reference at the edge draws.  E = 1
+        # makes the tail -0.0 where the reference has +0.0; near u = 1/3,
+        # U = 2 pi/3 puts sin(U/2)/sin U within an ulp of 1
+        ref = kanter(0.5, np.full(1, u), np.full(1, e)).view(np.int64)
+        for shape in (3, (2, 3)):
+            s = sample_positive_stable(0.5, shape, _EdgeDraws(u, e))
+            assert np.all(s.view(np.int64) == ref)
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
     def test_log_moments(self, alpha):
@@ -202,6 +219,22 @@ class TestPositiveStable:
         # Var of the sample variance: kappa_4 / n + 2 kappa_2^2 / (n - 1)
         z_var = (log_s.var(ddof=1) - k2) / np.sqrt(k4 / n + 2 * k2**2 / (n - 1))
         assert abs(z_mean) <= 4 and abs(z_var) <= 4, (z_mean, z_var)
+
+    def test_stable_cdf_matches_erfc_at_half(self):
+        # at alpha = 1/2, P(S <= x) = erfc(1/(2 sqrt x)); the quadrature's
+        # error is 3e-16 up to x = 0.2 and 1.4e-8 up to 1e4, from the
+        # steep integrand at theta = pi
+        for x, tol in ((np.geomspace(1e-4, 0.2, 200), 1e-15),
+                       (np.geomspace(0.2, 1e4, 200), 5e-8)):
+            assert np.abs(stable_cdf(0.5, x) - erfc(1 / (2 * np.sqrt(x)))).max() < tol
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    def test_sampler_matches_stable_cdf(self, alpha):
+        # one-sample KS test of a block of cells against the quadrature CDF,
+        # at a level of 1e-3 each; p is 0.50, 0.32 and 0.42 at this seed
+        s = sample_positive_stable(alpha, (16, 4096), np.random.Generator(np.random.SFC64(61)))
+        p = stats.kstest(s.ravel(), lambda x: stable_cdf(alpha, x)).pvalue
+        assert p > 1e-3, p
 
     def test_block_split_into_chunks_draws_the_same_cells(self):
         rng = np.random.default_rng(43)

@@ -398,6 +398,11 @@ class TestCliRuns:
         ("spectrum", "q.grid = nan,1.0\n", [], "q.grid must be finite, got nan"),
         ("laplace", "gamma2 = 1.0\nu.grid = nan,1.0\n", [], "u.grid must be finite, got nan"),
         ("atoms", "z_min = inf\n", [], "z_min must be finite, got inf"),
+        # expected 4e-75 atoms per unit mass, drew empty clouds and failed
+        # atoms_drawn (exit 1)
+        ("atoms", "z_min = 1e300\n", [],
+         "z_min = 1e+300 at alpha = 0.25 expects 4e-75 atoms per unit mass, below 1: "
+         "lower z_min"),
         ("scaling", "gamma2 = 1.0\nresolution = 128\nq.grid = 0.1\nscaling.radius = nan\n", [],
          "scaling.radius must be finite, got nan"),
         # numpy rejected the seed with a message that named no key
@@ -415,7 +420,7 @@ class TestCliRuns:
             "laplace-u-grid-repeat", "scaling-lambdas-repeat", "atoms-replica-budget",
             "field-gff-mode-budget", "chaos-gamma2-nan", "chaos-kernel-T-inf",
             "chaos-lambda-grid-nan", "spectrum-q-grid-nan", "laplace-u-grid-nan",
-            "atoms-z-min-inf", "scaling-radius-nan", "chaos-seed-negative",
+            "atoms-z-min-inf", "atoms-z-min-empty-cloud", "scaling-radius-nan", "chaos-seed-negative",
             "chaos-seed-option-negative"])
     def test_unrunnable_config_is_diagnosed(self, tmp_path, capsys, experiment, text, args,
                                             diag):
