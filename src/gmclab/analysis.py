@@ -2,7 +2,7 @@
 
 Spectrum regressions, tail-index estimation, Laplace-functional comparison,
 perfect-scaling checks, covering-sum dimension estimation, the KPZ/duality
-solvers, and the (conjecture-flagged) L^q-spectrum proxy.
+solvers, and a dyadic box-counting L^q-spectrum proxy that no pipeline reads.
 """
 
 from __future__ import annotations
@@ -527,43 +527,20 @@ def kpz_solve_dual(dim_leb: float, gamma2: float, d: int,
 
 
 # ---------------------------------------------------------------------------
-# L^q spectrum (conjecture comparison)
+# L^q spectrum
 # ---------------------------------------------------------------------------
 
 @dataclass
 class LqSpectrumResult:
     tau_hat: np.ndarray
     stderr: np.ndarray
-    conjecture: np.ndarray | None
 
 
-def lq_conjecture(q_grid, gamma2: float, alpha: float, d: int) -> np.ndarray:
-    """Conjectured tau(q): xi_bar(q) - d on [q_-, alpha], 0 above alpha, and
-    linear with slope xi_bar'(q_-) below q_-.
-
-    q_- is the negative root of the Legendre identity q xi_bar'(q) - xi_bar(q)
-    = -d.  With xi_bar(q) = b q - a q^2 the left side is -a q^2, so
-    q_- = -sqrt(d/a), and there is no root (q_- = -inf) when a = 0.
-    """
-    q_grid = np.asarray(q_grid, dtype=float)
-    a2 = gamma2 / (2 * alpha**2)
-    q_minus = -np.sqrt(d / a2) if a2 > 0 else -np.inf
-    tau = xi_bar(gamma2, alpha, d, q_grid) - d
-    below = q_grid < q_minus
-    if below.any():
-        # xi_bar'(q_-) = b - 2 a q_-
-        tau[below] = (d / alpha + gamma2 / (2 * alpha) - 2 * a2 * q_minus) * q_grid[below]
-    tau[q_grid >= alpha] = 0.0
-    return tau
-
-
-def lq_spectrum(measure: LatticeMeasure, q_grid, depths, gamma2: float | None = None,
-                alpha: float | None = None, d: int = 1) -> LqSpectrumResult:
+def lq_spectrum(measure: LatticeMeasure, q_grid, depths) -> LqSpectrumResult:
     """Dyadic box-counting proxy of the L^q spectrum tau(q).
 
-    Box sums replace the centered-packing supremum (documented approximation);
-    the result is labeled CONJECTURE-COMPARISON and carries the conjectured
-    piecewise values when (gamma2, alpha) are supplied.
+    Box sums replace the centered-packing supremum (documented approximation).
+    No pipeline calls it; the benchmark tracer (perfbench/tracer.py) wraps it.
     """
     q_grid = np.asarray(q_grid, dtype=float)
     depths = np.asarray(depths, dtype=int)
@@ -576,7 +553,4 @@ def lq_spectrum(measure: LatticeMeasure, q_grid, depths, gamma2: float | None = 
         slope, intercept = ols_slope(log_r, col)
         tau[i] = slope
         err[i] = float(np.std(col - (intercept + slope * log_r)))
-    conj = None
-    if gamma2 is not None and alpha is not None:
-        conj = lq_conjecture(q_grid, gamma2, alpha, d)
-    return LqSpectrumResult(tau_hat=tau, stderr=err, conjecture=conj)
+    return LqSpectrumResult(tau_hat=tau, stderr=err)

@@ -24,7 +24,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, config_to_dict, load_config, validate_config
+from .config import ConfigError, ExperimentConfig, load_config, validate_config
 from .field import FIELD_BLOCK, PURPOSES
 from .pipelines import PIPELINES, Check, PipelineResult
 
@@ -111,7 +111,7 @@ def write_outputs(result: PipelineResult, cfg: ExperimentConfig,
         "experiment": result.name,
         "passed": result.passed,
         "checks": [asdict(c) for c in result.checks],
-        "config": config_to_dict(cfg),
+        "config": asdict(cfg),
         "seed_scheme": {
             "bit_generator": {purpose: bg.__name__ for purpose, (_, bg) in PURPOSES.items()},
             "field_block": FIELD_BLOCK,

@@ -24,7 +24,7 @@ Lines starting with '#' are comments; each key may be set once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 from .analysis import HILL_MIN_K, kpz_solve
@@ -58,7 +58,6 @@ class ExperimentConfig:
     q_grid: tuple[float, ...] = (0.5, 1.0, 1.5)
     u_grid: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0)
     scaling_lambdas: tuple[float, ...] = (0.5, 0.25, 0.125)
-    scaling_radius: float = 0.25
     cantor_depth: int = 6
     s_grid: tuple[float, ...] = ()
     hill_k: int = 0                    # 0: resolved_hill_k's default
@@ -97,7 +96,6 @@ _KEY_MAP = {
     "q.grid": ("q_grid", _floats),
     "u.grid": ("u_grid", _floats),
     "scaling.lambdas": ("scaling_lambdas", _floats),
-    "scaling.radius": ("scaling_radius", float),
     "cantor.depth": ("cantor_depth", int),
     "s.grid": ("s_grid", _floats),
     "hill.k": ("hill_k", int),
@@ -134,16 +132,9 @@ def load_config(path: str) -> ExperimentConfig:
         return parse_config_text(fh.read())
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    out = {}
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        out[f.name] = list(v) if isinstance(v, tuple) else v
-    return out
-
-
-def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> list[str]:
-    """Itemized diagnostics; empty list means the config is runnable."""
+def validate_config(cfg: ExperimentConfig, experiment: str) -> list[str]:
+    """Itemized diagnostics of cfg for the subcommand experiment; an empty list
+    means the config is runnable."""
     diags = [] if cfg.seed >= 0 else [f"seed must be >= 0, got {cfg.seed}"]
     # a nan passes or fails the comparisons below at random and round()
     # raises on it, and an inf degenerates the run (kernel.T = inf makes each
@@ -233,11 +224,11 @@ def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> lis
             if abs(cells - round(cells)) > 1e-9:
                 diags.append(f"spectrum box of side {lam:g} spans {cells:g} cells; "
                              "resolution * lambda must be a whole number")
-    if experiment in ("spectrum", "lq") and not cfg.q_grid:
+    if experiment in ("spectrum", "scaling") and not cfg.q_grid:
         diags.append(f"{experiment} needs at least one q.grid value")
     if experiment == "laplace" and not cfg.u_grid:
         diags.append("laplace needs at least one u.grid value")
-    if experiment in (None, "spectrum") and any(q >= q_max_m for q in cfg.q_grid):
+    if experiment == "spectrum" and any(q >= q_max_m for q in cfg.q_grid):
         diags.append(
             f"q grid exceeds the chaos moment range q < 2d/gamma2 = {q_max_m:g}"
         )
@@ -276,29 +267,28 @@ def validate_config(cfg: ExperimentConfig, experiment: str | None = None) -> lis
     if experiment == "tail" and not HILL_MIN_K <= cfg.resolved_hill_k() < cfg.replicas:
         diags.append(f"hill.k must lie in [{HILL_MIN_K}, replicas = {cfg.replicas}), got "
                      f"{cfg.resolved_hill_k()}{'' if cfg.hill_k else ' (the default)'}")
-    if experiment == "lq":
-        if cfg.replicas != 1:
-            diags.append(f"lq analyses one replica: replicas must be 1, got {cfg.replicas}")
-        # three dyadic depths 2^j, j >= 2, divide resolution exactly when 16 does
-        if cfg.resolution % 16:
-            diags.append(f"lq fits three dyadic depths 2^2, 2^3, 2^4: resolution must be "
-                         f"a multiple of 16, got {cfg.resolution}")
     if experiment == "scaling":
         if not cfg.scaling_lambdas:
             diags.append("scaling needs at least one scaling.lambdas value")
         if cfg.kernel_family not in ("exact1d", "exact2d"):
             diags.append("perfect scaling requires an exact scale invariant kernel "
                          f"(exact1d or exact2d), got {cfg.kernel_family}")
-        # a radius outside (0, 1] snaps to the unit box or to no cell
-        if not 0 < cfg.scaling_radius <= 1:
-            diags.append(f"scaling.radius must lie in (0, 1], got {cfg.scaling_radius}")
+        # imported here: pipelines imports this module
+        from .pipelines import SCALING_RADIUS
+
         # the dual's box masses are sums of whole cells
         for lam in (1.0, *cfg.scaling_lambdas):
-            cells = cfg.resolution * cfg.scaling_radius * lam
+            cells = cfg.resolution * SCALING_RADIUS * lam
             if abs(cells - round(cells)) > 1e-9:
                 diags.append(
-                    f"scaling box of side {cfg.scaling_radius * lam:g} spans {cells:g} "
-                    "cells; resolution * scaling.radius * lambda must be a whole number")
+                    f"scaling box of side {SCALING_RADIUS * lam:g} spans {cells:g} "
+                    f"cells; resolution * {SCALING_RADIUS:g} * lambda must be a whole number")
+        # each lambda ensemble runs at level n / lambda, and the law is the
+        # level-matched one only at a whole level
+        for lam in cfg.scaling_lambdas:
+            if 0 < lam < 1 and abs((ratio := cfg.level / lam) - round(ratio)) > 1e-9:
+                diags.append(f"scaling lambda {lam:g} runs at level {cfg.level} / {lam:g} = "
+                             f"{ratio:g}; level / lambda must be a whole number")
     for lam in cfg.scaling_lambdas:
         if not (0 < lam < 1):
             diags.append(f"scaling lambda {lam} outside (0,1)")

@@ -160,6 +160,10 @@ def _covering_sums(blocks, levels, s_grid) -> np.ndarray:
 # pipelines
 # ---------------------------------------------------------------------------
 
+# the side of scaling's reference box [0, SCALING_RADIUS]^d
+SCALING_RADIUS = 0.25
+
+
 def run_field(cfg: ExperimentConfig) -> PipelineResult:
     """Covariance fidelity check at random site pairs (3 SE criterion)."""
     spec = kernel_spec(cfg)
@@ -373,17 +377,15 @@ def run_tail(cfg: ExperimentConfig) -> PipelineResult:
 def run_scaling(cfg: ExperimentConfig) -> PipelineResult:
     """Perfect scaling: each level-matched moment ratio's CI must cover lam^xi_bar(q)."""
     alpha = cfg.alpha()
-    radius = cfg.scaling_radius
-    ref = _box_masses(cfg, "dual", RngStream(cfg.seed), [radius])[:, 0]
-    q_grid = np.asarray([q for q in cfg.q_grid if q < alpha])
-    if q_grid.size == 0:
-        q_grid = alpha * np.array([0.25, 0.5, 0.75])
+    ref = _box_masses(cfg, "dual", RngStream(cfg.seed), [SCALING_RADIUS])[:, 0]
+    q_grid = np.asarray(cfg.q_grid)
     results = []
     rng = np.random.default_rng(cfg.seed)
     for j, lam in enumerate(cfg.scaling_lambdas, start=1):
-        # exact self-similarity holds level-matched: scale lambda at level n/lambda
-        level_lam = int(round(cfg.level / lam))
-        small = _box_masses(cfg, "dual", RngStream(cfg.seed + j), [lam * radius],
+        # exact self-similarity holds level-matched: scale lambda at level
+        # n/lambda, a whole number by validate_config
+        level_lam = round(cfg.level / lam)
+        small = _box_masses(cfg, "dual", RngStream(cfg.seed + j), [lam * SCALING_RADIUS],
                             level=level_lam)[:, 0]
         results.append(analysis.verify_perfect_scaling(small, ref, lam, cfg.gamma2, alpha,
                                                        cfg.dimension, q_grid, rng=rng))
@@ -479,34 +481,6 @@ def run_duality(cfg: ExperimentConfig) -> PipelineResult:
     )
 
 
-def run_lq(cfg: ExperimentConfig) -> PipelineResult:
-    """Box-counting L^q-spectrum proxy, labeled CONJECTURE-COMPARISON: no check."""
-    alpha = cfg.alpha()
-    max_depth = int(np.floor(np.log2(cfg.resolution)))
-    # validate_config requires 16 | resolution, so depths 2, 3 and 4 divide it
-    depths = [j for j in range(2, max_depth + 1)
-              if cfg.resolution % 2**j == 0][-5:]
-    # replica 0 only; both measures see the same field draw on (field, 0, 0)
-    _, _, blocks = next(_measures(cfg, ("chaos", "dual"), RngStream(cfg.seed)))
-    m, mbar = (LatticeMeasure(b.lattice, b.masses[0]) for b in blocks)
-    q_grid = np.asarray(cfg.q_grid, dtype=float)
-    res_m = analysis.lq_spectrum(m, q_grid, depths, d=cfg.dimension)
-    res_bar = analysis.lq_spectrum(mbar, q_grid, depths, gamma2=cfg.gamma2,
-                                   alpha=alpha, d=cfg.dimension)
-    q, measure = np.meshgrid(q_grid, ["M", "Mbar"], indexing="ij")
-    return PipelineResult(
-        name="lq",
-        checks=[],
-        summary={"label": "CONJECTURE-COMPARISON", "depths": list(depths)},
-        tables={"lq_spectrum": {
-            "measure": measure.ravel(), "q": q.ravel(),
-            "tau_hat": np.column_stack((res_m.tau_hat, res_bar.tau_hat)).ravel(),
-            "stderr": np.column_stack((res_m.stderr, res_bar.stderr)).ravel(),
-            "conjecture": np.column_stack((np.full(q_grid.size, np.nan),
-                                           res_bar.conjecture)).ravel()}},
-    )
-
-
 PIPELINES = {
     "field": run_field,
     "chaos": run_chaos,
@@ -517,5 +491,4 @@ PIPELINES = {
     "scaling": run_scaling,
     "kpz": run_kpz,
     "duality": run_duality,
-    "lq": run_lq,
 }

@@ -199,7 +199,7 @@ def test_criterion_05_moment_threshold(dual_ensemble):
 def test_criterion_06_perfect_scaling():
     cfg = ExperimentConfig(gamma2=1.0, level=8, resolution=512, replicas=8000,
                            seed=1006, q_grid=(0.25,), z_min=1e-7,
-                           scaling_lambdas=(0.5, 0.25, 0.125), scaling_radius=0.25)
+                           scaling_lambdas=(0.5, 0.25, 0.125))
     result = run_scaling(cfg)
     report("criterion-06 perfect-scaling", result.passed,
            "moment-ratio CIs cover lam^xi_bar(0.25) at lam in (1/2,1/4,1/8)")

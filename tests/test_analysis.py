@@ -19,7 +19,6 @@ from gmclab.analysis import (
     kpz_solve,
     kpz_solve_dual,
     laplace_rhs_transform,
-    lq_conjecture,
     lq_spectrum,
     ols_slope,
     sample_omega,
@@ -834,28 +833,3 @@ class TestLqSpectrum:
         for measure in (build_chaos(field, 1.0 * d), dual):
             tau = lq_spectrum(measure, [0.0, 0.5], depths).tau_hat
             assert abs(tau[0] + d) <= 1e-12, tau[0] + d
-
-
-class TestLqConjecture:
-    def test_zero_above_alpha(self):
-        tau = lq_conjecture([0.5, 0.8, 1.5], 1.0, 0.5, 1)
-        np.testing.assert_allclose(tau, 0.0, atol=1e-12)
-
-    def test_anchor_at_zero(self):
-        tau = lq_conjecture([0.0], 1.0, 0.5, 1)
-        assert tau[0] == pytest.approx(-1.0)
-
-    def test_continuous_at_alpha(self):
-        eps = 1e-9
-        lo = lq_conjecture([0.5 - eps], 1.0, 0.5, 1)[0]
-        assert abs(lo) < 1e-6
-
-    def test_linear_below_q_minus(self):
-        # xi_bar(q) = 3q - 2q^2 at gamma2 = 1, alpha = 1/2, d = 1, so the
-        # Legendre identity -2q^2 = -1 puts q_- at -sqrt(1/2)
-        q_minus = -np.sqrt(0.5)
-        slope = 3.0 - 4.0 * q_minus
-        q = np.array([2.0 * q_minus, q_minus, 0.5 * q_minus])
-        np.testing.assert_allclose(
-            lq_conjecture(q, 1.0, 0.5, 1),
-            [slope * q[0], slope * q[1], xi_bar(1.0, 0.5, 1, q[2]) - 1.0], rtol=1e-10)

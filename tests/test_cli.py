@@ -29,7 +29,7 @@ from gmclab.config import (
     parse_config_text,
     validate_config,
 )
-from gmclab.field import FIELD_BLOCK, PURPOSES, Lattice, LayerSampler, RngStream
+from gmclab.field import FIELD_BLOCK, PURPOSES, Lattice, RngStream
 from gmclab.kernels import eval_partial_kernel
 from gmclab.pipelines import _box_masses, _covering_sums, _measures
 from oracles import replica_fields, replica_generators
@@ -65,8 +65,6 @@ RERUN_CONFIGS = {
     "duality": "gamma2 = 1.0\nlevel = 5\nresolution = 243\ncantor.depth = 5\nz_min = 1e-6\n"
                "replicas = 10\nseed = 7\n"
                "s.grid = 0.30,0.35,0.40,0.45,0.50,0.55,0.60,0.65,0.70,0.75\n",
-    "lq": "gamma2 = 0.5\nlevel = 5\nresolution = 256\nq.grid = 0,0.5,1\nreplicas = 1\n"
-          "seed = 7\n",
 }
 
 
@@ -152,7 +150,7 @@ class TestConfigParsing:
 
     def test_validate_flags_bad_alpha(self):
         cfg = parse_config_text("gamma2 = 2.5\n")
-        assert any("alpha" in d for d in validate_config(cfg))
+        assert any("alpha" in d for d in validate_config(cfg, "chaos"))
 
     def test_validate_cantor_alignment(self):
         cfg = parse_config_text("resolution = 1000\ncantor.depth = 6\n"
@@ -283,7 +281,7 @@ class TestCliRuns:
     def test_invalid_kernel_is_diagnosed(self, tmp_path, capsys, text, diag):
         path = tmp_path / "bad.txt"
         path.write_text(text)
-        assert validate_config(parse_config_text(text)) == [f"kernel: {diag}"]
+        assert validate_config(parse_config_text(text), "chaos") == [f"kernel: {diag}"]
         assert main(["chaos", "--config", str(path)]) == 2
         assert f"config error: kernel: {diag}" in capsys.readouterr().err
 
@@ -291,20 +289,20 @@ class TestCliRuns:
         ("kpz", "resolution = 729\n", [], "s.grid needs at least 5 values"),
         ("duality", "resolution = 729\ncantor.depth = 2\ns.grid = 0.3,0.4,0.5,0.6,0.7\n", [],
          "cantor.depth must be >= 3: the dimension fit needs three levels"),
-        ("lq", "resolution = 256\nreplicas = 1\n", ["--replicas", "400"],
-         "lq analyses one replica: replicas must be 1, got 400"),
         ("scaling", "gamma2 = 1.0\nresolution = 100\nq.grid = 0.1\nscaling.lambdas = 0.5\n", [],
          "scaling box of side 0.125 spans 12.5 cells; "
-         "resolution * scaling.radius * lambda must be a whole number"),
+         "resolution * 0.25 * lambda must be a whole number"),
+        # ran the lambda ensemble at level 12, not the level-matched 12.5
+        ("scaling", "gamma2 = 1.0\nresolution = 120\nlevel = 5\nq.grid = 0.1\n"
+         "scaling.lambdas = 0.4\n", [],
+         "scaling lambda 0.4 runs at level 5 / 0.4 = 12.5; level / lambda must be a whole "
+         "number"),
         # the square's covering sums run over C x C, but their KPZ targets
         # and tolerances are not calibrated
         ("kpz", SQUARE_CANTOR, [],
          "kpz covers the Cantor set on [0, 1]: dimension must be 1, got 2"),
         ("duality", SQUARE_CANTOR, [],
          "duality covers the Cantor set on [0, 1]: dimension must be 1, got 2"),
-        ("lq", "resolution = 24\nreplicas = 1\n", [],
-         "lq fits three dyadic depths 2^2, 2^3, 2^4: resolution must be a multiple of 16, "
-         "got 24"),
         ("scaling", "kernel.family = star\ngamma2 = 1.0\nresolution = 128\nq.grid = 0.1\n"
          "scaling.lambdas = 0.5\n", [],
          "perfect scaling requires an exact scale invariant kernel (exact1d or exact2d), "
@@ -312,8 +310,8 @@ class TestCliRuns:
         # each would pass having checked nothing, or fail inside numpy
         ("laplace", "u.grid =\n", [], "laplace needs at least one u.grid value"),
         ("spectrum", "q.grid =\n", [], "spectrum needs at least one q.grid value"),
-        ("lq", "resolution = 256\nreplicas = 1\nq.grid =\n", [],
-         "lq needs at least one q.grid value"),
+        ("scaling", "gamma2 = 1.0\nresolution = 128\nq.grid =\n", [],
+         "scaling needs at least one q.grid value"),
         ("scaling", "gamma2 = 1.0\nresolution = 64\nq.grid = 0.1\nscaling.lambdas =\n", [],
          "scaling needs at least one scaling.lambdas value"),
         ("spectrum", "lambda.grid = 0.5,0.25,0.125\n", [],
@@ -328,11 +326,6 @@ class TestCliRuns:
          "hill.k must lie in [30, replicas = 40), got 50 (the default)"),
         ("tail", "gamma2 = 1.0\nhill.k = 10\n", [],
          "hill.k must lie in [30, replicas = 1000), got 10"),
-        # a radius above 1 snaps every box to the unit box; 0 leaves no cell
-        ("scaling", "gamma2 = 1.0\nresolution = 128\nq.grid = 0.1\nscaling.radius = 2.0\n", [],
-         "scaling.radius must lie in (0, 1], got 2.0"),
-        ("scaling", "gamma2 = 1.0\nresolution = 128\nq.grid = 0.1\nscaling.radius = 0\n", [],
-         "scaling.radius must lie in (0, 1], got 0.0"),
         # one replica has no standard error: each ran and failed on a nan
         *[(experiment, text, args,
            f"{experiment} measures the spread across replicas: replicas must be >= 2, got 1")
@@ -390,7 +383,7 @@ class TestCliRuns:
         # a nan gamma2 failed the gate on a nan statistic (exit 1); kernel.T =
         # inf made each field constant and passed; a nan in lambda.grid or
         # q.grid failed late (exit 2), in u.grid failed a gate; z_min = inf
-        # drew empty clouds; a nan radius raised inside validate_config
+        # drew empty clouds
         ("chaos", "gamma2 = nan\nalpha.mode = explicit\nalpha.value = 0.5\n", [],
          "gamma2 must be finite, got nan"),
         ("chaos", "kernel.T = inf\n", [], "kernel.T must be finite, got inf"),
@@ -403,15 +396,13 @@ class TestCliRuns:
         ("atoms", "z_min = 1e300\n", [],
          "z_min = 1e+300 at alpha = 0.25 expects 4e-75 atoms per unit mass, below 1: "
          "lower z_min"),
-        ("scaling", "gamma2 = 1.0\nresolution = 128\nq.grid = 0.1\nscaling.radius = nan\n", [],
-         "scaling.radius must be finite, got nan"),
         # numpy rejected the seed with a message that named no key
         ("chaos", "seed = -1\n", [], "seed must be >= 0, got -1"),
         ("chaos", "", ["--seed", "-3"], "seed must be >= 0, got -3"),
-    ], ids=["kpz-s-grid", "duality-depth", "lq-replicas", "scaling-cells", "kpz-dim2",
-            "duality-dim2", "lq-depths", "scaling-kernel", "laplace-u-grid", "spectrum-q-grid",
-            "lq-q-grid", "scaling-lambdas", "spectrum-lambdas", "spectrum-lambda-cells",
-            "tail-default-k", "tail-small-k", "scaling-radius-2", "scaling-radius-0",
+    ], ids=["kpz-s-grid", "duality-depth", "scaling-cells", "scaling-level-ratio", "kpz-dim2",
+            "duality-dim2", "scaling-kernel", "laplace-u-grid", "spectrum-q-grid",
+            "scaling-q-grid", "scaling-lambdas", "spectrum-lambdas", "spectrum-lambda-cells",
+            "tail-default-k", "tail-small-k",
             "field-one-replica", "chaos-one-replica", "spectrum-one-replica",
             "laplace-one-replica", "scaling-one-replica", "chaos-box-no-cell",
             "kpz-supercritical", "atoms-z-min-underflow", "atoms-atom-budget",
@@ -420,7 +411,7 @@ class TestCliRuns:
             "laplace-u-grid-repeat", "scaling-lambdas-repeat", "atoms-replica-budget",
             "field-gff-mode-budget", "chaos-gamma2-nan", "chaos-kernel-T-inf",
             "chaos-lambda-grid-nan", "spectrum-q-grid-nan", "laplace-u-grid-nan",
-            "atoms-z-min-inf", "atoms-z-min-empty-cloud", "scaling-radius-nan", "chaos-seed-negative",
+            "atoms-z-min-inf", "atoms-z-min-empty-cloud", "chaos-seed-negative",
             "chaos-seed-option-negative"])
     def test_unrunnable_config_is_diagnosed(self, tmp_path, capsys, experiment, text, args,
                                             diag):
@@ -556,9 +547,8 @@ class TestCliRuns:
         assert code == (0 if manifest["passed"] else 1)
         names = [c["name"] for c in checks]
         assert len(set(names)) == len(names)
-        # lq compares with a conjecture and checks nothing; every other
-        # pipeline checks something
-        assert (experiment == "lq") == (not checks)
+        # every pipeline has a gate
+        assert checks
         lines = (tmp_path / "out" / "summary.txt").read_text().splitlines()
         assert lines[1] == f"status: {'PASS' if manifest['passed'] else 'FAIL'}"
         assert lines[2 + len(checks)] == ""
@@ -878,13 +868,3 @@ def test_block_reducers_match_replica_loop(kind, monkeypatch):
     assert [start for start, _, _ in _measures(cfg, (kind,), RngStream(cfg.seed))] == [
         0, 30, 60, 64]
     assert np.array_equal(_covering_sums(blocks(), levels, s_grid), ref)
-
-
-def test_lq_draws_only_the_row_it_reads(monkeypatch):
-    # lq reads replica 0: one circulant row, not the 32 rows of its block
-    sizes = []
-    fields = LayerSampler._fields
-    monkeypatch.setattr(LayerSampler, "_fields",
-                        lambda self, z: sizes.append(len(z)) or fields(self, z))
-    assert pipelines.run_lq(parse_config_text(RERUN_CONFIGS["lq"])).passed
-    assert sizes == [1]

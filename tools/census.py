@@ -4,7 +4,7 @@ Usage (from the root of a gmclab checkout):
 
     python3 tools/census.py
 
-Runs the seventeen reference configs of tools/digests.py through
+Runs the fifteen reference configs of tools/digests.py through
 gmclab.cli.main at the reference seed 7, as that tool does, under a
 sys.setprofile hook that records the code of every Python call.  Then prints
 one line per function written in a gmclab module whose code no config ran:

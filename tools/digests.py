@@ -4,7 +4,7 @@ Usage (from the root of a gmclab checkout):
 
     python3 tools/digests.py [--seed N]
 
-Runs each of the seventeen reference configs below through gmclab.cli.main at
+Runs each of the fifteen reference configs below through gmclab.cli.main at
 the given seed (default 7) in a temporary directory and prints one line per
 config with its exit code, one line per check that failed (read from the
 manifest's `checks`), then one line per artifact:
@@ -85,14 +85,6 @@ CONFIGS = {
         s.grid = 0.30,0.35,0.40,0.45,0.50,0.55,0.60,0.65,0.70,0.75
         replicas = 30
     """),
-    "lq": ("lq", """
-        kernel.family = exact1d
-        gamma2 = 0.5
-        level = 5
-        resolution = 256
-        q.grid = 0,0.5,1
-        replicas = 1
-    """),
     "field-star": ("field", """
         kernel.family = star
         gamma2 = 0.5
@@ -116,15 +108,6 @@ CONFIGS = {
         resolution = 32
         replicas = 100
         lambda.grid = 0.5,0.25,0.125,0.0625
-    """),
-    "lq-exact2d": ("lq", """
-        kernel.family = exact2d
-        dimension = 2
-        gamma2 = 1.0
-        level = 3
-        resolution = 32
-        q.grid = 0,0.5,1
-        replicas = 1
     """),
     "atoms-exact2d": ("atoms", """
         kernel.family = exact2d
