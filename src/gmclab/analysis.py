@@ -513,13 +513,9 @@ def kpz_solve(dim_leb: float, gamma2: float, d: int) -> float:
     return _kpz_root(dim_leb, gamma2 / 2.0, d + gamma2 / 2.0, d, 1.0)
 
 
-def kpz_solve_dual(dim_leb: float, gamma2: float, d: int,
-                   alpha: float | None = None) -> float:
+def kpz_solve_dual(dim_leb: float, gamma2: float, d: int, alpha: float) -> float:
     """Unique root of xi_bar(x)/d = dim_leb in [0, alpha], solved on xi_bar's
-    own coefficients; xi_bar(q) = xi(q/alpha) makes it alpha * kpz_solve(dim_leb).
-    alpha defaults to the duality value gamma2/2d."""
-    if alpha is None:
-        alpha = gamma2 / (2.0 * d)
+    own coefficients; xi_bar(q) = xi(q/alpha) makes it alpha * kpz_solve(dim_leb)."""
     if not (0.0 <= gamma2 < 2 * d and 0.0 < alpha < 1.0):
         raise AnalysisError("kpz_solve_dual requires 0 <= gamma2 < 2d and 0 < alpha < 1")
     return _kpz_root(dim_leb, gamma2 / (2 * alpha**2), d / alpha + gamma2 / (2 * alpha),

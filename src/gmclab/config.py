@@ -9,7 +9,7 @@ Example::
     resolution = 1024
     replicas = 10000
     seed = 42
-    alpha.mode = duality        # or: explicit (with alpha.value)
+    alpha = duality             # gamma2/(2d); or a float in (0, 1)
     z_min = auto                # or a positive float
     lambda.grid = 0.25,0.125,0.0625,0.03125,0.015625
     q.grid = 0.5,1.0,1.5
@@ -51,8 +51,7 @@ class ExperimentConfig:
     resolution: int = 512
     replicas: int = 1000
     seed: int = 1
-    alpha_mode: str = "duality"        # duality | explicit
-    alpha_value: float | None = None
+    alpha: float | str = "duality"     # float in (0, 1) or "duality"
     z_min: float | str = "auto"        # positive float or "auto"
     lambda_grid: tuple[float, ...] = (0.25, 0.125, 0.0625, 0.03125, 0.015625)
     q_grid: tuple[float, ...] = (0.5, 1.0, 1.5)
@@ -63,16 +62,15 @@ class ExperimentConfig:
     hill_k: int = 0                    # 0: resolved_hill_k's default
     out_dir: str = "gmclab-out"
 
-    def alpha(self) -> float:
-        if self.alpha_mode == "duality":
+    def resolved_alpha(self) -> float:
+        """alpha, or the duality value gamma2/2d when it is "duality"."""
+        if self.alpha == "duality":
             return self.gamma2 / (2.0 * self.dimension)
-        if self.alpha_value is None:
-            raise ConfigError("alpha.mode=explicit requires alpha.value")
-        return self.alpha_value
+        return float(self.alpha)
 
     def resolved_z_min(self) -> float:
         if self.z_min == "auto":
-            return auto_z_min(self.alpha())
+            return auto_z_min(self.resolved_alpha())
         return float(self.z_min)
 
     def resolved_hill_k(self) -> int:
@@ -89,8 +87,7 @@ _KEY_MAP = {
     "resolution": ("resolution", int),
     "replicas": ("replicas", int),
     "seed": ("seed", int),
-    "alpha.mode": ("alpha_mode", str),
-    "alpha.value": ("alpha_value", float),
+    "alpha": ("alpha", lambda v: v if v == "duality" else float(v)),
     "z_min": ("z_min", lambda v: v if v == "auto" else float(v)),
     "lambda.grid": ("lambda_grid", _floats),
     "q.grid": ("q_grid", _floats),
@@ -120,8 +117,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
             values[attr] = conv(val)
-        except ConfigError:
-            raise
         except Exception as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
     return ExperimentConfig(**values)
@@ -148,8 +143,9 @@ def validate_config(cfg: ExperimentConfig, experiment: str) -> list[str]:
                 break
     if nonfinite:
         return diags + nonfinite
+    # every rule below reads d, and the duality alpha divides by it
     if cfg.dimension not in (1, 2):
-        diags.append(f"dimension must be 1 or 2, got {cfg.dimension}")
+        return diags + [f"dimension must be 1 or 2, got {cfg.dimension}"]
     try:
         KernelSpec(family=cfg.kernel_family, T=cfg.kernel_T, d=cfg.dimension)
     except KernelError as exc:
@@ -163,6 +159,10 @@ def validate_config(cfg: ExperimentConfig, experiment: str) -> list[str]:
         # the sampler's spectral weights cost O(modes^2)
         diags.append(f"gff-square at level = {cfg.level} sums {modes} sine modes per axis, "
                      f"above the budget of {GFF_MODE_BUDGET}: lower level")
+    elif cfg.kernel_family == "star" and cfg.level > 1022:
+        # level n integrates the seed over [2^n, 2^(n+1)], and 2^1024 overflows
+        diags.append(f"star at level = {cfg.level} integrates up to 2^{cfg.level + 1}, "
+                     "beyond the largest double: level must be <= 1022")
     if cfg.resolution < 2:
         diags.append("resolution must be >= 2")
     if cfg.replicas < 1:
@@ -174,16 +174,10 @@ def validate_config(cfg: ExperimentConfig, experiment: str) -> list[str]:
         diags.append(f"{experiment} measures the spread across replicas: replicas must be "
                      f">= 2, got {cfg.replicas}")
     alpha = None
-    if cfg.alpha_mode not in ("duality", "explicit"):
-        diags.append(f"alpha.mode must be duality or explicit, got {cfg.alpha_mode!r}")
-    else:
-        try:
-            alpha = cfg.alpha()
-        except ConfigError as exc:
-            diags.append(str(exc))
-        if alpha is not None and not (0.0 < alpha < 1.0):
-            diags.append(f"alpha out of (0,1): {alpha} "
-                         f"(gamma2={cfg.gamma2}, d={cfg.dimension})")
+    if cfg.alpha != "duality" and not isinstance(cfg.alpha, float):
+        diags.append(f"alpha must be 'duality' or a float, got {cfg.alpha!r}")
+    elif not 0.0 < (alpha := cfg.resolved_alpha()) < 1.0:
+        diags.append(f"alpha out of (0,1): {alpha} (gamma2={cfg.gamma2}, d={cfg.dimension})")
     if cfg.z_min != "auto" and not (isinstance(cfg.z_min, float) and cfg.z_min > 0):
         diags.append("z_min must be 'auto' or a positive float")
     elif experiment == "atoms" and alpha is not None and 0 < alpha < 1:

@@ -1,13 +1,14 @@
 """Experiment pipelines behind the CLI subcommands.
 
 Each pipeline builds the ensembles it needs, runs the matching statistical
-checks, and returns tables, a summary and one `Check` per gate.  Every ensemble comes from
-one replica loop, `_measures(cfg, kinds, stream)`, which steps one field
-chunk at a time: every draw of replica r comes from its block's substream
-(purpose, b, 0), b = r // 64, one generator per purpose and block that the
-block's replicas read in order, and on each chunk of fields the loop builds
-every measure the pipeline compares, the chaos M_n ("chaos") and its duals;
-only `scaling`'s lambda ensembles, at other levels, draw on seed + j.  The
+checks, and returns tables, a summary and one `Check` per gate.  Every
+ensemble comes from one replica loop, `_measures(cfg, kinds)`, which reads
+its level and seed from cfg and steps one field chunk at a time: every draw
+of replica r comes from its block's substream (purpose, b, 0), b = r // 64,
+one generator per purpose and block that the block's replicas read in order,
+and on each chunk of fields the loop builds every measure the pipeline
+compares, the chaos M_n ("chaos") and its duals; only `scaling`'s lambda
+ensembles, each on a copy of cfg at its own level, draw on seed + j.  The
 field comes from (field, b, 0).  Both duals have exact cell laws, one
 positive-stable draw per cell and no truncation: the direct dual's cells
 weight the field on (atoms, b, 0) ("dual"), and the subordinated dual's
@@ -29,7 +30,7 @@ byte-identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -94,17 +95,16 @@ def lattice_for(cfg: ExperimentConfig) -> Lattice:
 # the replica loop and its reducers
 # ---------------------------------------------------------------------------
 
-def _sampler(cfg: ExperimentConfig, level: int | None = None) -> LayerSampler:
-    """Field sampler for levels 1..level (default cfg.level) on cfg's lattice."""
-    return LayerSampler(kernel_spec(cfg), lattice_for(cfg), range(1, (level or cfg.level) + 1))
+def _sampler(cfg: ExperimentConfig) -> LayerSampler:
+    """Field sampler for levels 1..cfg.level on cfg's lattice."""
+    return LayerSampler(kernel_spec(cfg), lattice_for(cfg), range(1, cfg.level + 1))
 
 
 # the RNG purpose each dual kind draws on
 _PURPOSE = {"dual": "atoms", "subordinated": "subordinated"}
 
 
-def _measures(cfg: ExperimentConfig, kinds: tuple, stream: RngStream,
-              level: int | None = None):
+def _measures(cfg: ExperimentConfig, kinds: tuple):
     """Yield (start, field, measures) per field chunk: field holds replicas
     start, start + 1, ... as (rows, n_sites) values, and measures has one
     entry per kind, built on those fields.
@@ -114,14 +114,16 @@ def _measures(cfg: ExperimentConfig, kinds: tuple, stream: RngStream,
     masses, given M_n), each a LatticeMeasure of the whole chunk, masses
     (rows, n_sites).
 
-    Each dual kind draws on its purpose's block substream, opened at the
-    block's first chunk and read in replica order across its chunks.
+    Each dual kind draws on its purpose's block substream of
+    RngStream(cfg.seed), opened at the block's first chunk and read in
+    replica order across its chunks.
     """
-    sampler = _sampler(cfg, level)
+    sampler = _sampler(cfg)
+    stream = RngStream(cfg.seed)
     # decided per call: a chaos-only loop never resolves alpha
     need_chaos = "chaos" in kinds or "subordinated" in kinds
     if set(kinds) - {"chaos"}:
-        alpha = cfg.alpha()
+        alpha = cfg.resolved_alpha()
     for start, field in sampler.field_blocks(stream, cfg.replicas):
         if start % FIELD_BLOCK == 0:
             rngs = {kind: stream.generator(_PURPOSE[kind], start)
@@ -135,14 +137,13 @@ def _measures(cfg: ExperimentConfig, kinds: tuple, stream: RngStream,
             for kind in kinds]
 
 
-def _box_masses(cfg: ExperimentConfig, kind: str, stream: RngStream, sides,
-                level: int | None = None) -> np.ndarray:
+def _box_masses(cfg: ExperimentConfig, kind: str, sides) -> np.ndarray:
     """Masses of the boxes [0, side]^d, shape (replicas, len(sides)), of one
     kind of _measures, one measure_box call per side and field chunk."""
     lo = np.zeros(cfg.dimension)
     boxes = [np.full(cfg.dimension, side) for side in sides]
     out = np.empty((cfg.replicas, len(boxes)))
-    for start, _, (block,) in _measures(cfg, (kind,), stream, level):
+    for start, _, (block,) in _measures(cfg, (kind,)):
         for j, hi in enumerate(boxes):
             out[start:start + len(block.masses), j] = measure_box(block, lo, hi)
     return out
@@ -172,7 +173,7 @@ def run_field(cfg: ExperimentConfig) -> PipelineResult:
     n_pairs = 20
     idx = check_rng.integers(0, lat.n_sites, size=(n_pairs, 2))
     values = np.concatenate([field.values[:, idx.ravel()]
-                             for _, field, _ in _measures(cfg, (), RngStream(cfg.seed))])
+                             for _, field, _ in _measures(cfg, ())])
     pts = lat.centers()
     # looked up at call time: the benchmark tracer patches it after import
     from .kernels import eval_partial_kernel
@@ -199,7 +200,7 @@ def run_field(cfg: ExperimentConfig) -> PipelineResult:
 def run_chaos(cfg: ExperimentConfig) -> PipelineResult:
     """Expectation identity: mean total chaos mass within 3 SE of 1."""
     sides = np.array((1.0, *cfg.lambda_grid))
-    masses = _box_masses(cfg, "chaos", RngStream(cfg.seed), sides)
+    masses = _box_masses(cfg, "chaos", sides)
     replica, box_id = np.meshgrid(np.arange(cfg.replicas), np.arange(sides.size), indexing="ij")
     total = masses[:, 0]
     mean = float(total.mean())
@@ -237,14 +238,14 @@ def run_atoms(cfg: ExperimentConfig) -> PipelineResult:
     from scipy.stats import spearmanr
 
     lat = lattice_for(cfg)
-    alpha = cfg.alpha()
+    alpha = cfg.resolved_alpha()
     z_min = cfg.resolved_z_min()
     chunks = []  # one per replica: its replica, coordinate, z and mass columns
     spans = []
     corrs = []
     top_atoms = None
     stream = RngStream(cfg.seed)
-    for start, field, _ in _measures(cfg, (), stream):
+    for start, field, _ in _measures(cfg, ()):
         if start % FIELD_BLOCK == 0:
             atoms_rng = stream.generator("atoms", start)
             positions_rng = stream.generator("positions", start)
@@ -293,7 +294,7 @@ def run_atoms(cfg: ExperimentConfig) -> PipelineResult:
 
 def run_spectrum(cfg: ExperimentConfig) -> PipelineResult:
     """Moment-slope estimation of the chaos spectrum against the closed form."""
-    masses = _box_masses(cfg, "chaos", RngStream(cfg.seed), cfg.lambda_grid)
+    masses = _box_masses(cfg, "chaos", cfg.lambda_grid)
     fit = analysis.estimate_spectrum(cfg.lambda_grid, masses, cfg.q_grid,
                                      rng=np.random.default_rng(cfg.seed))
     theory = xi(cfg.gamma2, cfg.dimension, np.asarray(cfg.q_grid))
@@ -310,13 +311,12 @@ def run_spectrum(cfg: ExperimentConfig) -> PipelineResult:
 
 def run_laplace(cfg: ExperimentConfig) -> PipelineResult:
     """Laplace duality on [0,1]: both duals' exact cells against the chaos side."""
-    alpha = cfg.alpha()
+    alpha = cfg.resolved_alpha()
     # the three sides of replica r share its field, the subordinated side
     # its chaos too; the unit box holds every cell, so each side's mass there
     # is its row sum, the pairwise sum of the replica's own cell masses
     totals = ([], [], [])
-    for _, _, blocks in _measures(cfg, ("chaos", "dual", "subordinated"),
-                                  RngStream(cfg.seed)):
+    for _, _, blocks in _measures(cfg, ("chaos", "dual", "subordinated")):
         for sums, block in zip(totals, blocks):
             sums.append(block.masses.sum(axis=1))
     m, direct, subord = map(np.concatenate, totals)
@@ -342,8 +342,8 @@ def run_laplace(cfg: ExperimentConfig) -> PipelineResult:
 
 def run_tail(cfg: ExperimentConfig) -> PipelineResult:
     """Hill plateau of the atomic total mass, with synthetic controls."""
-    alpha = cfg.alpha()
-    totals = _box_masses(cfg, "dual", RngStream(cfg.seed), [1.0])[:, 0]
+    alpha = cfg.resolved_alpha()
+    totals = _box_masses(cfg, "dual", [1.0])[:, 0]
     k = cfg.resolved_hill_k()
     hill = analysis.hill_tail_index(totals, k)
     ctrl_rng = np.random.default_rng(cfg.seed)
@@ -376,17 +376,16 @@ def run_tail(cfg: ExperimentConfig) -> PipelineResult:
 
 def run_scaling(cfg: ExperimentConfig) -> PipelineResult:
     """Perfect scaling: each level-matched moment ratio's CI must cover lam^xi_bar(q)."""
-    alpha = cfg.alpha()
-    ref = _box_masses(cfg, "dual", RngStream(cfg.seed), [SCALING_RADIUS])[:, 0]
+    alpha = cfg.resolved_alpha()
+    ref = _box_masses(cfg, "dual", [SCALING_RADIUS])[:, 0]
     q_grid = np.asarray(cfg.q_grid)
     results = []
     rng = np.random.default_rng(cfg.seed)
     for j, lam in enumerate(cfg.scaling_lambdas, start=1):
         # exact self-similarity holds level-matched: scale lambda at level
         # n/lambda, a whole number by validate_config
-        level_lam = round(cfg.level / lam)
-        small = _box_masses(cfg, "dual", RngStream(cfg.seed + j), [lam * SCALING_RADIUS],
-                            level=level_lam)[:, 0]
+        small = _box_masses(replace(cfg, level=round(cfg.level / lam), seed=cfg.seed + j),
+                            "dual", [lam * SCALING_RADIUS])[:, 0]
         results.append(analysis.verify_perfect_scaling(small, ref, lam, cfg.gamma2, alpha,
                                                        cfg.dimension, q_grid, rng=rng))
     lams, qs = np.meshgrid(cfg.scaling_lambdas, q_grid, indexing="ij")
@@ -413,7 +412,7 @@ def run_kpz(cfg: ExperimentConfig) -> PipelineResult:
     d23 = float(np.log(2) / np.log(3))
     levels = list(range(1, cfg.cantor_depth + 1))
     s_grid = np.asarray(cfg.s_grid, dtype=float)
-    sums = _covering_sums((m for _, _, (m,) in _measures(cfg, ("chaos",), RngStream(cfg.seed))),
+    sums = _covering_sums((m for _, _, (m,) in _measures(cfg, ("chaos",))),
                           levels, s_grid)
     est = analysis.dimension_estimate(levels, s_grid, sums,
                                       rng=np.random.default_rng(cfg.seed))
@@ -445,7 +444,7 @@ def run_kpz(cfg: ExperimentConfig) -> PipelineResult:
 
 def run_duality(cfg: ExperimentConfig) -> PipelineResult:
     """Dual dimension relation dim_Mbar = alpha * dim_M on each replica's one field."""
-    alpha = cfg.alpha()
+    alpha = cfg.resolved_alpha()
     levels = list(range(1, cfg.cantor_depth + 1))
     s_grid = np.asarray(cfg.s_grid, dtype=float)
     # M and its dual on each replica's one field.  The dual blocks wait for
@@ -454,7 +453,7 @@ def run_duality(cfg: ExperimentConfig) -> PipelineResult:
     duals = []
 
     def chaos():
-        for _, _, (m, dual) in _measures(cfg, ("chaos", "dual"), RngStream(cfg.seed)):
+        for _, _, (m, dual) in _measures(cfg, ("chaos", "dual")):
             duals.append(dual)
             yield m
 

@@ -198,7 +198,7 @@ def test_criterion_05_moment_threshold(dual_ensemble):
 
 def test_criterion_06_perfect_scaling():
     cfg = ExperimentConfig(gamma2=1.0, level=8, resolution=512, replicas=8000,
-                           seed=1006, q_grid=(0.25,), z_min=1e-7,
+                           seed=1006, q_grid=(0.25,),
                            scaling_lambdas=(0.5, 0.25, 0.125))
     result = run_scaling(cfg)
     report("criterion-06 perfect-scaling", result.passed,
@@ -234,9 +234,10 @@ def test_criterion_08_dual_kpz(cantor_ensemble_dual):
     alpha = 0.5
     dim_dev = abs(est_bar.estimate - alpha * est_m.estimate)
     assert analysis.kpz_solve(LN23, 1.0, 1) == pytest.approx(GOLDEN_KPZ_G2_ONE, rel=1e-12)
-    assert analysis.kpz_solve_dual(LN23, 1.0, 1) == pytest.approx(GOLDEN_KPZ_DUAL, rel=1e-12)
+    assert analysis.kpz_solve_dual(LN23, 1.0, 1, alpha) == pytest.approx(GOLDEN_KPZ_DUAL,
+                                                                          rel=1e-12)
     alg_err = max(
-        abs(analysis.kpz_solve_dual(x, 1.0, 1) - alpha * analysis.kpz_solve(x, 1.0, 1))
+        abs(analysis.kpz_solve_dual(x, 1.0, 1, alpha) - alpha * analysis.kpz_solve(x, 1.0, 1))
         for x in np.linspace(0.0, 1.0, 100)
     )
     ok = dim_dev <= 0.1 and alg_err <= 1e-12

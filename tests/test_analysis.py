@@ -745,7 +745,7 @@ class TestKpz:
         # frozen quadratic-oracle roots
         assert kpz_solve(LN23, 1.0, 1) == pytest.approx(0.505947439590298, rel=1e-12)
         assert kpz_solve(LN23, 0.5, 1) == pytest.approx(0.569642264834269, rel=1e-12)
-        assert kpz_solve_dual(LN23, 1.0, 1) == pytest.approx(0.252973719795149, rel=1e-12)
+        assert kpz_solve_dual(LN23, 1.0, 1, 0.5) == pytest.approx(0.252973719795149, rel=1e-12)
 
     def test_identity_endpoints(self):
         for g2 in (0.3, 1.0, 1.7):
@@ -763,7 +763,7 @@ class TestKpz:
     @settings(max_examples=60, deadline=None)
     def test_dual_is_alpha_times_primal(self, dim_leb, g2):
         alpha = g2 / 2.0
-        assert kpz_solve_dual(dim_leb, g2, 1) == pytest.approx(
+        assert kpz_solve_dual(dim_leb, g2, 1, alpha) == pytest.approx(
             alpha * kpz_solve(dim_leb, g2, 1), abs=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.95])
@@ -782,7 +782,7 @@ class TestKpz:
         # (b - sqrt(b^2 - 4ac)) / 2a cancels at small gamma2: residuals up to 1.4e-4 here
         g2 = 1e-12
         assert abs(xi(g2, 1, kpz_solve(dim_leb, g2, 1)) - dim_leb) < 1e-12
-        root = kpz_solve_dual(dim_leb, g2, 1)
+        root = kpz_solve_dual(dim_leb, g2, 1, g2 / 2)
         assert abs(xi_bar(g2, g2 / 2, 1, root) - dim_leb) < 1e-12
 
 

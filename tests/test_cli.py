@@ -26,6 +26,7 @@ from gmclab.chaos import LatticeMeasure, build_chaos, measure_box
 from gmclab.cli import main, write_csv
 from gmclab.config import (
     ConfigError,
+    ExperimentConfig,
     parse_config_text,
     validate_config,
 )
@@ -139,10 +140,30 @@ class TestConfigParsing:
         ("gamma2 = 0.5\n", 0.25),
         ("gamma2 = 1.0\ndimension = 2\n", 0.25),
         ("gamma2 = 3.6\ndimension = 2\n", 0.9),
-        ("alpha.mode = explicit\nalpha.value = 0.3\n", 0.3),
+        ("alpha = 0.3\n", 0.3),
     ], ids=["1.0-1-0.5", "0.5-1-0.25", "1.0-2-0.25", "3.6-2-0.9", "explicit"])
     def test_alpha_modes(self, text, alpha):
-        assert parse_config_text(text).alpha() == pytest.approx(alpha)
+        assert parse_config_text(text).resolved_alpha() == pytest.approx(alpha)
+
+    @pytest.mark.parametrize("text,diag", [
+        # under alpha.mode = duality this value was ignored, and the run
+        # went on at gamma2/2d = 0.5
+        ("gamma2 = 1.0\nalpha.value = 0.3\n", "line 2: unknown key 'alpha.value'"),
+        ("alpha.mode = explicit\n", "line 1: unknown key 'alpha.mode'"),
+    ], ids=["value", "mode"])
+    def test_alpha_mode_and_value_are_unknown_keys(self, tmp_path, capsys, text, diag):
+        with pytest.raises(ConfigError, match=f"^{diag}$"):
+            parse_config_text(text)
+        path = tmp_path / "cfg.txt"
+        path.write_text(text)
+        assert main(["chaos", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"gmclab: config error: {diag}\n"
+
+    def test_alpha_is_duality_or_a_float(self):
+        with pytest.raises(ConfigError, match=r"^line 1: bad value for alpha: "):
+            parse_config_text("alpha = explicit\n")
+        assert validate_config(ExperimentConfig(alpha="explicit"), "chaos") == [
+            "alpha must be 'duality' or a float, got 'explicit'"]
 
     def test_duplicate_key_raises(self):
         with pytest.raises(ConfigError, match=r"^line 3: duplicate key 'gamma2'$"):
@@ -340,10 +361,10 @@ class TestCliRuns:
         ("chaos", "kernel.family = exact2d\ndimension = 2\nresolution = 27\n", [],
          "chaos box of side 0.015625 spans 0.421875 cells; "
          "resolution * lambda must be at least 0.5"),
-        ("kpz", "resolution = 729\ngamma2 = 2.5\nalpha.mode = explicit\nalpha.value = 0.5\n"
+        ("kpz", "resolution = 729\ngamma2 = 2.5\nalpha = 0.5\n"
          "s.grid = 0.3,0.4,0.5,0.6,0.7\n", [],
          "kpz solves the KPZ relation: gamma2 must be below 2d = 2, got 2.5"),
-        ("atoms", "alpha.mode = explicit\nalpha.value = 0.99\n", [],
+        ("atoms", "alpha = 0.99\n", [],
          "z_min = auto resolves to 0 at alpha = 0.99: atoms needs a positive z_min"),
         # each asked numpy for 636 GiB of atoms and died in a MemoryError
         # traceback, exit 1, the code of a failed check
@@ -380,11 +401,18 @@ class TestCliRuns:
         ("field", "kernel.family = gff-square\ndimension = 2\nlevel = 40\nresolution = 8\n", [],
          "gff-square at level = 40 sums 450158 sine modes per axis, above the budget of "
          "15000: lower level"),
+        # divided by d = 0 in a ZeroDivisionError traceback, exit 1; each d
+        # outside {1, 2} drew a second, kernel diagnostic
+        ("chaos", "dimension = 0\n", [], "dimension must be 1 or 2, got 0"),
+        # 2.0 ** 1024 raised an OverflowError traceback, exit 1
+        ("field", "kernel.family = star\nlevel = 1023\nresolution = 16\n", [],
+         "star at level = 1023 integrates up to 2^1024, beyond the largest double: "
+         "level must be <= 1022"),
         # a nan gamma2 failed the gate on a nan statistic (exit 1); kernel.T =
         # inf made each field constant and passed; a nan in lambda.grid or
         # q.grid failed late (exit 2), in u.grid failed a gate; z_min = inf
         # drew empty clouds
-        ("chaos", "gamma2 = nan\nalpha.mode = explicit\nalpha.value = 0.5\n", [],
+        ("chaos", "gamma2 = nan\nalpha = 0.5\n", [],
          "gamma2 must be finite, got nan"),
         ("chaos", "kernel.T = inf\n", [], "kernel.T must be finite, got inf"),
         ("chaos", "lambda.grid = nan,0.5\n", [], "lambda.grid must be finite, got nan"),
@@ -409,7 +437,8 @@ class TestCliRuns:
             "kpz-s-grid-bracket", "duality-s-grid-descending",
             "duality-s-grid-interleaved", "kpz-s-grid-repeat", "spectrum-q-grid-repeat", "spectrum-lambda-grid-repeat",
             "laplace-u-grid-repeat", "scaling-lambdas-repeat", "atoms-replica-budget",
-            "field-gff-mode-budget", "chaos-gamma2-nan", "chaos-kernel-T-inf",
+            "field-gff-mode-budget", "chaos-dimension-0", "field-star-level-overflow",
+            "chaos-gamma2-nan", "chaos-kernel-T-inf",
             "chaos-lambda-grid-nan", "spectrum-q-grid-nan", "laplace-u-grid-nan",
             "atoms-z-min-inf", "atoms-z-min-empty-cloud", "chaos-seed-negative",
             "chaos-seed-option-negative"])
@@ -509,7 +538,7 @@ class TestCliRuns:
         # chaos's, not to the duality value gamma2/2d
         path = tmp_path / "cfg.txt"
         path.write_text(RERUN_CONFIGS["duality"]
-                        + "alpha.mode = explicit\nalpha.value = 0.3\n")
+                        + "alpha = 0.3\n")
         out = tmp_path / "out"
         assert main(["duality", "--config", str(path), "--out", str(out)]) == 0
         summary = json.loads((out / "manifest.json").read_text())["summary"]
@@ -600,7 +629,7 @@ class TestCliRuns:
         lat = Lattice(cfg.dimension, cfg.resolution)
         table = np.array([[float(v) for v in line.split(",")] for line in rows[5][1:]])
         for r, rng in enumerate(replica_generators(RngStream(2), "atoms", 5)):
-            cells = sample_stable_atoms(lat, cfg.alpha(), cfg.resolved_z_min(), rng).cells
+            cells = sample_stable_atoms(lat, cfg.resolved_alpha(), cfg.resolved_z_min(), rng).cells
             coords = table[table[:, 0] == r, 1:1 + lat.d]
             index = np.stack(np.unravel_index(cells, (lat.resolution,) * lat.d), axis=1)
             assert len(coords) == len(cells) > 0
@@ -633,9 +662,9 @@ def _atom_rows(table, lat, r):
 def test_measures_of_one_replica_share_its_field(text):
     # the chaos and every dual of replica r are built on r's one field draw
     cfg = parse_config_text(text)
-    alpha, gamma2, h, d = cfg.alpha(), cfg.gamma2, 1.0 / cfg.resolution, cfg.dimension
+    alpha, gamma2, h, d = cfg.resolved_alpha(), cfg.gamma2, 1.0 / cfg.resolution, cfg.dimension
     lat = pipelines.lattice_for(cfg)
-    alone = [m for _, _, (block,) in _measures(cfg, ("chaos",), RngStream(cfg.seed))
+    alone = [m for _, _, (block,) in _measures(cfg, ("chaos",))
              for m in block.masses]
     assert len(alone) == cfg.replicas
     # atoms' direct dual weights replica r's cloud by r's chaos: each atom's
@@ -654,8 +683,7 @@ def test_measures_of_one_replica_share_its_field(text):
     rngs = zip(replica_generators(stream, "atoms", cfg.replicas),
                replica_generators(stream, "subordinated", cfg.replicas))
     gamma_1a = gamma_fn(1 - alpha)
-    for start, _, (m, dual, subordinated) in _measures(cfg, ("chaos", "dual", "subordinated"),
-                                                        stream):
+    for start, _, (m, dual, subordinated) in _measures(cfg, ("chaos", "dual", "subordinated")):
         for i, (r, (atom_rng, subordinated_rng)) in enumerate(
                 zip(range(start, start + len(m.masses)), rngs)):
             field = sampler.sample_field(stream, r)
@@ -689,14 +717,13 @@ def test_block_loop_matches_replica_by_replica(text):
     # every dual cell and cloud the one drawn replica by replica, each block's
     # replicas in order from its substream, bit for bit
     cfg = parse_config_text(text)
-    alpha, z_min, gamma2 = cfg.alpha(), cfg.resolved_z_min(), cfg.gamma2
+    alpha, z_min, gamma2 = cfg.resolved_alpha(), cfg.resolved_z_min(), cfg.gamma2
     stream = RngStream(cfg.seed)
     fields = list(replica_fields(pipelines._sampler(cfg), stream, cfg.replicas))
     rows, subordinated_rows = [], []
     rngs = zip(replica_generators(stream, "atoms", cfg.replicas),
                replica_generators(stream, "subordinated", cfg.replicas))
-    for start, field, (m, dual, subordinated) in _measures(
-            cfg, ("chaos", "dual", "subordinated"), stream):
+    for start, field, (m, dual, subordinated) in _measures(cfg, ("chaos", "dual", "subordinated")):
         assert len(field.values) == len(m.masses) == len(dual.masses) == len(subordinated.masses)
         for i, (r, (atom_rng, subordinated_rng)) in enumerate(
                 zip(range(start, start + len(field.values)), rngs)):
@@ -742,14 +769,13 @@ def test_replicas_of_one_block_draw_their_own_clouds():
     # hand it replica 0's draws, the cloud, cells and positions checked here
     text = "gamma2 = 1.0\nlevel = 3\nresolution = 32\nz_min = 1e-4\nreplicas = 2\nseed = 5\n"
     cfg = parse_config_text(text)
-    alpha, z_min, gamma2 = cfg.alpha(), cfg.resolved_z_min(), cfg.gamma2
+    alpha, z_min, gamma2 = cfg.resolved_alpha(), cfg.resolved_z_min(), cfg.gamma2
     lat = pipelines.lattice_for(cfg)
 
     def fresh(purpose):
         return RngStream(cfg.seed).generator(purpose, 0)
 
-    ((_, field, (m, subordinated)),) = _measures(cfg, ("chaos", "subordinated"),
-                                                 RngStream(cfg.seed))
+    ((_, field, (m, subordinated)),) = _measures(cfg, ("chaos", "subordinated"))
     table = pipelines.run_atoms(cfg).tables["atoms"]
     for r in range(2):
         first = sample_stable_atoms(lat, alpha, z_min, fresh("atoms"))
@@ -757,7 +783,7 @@ def test_replicas_of_one_block_draw_their_own_clouds():
         first = build_subordinated_cells(LatticeMeasure(lat, m.masses[r]), alpha,
                                          fresh("subordinated"))
         assert np.array_equal(subordinated.masses[r], first.masses) == (r == 0)
-    ((_, _, (dual,)),) = _measures(cfg, ("dual",), RngStream(cfg.seed))
+    ((_, _, (dual,)),) = _measures(cfg, ("dual",))
     for r in range(2):
         row = gfield.FieldGrid(lat, field.values[r], field.variance0)
         first = build_dual_cells(row, gamma2, alpha, fresh("atoms"))
@@ -774,8 +800,7 @@ def _replica_draws(cfg):
     """Per replica: both duals' cells, through _measures, and its direct
     cloud's sizes and masses, through run_atoms; and the chunk starts."""
     starts, draws = [], []
-    for start, _, (dual, subordinated) in _measures(cfg, ("dual", "subordinated"),
-                                                    RngStream(cfg.seed)):
+    for start, _, (dual, subordinated) in _measures(cfg, ("dual", "subordinated")):
         starts.append(start)
         draws += [list(rows) for rows in zip(dual.masses, subordinated.masses)]
     table, lat = pipelines.run_atoms(cfg).tables["atoms"], pipelines.lattice_for(cfg)
@@ -851,20 +876,20 @@ def test_block_reducers_match_replica_loop(kind, monkeypatch):
     levels, s_grid = range(1, 6), np.array([0.0, 0.3, 0.5, 0.7, 1.0])
 
     def blocks():
-        return [ms[0] for _, _, ms in _measures(cfg, (kind,), RngStream(cfg.seed))]
+        return [ms[0] for _, _, ms in _measures(cfg, (kind,))]
 
     loop = [LatticeMeasure(block.lattice, m) for block in blocks() for m in block.masses]
-    masses = _box_masses(cfg, kind, RngStream(cfg.seed), sides)
+    masses = _box_masses(cfg, kind, sides)
     ref = np.array([[measure_box(m, [0.0], [side]) for side in sides] for m in loop])
     assert masses.shape == (70, len(sides)) and np.array_equal(masses, ref)
     sums = _covering_sums(blocks(), levels, s_grid)
     ref = np.array([covering_sums(m, levels, s_grid).sums for m in loop])
     assert sums.shape == (70, 5, s_grid.size) and np.array_equal(sums, ref)
-    assert [start for start, _, _ in _measures(cfg, (kind,), RngStream(cfg.seed))] == [0, 64]
+    assert [start for start, _, _ in _measures(cfg, (kind,))] == [0, 64]
     # a transform that would pass CHUNK_BYTES is cut to fewer rows, and each
     # chunk is reduced on its own
     rows = 15
     monkeypatch.setattr(gfield, "CHUNK_BYTES", rows * pipelines._sampler(cfg)._row_bytes)
-    assert [start for start, _, _ in _measures(cfg, (kind,), RngStream(cfg.seed))] == [
+    assert [start for start, _, _ in _measures(cfg, (kind,))] == [
         0, 30, 60, 64]
     assert np.array_equal(_covering_sums(blocks(), levels, s_grid), ref)

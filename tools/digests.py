@@ -63,7 +63,6 @@ CONFIGS = {
         level = 3
         resolution = 64
         replicas = 2000
-        z_min = 1e-6
         hill.k = 60
     """),
     "scaling": ("scaling", """
@@ -72,7 +71,6 @@ CONFIGS = {
         level = 4
         resolution = 128
         replicas = 300
-        z_min = 1e-6
         q.grid = 0.1,0.2
         scaling.lambdas = 0.5,0.25
     """),
@@ -124,7 +122,6 @@ CONFIGS = {
         level = 3
         resolution = 32
         replicas = 400
-        z_min = 1e-6
     """),
     "tail-gff": ("tail", """
         kernel.family = gff-square
@@ -133,7 +130,6 @@ CONFIGS = {
         level = 3
         resolution = 16
         replicas = 2000
-        z_min = 1e-6
     """),
 }
 
